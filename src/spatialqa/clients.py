@@ -1,8 +1,7 @@
 """External-service clients with content-addressed caching and fixtures.
 
-Every upstream model the pipeline depends on (geometry estimator,
-grounder, captioner, judge, problem generator) is reached through the
-same request/response JSON discipline:
+Every upstream model the pipeline calls (grounder, judge, problem
+generator) is reached through the same request/response JSON discipline:
 
   request   role-specific JSON object (schemas below)
   response  role-specific JSON object
@@ -11,19 +10,17 @@ same request/response JSON discipline:
 A client resolves a request in order: disk cache, fixture directory,
 HTTP endpoint.  Fixture mode never touches the network; a cache miss in
 fixture mode is an error.  Cache writes are write-then-rename so
-concurrent workers cannot tear files.
+concurrent workers cannot tear files.  Built clients pickle, so
+``run_generate`` builds them once and hands them to its workers.
 
 Role schemas:
   grounder            {"image_id", "caption"} ->
                       {"boxes": [[x0, y0, x1, y1], ...]}
-  captioner           {"image_id", "object_id", "category", "box2d"} ->
-                      {"captions": ["...", ...]}   (simplest first)
   judge               {"item_id", "question", "answer", "response"} ->
                       {"verdict": "match" | "mismatch"}
   problem-generator   scene digest (see qa.problem) ->
                       {"candidates": [{question, kind, value?, answer?,
                                        check}, ...]}
-  depth-estimator     {"image_id"} -> {"pointmap": "relative/path.pmap"}
 """
 
 from __future__ import annotations
@@ -37,8 +34,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-ROLES = ("depth-estimator", "grounder", "captioner", "judge",
-         "problem-generator")
+ROLES = ("grounder", "judge", "problem-generator")
 
 
 class ClientError(Exception):
@@ -81,9 +77,6 @@ class ClientConfig:
     max_attempts: int = 3
     backoff_base_s: float = 0.1
 
-    def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
-
     @classmethod
     def from_dict(cls, role: str, d: dict) -> "ClientConfig":
         return cls(role=role, endpoint=d.get("endpoint"),
@@ -104,7 +97,6 @@ class Client:
             raise ClientError(config.role,
                               "needs an endpoint or a fixture directory")
         self.config = config
-        self.upstream_calls = 0
 
     def _cache_path(self, key: str) -> Path | None:
         if self.config.cache_dir is None:
@@ -145,7 +137,6 @@ class Client:
                     headers={"Content-Type": "application/json"})
                 with urllib.request.urlopen(
                         req, timeout=self.config.timeout_s) as resp:
-                    self.upstream_calls += 1
                     return json.loads(resp.read().decode())
             except Exception as e:  # noqa: BLE001 - retried, then surfaced
                 last_error = e

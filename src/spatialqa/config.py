@@ -46,19 +46,6 @@ class PipelineConfig:
     tag_exclude: list[str] = field(default_factory=list)
     cache_dir: str | None = None
 
-    def to_dict(self) -> dict:
-        synth = dataclasses.asdict(self.synth)
-        synth["guards"] = dataclasses.asdict(self.synth.guards)
-        synth["size_dimensions"] = list(self.synth.size_dimensions)
-        return {
-            "workers": self.workers, "seed": self.seed, "band": self.band,
-            "sampling": self.sampling.to_dict(), "synth": synth,
-            "clients": self.clients,
-            "tag_filter": {"include": self.tag_include,
-                           "exclude": self.tag_exclude},
-            "cache_dir": self.cache_dir,
-        }
-
 
 def _guards_from_dict(d: dict) -> GuardConfig:
     fields = {f.name for f in dataclasses.fields(GuardConfig)}

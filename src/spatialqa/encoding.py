@@ -60,15 +60,6 @@ def sinusoidal_encode(pm: PointMap) -> np.ndarray:
     return out
 
 
-def encode_axis_values(values: np.ndarray) -> np.ndarray:
-    """64-channel encoding of scalar coordinates (collision-scan helper)."""
-    phase = np.asarray(values, dtype=np.float64)[:, None] * _FREQS[None, :]
-    out = np.empty((len(values), ENCODING_PER_COORD))
-    out[:, 0::2] = np.sin(phase)
-    out[:, 1::2] = np.cos(phase)
-    return out
-
-
 def pad_to_patch_multiple(grid: np.ndarray, patch: int = PATCH) -> np.ndarray:
     """Zero-pad bottom/right to a multiple of the patch size.
 

@@ -106,11 +106,6 @@ def score_direction(pred, gt) -> tuple[bool, float]:
     return angle <= DIRECTION_LIMIT_DEG, angle
 
 
-def score_problem_numeric(pred: float, gt: float) -> tuple[bool, float]:
-    ok, ratio = score_ratio(pred, gt, band="tight")
-    return ok, ratio
-
-
 def score_mcq(response: str, gt_letter: str,
               options: list[str] | None = None) -> bool:
     """Extract the chosen option letter or match full option text.
@@ -243,7 +238,7 @@ def _score_problem(item: dict, response: str,
             return EvalRecord(item_id=item["item_id"], raw_response=response,
                               rule="problem-25pct", correct=False,
                               note="parse-failure", **meta)
-        ok, ratio = score_problem_numeric(pred, float(payload["value"]))
+        ok, ratio = score_ratio(pred, float(payload["value"]), band="tight")
         return EvalRecord(item_id=item["item_id"], raw_response=response,
                           rule="problem-25pct", correct=ok, parsed=pred,
                           error=ratio, **meta)

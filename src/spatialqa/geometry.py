@@ -124,6 +124,10 @@ class Box3D:
         )
 
 
+# Index of each named dimension in ``Box3D.size``.
+DIM_INDEX = {"width": 0, "height": 1, "depth": 2}
+
+
 def facing_vector(yaw_deg: float) -> np.ndarray:
     """Horizontal facing direction in world coordinates for a yaw angle."""
     r = math.radians(yaw_deg)

@@ -5,12 +5,19 @@ persists one part file per image via write-then-rename, and assembles
 the corpus in manifest order at the end.  Per-image seeds derive from
 (corpus seed, image id), so the corpus bytes are independent of worker
 count, scheduling, and interruption; a rerun skips images whose part
-files already exist.
+files already record them as done.
+
+A part file ``parts/<image_id>.jsonl`` is one header line
+``{"families", "image_id", "reason", "status"}`` followed by the image's
+corpus lines, so resume reads only the header and assembly copies the
+rest of the file without parsing it.  Any exception other than
+``SceneSkipped`` becomes a ``failed`` part carrying ``"<Type>: <message>"``.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -19,22 +26,21 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import box_iou
-from .clients import Client, ClientError, build_clients
-from .config import PipelineConfig, config_from_dict
+from .clients import Client, build_clients
+from .config import PipelineConfig
 from .dbscan import dbscan_largest_cluster, default_eps, default_min_pts
 from .evalharness import Report, render_report, report, score_item
 from .filters import heuristic_image_filter, tag_vote_filter
 from .geometry import (
     Box3D,
     EmptyObjectError,
-    GeometryError,
     IDENTITY_GRAVITY,
     extract_object_points,
     fit_box3d,
     gravity_frame,
 )
 from .manifest import ImageManifest, ManifestError, read_manifest, resolve_path
-from .pmap import PmapError, read_pointmap
+from .pmap import read_pointmap
 from .qa.items import QAItem, canonical_json, derive_seed
 from .qa.problem import scene_digest, validate_candidates
 from .qa.synth import Scene, synthesize_scene_qa
@@ -196,44 +202,42 @@ def process_image(entry: ImageManifest, manifest_path: str | Path,
 # ---------------------------------------------------------------------------
 
 def _part_path(parts_dir: Path, image_id: str) -> Path:
-    return parts_dir / f"{image_id}.json"
+    return parts_dir / f"{image_id}.jsonl"
+
+
+def _read_header(path: Path) -> dict:
+    with open(path, "rb") as f:
+        return json.loads(f.readline())
 
 
 def _write_part(parts_dir: Path, image_id: str, status: str,
                 reason: str | None, items: list[QAItem]) -> dict:
-    part = {
-        "image_id": image_id,
-        "status": status,
-        "reason": reason,
-        "families": {},
-        "lines": [item.to_json() for item in items],
-    }
+    families: dict[str, int] = {}
     for item in items:
-        part["families"][item.family] = part["families"].get(item.family, 0) + 1
+        families[item.family] = families.get(item.family, 0) + 1
+    header = {"image_id": image_id, "status": status, "reason": reason,
+              "families": families}
+    lines = [canonical_json(header)] + [item.to_json() for item in items]
     path = _part_path(parts_dir, image_id)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(canonical_json(part), encoding="utf-8")
+    tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     tmp.replace(path)
-    return part
+    return header
 
 
-def _process_entry_to_part(entry_dict: dict, manifest_path: str,
-                           config_dict: dict, parts_dir: str) -> dict:
-    """Worker body: one image to one part file (picklable inputs)."""
-    entry = ImageManifest.from_dict(entry_dict)
-    config = config_from_dict(config_dict)
-    clients = build_clients(config.clients, cache_dir=config.cache_dir)
-    parts = Path(parts_dir)
+def _process_entry_to_part(entry: ImageManifest, manifest_path: str,
+                           config: PipelineConfig,
+                           clients: dict[str, Client],
+                           parts_dir: Path) -> dict:
+    """Worker body: one image to one part file; returns the part header."""
     try:
         items = process_image(entry, manifest_path, config, clients)
     except SceneSkipped as e:
-        return _write_part(parts, entry.image_id, "skipped", str(e), [])
-    except (PmapError, ManifestError, ClientError, GeometryError,
-            OSError, ValueError, KeyError) as e:
-        return _write_part(parts, entry.image_id, "failed",
+        return _write_part(parts_dir, entry.image_id, "skipped", str(e), [])
+    except Exception as e:  # noqa: BLE001 - one bad image never ends a run
+        return _write_part(parts_dir, entry.image_id, "failed",
                            f"{type(e).__name__}: {e}", [])
-    return _write_part(parts, entry.image_id, "done", None, items)
+    return _write_part(parts_dir, entry.image_id, "done", None, items)
 
 
 def run_generate(manifest_path: str | Path, config: PipelineConfig,
@@ -242,7 +246,7 @@ def run_generate(manifest_path: str | Path, config: PipelineConfig,
     """Generate the corpus for a manifest; resumable and order-stable.
 
     Returns the run ledger; writes corpus.jsonl, ledger.json and
-    parts/*.json under out_dir.
+    parts/*.jsonl under out_dir.
     """
     start = time.monotonic()
     manifest_path = str(manifest_path)
@@ -259,47 +263,44 @@ def run_generate(manifest_path: str | Path, config: PipelineConfig,
     todo = []
     for entry in selected:
         part_path = _part_path(parts_dir, entry.image_id)
-        if part_path.exists():
-            part = json.loads(part_path.read_text(encoding="utf-8"))
-            if part.get("status") == "done":
-                ledger.add(entry.image_id, "skipped", "already done")
-                continue
+        if part_path.exists() and _read_header(part_path)["status"] == "done":
+            ledger.add(entry.image_id, "skipped", "already done")
+            continue
         todo.append(entry)
 
-    config_dict = config.to_dict()
+    clients = build_clients(config.clients, cache_dir=config.cache_dir)
     if config.workers <= 1 or len(todo) <= 1:
         results = [
-            _process_entry_to_part(e.to_dict(), manifest_path, config_dict,
-                                   str(parts_dir))
+            _process_entry_to_part(e, manifest_path, config, clients,
+                                   parts_dir)
             for e in todo
         ]
     else:
         results = []
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = [
-                pool.submit(_process_entry_to_part, e.to_dict(),
-                            manifest_path, config_dict, str(parts_dir))
+                pool.submit(_process_entry_to_part, e, manifest_path, config,
+                            clients, parts_dir)
                 for e in todo
             ]
             for future in as_completed(futures):
                 results.append(future.result())
 
-    for part in results:
-        ledger.add(part["image_id"], part["status"], part.get("reason"))
+    for header in results:
+        ledger.add(header["image_id"], header["status"], header["reason"])
 
-    corpus_path = out / "corpus.jsonl"
     family_counts: dict[str, int] = {}
-    with open(corpus_path, "w", encoding="utf-8") as f:
+    with open(out / "corpus.jsonl", "wb") as corpus:
         for entry in entries:
             part_path = _part_path(parts_dir, entry.image_id)
             if not part_path.exists():
                 continue
-            part = json.loads(part_path.read_text(encoding="utf-8"))
-            if part.get("status") != "done":
-                continue
-            for line in part["lines"]:
-                f.write(line + "\n")
-            for family, count in part.get("families", {}).items():
+            with open(part_path, "rb") as part:
+                header = json.loads(part.readline())
+                if header["status"] != "done":
+                    continue
+                shutil.copyfileobj(part, corpus)
+            for family, count in header["families"].items():
                 family_counts[family] = family_counts.get(family, 0) + count
 
     ledger.family_counts = family_counts

@@ -182,10 +182,6 @@ class SamplingConfig:
         n_general = round(n_total * g / (g + s))
         return n_general, n_total - n_general
 
-    def to_dict(self) -> dict:
-        return {"weights": dict(self.weights),
-                "general_mix": list(self.general_mix)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "SamplingConfig":
         return cls(weights=dict(d.get("weights", DEFAULT_WEIGHTS)),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..quantity import format_quantity
-from .items import Payload, QAError
+from .items import Payload
 
 NUMERIC_MULTIPLIERS = (0.5, 1.5, 2.5)
 LETTERS = ("A", "B", "C", "D")
@@ -72,10 +72,3 @@ def make_mcq(payload: Payload, rng: np.random.Generator,
 def render_options(options: list[str]) -> str:
     return "\n".join(f"({letter}) {text}"
                      for letter, text in zip(LETTERS, options))
-
-
-def check_mcq(options: list[str], answer: str) -> None:
-    if len(options) != 4 or len(set(options)) != 4:
-        raise QAError("mcq requires 4 distinct options")
-    if answer not in LETTERS:
-        raise QAError(f"bad mcq answer {answer!r}")

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..geometry import DIM_INDEX
+
 PROBLEM_SCHEMA_VERSION = 1
 NUMERIC_TOLERANCE = 0.25
 
@@ -61,9 +63,6 @@ def _index(digest: dict) -> dict[str, dict]:
     return {o["id"]: o for o in digest["objects"]}
 
 
-_DIM_INDEX = {"width": 0, "height": 1, "depth": 2}
-
-
 def evaluate_check(check, digest: dict):
     """Recompute a check expression; floats for numeric ops, "yes"/"no"
     for comparisons."""
@@ -88,9 +87,9 @@ def evaluate_check(check, digest: dict):
         return float(obj("object")["camera_distance_m"])
     if op == "size":
         dim = check.get("dimension")
-        if dim not in _DIM_INDEX:
+        if dim not in DIM_INDEX:
             raise ProblemValidationError(f"bad size dimension {dim!r}")
-        return float(obj("object")["size_m"][_DIM_INDEX[dim]])
+        return float(obj("object")["size_m"][DIM_INDEX[dim]])
     if op == "volume":
         w, h, d = obj("object")["size_m"]
         return float(w) * float(h) * float(d)

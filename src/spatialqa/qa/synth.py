@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry import CameraIntrinsics, GravityFrame
+from ..geometry import CameraIntrinsics, DIM_INDEX, GravityFrame
 from ..pmap import PointMap
 from ..quantity import format_point, format_quantity, format_unit_vector
 from ..references import ObjectReference
 from ..relations import (
     GuardConfig,
+    OPPOSITE_LABEL,
     SceneObject,
     depth_order,
     orientation_consistency,
@@ -89,10 +90,6 @@ _ANCHOR_PHRASE = {
     "above": "above it", "below": "below it",
     "front": "in front of it", "behind": "behind it",
 }
-_OPPOSITE_DIRECTION = {
-    "left": "right", "right": "left", "above": "below", "below": "above",
-    "front": "behind", "behind": "front",
-}
 _COMPONENT_PHRASE = {
     "euclidean": "straight-line distance",
     "vertical": "vertical distance",
@@ -115,7 +112,6 @@ _ORDER_WORDS = {
     "height": ("shortest", "tallest"),
     "volume": ("smallest", "largest"),
 }
-_DIM_INDEX = {"width": 0, "height": 1, "depth": 2}
 
 
 def _listing(texts: list[str]) -> str:
@@ -318,7 +314,7 @@ class _SceneSynthesizer:
                 self._emit(
                     "object_size", "object_size", {"ref": ref, "dimension": dim},
                     Payload(kind="quantity",
-                            value=float(obj.size[_DIM_INDEX[dim]]), unit="m"),
+                            value=float(obj.size[DIM_INDEX[dim]]), unit="m"),
                     {"object": obj.object_id, "dimension": dim},
                 )
             if obj.yaw_deg is not None:
@@ -342,7 +338,7 @@ class _SceneSynthesizer:
 
     def _direction_tf_pool(self, rel) -> list[str]:
         """Unambiguously false labels: opposites of every cleared axis."""
-        return [_OPPOSITE_DIRECTION[rel.labels[a]] for a in sorted(rel.labels)]
+        return [OPPOSITE_LABEL[rel.labels[a]] for a in sorted(rel.labels)]
 
     def level2(self) -> None:
         gf = self.scene.gf

@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 
 METER_DECIMALS = 2
+# Resolution of the printed text: both formats resolve to centimeters.
+PRINT_RESOLUTION_M = 0.01
 
 _UNIT_TO_METERS = {
     "m": 1.0, "meter": 1.0, "meters": 1.0, "metre": 1.0, "metres": 1.0,
@@ -44,11 +46,6 @@ def format_quantity(value_m: float, style: str = "auto") -> str:
     if style in ("auto", "centimeters"):
         return f"{round(value_m * 100):d} centimeters"
     raise ValueError(f"unknown style {style!r}")
-
-
-def print_ulp(value_m: float) -> float:
-    """Resolution of the printed representation (one unit in last place)."""
-    return 0.01  # both formats resolve to centimeters
 
 
 def parse_quantity(text: str) -> float | None:

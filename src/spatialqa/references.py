@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import GravityFrame
-from .relations import DEFAULT_GUARDS, GuardConfig, SceneObject
+from .relations import (
+    ATTRIBUTE_GETTERS,
+    DEFAULT_GUARDS,
+    GuardConfig,
+    SceneObject,
+)
 
 FALLBACK_PALETTE = ("red", "green", "blue", "yellow",
                     "magenta", "cyan", "orange", "purple")
@@ -111,16 +116,14 @@ _AXIS_SIDE = {0: ("left", "left-right"), 1: ("top", "top-bottom"),
 
 
 def linear_order_reference(objs: list[SceneObject], gf: GravityFrame,
-                           ratio: float = PCA_LINEAR_RATIO,
-                           use_variance_ratio: bool = False
+                           ratio: float = PCA_LINEAR_RATIO
                            ) -> list[ObjectReference] | None:
     """Ordinal references along the dominant axis of a near-linear group.
 
     Principal components come from the SVD of the centered world-frame
     centers; the group is linear when the second singular value is below
-    ``ratio`` of the first (set ``use_variance_ratio`` to compare
-    variances instead).  Returns None when the group is not linear or the
-    dominant direction is ambiguous between two world axes.
+    ``ratio`` of the first.  Returns None when the group is not linear or
+    the dominant direction is ambiguous between two world axes.
     """
     if len(objs) < 3:
         return None
@@ -130,8 +133,7 @@ def linear_order_reference(objs: list[SceneObject], gf: GravityFrame,
     s0, s1 = float(svals[0]), float(svals[1])
     if s0 <= 0:
         return None
-    measure = (s1 / s0) ** 2 if use_variance_ratio else s1 / s0
-    if measure >= ratio:
+    if s1 / s0 >= ratio:
         return None
 
     pc1 = vt[0]
@@ -263,8 +265,7 @@ def size_reference(objs: list[SceneObject], dimension: str,
     if len(objs) < 2:
         return out
     category = objs[0].category
-    getter = {"width": lambda o: o.width, "height": lambda o: o.height,
-              "volume": lambda o: o.volume}[dimension]
+    getter = ATTRIBUTE_GETTERS[dimension]
     ranked = sorted(objs, key=getter)
     values = [getter(o) for o in ranked]
     if not _ratio_gaps_ok(values, guards):
@@ -305,8 +306,7 @@ def select_reference(candidates: list[ObjectReference]) -> ObjectReference:
 def assign_references(objs: list[SceneObject], gf: GravityFrame,
                       verified_captions: dict[str, str] | None = None,
                       boxes2d: dict[str, list] | None = None,
-                      guards: GuardConfig = DEFAULT_GUARDS,
-                      use_variance_ratio: bool = False
+                      guards: GuardConfig = DEFAULT_GUARDS
                       ) -> dict[str, ObjectReference]:
     """One unique reference per object, picking the simplest passing kind."""
     verified_captions = verified_captions or {}
@@ -328,8 +328,7 @@ def assign_references(objs: list[SceneObject], gf: GravityFrame,
                 object_id=obj.object_id, kind="category",
                 text=f"the {category}"))
             continue
-        linear = linear_order_reference(group, gf,
-                                        use_variance_ratio=use_variance_ratio)
+        linear = linear_order_reference(group, gf)
         if linear:
             for ref in linear:
                 candidates[ref.object_id].append(ref)

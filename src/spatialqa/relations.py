@@ -244,19 +244,24 @@ def relative_direction(a: SceneObject, b: SceneObject, gf: GravityFrame,
 def relative_distance(a: SceneObject, b: SceneObject,
                       gf: GravityFrame) -> DistanceResult:
     """Distance decomposition of b - a in the gravity-aligned world frame."""
-    delta_w = gf.to_world(b.center.astype(float) - a.center.astype(float))
+    return _distance_result(
+        gf.to_world(b.center.astype(float) - a.center.astype(float)))
+
+
+def _distance_result(delta: np.ndarray) -> DistanceResult:
+    """Decomposition of a (right, down, forward) frame delta vector."""
     return DistanceResult(
-        euclidean=float(np.linalg.norm(delta_w)),
-        vertical=abs(float(delta_w[1])),
-        horizontal=abs(float(delta_w[0])),
-        depthwise=abs(float(delta_w[2])),
-        horizontal_planar=float(math.hypot(delta_w[0], delta_w[2])),
+        euclidean=float(np.linalg.norm(delta)),
+        vertical=abs(float(delta[1])),
+        horizontal=abs(float(delta[0])),
+        depthwise=abs(float(delta[2])),
+        horizontal_planar=float(math.hypot(delta[0], delta[2])),
     )
 
 
 COMPARISON_ATTRIBUTES = ("camera-distance", "width", "height", "volume")
 
-_ATTRIBUTE_GETTERS = {
+ATTRIBUTE_GETTERS = {
     "camera-distance": lambda o: o.camera_distance,
     "width": lambda o: o.width,
     "height": lambda o: o.height,
@@ -282,13 +287,13 @@ def relational_comparison(objs: list[SceneObject], attribute: str, mode: str,
     a full order requires every consecutive gap, making the emitted order
     strict.
     """
-    if attribute not in _ATTRIBUTE_GETTERS:
+    if attribute not in ATTRIBUTE_GETTERS:
         raise RelationError(f"unknown attribute {attribute!r}")
     if mode not in ("extreme-min", "extreme-max", "full-order"):
         raise RelationError(f"unknown mode {mode!r}")
     if len(objs) < 2:
         raise RelationError("comparison needs at least two objects")
-    getter = _ATTRIBUTE_GETTERS[attribute]
+    getter = ATTRIBUTE_GETTERS[attribute]
     pairs = sorted(((getter(o), o.object_id) for o in objs))
     values = [p[0] for p in pairs]
 
@@ -374,14 +379,7 @@ def perspective_transform(anchor: SceneObject | ObserverPose,
     labels, margins = _label_components(unit, guards)
     direction = DirectionResult(vector=unit, frame="anchor", components=unit,
                                 labels=labels, margins_deg=margins)
-    distance = DistanceResult(
-        euclidean=norm,
-        vertical=abs(float(delta[1])),
-        horizontal=abs(float(delta[0])),
-        depthwise=abs(float(delta[2])),
-        horizontal_planar=float(math.hypot(delta[0], delta[2])),
-    )
-    return direction, distance
+    return direction, _distance_result(delta)
 
 
 def camera_pose() -> ObserverPose:

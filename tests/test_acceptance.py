@@ -47,7 +47,6 @@ from spatialqa.encoding import (
 from spatialqa.evalharness import (
     score_direction,
     score_mcq,
-    score_problem_numeric,
     score_ratio,
     score_tf,
 )
@@ -59,7 +58,11 @@ from spatialqa.oracle.scene import ESTIMATION_SAMPLER, read_scenes
 from spatialqa.pipeline import process_image, read_corpus, run_generate
 from spatialqa.pmap import make_pointmap, read_pointmap, write_pointmap
 from spatialqa.qa.items import SamplingConfig
-from spatialqa.quantity import format_quantity, parse_quantity, print_ulp
+from spatialqa.quantity import (
+    PRINT_RESOLUTION_M,
+    format_quantity,
+    parse_quantity,
+)
 from spatialqa.references import linear_order_reference
 from spatialqa.relations import SceneObject
 
@@ -227,7 +230,7 @@ class TestCriterion3ScoringBoundaries:
                 failures.append(f"direction {deg}deg")
         for pred, gt, expected in self.PROBLEM_CASES:
             n_cases += 1
-            got, _ = score_problem_numeric(pred, gt)
+            got, _ = score_ratio(pred, gt, band="tight")
             if got != expected:
                 failures.append(f"problem {pred}/{gt}")
         for response, gt, expected in self.MCQ_CASES:
@@ -518,7 +521,7 @@ class TestCriterion10RoundTrips:
         for v in values:
             parsed = parse_quantity(format_quantity(float(v)))
             if parsed is not None and \
-                    abs(parsed - v) <= print_ulp(float(v)) / 2 + 1e-12:
+                    abs(parsed - v) <= PRINT_RESOLUTION_M / 2 + 1e-12:
                 quantity_ok += 1
 
         passed = pmap_ok == 100 and quantity_ok == 1000

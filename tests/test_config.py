@@ -57,9 +57,3 @@ class TestLoadConfig:
         path.write_text(json.dumps({"band": "loose"}))
         with pytest.raises(ConfigError):
             load_config(path, env={})
-
-    def test_roundtrip_through_dict(self):
-        from spatialqa.config import config_from_dict
-        config = load_config(None, env={})
-        back = config_from_dict(config.to_dict())
-        assert back.to_dict() == config.to_dict()

@@ -5,8 +5,8 @@ import pytest
 
 from spatialqa.encoding import (
     ENCODED_CHANNELS,
+    ENCODING_PER_COORD,
     PATCH,
-    encode_axis_values,
     frequencies,
     fuse,
     pad_to_patch_multiple,
@@ -75,8 +75,13 @@ class TestSinusoidalEncode:
         # strictly increasing -> no two grid coordinates share an encoding
         channel0 = np.sin(phase)
         assert np.all(np.diff(channel0) > 0)
-        # spot-check full 64-channel uniqueness on a coarser slice
-        encoded = encode_axis_values(values[::500])
+        # spot-check full 64-channel uniqueness on a coarser slice, laid
+        # out as the x coordinates of a 1xN point map
+        coarse = values[::500]
+        points = np.zeros((1, len(coarse), 3))
+        points[0, :, 0] = coarse
+        pm = make_pointmap(points, np.ones((1, len(coarse)), dtype=bool))
+        encoded = sinusoidal_encode(pm)[0, :, :ENCODING_PER_COORD]
         assert len(np.unique(encoded, axis=0)) == len(encoded)
 
 

@@ -1,14 +1,18 @@
 """Batch generation and evaluation orchestration."""
 
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from spatialqa.cli import main
 from spatialqa.clients import record_fixture
 from spatialqa.config import PipelineConfig
-from spatialqa.manifest import read_manifest
+from spatialqa.manifest import read_manifest, write_manifest
 from spatialqa.oracle.gen import generate_dataset
+from spatialqa.oracle.scene import ESTIMATION_SAMPLER
 from spatialqa.pipeline import (
     RunLedger,
     SceneSkipped,
@@ -100,7 +104,8 @@ class TestRunGenerate:
 
     def test_resume_reproduces_uninterrupted_corpus(self, dataset, tmp_path):
         config = PipelineConfig(workers=1, seed=0)
-        run_generate(dataset.manifest_path, config, tmp_path / "full")
+        ledger0 = run_generate(dataset.manifest_path, config,
+                               tmp_path / "full")
         ledger1 = run_generate(dataset.manifest_path, config,
                                tmp_path / "resumed", limit=3)
         assert ledger1.summary.get("done") == 3
@@ -111,6 +116,7 @@ class TestRunGenerate:
         full = (tmp_path / "full" / "corpus.jsonl").read_bytes()
         resumed = (tmp_path / "resumed" / "corpus.jsonl").read_bytes()
         assert full == resumed
+        assert ledger2.family_counts == ledger0.family_counts
 
     def test_ledger_partitions_manifest(self, dataset, tmp_path):
         config = PipelineConfig(workers=1, seed=0)
@@ -121,9 +127,30 @@ class TestRunGenerate:
         total = sum(ledger.summary.values())
         assert total == len(entries)
 
+        # an image that raises inside synthesis (two coincident object
+        # centers) fails alone: the run still writes corpus and ledger
+        broken = tmp_path / "coincident"
+        shutil.copytree(Path(dataset.manifest_path).parent, broken)
+        entries = read_manifest(broken / "manifest.jsonl")[:5]
+        victim = entries[0]
+        victim.objects[1].box3d["center"] = list(
+            victim.objects[0].box3d["center"])
+        write_manifest(entries, broken / "manifest.jsonl")
+        out = tmp_path / "coincident-out"
+        assert main(["generate", "--manifest",
+                     str(broken / "manifest.jsonl"),
+                     "--out", str(out)]) == 1
+        assert (out / "corpus.jsonl").exists()
+        statuses = json.loads((out / "ledger.json").read_text())["statuses"]
+        assert len(statuses) == len(entries)
+        assert statuses[victim.image_id]["status"] == "failed"
+        assert statuses[victim.image_id]["reason"].startswith(
+            "RelationError")
+        assert sum(s["status"] == "done" for s in statuses.values()) == \
+            len(entries) - 1
+
     def test_corrupt_pointmap_isolated(self, dataset, tmp_path):
         # copy the dataset, truncate one pmap file
-        import shutil
         broken = tmp_path / "broken"
         shutil.copytree(Path(dataset.manifest_path).parent, broken)
         entries = read_manifest(broken / "manifest.jsonl")
@@ -143,6 +170,40 @@ class TestRunGenerate:
         ledger = run_generate(dataset.manifest_path, config, tmp_path / "o2")
         items = read_corpus(tmp_path / "o2" / "corpus.jsonl")
         assert sum(ledger.family_counts.values()) == len(items)
+        # parts are a header line, then exactly the image's corpus lines
+        parts = sorted((tmp_path / "o2" / "parts").iterdir())
+        assert {p.suffix for p in parts} == {".jsonl"}
+        body = []
+        for part in parts:
+            header, *lines = part.read_text().splitlines()
+            assert sum(json.loads(header)["families"].values()) == len(lines)
+            body.extend(lines)
+        assert sorted(body) == sorted(
+            (tmp_path / "o2" / "corpus.jsonl").read_text().splitlines())
+
+
+class TestReferenceCorpusBytes:
+    """The corpus bytes of the two reference runs, pinned by sha256."""
+
+    @staticmethod
+    def _sha256(path) -> str:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    def test_gt_box_corpus(self, tmp_path):
+        data = generate_dataset(range(0, 200), tmp_path / "ds",
+                                problem_fixtures=True)
+        config = PipelineConfig(clients={"problem-generator": {
+            "fixture_dir": str(data.fixture_dir)}})
+        run_generate(data.manifest_path, config, tmp_path / "out")
+        assert self._sha256(tmp_path / "out" / "corpus.jsonl") == \
+            "6437c869484e7ca81f59425c7c8d4932af038c1756a5c1cf1f6c90b3192d96ae"
+
+    def test_estimation_corpus(self, tmp_path):
+        data = generate_dataset(range(0, 3), tmp_path / "ds", sigma=0.01,
+                                gt_boxes=False, sampler=ESTIMATION_SAMPLER)
+        run_generate(data.manifest_path, PipelineConfig(), tmp_path / "out")
+        assert self._sha256(tmp_path / "out" / "corpus.jsonl") == \
+            "17d7158e1f3171dfbd880ce4e70457c18d49fa6f7b7a1b5193147c9bfbedfda6"
 
 
 class TestRunEvaluate:

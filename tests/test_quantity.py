@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from spatialqa.quantity import (
+    PRINT_RESOLUTION_M,
     format_point,
     format_quantity,
     format_unit_vector,
     parse_quantity,
     parse_triple,
-    print_ulp,
 )
 
 
@@ -65,7 +65,7 @@ class TestRoundTrip:
             text = format_quantity(float(v))
             back = parse_quantity(text)
             assert back is not None
-            assert abs(back - v) <= print_ulp(v) / 2 + 1e-12
+            assert abs(back - v) <= PRINT_RESOLUTION_M / 2 + 1e-12
 
 
 class TestTriples:
