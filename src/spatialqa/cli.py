@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .clients import ClientError
 from .config import ConfigError, load_config
 from .encoding import ENCODED_CHANNELS, patchify, sinusoidal_encode, write_tensor
 from .manifest import ManifestError, validate_manifest
@@ -187,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ManifestError, PmapError, OSError) as e:
+    except (ClientError, ConfigError, ManifestError, PmapError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

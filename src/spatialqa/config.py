@@ -5,7 +5,6 @@ Config file keys (all optional):
   workers        int, parallel image workers (default 1)
   seed           int, corpus seed (default 0)
   band           "tight" | "wide", quantitative scoring band
-  sampling       {"weights": {family: fraction}, "general_mix": [g, s]}
   synth          candidate caps; "guards" holds the guard-band overrides
   clients        {role: {"endpoint" | "fixture_dir", "cache_dir", ...}}
   tag_filter     {"include": [...], "exclude": [...]}
@@ -13,6 +12,10 @@ Config file keys (all optional):
 
 Environment overrides (take precedence over the file):
   SPATIALQA_WORKERS, SPATIALQA_SEED, SPATIALQA_BAND, SPATIALQA_CACHE_DIR
+
+An unknown key (at the top level, in ``synth`` or in ``synth.guards``), a
+bad value, malformed JSON or a file that is not a JSON object raises
+``ConfigError``; the CLI prints it as ``error: ...`` and exits 2.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .qa.items import SamplingConfig
 from .qa.synth import SynthConfig
 from .relations import GuardConfig
 
@@ -39,7 +41,6 @@ class PipelineConfig:
     workers: int = 1
     seed: int = 0
     band: str = "tight"
-    sampling: SamplingConfig = field(default_factory=SamplingConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
     clients: dict[str, dict] = field(default_factory=dict)
     tag_include: list[str] = field(default_factory=list)
@@ -67,41 +68,52 @@ def _synth_from_dict(d: dict) -> SynthConfig:
     return SynthConfig(guards=guards, **d)
 
 
+_KEYS = {"workers", "seed", "band", "synth", "clients", "tag_filter",
+         "cache_dir"}
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
-    try:
-        sampling = SamplingConfig.from_dict(raw["sampling"]) \
-            if "sampling" in raw else SamplingConfig()
-        synth = _synth_from_dict(raw.get("synth", {}))
-    except Exception as e:
-        raise ConfigError(f"bad config: {e}") from e
-    tag_filter = raw.get("tag_filter", {})
+    unknown = set(raw) - _KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     band = raw.get("band", "tight")
     if band not in ("tight", "wide"):
         raise ConfigError(f"band must be tight or wide, got {band!r}")
-    return PipelineConfig(
-        workers=int(raw.get("workers", 1)),
-        seed=int(raw.get("seed", 0)),
-        band=band,
-        sampling=sampling,
-        synth=synth,
-        clients=raw.get("clients", {}),
-        tag_include=list(tag_filter.get("include", [])),
-        tag_exclude=list(tag_filter.get("exclude", [])),
-        cache_dir=raw.get("cache_dir"),
-    )
+    try:
+        tag_filter = raw.get("tag_filter", {})
+        return PipelineConfig(
+            workers=int(raw.get("workers", 1)),
+            seed=int(raw.get("seed", 0)),
+            band=band,
+            synth=_synth_from_dict(raw.get("synth", {})),
+            clients=raw.get("clients", {}),
+            tag_include=list(tag_filter.get("include", [])),
+            tag_exclude=list(tag_filter.get("exclude", [])),
+            cache_dir=raw.get("cache_dir"),
+        )
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad config: {e}") from e
 
 
 def load_config(path: str | Path | None = None,
                 env: dict | None = None) -> PipelineConfig:
     raw = {}
     if path is not None:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: {e}") from e
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: not a JSON object")
     config = config_from_dict(raw)
     env = os.environ if env is None else env
-    if f"{ENV_PREFIX}WORKERS" in env:
-        config.workers = int(env[f"{ENV_PREFIX}WORKERS"])
-    if f"{ENV_PREFIX}SEED" in env:
-        config.seed = int(env[f"{ENV_PREFIX}SEED"])
+    try:
+        if f"{ENV_PREFIX}WORKERS" in env:
+            config.workers = int(env[f"{ENV_PREFIX}WORKERS"])
+        if f"{ENV_PREFIX}SEED" in env:
+            config.seed = int(env[f"{ENV_PREFIX}SEED"])
+    except ValueError as e:
+        raise ConfigError(f"bad {ENV_PREFIX}* override: {e}") from e
     if f"{ENV_PREFIX}BAND" in env:
         config.band = env[f"{ENV_PREFIX}BAND"]
         if config.band not in ("tight", "wide"):

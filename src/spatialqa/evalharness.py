@@ -31,7 +31,6 @@ from .quantity import parse_quantity, parse_triple
 TIGHT_BAND = (0.75, 1.25)
 WIDE_BAND = (0.5, 2.0)
 DIRECTION_LIMIT_DEG = 30.0
-PROBLEM_TOLERANCE = 0.25
 VECTOR_TOLERANCE = 0.25
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
@@ -79,11 +78,6 @@ def _light_normalize(text: str) -> str:
 # ---------------------------------------------------------------------------
 # Scoring primitives
 # ---------------------------------------------------------------------------
-
-def parse_numeric(response: str) -> float | None:
-    """Final numeric quantity in the response, normalized to meters."""
-    return parse_quantity(response)
-
 
 def score_ratio(pred: float, gt: float, band: str = "tight") -> tuple[bool, float]:
     """(correct, pred/gt ratio); boundaries inclusive."""
@@ -163,93 +157,67 @@ def score_label(response: str, gt: str) -> bool:
 def score_item(item: dict, response: str | None,
                judge_verdict: str | None = None,
                band: str = "tight") -> EvalRecord:
-    """Score one response against a corpus item (QAItem dict form)."""
-    meta = {"family": item.get("family"), "level": item.get("level"),
-            "format": item.get("format")}
+    """Score one response against a corpus item (QAItem dict form).
+
+    Problem items use rule ``problem-25pct``: numeric answers at the tight
+    band, other answers by the judge verdict when there is one and by
+    label match when not.
+    """
+    rec = EvalRecord(item_id=item["item_id"], raw_response=response,
+                     rule="missing", correct=False, family=item.get("family"),
+                     level=item.get("level"), format=item.get("format"))
     if response is None:
-        return EvalRecord(item_id=item["item_id"], raw_response=None,
-                          rule="missing", correct=False, note="missing",
-                          **meta)
+        rec.note = "missing"
+        return rec
 
-    fmt = item["format"]
-    payload = item["payload"]
-    if fmt == "mcq":
-        ok = score_mcq(response, item["answer"], item.get("options"))
-        return EvalRecord(item_id=item["item_id"], raw_response=response,
-                          rule="mcq", correct=ok, **meta)
-    if fmt == "true-false":
-        ok = score_tf(response, item["answer"])
-        return EvalRecord(item_id=item["item_id"], raw_response=response,
-                          rule="true-false", correct=ok, **meta)
-
-    kind = payload["kind"]
-    if item.get("family") == "problem_solving":
-        return _score_problem(item, response, judge_verdict, meta)
-    if kind == "quantity":
-        pred = parse_numeric(response)
+    kind, value = item["payload"]["kind"], item["payload"]["value"]
+    problem = item.get("family") == "problem_solving"
+    if item["format"] == "mcq":
+        rec.rule = "mcq"
+        rec.correct = score_mcq(response, item["answer"], item.get("options"))
+    elif item["format"] == "true-false":
+        rec.rule = "true-false"
+        rec.correct = score_tf(response, item["answer"])
+    elif problem and kind != "quantity":
+        rec.rule = "problem-25pct"
+        if judge_verdict is not None:
+            rec.correct = judge_verdict.strip().lower() == "match"
+            rec.note = "judge-verdict"
+        else:
+            rec.correct = score_label(response, str(value))
+    elif kind in ("quantity", "unit-vector", "vector3"):
+        if kind == "quantity":
+            rec.rule = "problem-25pct" if problem else f"ratio-{band}"
+            pred = parse_quantity(response)
+        else:
+            rec.rule = "direction-30deg" if kind == "unit-vector" \
+                else "vector-relative"
+            pred = parse_triple(response)
         if pred is None:
-            return EvalRecord(item_id=item["item_id"], raw_response=response,
-                              rule=f"ratio-{band}", correct=False,
-                              note="parse-failure", **meta)
-        ok, ratio = score_ratio(pred, float(payload["value"]), band)
-        return EvalRecord(item_id=item["item_id"], raw_response=response,
-                          rule=f"ratio-{band}", correct=ok, parsed=pred,
-                          error=ratio, **meta)
-    if kind == "unit-vector":
-        pred = parse_triple(response)
-        if pred is None:
-            return EvalRecord(item_id=item["item_id"], raw_response=response,
-                              rule="direction-30deg", correct=False,
-                              note="parse-failure", **meta)
-        ok, angle = score_direction(pred, payload["value"])
-        return EvalRecord(item_id=item["item_id"], raw_response=response,
-                          rule="direction-30deg", correct=ok,
-                          parsed=list(pred), error=angle, **meta)
-    if kind == "vector3":
-        pred = parse_triple(response)
-        if pred is None:
-            return EvalRecord(item_id=item["item_id"], raw_response=response,
-                              rule="vector-relative", correct=False,
-                              note="parse-failure", **meta)
-        gt = np.asarray(payload["value"], dtype=float)
-        err = float(np.linalg.norm(np.asarray(pred) - gt))
-        rel = err / max(float(np.linalg.norm(gt)), 1e-9)
-        return EvalRecord(item_id=item["item_id"], raw_response=response,
-                          rule="vector-relative",
-                          correct=rel <= VECTOR_TOLERANCE,
-                          parsed=list(pred), error=rel, **meta)
-    if kind == "count":
+            rec.note = "parse-failure"
+        elif kind == "quantity":
+            rec.parsed = pred
+            rec.correct, rec.error = score_ratio(
+                pred, float(value), "tight" if problem else band)
+        elif kind == "unit-vector":
+            rec.parsed = list(pred)
+            rec.correct, rec.error = score_direction(pred, value)
+        else:
+            rec.parsed = list(pred)
+            gt = np.asarray(value, dtype=float)
+            err = float(np.linalg.norm(np.asarray(pred) - gt))
+            rec.error = err / max(float(np.linalg.norm(gt)), 1e-9)
+            rec.correct = rec.error <= VECTOR_TOLERANCE
+    elif kind == "count":
+        rec.rule = "count-exact"
         m = re.search(r"-?\d+", response)
-        ok = m is not None and int(m.group(0)) == int(payload["value"])
-        return EvalRecord(item_id=item["item_id"], raw_response=response,
-                          rule="count-exact", correct=ok,
-                          parsed=int(m.group(0)) if m else None, **meta)
-    ok = score_label(response, str(payload["value"]))
-    return EvalRecord(item_id=item["item_id"], raw_response=response,
-                      rule="label-exact", correct=ok, **meta)
-
-
-def _score_problem(item: dict, response: str,
-                   judge_verdict: str | None, meta: dict) -> EvalRecord:
-    payload = item["payload"]
-    if payload["kind"] == "quantity":
-        pred = parse_numeric(response)
-        if pred is None:
-            return EvalRecord(item_id=item["item_id"], raw_response=response,
-                              rule="problem-25pct", correct=False,
-                              note="parse-failure", **meta)
-        ok, ratio = score_ratio(pred, float(payload["value"]), band="tight")
-        return EvalRecord(item_id=item["item_id"], raw_response=response,
-                          rule="problem-25pct", correct=ok, parsed=pred,
-                          error=ratio, **meta)
-    if judge_verdict is not None:
-        ok = judge_verdict.strip().lower() == "match"
-        return EvalRecord(item_id=item["item_id"], raw_response=response,
-                          rule="problem-25pct", correct=ok,
-                          note="judge-verdict", **meta)
-    ok = score_label(response, str(payload["value"]))
-    return EvalRecord(item_id=item["item_id"], raw_response=response,
-                      rule="problem-25pct", correct=ok, **meta)
+        if m is not None:
+            rec.parsed = int(m.group(0))
+            rec.correct = rec.parsed == int(value)
+    else:
+        rec.rule = "label-exact"
+        rec.correct = score_label(response, str(value))
+    return rec
 
 
 # ---------------------------------------------------------------------------

@@ -182,11 +182,6 @@ class SamplingConfig:
         n_general = round(n_total * g / (g + s))
         return n_general, n_total - n_general
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SamplingConfig":
-        return cls(weights=dict(d.get("weights", DEFAULT_WEIGHTS)),
-                   general_mix=tuple(d.get("general_mix", (1, 7))))
-
 
 def derive_seed(base_seed: int, image_id: str) -> int:
     """Stable per-image seed so output is independent of scheduling."""

@@ -31,7 +31,13 @@ from ..relations import (
     spatial_count,
 )
 from .items import Payload, QAItem
-from .mcq import DIRECTION_LABELS, ORIENTATION_LABELS, make_mcq, render_options
+from .mcq import (
+    DIRECTION_LABELS,
+    NUMERIC_MULTIPLIERS,
+    ORIENTATION_LABELS,
+    make_mcq,
+    render_options,
+)
 from .problem import ValidatedProblem
 from .templates import MCQ_INSTRUCTION, TF_SUFFIX, TemplateBank, load_templates
 
@@ -67,8 +73,6 @@ class SynthConfig:
     size_dimensions: tuple[str, ...] = ("width", "height", "depth")
     template_path: str | None = None
 
-
-TF_MULTIPLIERS = (0.5, 1.5, 2.5)
 
 _AXIS_CHOICE_CAMERA = {
     "x": "to the left or to the right of",
@@ -114,6 +118,19 @@ _ORDER_WORDS = {
 }
 
 
+def _text(kind: str, value) -> str:
+    """Answer or stated text of a payload value of the given kind."""
+    if kind == "quantity":
+        return format_quantity(float(value))
+    if kind == "vector3":
+        return format_point(value)
+    if kind == "unit-vector":
+        return format_unit_vector(value)
+    if kind == "count":
+        return str(int(value))
+    return str(value)
+
+
 def _listing(texts: list[str]) -> str:
     if len(texts) == 2:
         return f"{texts[0]} and {texts[1]}"
@@ -133,26 +150,14 @@ class _SceneSynthesizer:
 
     # -- emission machinery -------------------------------------------------
 
-    def _answer_text(self, payload: Payload) -> str:
-        if payload.kind == "quantity":
-            return format_quantity(float(payload.value))
-        if payload.kind == "vector3":
-            return format_point(payload.value)
-        if payload.kind == "unit-vector":
-            return format_unit_vector(payload.value)
-        if payload.kind == "count":
-            return str(int(payload.value))
-        return str(payload.value)
-
     def _corrupt(self, payload: Payload, label_pool: list[str] | None):
         """A clearly-false stated value for a negative True/False item."""
         rng = self.rng
-        if payload.kind == "quantity":
-            m = TF_MULTIPLIERS[int(rng.integers(0, len(TF_MULTIPLIERS)))]
-            return float(payload.value) * m
-        if payload.kind == "vector3":
-            m = TF_MULTIPLIERS[int(rng.integers(0, len(TF_MULTIPLIERS)))]
-            return [float(v) * m for v in payload.value]
+        if payload.kind in ("quantity", "vector3"):
+            k = int(rng.integers(0, len(NUMERIC_MULTIPLIERS)))
+            if payload.kind == "quantity":
+                return float(payload.value) * NUMERIC_MULTIPLIERS[k]
+            return [float(v) * NUMERIC_MULTIPLIERS[k] for v in payload.value]
         if payload.kind == "count":
             truth = int(payload.value)
             delta = int(rng.integers(1, 3))
@@ -165,21 +170,11 @@ class _SceneSynthesizer:
             return pool[int(rng.integers(0, len(pool)))]
         return None
 
-    def _stated_text(self, payload_kind: str, stated) -> str:
-        if payload_kind == "quantity":
-            return format_quantity(float(stated))
-        if payload_kind == "vector3":
-            return format_point(stated)
-        if payload_kind == "count":
-            return str(int(stated))
-        return str(stated)
-
     def _emit(self, family: str, template_key: str, fmt_args: dict,
               payload: Payload, params: dict,
               label_pool: list[str] | None = None,
               tf_pool: list[str] | None = None,
-              stated_phrase=None,
-              formats: tuple[str, ...] | None = None) -> None:
+              stated_phrase=None) -> None:
         """Emit one item, choosing the format and paraphrase by seeded rng.
 
         ``label_pool`` feeds MCQ distractors; ``tf_pool`` (defaulting to
@@ -188,62 +183,67 @@ class _SceneSynthesizer:
         in-sentence phrasing.
         """
         available = ["free-form"]
-        tf_possible = ("true-false" in self.bank.templates.get(template_key, {})
-                       and payload.kind != "unit-vector")
-        if tf_possible:
+        if ("true-false" in self.bank.templates.get(template_key, {})
+                and payload.kind != "unit-vector"):
             available.append("true-false")
         mcq = None
         if payload.kind in ("quantity", "count", "label"):
             mcq = make_mcq(payload, self.rng, label_pool=label_pool)
             if mcq is not None:
                 available.append("mcq")
-        if formats is not None:
-            available = [f for f in available if f in formats]
-            if not available:
-                return
-
         fmt = available[int(self.rng.integers(0, len(available)))]
         self._seq += 1
-        item_id = f"{self.scene.image_id}:{family}:{self._seq:04d}"
 
-        if fmt == "free-form":
-            prompt = self.bank.pick(self.rng, template_key, "free-form")
-            prompt = prompt.format(**fmt_args)
-            item = QAItem(item_id=item_id, image_id=self.scene.image_id,
-                          family=family, format="free-form", prompt=prompt,
-                          answer_text=self._answer_text(payload),
-                          payload=payload, provenance=dict(params))
-        elif fmt == "mcq":
-            options, letter = mcq
-            prompt = self.bank.pick(self.rng, template_key, "free-form")
-            prompt = prompt.format(**fmt_args)
-            prompt = f"{prompt}\n{render_options(options)}\n{MCQ_INSTRUCTION}"
-            item = QAItem(item_id=item_id, image_id=self.scene.image_id,
-                          family=family, format="mcq", prompt=prompt,
-                          answer_text=letter, payload=payload,
-                          options=options, provenance=dict(params))
-        else:
-            truth_stated = self.rng.random() < 0.5
-            if truth_stated:
-                stated = payload.value
-            else:
-                pool = tf_pool if tf_pool is not None else label_pool
-                stated = self._corrupt(payload, pool)
-                if stated is None:
-                    truth_stated, stated = True, payload.value
-            stated_text = self._stated_text(payload.kind, stated)
+        options = None
+        provenance = dict(params)
+        if fmt == "true-false":
+            truth = self.rng.random() < 0.5
+            stated = None if truth else self._corrupt(
+                payload, tf_pool if tf_pool is not None else label_pool)
+            if stated is None:
+                truth, stated = True, payload.value
             if payload.kind == "label" and stated_phrase is not None:
                 stated_text = stated_phrase(str(stated))
-            template = self.bank.pick(self.rng, template_key, "true-false")
-            statement = template.format(stated=stated_text, **fmt_args)
-            prov = dict(params)
-            prov["stated"] = stated
-            item = QAItem(item_id=item_id, image_id=self.scene.image_id,
-                          family=family, format="true-false",
-                          prompt=statement + TF_SUFFIX,
-                          answer_text="True" if truth_stated else "False",
-                          payload=payload, provenance=prov)
-        self.items.append(item)
+            else:
+                stated_text = _text(payload.kind, stated)
+            prompt = self.bank.pick(self.rng, template_key, "true-false")
+            prompt = prompt.format(stated=stated_text, **fmt_args)
+            prompt += TF_SUFFIX
+            answer = "True" if truth else "False"
+            provenance["stated"] = stated
+        else:
+            prompt = self.bank.pick(self.rng, template_key, "free-form")
+            prompt = prompt.format(**fmt_args)
+            if fmt == "mcq":
+                options, answer = mcq
+                prompt += f"\n{render_options(options)}\n{MCQ_INSTRUCTION}"
+            else:
+                answer = _text(payload.kind, payload.value)
+        self.items.append(QAItem(
+            item_id=f"{self.scene.image_id}:{family}:{self._seq:04d}",
+            image_id=self.scene.image_id, family=family, format=fmt,
+            prompt=prompt, answer_text=answer, payload=payload,
+            options=options, provenance=provenance))
+
+    def _emit_direction(self, family: str, rel, choices: dict,
+                        phrases: dict, fmt_args: dict, params: dict) -> None:
+        """One single-axis direction label, on an axis drawn from those that
+        cleared the guard.  MCQ distractors exclude the labels of the other
+        cleared axes (they are also true); False statements state only the
+        opposites of cleared labels, which are unambiguously wrong."""
+        axes = sorted(rel.labels)
+        if not axes:
+            return
+        axis = axes[int(self.rng.integers(0, len(axes)))]
+        banned = {rel.labels[a] for a in axes if a != axis}
+        self._emit(
+            family, family, {**fmt_args, "choice": choices[axis]},
+            Payload(kind="label", value=rel.labels[axis]),
+            {**params, "axis": axis},
+            label_pool=[lab for lab in DIRECTION_LABELS if lab not in banned],
+            tf_pool=[OPPOSITE_LABEL[rel.labels[a]] for a in axes],
+            stated_phrase=phrases.get,
+        )
 
     def _sample(self, pool: list, cap: int) -> list:
         if len(pool) <= cap:
@@ -329,17 +329,6 @@ class _SceneSynthesizer:
 
     # -- level 2 -------------------------------------------------------------
 
-    def _direction_pool(self, rel, axis: str) -> list[str]:
-        """MCQ distractor pool for a single-axis direction label; labels of
-        other cleared axes are excluded since they are also true."""
-        banned = {rel.labels[a] for a in rel.labels if a != axis}
-        return [lab for lab in DIRECTION_LABELS
-                if lab not in banned]
-
-    def _direction_tf_pool(self, rel) -> list[str]:
-        """Unambiguously false labels: opposites of every cleared axis."""
-        return [OPPOSITE_LABEL[rel.labels[a]] for a in sorted(rel.labels)]
-
     def level2(self) -> None:
         gf = self.scene.gf
         guards = self.config.guards
@@ -349,18 +338,10 @@ class _SceneSynthesizer:
             a, b = self.objects[i], self.objects[j]
             ta, tb = self.scene.ref_text(a.object_id), self.scene.ref_text(b.object_id)
             rel = relative_direction(a, b, gf, guards)
-            axes = sorted(rel.labels)
-            if axes:
-                axis = axes[int(self.rng.integers(0, len(axes)))]
-                self._emit(
-                    "relative_direction", "relative_direction",
-                    {"a": ta, "b": tb, "choice": _AXIS_CHOICE_CAMERA[axis]},
-                    Payload(kind="label", value=rel.labels[axis]),
-                    {"a": a.object_id, "b": b.object_id, "axis": axis},
-                    label_pool=self._direction_pool(rel, axis),
-                    tf_pool=self._direction_tf_pool(rel),
-                    stated_phrase=_RELATION_PHRASE.get,
-                )
+            self._emit_direction(
+                "relative_direction", rel, _AXIS_CHOICE_CAMERA,
+                _RELATION_PHRASE, {"a": ta, "b": tb},
+                {"a": a.object_id, "b": b.object_id})
             self._emit(
                 "relative_direction", "relative_direction_precise",
                 {"a": ta, "b": tb},
@@ -465,14 +446,13 @@ class _SceneSynthesizer:
             if problem.kind == "numeric":
                 payload = Payload(kind="quantity",
                                   value=float(problem.answer_value), unit="m")
-                answer = format_quantity(float(problem.answer_value))
             else:
                 payload = Payload(kind="label", value=str(problem.answer_value))
-                answer = str(problem.answer_value)
             self.items.append(QAItem(
                 item_id=item_id, image_id=self.scene.image_id,
                 family="problem_solving", format="free-form",
-                prompt=problem.question, answer_text=answer, payload=payload,
+                prompt=problem.question, payload=payload,
+                answer_text=_text(payload.kind, payload.value),
                 provenance={"check": problem.check, "kind": problem.kind},
             ))
 
@@ -486,20 +466,10 @@ class _SceneSynthesizer:
                                                         self.scene.gf, guards)
             ta = self.scene.ref_text(anchor.object_id)
             tt = self.scene.ref_text(target.object_id)
-            axes = sorted(direction.labels)
-            if axes:
-                axis = axes[int(self.rng.integers(0, len(axes)))]
-                self._emit(
-                    "perspective_taking", "perspective_taking",
-                    {"anchor": ta, "target": tt,
-                     "choice": _AXIS_CHOICE_ANCHOR[axis]},
-                    Payload(kind="label", value=direction.labels[axis]),
-                    {"anchor": anchor.object_id, "target": target.object_id,
-                     "axis": axis},
-                    label_pool=self._direction_pool(direction, axis),
-                    tf_pool=self._direction_tf_pool(direction),
-                    stated_phrase=_ANCHOR_PHRASE.get,
-                )
+            self._emit_direction(
+                "perspective_taking", direction, _AXIS_CHOICE_ANCHOR,
+                _ANCHOR_PHRASE, {"anchor": ta, "target": tt},
+                {"anchor": anchor.object_id, "target": target.object_id})
             if distance.euclidean >= guards.distance_floor_m:
                 self._emit(
                     "perspective_taking", "perspective_distance",

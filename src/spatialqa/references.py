@@ -165,17 +165,18 @@ def linear_order_reference(objs: list[SceneObject], gf: GravityFrame,
 # Positional and size ranks
 # ---------------------------------------------------------------------------
 
-# metric -> (low side name, high side name, low text, high text, mid pattern)
-_POSITIONAL_SURFACE = {
-    "x": ("left", "right", "the leftmost {cat}", "the rightmost {cat}",
+# metric -> (lowest text, highest text, middle pattern), ranked by
+# ascending value; size ranks count middle ranks from the top ("the second
+# widest"), the others from the bottom
+_RANK_SURFACE = {
+    "x": ("the leftmost {cat}", "the rightmost {cat}",
           "the {ord} {cat} from the left"),
-    "y": ("top", "bottom", "the highest {cat}", "the lowest {cat}",
-          "the {ord} highest {cat}"),
-    "z": ("front", "back", "the frontmost {cat}", "the rearmost {cat}",
+    "y": ("the highest {cat}", "the lowest {cat}", "the {ord} highest {cat}"),
+    "z": ("the frontmost {cat}", "the rearmost {cat}",
           "the {ord} {cat} from the front"),
-}
-
-_SIZE_SURFACE = {
+    "camera-distance": ("the closest {cat} to the camera",
+                        "the farthest {cat} from the camera",
+                        "the {ord} closest {cat} to the camera"),
     "width": ("the narrowest {cat}", "the widest {cat}",
               "the {ord} widest {cat}"),
     "height": ("the shortest {cat}", "the tallest {cat}",
@@ -183,6 +184,9 @@ _SIZE_SURFACE = {
     "volume": ("the smallest {cat}", "the largest {cat}",
                "the {ord} largest {cat}"),
 }
+# (lowest, highest) texts of a two-object group, where they differ
+_PAIR_SURFACE = {"camera-distance": ("the closer {cat}", "the farther {cat}")}
+_SIZE_DIMENSIONS = ("width", "height", "volume")
 
 
 def _coordinate_gaps_ok(values: list[float], guards: GuardConfig) -> bool:
@@ -199,6 +203,30 @@ def _ratio_gaps_ok(values: list[float], guards: GuardConfig) -> bool:
                for lo, hi in zip(values, values[1:]))
 
 
+def _rank_references(objs: list[SceneObject], metric: str, value, gaps_ok,
+                     guards: GuardConfig,
+                     out: dict[str, list[ObjectReference]]) -> None:
+    """Append a rank reference per object along ``metric`` to ``out``,
+    unless some pair of adjacent ranked values fails ``gaps_ok``."""
+    ranked = sorted(objs, key=value)
+    if not gaps_ok([value(o) for o in ranked], guards):
+        return
+    n = len(ranked)
+    low, high, mid = _RANK_SURFACE[metric]
+    if n == 2:
+        low, high = _PAIR_SURFACE.get(metric, (low, high))
+    size = metric in _SIZE_DIMENSIONS
+    for rank, obj in enumerate(ranked):
+        pattern = low if rank == 0 else high if rank == n - 1 else mid
+        text = pattern.format(cat=objs[0].category,
+                              ord=ordinal_word(n - rank if size else rank + 1))
+        out[obj.object_id].append(ObjectReference(
+            object_id=obj.object_id,
+            kind="size-comparison" if size else "positional", text=text,
+            params={"dimension" if size else "metric": metric, "rank": rank},
+        ))
+
+
 def positional_reference(objs: list[SceneObject], gf: GravityFrame,
                          guards: GuardConfig = DEFAULT_GUARDS
                          ) -> dict[str, list[ObjectReference]]:
@@ -211,47 +239,14 @@ def positional_reference(objs: list[SceneObject], gf: GravityFrame,
     out: dict[str, list[ObjectReference]] = {o.object_id: [] for o in objs}
     if len(objs) < 2:
         return out
-    category = objs[0].category
-    n = len(objs)
-
     centers = {o.object_id: gf.to_world(o.center.astype(float)) for o in objs}
-
     for axis_i, axis in enumerate(("x", "y", "z")):
-        ranked = sorted(objs, key=lambda o: float(centers[o.object_id][axis_i]))
-        values = [float(centers[o.object_id][axis_i]) for o in ranked]
-        if not _coordinate_gaps_ok(values, guards):
-            continue
-        low_txt, high_txt, mid_txt = _POSITIONAL_SURFACE[axis][2:]
-        for rank, obj in enumerate(ranked):
-            if rank == 0:
-                text = low_txt.format(cat=category)
-            elif rank == n - 1:
-                text = high_txt.format(cat=category)
-            else:
-                text = mid_txt.format(ord=ordinal_word(rank + 1), cat=category)
-            out[obj.object_id].append(ObjectReference(
-                object_id=obj.object_id, kind="positional", text=text,
-                params={"metric": axis, "rank": rank},
-            ))
-
-    ranked = sorted(objs, key=lambda o: o.camera_distance)
-    values = [o.camera_distance for o in ranked]
-    if _ratio_gaps_ok(values, guards):
-        for rank, obj in enumerate(ranked):
-            if n == 2:
-                text = (f"the closer {category}" if rank == 0
-                        else f"the farther {category}")
-            elif rank == 0:
-                text = f"the closest {category} to the camera"
-            elif rank == n - 1:
-                text = f"the farthest {category} from the camera"
-            else:
-                text = (f"the {ordinal_word(rank + 1)} closest "
-                        f"{category} to the camera")
-            out[obj.object_id].append(ObjectReference(
-                object_id=obj.object_id, kind="positional", text=text,
-                params={"metric": "camera-distance", "rank": rank},
-            ))
+        _rank_references(
+            objs, axis, lambda o: float(centers[o.object_id][axis_i]),
+            _coordinate_gaps_ok, guards, out)
+    _rank_references(objs, "camera-distance",
+                     ATTRIBUTE_GETTERS["camera-distance"], _ratio_gaps_ok,
+                     guards, out)
     return out
 
 
@@ -259,31 +254,12 @@ def size_reference(objs: list[SceneObject], dimension: str,
                    guards: GuardConfig = DEFAULT_GUARDS
                    ) -> dict[str, list[ObjectReference]]:
     """Size-rank references ("the widest sofa") for a same-category group."""
-    if dimension not in _SIZE_SURFACE:
+    if dimension not in _SIZE_DIMENSIONS:
         raise ValueError(f"unknown size dimension {dimension!r}")
     out: dict[str, list[ObjectReference]] = {o.object_id: [] for o in objs}
-    if len(objs) < 2:
-        return out
-    category = objs[0].category
-    getter = ATTRIBUTE_GETTERS[dimension]
-    ranked = sorted(objs, key=getter)
-    values = [getter(o) for o in ranked]
-    if not _ratio_gaps_ok(values, guards):
-        return out
-    low_txt, high_txt, mid_txt = _SIZE_SURFACE[dimension]
-    n = len(objs)
-    for rank, obj in enumerate(ranked):
-        if rank == n - 1:
-            text = high_txt.format(cat=category)
-        elif rank == 0:
-            text = low_txt.format(cat=category)
-        else:
-            # rank from the large end, matching the "second widest" reading
-            text = mid_txt.format(ord=ordinal_word(n - rank), cat=category)
-        out[obj.object_id].append(ObjectReference(
-            object_id=obj.object_id, kind="size-comparison", text=text,
-            params={"dimension": dimension, "rank": rank},
-        ))
+    if len(objs) >= 2:
+        _rank_references(objs, dimension, ATTRIBUTE_GETTERS[dimension],
+                         _ratio_gaps_ok, guards, out)
     return out
 
 
@@ -334,7 +310,7 @@ def assign_references(objs: list[SceneObject], gf: GravityFrame,
                 candidates[ref.object_id].append(ref)
         for oid, refs in positional_reference(group, gf, guards).items():
             candidates[oid].extend(refs)
-        for dimension in ("width", "height", "volume"):
+        for dimension in _SIZE_DIMENSIONS:
             for oid, refs in size_reference(group, dimension, guards).items():
                 candidates[oid].extend(refs)
 
@@ -380,19 +356,15 @@ def resolve_reference(ref: ObjectReference, objs: list[SceneObject],
         return None
     if ref.kind == "positional":
         table = positional_reference(group, gf, guards)
-        for oid, refs in table.items():
-            for r in refs:
-                if r.params == ref.params and r.text == ref.text:
-                    return _by_id(oid, objs)
-        return None
-    if ref.kind == "size-comparison":
+    elif ref.kind == "size-comparison":
         table = size_reference(group, ref.params["dimension"], guards)
-        for oid, refs in table.items():
-            for r in refs:
-                if r.params == ref.params and r.text == ref.text:
-                    return _by_id(oid, objs)
-        return None
-    raise ValueError(f"unknown reference kind {ref.kind!r}")
+    else:
+        raise ValueError(f"unknown reference kind {ref.kind!r}")
+    for oid, refs in table.items():
+        for r in refs:
+            if r.params == ref.params and r.text == ref.text:
+                return _by_id(oid, objs)
+    return None
 
 
 def _category_of(ref: ObjectReference, objs: list[SceneObject]) -> str:

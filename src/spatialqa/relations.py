@@ -126,11 +126,6 @@ class DirectionResult:
     labels: dict[str, str] = field(default_factory=dict)
     margins_deg: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def label_text(self) -> str:
-        ordered = [self.labels[a] for a in ("x", "y", "z") if a in self.labels]
-        return " and ".join(ordered)
-
 
 @dataclass
 class DistanceResult:
@@ -258,8 +253,6 @@ def _distance_result(delta: np.ndarray) -> DistanceResult:
         horizontal_planar=float(math.hypot(delta[0], delta[2])),
     )
 
-
-COMPARISON_ATTRIBUTES = ("camera-distance", "width", "height", "volume")
 
 ATTRIBUTE_GETTERS = {
     "camera-distance": lambda o: o.camera_distance,

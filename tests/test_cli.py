@@ -134,3 +134,24 @@ class TestErrors:
         rc = main(["generate", "--manifest", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_malformed_config_exit_code(self, oracle_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"workers": 2,')
+        rc = main(["generate", "--manifest",
+                   str(oracle_dir / "manifest.jsonl"), "--config",
+                   str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_client_config_error_exit_code(self, tmp_path, capsys):
+        # a client role with neither an endpoint nor a fixture directory
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"clients": {"judge": {}}}))
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        rc = main(["evaluate", "--corpus", str(empty), "--responses",
+                   str(empty), "--config", str(config),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")

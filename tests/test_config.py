@@ -13,7 +13,6 @@ class TestLoadConfig:
         assert config.workers == 1
         assert config.seed == 0
         assert config.band == "tight"
-        assert abs(sum(config.sampling.weights.values()) - 1.0) < 1e-9
         assert config.synth.guards.orientation_deg == 30.0
 
     def test_file_values(self, tmp_path):
@@ -57,3 +56,13 @@ class TestLoadConfig:
         path.write_text(json.dumps({"band": "loose"}))
         with pytest.raises(ConfigError):
             load_config(path, env={})
+
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"worker": 2, "sed": 5}))
+        with pytest.raises(ConfigError, match="sed.*worker"):
+            load_config(path, env={})
+
+    def test_bad_env_value_rejected(self):
+        with pytest.raises(ConfigError):
+            load_config(None, env={"SPATIALQA_WORKERS": "two"})

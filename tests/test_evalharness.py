@@ -7,7 +7,6 @@ import pytest
 from spatialqa.evalharness import (
     EvalRecord,
     normalize_text,
-    parse_numeric,
     render_report,
     report,
     score_direction,
@@ -17,20 +16,23 @@ from spatialqa.evalharness import (
     score_ratio,
     score_tf,
     )
+from spatialqa.quantity import parse_quantity
 
 
 class TestParseNumeric:
+    """Numeric answers are read with quantity.parse_quantity."""
+
     def test_meters(self):
-        assert parse_numeric("about 2.4 meters") == pytest.approx(2.4)
+        assert parse_quantity("about 2.4 meters") == pytest.approx(2.4)
 
     def test_centimeters(self):
-        assert parse_numeric("120 cm") == pytest.approx(1.2)
+        assert parse_quantity("120 cm") == pytest.approx(1.2)
 
     def test_failure(self):
-        assert parse_numeric("no idea") is None
+        assert parse_quantity("no idea") is None
 
     def test_takes_final_quantity(self):
-        assert parse_numeric("the 2 m table is 40 cm away") == \
+        assert parse_quantity("the 2 m table is 40 cm away") == \
             pytest.approx(0.4)
 
 

@@ -21,6 +21,7 @@ from spatialqa.pipeline import (
     run_evaluate,
     run_generate,
 )
+from spatialqa.quantity import format_point, format_quantity
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +205,71 @@ class TestReferenceCorpusBytes:
         run_generate(data.manifest_path, PipelineConfig(), tmp_path / "out")
         assert self._sha256(tmp_path / "out" / "corpus.jsonl") == \
             "17d7158e1f3171dfbd880ce4e70457c18d49fa6f7b7a1b5193147c9bfbedfda6"
+
+    @staticmethod
+    def _wrong(item: dict) -> str:
+        """A response outside every scoring band of the item."""
+        fmt, answer = item["format"], item["answer"]
+        kind, value = item["payload"]["kind"], item["payload"]["value"]
+        if fmt == "mcq":
+            return next(letter for letter in "ABCD" if letter != answer)
+        if fmt == "true-false":
+            return "False" if answer == "True" else "True"
+        if kind == "quantity":
+            return format_quantity(3.0 * float(value))
+        if kind in ("unit-vector", "vector3"):
+            return format_point([-float(v) for v in value])
+        if kind == "count":
+            return str(int(value) + 1)
+        return "none of them"
+
+    # The evaluate outputs of the GT-box corpus of seeds 0:12 against a
+    # fixed mix of correct, wrong, unparseable and missing responses; with
+    # a judge, label problem items are scored by recorded verdicts.
+    @pytest.mark.parametrize("band, judged, records_sha, report_sha", [
+        ("tight", True,
+         "ba3be72757fbd3a4be8f5a9d287505fb52375970a6c1054679da961ffb3b597b",
+         "b62c326cff67cb2dd3a5a58169b3bb417813716d2de293c178d1943e7158dec8"),
+        ("wide", False,
+         "58730972ab958f19fc22a0baff8dabf2b7468e18d38515d85cdf0dcf8ffaba0b",
+         "1bbc397be9d65466e1c92ec0b43129da3ddc5e172a62817d53d87a50b27ff4d3"),
+    ], ids=("tight-judge", "wide-no-judge"))
+    def test_evaluate_outputs(self, tmp_path, band, judged, records_sha,
+                              report_sha):
+        data = generate_dataset(range(0, 12), tmp_path / "ds",
+                                problem_fixtures=True)
+        run_generate(data.manifest_path, PipelineConfig(clients={
+            "problem-generator": {"fixture_dir": str(data.fixture_dir)}}),
+            tmp_path / "g")
+        corpus = tmp_path / "g" / "corpus.jsonl"
+        responses = tmp_path / "responses.jsonl"
+        fixtures = tmp_path / "judge-fixtures"
+        kinds = ("correct", "wrong", "unparseable", "missing")
+        with open(responses, "w") as f:
+            for item in read_corpus(corpus):
+                digest = hashlib.sha256(item["item_id"].encode()).digest()
+                kind = kinds[digest[0] % len(kinds)]
+                if kind == "missing":
+                    continue
+                response = {"correct": item["answer"],
+                            "unparseable": "I cannot tell from the image."
+                            }.get(kind) or self._wrong(item)
+                f.write(json.dumps({"item_id": item["item_id"],
+                                    "response": response}) + "\n")
+                if (item["family"] == "problem_solving"
+                        and item["payload"]["kind"] == "label"):
+                    record_fixture(fixtures, "judge", {
+                        "item_id": item["item_id"],
+                        "question": item["prompt"],
+                        "answer": item["answer"], "response": response,
+                    }, {"verdict": "match" if kind == "correct"
+                        else "mismatch"})
+        clients = {"judge": {"fixture_dir": str(fixtures)}} if judged else {}
+        config = PipelineConfig(band=band, clients=clients,
+                                cache_dir=str(tmp_path / "cache"))
+        run_evaluate(corpus, responses, config, tmp_path / "r")
+        assert self._sha256(tmp_path / "r" / "records.jsonl") == records_sha
+        assert self._sha256(tmp_path / "r" / "report.json") == report_sha
 
 
 class TestRunEvaluate:
