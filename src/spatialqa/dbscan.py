@@ -11,10 +11,28 @@ multiset (order-independent):
   * everything else is noise.
 
 The implementation bins points into grid cells of side eps/sqrt(dim), so
-every within-cell pair is automatically within eps: neighbor counting
-runs as vectorized cell-block distance computations, core connectivity
-needs one union per cell plus one per connected cell pair, and the whole
-pass stays far from the O(n^2) reference used to verify it in tests.
+every pair inside one cell is within eps, and every pair within eps lies
+in two cells whose offset is one of a fixed set.  Cells are kept
+CSR-style (points sorted by cell), and each pass below is a loop over
+the offsets, nearest first, that handles all cells at once in numpy.
+The (point, member of the offset cell) pairs of an offset are expanded
+in batches of at most ``_BATCH_PAIRS``, so memory stays flat however
+dense the cloud is:
+
+  1. cores: a point counts its own cell in full, then visits further
+     offsets only while it is still below ``min_pts``;
+  2. connectivity: for each offset d > 0, the core cell pairs (c, c + d)
+     not yet in one component are tested for a core pair within eps, and
+     those that pass are merged by hook-and-compress on a parent array
+     over cells;
+  3. numbering: clusters are numbered in the order of their
+     lexicographically smallest core point;
+  4. borders: each non-core point keeps a running best core neighbor,
+     ordered by (squared distance, coordinates).
+
+Every deciding distance is |p|^2 + |q|^2 - 2 p.q, clamped at 0 and
+compared with eps^2.  Tests verify the labels against an O(n^2)
+brute-force reference.
 """
 
 from __future__ import annotations
@@ -27,74 +45,120 @@ from .geometry import EmptyObjectError, ObjectPointCloud
 
 NOISE = -1
 
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-_KEY_SHIFT = 21  # packs per-axis cell indices into one int64
+_BATCH_PAIRS = 1 << 16  # point pairs expanded at once; bounds peak memory
 
 
 class _CellGrid:
-    """Points bucketed into cubic cells whose diagonal is at most eps."""
+    """Points bucketed into cubic cells whose diagonal is at most eps.
+
+    ``order`` sorts the points by cell; in that sorted order the members
+    of cell c are the positions ``start[c]:start[c + 1]``.  Cells are
+    numbered by packed key.
+    """
 
     def __init__(self, pts: np.ndarray, eps: float):
-        self.pts = pts
-        self.eps = eps
         dim = pts.shape[1]
         # cells fully inside the radius: shrink to avoid diagonal overflow
-        self.cell = eps / math.sqrt(dim) * (1.0 - 1e-12)
-        keys = np.floor(pts / self.cell).astype(np.int64) + (1 << (_KEY_SHIFT - 1))
-        # margin keeps neighbor-offset arithmetic from crossing bit fields
-        if keys.min() < 8 or keys.max() >= (1 << _KEY_SHIFT) - 8:
+        cell = eps / math.sqrt(dim) * (1.0 - 1e-12)
+        reach = math.ceil(eps / cell)
+        index = np.floor(pts / cell)
+        low = index.min(axis=0)
+        # mixed-radix keys with a margin of `reach` cells on every axis, so
+        # that key + offset never carries into another axis
+        widths = index.max(axis=0) - low + 2 * reach + 1
+        if not np.isfinite(widths).all() \
+                or math.prod(int(w) for w in widths) >= 1 << 62:
             raise ValueError("point spread too large for the cell grid")
-        packed = np.zeros(len(pts), dtype=np.int64)
-        for axis in range(dim):
-            packed = (packed << _KEY_SHIFT) | keys[:, axis]
-        self.packed_sorted, inverse = np.unique(packed, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        sorted_inverse = inverse[order]
-        boundaries = np.searchsorted(sorted_inverse,
-                                     np.arange(len(self.packed_sorted) + 1))
-        self.members = [order[boundaries[i]:boundaries[i + 1]]
-                        for i in range(len(self.packed_sorted))]
-        reach = math.ceil(eps / self.cell)
-        dims = [np.arange(-reach, reach + 1)] * dim
-        offsets = np.stack(np.meshgrid(*dims, indexing="ij"),
+        strides = np.ones(dim, dtype=np.int64)
+        for axis in range(dim - 2, -1, -1):
+            strides[axis] = strides[axis + 1] * int(widths[axis + 1])
+        packed = (index - low + reach).astype(np.int64) @ strides
+        cell_keys, inverse = np.unique(packed, return_inverse=True)
+        self.order = np.argsort(inverse, kind="stable")
+        self.counts = np.bincount(inverse)
+        self.start = np.concatenate(([0], np.cumsum(self.counts)))
+        self.cell_of = inverse[self.order]
+
+        axes = [np.arange(-reach, reach + 1)] * dim
+        offsets = np.stack(np.meshgrid(*axes, indexing="ij"),
                            axis=-1).reshape(-1, dim)
         # drop offsets whose nearest corner already exceeds eps
-        nearest = np.maximum(np.abs(offsets) - 1, 0) * self.cell
-        offsets = offsets[(nearest ** 2).sum(axis=1) <= eps * eps]
-        deltas = np.zeros(len(offsets), dtype=np.int64)
-        for axis in range(dim):
-            deltas = (deltas << _KEY_SHIFT) + offsets[:, axis]
-        self.offset_deltas = deltas
+        gap2 = ((np.maximum(np.abs(offsets) - 1, 0) * cell) ** 2).sum(axis=1)
+        keep = gap2 <= eps * eps
+        offsets, gap2 = offsets[keep], gap2[keep]
+        nearest_first = np.lexsort(((offsets ** 2).sum(axis=1), gap2))
+        # (delta, cell at c + delta or -1 for every cell c), nearest offset
+        # first, so the zero offset leads; offsets that link no two
+        # occupied cells are left out
+        self.neighbors = []
+        last = len(cell_keys) - 1
+        for delta in (offsets[nearest_first] @ strides).tolist():
+            target = cell_keys + delta
+            pos = np.minimum(np.searchsorted(cell_keys, target), last)
+            found = cell_keys[pos] == target
+            if found.any():  # int32 halves the table
+                self.neighbors.append(
+                    (delta, np.where(found, pos, -1).astype(np.int32)))
 
-    def neighbor_cells(self, cell_id: int) -> np.ndarray:
-        cand = self.packed_sorted[cell_id] + self.offset_deltas
-        pos = np.searchsorted(self.packed_sorted, cand)
-        pos[pos >= len(self.packed_sorted)] = 0
-        hit = self.packed_sorted[pos] == cand
-        return np.unique(pos[hit])
+
+def _batches(lengths: np.ndarray):
+    """Yield ``(i, j)`` index arrays covering every ``j < lengths[i]``, in
+    batches of at most ``_BATCH_PAIRS`` pairs."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, _BATCH_PAIRS):
+        hi = min(lo + _BATCH_PAIRS, total)
+        first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+        i = np.arange(first, last + 1)
+        i = np.repeat(i, np.minimum(ends[i], hi)
+                      - np.maximum(ends[i] - lengths[i], lo))
+        yield i, np.arange(lo, hi) - (ends[i] - lengths[i])
+
+
+def _merge(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the components of cells ``a[k]`` and ``b[k]``, in place.
+
+    ``parent`` maps every cell to its component's smallest cell on entry
+    and on return.
+    """
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            return
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent[:] = up
+
+
+def _keep_best(best: np.ndarray, best_d2: np.ndarray, tie: np.ndarray,
+               found: list) -> None:
+    """Fold ``(point, core, d2)`` candidates into each point's best core.
+
+    Cores are ordered by (d2, tie); ``found`` is emptied.
+    """
+    p, q, d2 = (np.concatenate(x) for x in zip(*found))
+    found.clear()
+    held = np.unique(p)
+    held = held[best[held] >= 0]
+    p = np.concatenate([p, held])
+    q = np.concatenate([q, best[held]])
+    d2 = np.concatenate([d2, best_d2[held]])
+    rank = np.lexsort((tie[q], d2, p))
+    first = rank[np.diff(p[rank], prepend=-1) != 0]
+    best[p[first]] = q[first]
+    best_d2[p[first]] = d2[first]
 
 
 def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Cluster labels per point; -1 marks noise.
 
     Label numbering follows each cluster's lexicographically smallest
-    member so the labeling itself is order-independent.
+    core point so the labeling itself is order-independent.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -106,90 +170,115 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         return np.empty(0, dtype=int)
 
     grid = _CellGrid(pts, eps)
+    # from here on points are numbered in cell order
+    pts = pts[grid.order]
+    cell_of, start = grid.cell_of, grid.start
     eps2 = eps * eps
-    n_cells = len(grid.members)
-    neighbor_lists = [grid.neighbor_cells(c) for c in range(n_cells)]
     sq_norm = (pts ** 2).sum(axis=1)
+    axes = [np.ascontiguousarray(x) for x in pts.T]
 
-    def dist2_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        block = sq_norm[rows][:, None] + sq_norm[cols][None, :] \
-            - 2.0 * (pts[rows] @ pts[cols].T)
-        np.maximum(block, 0.0, out=block)
-        return block
+    def dist2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        dot = axes[0][p] * axes[0][q]
+        for x in axes[1:]:
+            dot += x[p] * x[q]
+        d2 = sq_norm[p] + sq_norm[q] - 2.0 * dot
+        return np.maximum(d2, 0.0, out=d2)
 
-    # pass 1: neighbor counts -> core points
-    counts = np.zeros(n, dtype=np.int64)
-    for c in range(n_cells):
-        mine = grid.members[c]
-        cand = np.concatenate([grid.members[nb] for nb in neighbor_lists[c]])
-        counts[mine] = (dist2_block(mine, cand) <= eps2).sum(axis=1)
+    # pass 1: neighbor counts -> core points; a cell is an eps-clique, and
+    # a point stops counting once it reaches min_pts
+    counts = grid.counts[cell_of]
+    short = np.nonzero(counts < min_pts)[0]
+    for _, shifted in grid.neighbors[1:]:
+        if not len(short):
+            break
+        cells = shifted[cell_of[short]]
+        p, cells = short[cells >= 0], cells[cells >= 0]
+        for i, j in _batches(grid.counts[cells]):
+            hit = dist2(p[i], start[cells[i]] + j) <= eps2
+            counts[p] += np.bincount(i[hit], minlength=len(p))
+        short = short[counts[short] < min_pts]
     core = counts >= min_pts
 
-    # pass 2: connectivity; whole cells are cliques, so one union joins a
-    # cell's cores and one union joins each eps-close core cell pair
-    uf = _UnionFind(n)
-    cell_core_rep = np.full(n_cells, -1, dtype=np.int64)
-    for c in range(n_cells):
-        cores_here = grid.members[c][core[grid.members[c]]]
-        if len(cores_here):
-            cell_core_rep[c] = cores_here[0]
-            for i in cores_here[1:]:
-                uf.union(int(cores_here[0]), int(i))
-    for c in range(n_cells):
-        rep = cell_core_rep[c]
-        if rep < 0:
-            continue
-        mine = grid.members[c][core[grid.members[c]]]
-        for nb in neighbor_lists[c]:
-            if nb <= c or cell_core_rep[nb] < 0:
-                continue
-            others = grid.members[nb][core[grid.members[nb]]]
-            if (dist2_block(mine, others) <= eps2).any():
-                uf.union(int(rep), int(cell_core_rep[nb]))
+    # the cores of cell c are core_pos[core_start[c]:core_start[c + 1]]
+    core_pos = np.nonzero(core)[0]
+    core_counts = np.bincount(cell_of[core], minlength=len(grid.counts))
+    core_start = np.concatenate(([0], np.cumsum(core_counts)))
 
+    def with_cores(cells: np.ndarray, shifted: np.ndarray):
+        """``(k, shifted[cells[k]])`` where that cell holds cores."""
+        nb = shifted[cells]
+        k = np.nonzero(nb >= 0)[0]
+        k = k[core_counts[nb[k]] > 0]
+        return k, nb[k]
+
+    # pass 2: connectivity over cells; each positive offset links the core
+    # cell pairs (a, a + delta) that hold a core pair within eps
+    parent = np.arange(len(grid.counts))
+    core_cells = np.nonzero(core_counts)[0]
+    for delta, shifted in grid.neighbors:
+        if delta <= 0:
+            continue
+        k, b = with_cores(core_cells, shifted)
+        a = core_cells[k]
+        apart = parent[a] != parent[b]
+        a, b = a[apart], b[apart]
+        # most cell pairs are linked by their first cores already
+        near = dist2(core_pos[core_start[a]], core_pos[core_start[b]]) <= eps2
+        _merge(parent, a[near], b[near])
+        apart = parent[a] != parent[b]
+        a, b = a[apart], b[apart]
+        linked = np.zeros(len(a), dtype=bool)
+        for pair, ja in _batches(core_counts[a]):
+            p = core_pos[core_start[a[pair]] + ja]
+            for i, j in _batches(core_counts[b[pair]]):
+                q = core_pos[core_start[b[pair[i]]] + j]
+                linked[pair[i[dist2(p[i], q) <= eps2]]] = True
+        _merge(parent, a[linked], b[linked])
+
+    # numbering by each component's lexicographically smallest core point
+    lex = np.lexsort(pts[core_pos].T[::-1])
+    component = parent[cell_of[core_pos]]
+    roots, first = np.unique(component[lex], return_index=True)
+    cluster = np.empty(len(grid.counts), dtype=int)
+    cluster[roots[np.argsort(first)]] = np.arange(len(roots))
     labels = np.full(n, NOISE, dtype=int)
-    roots: dict[int, list[int]] = {}
-    for i in np.nonzero(core)[0]:
-        roots.setdefault(uf.find(int(i)), []).append(int(i))
+    labels[core_pos] = cluster[component]
 
-    def cluster_key(members):
-        member_pts = pts[members]
-        order = np.lexsort(member_pts.T[::-1])
-        return tuple(member_pts[order[0]])
-
-    ordered = sorted(roots.values(), key=cluster_key)
-    for cid, members in enumerate(ordered):
-        labels[members] = cid
-
-    # pass 3: border points join their nearest core neighbor
-    for c in range(n_cells):
-        mine = grid.members[c][~core[grid.members[c]]]
-        if not len(mine):
-            continue
-        cand = np.concatenate([grid.members[nb] for nb in neighbor_lists[c]])
-        cand = cand[core[cand]]
-        if not len(cand):
-            continue
-        d2 = dist2_block(mine, cand)
-        d2[d2 > eps2] = np.inf
-        best = d2.min(axis=1)
-        for row, i in enumerate(mine):
-            if not np.isfinite(best[row]):
-                continue
-            ties = cand[d2[row] == best[row]]
-            if len(ties) > 1:
-                tie_pts = pts[ties]
-                ties = ties[np.lexsort(tie_pts.T[::-1])]
-            labels[i] = labels[ties[0]]
-    return labels
+    # pass 3: border points join their nearest core neighbor, ordered by
+    # (squared distance, coordinates); `tie` ranks cores by coordinates
+    tie = np.empty(n, dtype=int)
+    tie[core_pos[lex]] = np.arange(len(lex))
+    outside = np.nonzero(~core)[0]
+    best = np.full(n, -1)
+    best_d2 = np.full(n, np.inf)
+    found, n_found = [], 0
+    for _, shifted in grid.neighbors:
+        k, cells = with_cores(cell_of[outside], shifted)
+        p = outside[k]
+        for i, j in _batches(core_counts[cells]):
+            q = core_pos[core_start[cells[i]] + j]
+            d2 = dist2(p[i], q)
+            near = d2 <= eps2
+            found.append((p[i][near], q[near], d2[near]))
+            n_found += int(near.sum())
+            if n_found >= _BATCH_PAIRS:
+                _keep_best(best, best_d2, tie, found)
+                n_found = 0
+    if found:
+        _keep_best(best, best_d2, tie, found)
+    border = outside[best[outside] >= 0]
+    labels[border] = labels[best[border]]
+    out = np.empty(n, dtype=int)
+    out[grid.order] = labels
+    return out
 
 
 def dbscan_largest_cluster(pc: ObjectPointCloud, eps: float,
                            min_pts: int) -> ObjectPointCloud:
     """Return the cluster with the most points; noise never survives.
 
-    Size ties go to the cluster with the lexicographically smallest member
-    so the selection is independent of point order.
+    Size ties go to the cluster with the lexicographically smallest core
+    point so the selection is independent of point order.
     """
     labels = dbscan_labels(pc.points, eps, min_pts)
     valid = labels >= 0
@@ -199,7 +288,7 @@ def dbscan_largest_cluster(pc: ObjectPointCloud, eps: float,
         )
     counts = np.bincount(labels[valid])
     best = int(np.argmax(counts))  # argmax takes the lowest id on ties,
-    # and ids are ordered by smallest member
+    # and ids are ordered by smallest core point
     keep = labels == best
     return ObjectPointCloud(object_id=pc.object_id, points=pc.points[keep],
                             source_pixels=pc.source_pixels)

@@ -197,8 +197,11 @@ def score_item(item: dict, response: str | None,
             rec.note = "parse-failure"
         elif kind == "quantity":
             rec.parsed = pred
-            rec.correct, rec.error = score_ratio(
-                pred, float(value), "tight" if problem else band)
+            if float(value) > 0:
+                rec.correct, rec.error = score_ratio(
+                    pred, float(value), "tight" if problem else band)
+            else:  # no ratio to a truth <= 0: the item cannot be scored
+                rec.note = "invalid-truth"
         elif kind == "unit-vector":
             rec.parsed = list(pred)
             rec.correct, rec.error = score_direction(pred, value)

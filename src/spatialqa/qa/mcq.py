@@ -16,7 +16,9 @@ NUMERIC_MULTIPLIERS = (0.5, 1.5, 2.5)
 LETTERS = ("A", "B", "C", "D")
 
 DIRECTION_LABELS = ("left", "right", "above", "below", "front", "behind")
-ORIENTATION_LABELS = ("front", "back", "left", "right", "up", "down")
+# MCQ distractor pool of object_orientation items; the labels an object can
+# actually get are relations.ORIENTATION_LABELS
+FACING_LABELS = ("front", "back", "left", "right", "up", "down")
 
 
 def quantity_options(value: float) -> list[str]:

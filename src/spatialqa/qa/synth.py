@@ -33,8 +33,8 @@ from ..relations import (
 from .items import Payload, QAItem
 from .mcq import (
     DIRECTION_LABELS,
+    FACING_LABELS,
     NUMERIC_MULTIPLIERS,
-    ORIENTATION_LABELS,
     make_mcq,
     render_options,
 )
@@ -324,7 +324,7 @@ class _SceneSynthesizer:
                         "object_orientation", "object_orientation", {"ref": ref},
                         Payload(kind="label", value=label),
                         {"object": obj.object_id},
-                        label_pool=list(ORIENTATION_LABELS),
+                        label_pool=list(FACING_LABELS),
                     )
 
     # -- level 2 -------------------------------------------------------------

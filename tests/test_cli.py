@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -155,3 +157,17 @@ class TestErrors:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestImports:
+    def test_cli_does_not_load_scipy(self):
+        # scipy.spatial alone raises a process's peak RSS by tens of MiB,
+        # on every run, clustering or not
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, spatialqa.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

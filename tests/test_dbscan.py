@@ -1,15 +1,24 @@
 """Density clustering against an independent brute-force reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import spatialqa.dbscan
 from spatialqa.dbscan import (
     dbscan_labels,
     dbscan_largest_cluster,
     default_eps,
     default_min_pts,
 )
-from spatialqa.geometry import EmptyObjectError, ObjectPointCloud
+from spatialqa.geometry import (
+    EmptyObjectError,
+    ObjectPointCloud,
+    extract_object_points,
+)
+from spatialqa.oracle.render import prune_occluded, render_scene
+from spatialqa.oracle.scene import ESTIMATION_SAMPLER, sample_scene
 
 
 def brute_force_dbscan(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -158,3 +167,118 @@ class TestDefaults:
             dbscan_labels(np.zeros((3, 3)), eps=0.0, min_pts=1)
         with pytest.raises(ValueError):
             dbscan_labels(np.zeros((3, 3)), eps=1.0, min_pts=0)
+
+
+class TestExactLabels:
+    """Label for label equal to the reference, cluster numbering included."""
+
+    @staticmethod
+    def assert_exact(pts, eps, min_pts):
+        ours = dbscan_labels(pts, eps, min_pts)
+        ref = brute_force_dbscan(pts, eps, min_pts)
+        np.testing.assert_array_equal(ours, ref)
+
+    def test_lattice_points_with_exact_ties_and_duplicates(self):
+        # multiples of 0.25: every distance is exact, many pairs sit at
+        # exactly eps and many points coincide
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            n = int(rng.integers(5, 300))
+            side = int(rng.integers(3, 12))
+            pts = rng.integers(0, side, size=(n, 3)) * 0.25
+            eps = float(rng.choice([0.25, 0.5, 0.75]))
+            self.assert_exact(pts, eps, int(rng.integers(2, 9)))
+
+    def test_min_pts_one_makes_every_point_core(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            n = int(rng.integers(5, 300))
+            pts = rng.uniform(0, 4, size=(n, 3))
+            self.assert_exact(pts, float(rng.uniform(0.2, 1.0)), 1)
+
+    def test_flat_cloud(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n = int(rng.integers(5, 400))
+            pts = np.column_stack([rng.uniform(0, 3, size=(n, 2)),
+                                   np.full(n, 1.5)])
+            self.assert_exact(pts, float(rng.uniform(0.1, 0.6)),
+                              int(rng.integers(2, 10)))
+
+    def test_other_dimensions(self):
+        rng = np.random.default_rng(8)
+        for trial in range(60):
+            dim = (1, 2, 4, 5)[trial % 4]
+            n = int(rng.integers(5, 150))
+            pts = rng.uniform(0, 3, size=(n, dim))
+            self.assert_exact(pts, float(rng.uniform(0.2, 1.2)),
+                              int(rng.integers(1, 8)))
+
+    def test_border_point_equidistant_to_two_clusters(self):
+        eps, min_pts = 1.0, 4
+        square = np.array([[0, 0, 0], [0.25, 0, 0], [0, 0.25, 0],
+                           [0.25, 0.25, 0]])
+        left = square * [-1, 1, 1]              # core (0,0,0) is nearest
+        right = square + [2.0, 0, 0]            # core (2,0,0) is nearest
+        border = np.array([[1.0, 0, 0]])        # exactly eps from both
+        pts = np.vstack([right, border, left])
+        labels = dbscan_labels(pts, eps, min_pts)
+        np.testing.assert_array_equal(labels, [1, 1, 1, 1, 0, 0, 0, 0, 0])
+        self.assert_exact(pts, eps, min_pts)
+        # the distance tie goes to the core with the smaller coordinates,
+        # (0,1,0) over (1,0,0), although its cluster is numbered second:
+        # the other cluster reaches (0,-1.5,0) through a doubled path
+        low = square * [1, -1, 1] + [1.0, 0, 0]
+        path = np.repeat([[1.25, -0.5, 0], [1.5, -1.0, 0], [1.0, -1.25, 0],
+                          [0.5, -1.5, 0], [0.0, -1.5, 0]], 2, axis=0)
+        high = square + [0, 1.0, 0]
+        pts = np.vstack([low, path, high, [[0.0, 0, 0]]])
+        labels = dbscan_labels(pts, eps, min_pts)
+        assert labels[0] == 0 and labels[len(low) + len(path)] == 1
+        assert labels[-1] == 1
+        self.assert_exact(pts, eps, min_pts)
+
+    def test_tiny_batches_give_the_same_labels(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        sets = []
+        for _ in range(20):
+            n = int(rng.integers(50, 400))
+            centers = rng.uniform(0, 3, size=(3, 3))
+            blobs = centers[rng.integers(0, 3, size=n)] + rng.normal(
+                0, 0.3, size=(n, 3))
+            lattice = rng.integers(0, 8, size=(n // 2, 3)) * 0.25
+            for pts in (blobs, lattice):
+                sets.append((pts, float(rng.choice([0.25, 0.5])),
+                             int(rng.integers(1, 12))))
+        expected = [dbscan_labels(*args) for args in sets]
+        monkeypatch.setattr(spatialqa.dbscan, "_BATCH_PAIRS", 7)
+        for args, labels in zip(sets, expected):
+            np.testing.assert_array_equal(dbscan_labels(*args), labels)
+
+
+def _estimation_object_cloud() -> np.ndarray:
+    """The largest object cloud of the first scenes of the estimation
+    preset at sigma 0.01: 20,001 points (scene 5, obj-1)."""
+    seed = 5
+    scene = prune_occluded(sample_scene(seed, config=ESTIMATION_SAMPLER,
+                                        noise_sigma=0.01), 0.85)
+    pm, masks, _ = render_scene(scene,
+                                rng=np.random.default_rng(seed + 1_000_003))
+    return extract_object_points(pm, masks["obj-1"]).points
+
+
+class TestMemory:
+    def test_peak_traced_memory_on_an_estimation_cloud(self):
+        pts = _estimation_object_cloud()
+        assert len(pts) == 20001
+        eps, min_pts = default_eps(pts), default_min_pts(len(pts))
+        tracemalloc.start()
+        try:
+            labels = dbscan_labels(pts, eps, min_pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (labels >= 0).mean() > 0.9
+        # pair expansion is batched: the peak stays a few MiB instead of
+        # growing with the ~230 eps-neighbours of each point
+        assert peak < 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"

@@ -1,5 +1,6 @@
 """Scoring rules and report generation."""
 
+import json
 import math
 
 import pytest
@@ -16,6 +17,8 @@ from spatialqa.evalharness import (
     score_ratio,
     score_tf,
     )
+from spatialqa.config import PipelineConfig
+from spatialqa.pipeline import run_evaluate
 from spatialqa.quantity import parse_quantity
 
 
@@ -152,6 +155,30 @@ class TestScoreItem:
     def test_missing_response(self):
         rec = score_item(self.ITEM, None)
         assert not rec.correct and rec.rule == "missing"
+
+    @pytest.mark.parametrize("truth", [0.0, -1.0, float("nan")])
+    def test_quantity_truth_not_positive_is_incorrect(self, truth):
+        item = dict(self.ITEM, payload={"kind": "quantity", "value": truth,
+                                        "unit": "m"})
+        rec = score_item(item, "2 meters")
+        assert not rec.correct and rec.note == "invalid-truth"
+        assert rec.rule == "ratio-tight" and rec.parsed == 2.0
+
+    def test_evaluate_finishes_on_a_zero_truth(self, tmp_path):
+        item = dict(self.ITEM, payload={"kind": "quantity", "value": 0.0,
+                                        "unit": "m"})
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(item) + "\n")
+        responses = tmp_path / "responses.jsonl"
+        responses.write_text(json.dumps(
+            {"item_id": item["item_id"], "response": "2 meters"}) + "\n")
+        run_evaluate(corpus, responses, PipelineConfig(), tmp_path / "out")
+        lines = (tmp_path / "out" / "records.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["correct"] is False
+        assert record["note"] == "invalid-truth"
+        assert (tmp_path / "out" / "report.json").is_file()
 
     def test_problem_numeric_25pct(self):
         item = dict(self.ITEM, family="problem_solving")
