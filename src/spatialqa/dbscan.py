@@ -13,22 +13,33 @@ multiset (order-independent):
 The implementation bins points into grid cells of side eps/sqrt(dim), so
 every pair inside one cell is within eps, and every pair within eps lies
 in two cells whose offset is one of a fixed set.  Cells are kept
-CSR-style (points sorted by cell), and each pass below is a loop over
-the offsets, nearest first, that handles all cells at once in numpy.
-The (point, member of the offset cell) pairs of an offset are expanded
-in batches of at most ``_BATCH_PAIRS``, so memory stays flat however
-dense the cloud is:
+CSR-style (points sorted by cell), with one table of the neighbor cell
+of every cell at every offset, nearest offset first.  Each pass below
+handles all cells at once in numpy, gathering tiles of that table of at
+most ``_BATCH_PAIRS`` entries and expanding the (point, member of the
+neighbor cell) pairs in batches of at most ``_BATCH_PAIRS``, so memory
+stays flat however dense or noisy the cloud is:
 
-  1. cores: a point counts its own cell in full, then visits further
-     offsets only while it is still below ``min_pts``;
-  2. connectivity: for each offset d > 0, the core cell pairs (c, c + d)
-     not yet in one component are tested for a core pair within eps, and
-     those that pass are merged by hook-and-compress on a parent array
-     over cells;
+  1. cores: each cell is split into 2^dim half-cells.  A point whose
+     3^dim block of half-cells (its own in the middle) holds at least
+     ``min_pts`` points is a core with no distance test, since every
+     point of the block lies within eps of it; the block counts come
+     from per-cell half-cell counts and one 0/1 matrix per unit offset.
+     Every other point counts its own cell in full, then visits further
+     offsets only while it is still below ``min_pts``: in steps of 1,
+     2, 4, ... offsets, fewer where (points left) x (offsets taken)
+     would exceed ``_BATCH_PAIRS``, and once (points left) x (offsets
+     left) is at most ``_BATCH_PAIRS``, all remaining offsets in one
+     sweep;
+  2. connectivity: over all offsets d > 0 at once, the core cell pairs
+     (c, c + d) not yet in one component are tested for a core pair
+     within eps (first cores, then all), and those that pass are merged
+     by hook-and-compress on a parent array over cells;
   3. numbering: clusters are numbered in the order of their
      lexicographically smallest core point;
-  4. borders: each non-core point keeps a running best core neighbor,
-     ordered by (squared distance, coordinates).
+  4. borders: over all offsets at once, each non-core point keeps a
+     running best core neighbor, ordered by (squared distance,
+     coordinates).
 
 Every deciding distance is |p|^2 + |q|^2 - 2 p.q, clamped at 0 and
 compared with eps^2.  Tests verify the labels against an O(n^2)
@@ -37,6 +48,7 @@ brute-force reference.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -45,23 +57,65 @@ from .geometry import EmptyObjectError, ObjectPointCloud
 
 NOISE = -1
 
-_BATCH_PAIRS = 1 << 16  # point pairs expanded at once; bounds peak memory
+_BATCH_PAIRS = 1 << 15  # pairs or table entries at once; bounds peak memory
+
+
+@functools.lru_cache(maxsize=None)
+def _offsets(dim: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Cell offsets that can link two points within eps, nearest first,
+    and the half-cell matrix of each leading unit offset.
+
+    The unit offsets (every component in {-1, 0, 1}) lead.  The matrix of
+    unit offset u has a 1 at (h, h') when half-cell h' of cell c + u lies
+    in the 3^dim block of half-cells around half-cell h of cell c.
+    """
+    reach = 1 + math.isqrt(dim)
+    axes = [np.arange(-reach, reach + 1)] * dim
+    offsets = np.stack(np.meshgrid(*axes, indexing="ij"),
+                       axis=-1).reshape(-1, dim)
+    # the nearest corners of two cells at offset o are gap cell sides
+    # apart, squared; a cell side squared is eps^2 / dim shrunk, so the
+    # offsets that can hold a pair within eps are those with gap <= dim
+    gap = (np.maximum(np.abs(offsets) - 1, 0) ** 2).sum(axis=1)
+    offsets, gap = offsets[gap <= dim], gap[gap <= dim]
+    offsets = offsets[np.lexsort(((offsets ** 2).sum(axis=1), gap))]
+    # per axis, half h' of the cell u over is within one half of half h
+    halves = np.arange(2)
+    axis_matrix = {u: (np.abs(2 * u + halves - halves[:, None]) <= 1)
+                   .astype(float) for u in (-1, 0, 1)}
+    matrices = [functools.reduce(np.kron, [axis_matrix[u] for u in o])
+                for o in offsets[:3 ** dim].tolist()]
+    return offsets, matrices
 
 
 class _CellGrid:
     """Points bucketed into cubic cells whose diagonal is at most eps.
 
     ``order`` sorts the points by cell; in that sorted order the members
-    of cell c are the positions ``start[c]:start[c + 1]``.  Cells are
-    numbered by packed key.
+    of cell c are the positions ``start[c]:start[c + 1]`` and ``half``
+    numbers each point's half-cell within its cell.  Cells are numbered
+    by packed key.  ``neighbors[k, c]`` is the cell at ``c + deltas[k]``,
+    or -1; ``halves[k]`` is the half-cell matrix of the leading unit
+    offsets.  Offsets that link no two occupied cells are left out.
     """
 
     def __init__(self, pts: np.ndarray, eps: float):
         dim = pts.shape[1]
-        # cells fully inside the radius: shrink to avoid diagonal overflow
-        cell = eps / math.sqrt(dim) * (1.0 - 1e-12)
-        reach = math.ceil(eps / cell)
-        index = np.floor(pts / cell)
+        # Cells are shrunk by a relative 1e-9.  Two points of one cell, or
+        # a point of a half-cell and any point of the block of half-cells
+        # around it, are then less than eps (1 - 1e-9) apart: their squared
+        # distance is at least ~2e-9 eps^2 below eps^2, ~1e-11 m^2 at the
+        # pipeline's eps^2 ~ 6e-3 m^2.  The |p|^2 + |q|^2 - 2 p.q test errs
+        # by a few ulps of |p|^2, ~1e-14 m^2 at |p|^2 ~ 20 m^2, so it would
+        # accept every such pair, and none of them needs testing.
+        cell = eps / math.sqrt(dim) * (1.0 - 1e-9)
+        offsets, matrices = _offsets(dim)
+        reach = int(offsets.max())  # the largest offset on any axis
+        scaled = pts / cell
+        index = np.floor(scaled)
+        # x / (cell / 2) is exactly 2 (x / cell) in binary floating point,
+        # so this is floor(x / (cell / 2)) - 2 floor(x / cell), in {0, 1}
+        half_index = np.floor(2.0 * scaled) - 2.0 * index
         low = index.min(axis=0)
         # mixed-radix keys with a margin of `reach` cells on every axis, so
         # that key + offset never carries into another axis
@@ -78,33 +132,63 @@ class _CellGrid:
         self.counts = np.bincount(inverse)
         self.start = np.concatenate(([0], np.cumsum(self.counts)))
         self.cell_of = inverse[self.order]
+        self.half = (half_index[self.order].astype(np.int64)
+                     @ (1 << np.arange(dim - 1, -1, -1)))
 
-        axes = [np.arange(-reach, reach + 1)] * dim
-        offsets = np.stack(np.meshgrid(*axes, indexing="ij"),
-                           axis=-1).reshape(-1, dim)
-        # drop offsets whose nearest corner already exceeds eps
-        gap2 = ((np.maximum(np.abs(offsets) - 1, 0) * cell) ** 2).sum(axis=1)
-        keep = gap2 <= eps * eps
-        offsets, gap2 = offsets[keep], gap2[keep]
-        nearest_first = np.lexsort(((offsets ** 2).sum(axis=1), gap2))
-        # (delta, cell at c + delta or -1 for every cell c), nearest offset
-        # first, so the zero offset leads; offsets that link no two
-        # occupied cells are left out
-        self.neighbors = []
+        # filled row by row; int32 halves the table
+        deltas = offsets @ strides
+        table = np.empty((len(offsets), len(cell_keys)), dtype=np.int32)
+        occupied = np.zeros(len(offsets), dtype=bool)
         last = len(cell_keys) - 1
-        for delta in (offsets[nearest_first] @ strides).tolist():
-            target = cell_keys + delta
-            pos = np.minimum(np.searchsorted(cell_keys, target), last)
+        prev = None
+        for k in np.argsort(deltas).tolist():
+            target = cell_keys + deltas[k]
+            if deltas[k] - 1 == prev:
+                # targets one key on: step past the keys just found
+                pos = np.minimum(pos + found, last)
+            else:
+                pos = np.minimum(np.searchsorted(cell_keys, target), last)
             found = cell_keys[pos] == target
-            if found.any():  # int32 halves the table
-                self.neighbors.append(
-                    (delta, np.where(found, pos, -1).astype(np.int32)))
+            prev = deltas[k]
+            row = table[k]
+            row[:] = pos
+            row[~found] = -1
+            occupied[k] = found.any()
+        kept = np.nonzero(occupied)[0]
+        for j, k in enumerate(kept.tolist()):  # close the gaps, in place
+            if j < k:
+                table[j] = table[k]
+        self.neighbors = table[:len(kept)]
+        self.deltas = deltas[kept]
+        self.halves = [matrices[k] for k in kept.tolist() if k < len(matrices)]
 
 
-def _batches(lengths: np.ndarray):
-    """Yield ``(i, j)`` index arrays covering every ``j < lengths[i]``, in
-    batches of at most ``_BATCH_PAIRS`` pairs."""
+def _certified(grid: _CellGrid, min_pts: int) -> np.ndarray:
+    """Points, in cell order, whose 3^dim block of half-cells holds at
+    least ``min_pts`` points.
+
+    The block around half-cell h of a cell spans, on each axis, h and the
+    halves on either side, so each of its points is less than one cell
+    side from any point of h on every axis, and within eps of it: the
+    points of h are cores.
+    """
+    n_half = len(grid.halves[0])
+    # one trailing row of zeros, which the -1 entries of the table pick
+    inside = np.bincount(grid.cell_of * n_half + grid.half,
+                         minlength=(len(grid.counts) + 1) * n_half)
+    inside = inside.reshape(-1, n_half).astype(float)
+    block = np.zeros_like(inside[:-1])
+    for shifted, matrix in zip(grid.neighbors, grid.halves):
+        block += inside[shifted] @ matrix.T
+    return block[grid.cell_of, grid.half] >= min_pts
+
+
+def _batches(starts: np.ndarray, lengths: np.ndarray):
+    """Yield ``(i, at)`` index arrays covering every position ``at`` in
+    ``starts[i]:starts[i] + lengths[i]``, in batches of at most
+    ``_BATCH_PAIRS`` pairs."""
     ends = np.cumsum(lengths)
+    shift = starts - ends + lengths  # at = running pair number + shift[i]
     total = int(ends[-1]) if len(ends) else 0
     for lo in range(0, total, _BATCH_PAIRS):
         hi = min(lo + _BATCH_PAIRS, total)
@@ -112,7 +196,25 @@ def _batches(lengths: np.ndarray):
         i = np.arange(first, last + 1)
         i = np.repeat(i, np.minimum(ends[i], hi)
                       - np.maximum(ends[i] - lengths[i], lo))
-        yield i, np.arange(lo, hi) - (ends[i] - lengths[i])
+        at = np.arange(lo, hi)
+        at += shift[i]
+        yield i, at
+
+
+def _gather(table: np.ndarray, rows: np.ndarray, cells: np.ndarray):
+    """Yield ``(k, nb)`` for every entry ``nb = table[r, cells[k]] >= 0``
+    with ``r`` in ``rows``, gathered in tiles of at most ``_BATCH_PAIRS``
+    table entries."""
+    height = max(1, min(len(rows), _BATCH_PAIRS))
+    width = max(1, _BATCH_PAIRS // height)
+    for top in range(0, len(rows), height):
+        for lo in range(0, len(cells), width):
+            nb = table[np.ix_(rows[top:top + height], cells[lo:lo + width])]
+            k = np.flatnonzero(nb >= 0)
+            nb = nb.ravel()[k]
+            k %= min(width, len(cells) - lo)  # the tile's width
+            k += lo
+            yield k, nb
 
 
 def _merge(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -154,6 +256,37 @@ def _keep_best(best: np.ndarray, best_d2: np.ndarray, tie: np.ndarray,
     best_d2[p[first]] = d2[first]
 
 
+def _cores(grid: _CellGrid, min_pts: int, dist2, eps2: float) -> np.ndarray:
+    """Pass 1: the core points, in cell order.
+
+    A cell is an eps-clique, so every point starts from its own cell's
+    count; certified points need no more.  The others visit further
+    offsets, nearest first, and stop once they reach ``min_pts``.  Most
+    stop within the nearest offsets, so steps start at one offset and
+    double, as far as the short points fit into one tile; the few still
+    short once the whole remaining tail fits into one tile take it in
+    one sweep instead of one numpy round per offset.
+    """
+    certified = _certified(grid, min_pts)
+    counts = grid.counts[grid.cell_of]
+    short = np.nonzero((counts < min_pts) & ~certified)[0]
+    table = grid.neighbors
+    r = 1  # row 0 is the zero offset: each point's own cell
+    while len(short) and r < len(table):
+        step = len(table) - r
+        if len(short) * step > _BATCH_PAIRS:
+            step = min(r, max(1, _BATCH_PAIRS // len(short)))
+        for k, cells in _gather(table, np.arange(r, r + step),
+                                grid.cell_of[short]):
+            for i, at in _batches(grid.start[cells], grid.counts[cells]):
+                hit = dist2(short[k[i]], at) <= eps2
+                counts[short] += np.bincount(k[i[hit]],
+                                             minlength=len(short))
+        short = short[counts[short] < min_pts]
+        r += step
+    return certified | (counts >= min_pts)
+
+
 def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Cluster labels per point; -1 marks noise.
 
@@ -165,17 +298,22 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise ValueError("points must be a 2-D array of shape (n, dim) "
+                         f"with dim >= 1, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite, got a NaN or infinite "
+                         "coordinate")
     n = len(pts)
     if n == 0:
         return np.empty(0, dtype=int)
 
     grid = _CellGrid(pts, eps)
     # from here on points are numbered in cell order
-    pts = pts[grid.order]
-    cell_of, start = grid.cell_of, grid.start
+    cell_of, table = grid.cell_of, grid.neighbors
     eps2 = eps * eps
-    sq_norm = (pts ** 2).sum(axis=1)
-    axes = [np.ascontiguousarray(x) for x in pts.T]
+    sq_norm = (pts ** 2).sum(axis=1)[grid.order]
+    axes = [np.ascontiguousarray(x) for x in pts[grid.order].T]
 
     def dist2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         dot = axes[0][p] * axes[0][q]
@@ -184,59 +322,37 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         d2 = sq_norm[p] + sq_norm[q] - 2.0 * dot
         return np.maximum(d2, 0.0, out=d2)
 
-    # pass 1: neighbor counts -> core points; a cell is an eps-clique, and
-    # a point stops counting once it reaches min_pts
-    counts = grid.counts[cell_of]
-    short = np.nonzero(counts < min_pts)[0]
-    for _, shifted in grid.neighbors[1:]:
-        if not len(short):
-            break
-        cells = shifted[cell_of[short]]
-        p, cells = short[cells >= 0], cells[cells >= 0]
-        for i, j in _batches(grid.counts[cells]):
-            hit = dist2(p[i], start[cells[i]] + j) <= eps2
-            counts[p] += np.bincount(i[hit], minlength=len(p))
-        short = short[counts[short] < min_pts]
-    core = counts >= min_pts
+    core = _cores(grid, min_pts, dist2, eps2)
 
     # the cores of cell c are core_pos[core_start[c]:core_start[c + 1]]
     core_pos = np.nonzero(core)[0]
     core_counts = np.bincount(cell_of[core], minlength=len(grid.counts))
     core_start = np.concatenate(([0], np.cumsum(core_counts)))
 
-    def with_cores(cells: np.ndarray, shifted: np.ndarray):
-        """``(k, shifted[cells[k]])`` where that cell holds cores."""
-        nb = shifted[cells]
-        k = np.nonzero(nb >= 0)[0]
-        k = k[core_counts[nb[k]] > 0]
-        return k, nb[k]
-
-    # pass 2: connectivity over cells; each positive offset links the core
+    # pass 2: connectivity over cells; the forward offsets link the core
     # cell pairs (a, a + delta) that hold a core pair within eps
     parent = np.arange(len(grid.counts))
     core_cells = np.nonzero(core_counts)[0]
-    for delta, shifted in grid.neighbors:
-        if delta <= 0:
-            continue
-        k, b = with_cores(core_cells, shifted)
+    for k, b in _gather(table, np.nonzero(grid.deltas > 0)[0], core_cells):
         a = core_cells[k]
-        apart = parent[a] != parent[b]
-        a, b = a[apart], b[apart]
+        keep = (core_counts[b] > 0) & (parent[a] != parent[b])
+        a, b = a[keep], b[keep]
         # most cell pairs are linked by their first cores already
         near = dist2(core_pos[core_start[a]], core_pos[core_start[b]]) <= eps2
         _merge(parent, a[near], b[near])
         apart = parent[a] != parent[b]
         a, b = a[apart], b[apart]
         linked = np.zeros(len(a), dtype=bool)
-        for pair, ja in _batches(core_counts[a]):
-            p = core_pos[core_start[a[pair]] + ja]
-            for i, j in _batches(core_counts[b[pair]]):
-                q = core_pos[core_start[b[pair[i]]] + j]
+        for pair, at_a in _batches(core_start[a], core_counts[a]):
+            p = core_pos[at_a]
+            for i, at_b in _batches(core_start[b[pair]],
+                                    core_counts[b[pair]]):
+                q = core_pos[at_b]
                 linked[pair[i[dist2(p[i], q) <= eps2]]] = True
         _merge(parent, a[linked], b[linked])
 
     # numbering by each component's lexicographically smallest core point
-    lex = np.lexsort(pts[core_pos].T[::-1])
+    lex = np.lexsort([x[core_pos] for x in axes[::-1]])
     component = parent[cell_of[core_pos]]
     roots, first = np.unique(component[lex], return_index=True)
     cluster = np.empty(len(grid.counts), dtype=int)
@@ -245,29 +361,31 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     labels[core_pos] = cluster[component]
 
     # pass 3: border points join their nearest core neighbor, ordered by
-    # (squared distance, coordinates); `tie` ranks cores by coordinates
-    tie = np.empty(n, dtype=int)
-    tie[core_pos[lex]] = np.arange(len(lex))
+    # (squared distance, coordinates); here points outside the cores are
+    # named by their index in `outside`, cores by their index in core_pos,
+    # and `tie` ranks the cores by coordinates
+    tie = np.empty(len(lex), dtype=int)
+    tie[lex] = np.arange(len(lex))
     outside = np.nonzero(~core)[0]
-    best = np.full(n, -1)
-    best_d2 = np.full(n, np.inf)
+    best = np.full(len(outside), -1)
+    best_d2 = np.full(len(outside), np.inf)
     found, n_found = [], 0
-    for _, shifted in grid.neighbors:
-        k, cells = with_cores(cell_of[outside], shifted)
-        p = outside[k]
-        for i, j in _batches(core_counts[cells]):
-            q = core_pos[core_start[cells[i]] + j]
-            d2 = dist2(p[i], q)
+    for k, cells in _gather(table, np.arange(len(table)), cell_of[outside]):
+        has = core_counts[cells] > 0
+        k, cells = k[has], cells[has]
+        for i, at in _batches(core_start[cells], core_counts[cells]):
+            d2 = dist2(outside[k[i]], core_pos[at])
             near = d2 <= eps2
-            found.append((p[i][near], q[near], d2[near]))
-            n_found += int(near.sum())
-            if n_found >= _BATCH_PAIRS:
+            # fold before `found` would outgrow _BATCH_PAIRS candidates
+            if n_found + int(near.sum()) > _BATCH_PAIRS and found:
                 _keep_best(best, best_d2, tie, found)
                 n_found = 0
+            found.append((k[i[near]], at[near], d2[near]))
+            n_found += len(found[-1][0])
     if found:
         _keep_best(best, best_d2, tie, found)
-    border = outside[best[outside] >= 0]
-    labels[border] = labels[best[border]]
+    border = best >= 0
+    labels[outside[border]] = labels[core_pos[best[border]]]
     out = np.empty(n, dtype=int)
     out[grid.order] = labels
     return out

@@ -1,5 +1,6 @@
 """Density clustering against an independent brute-force reference."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -168,6 +169,19 @@ class TestDefaults:
         with pytest.raises(ValueError):
             dbscan_labels(np.zeros((3, 3)), eps=1.0, min_pts=0)
 
+    def test_points_that_are_not_a_2d_array_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            dbscan_labels(np.zeros(5), eps=1.0, min_pts=1)
+        with pytest.raises(ValueError, match="2-D"):
+            dbscan_labels(np.zeros((2, 2, 3)), eps=1.0, min_pts=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.zeros((4, 3))
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            dbscan_labels(pts, eps=1.0, min_pts=1)
+
 
 class TestExactLabels:
     """Label for label equal to the reference, cluster numbering included."""
@@ -238,7 +252,10 @@ class TestExactLabels:
         assert labels[-1] == 1
         self.assert_exact(pts, eps, min_pts)
 
-    def test_tiny_batches_give_the_same_labels(self, monkeypatch):
+    @pytest.mark.parametrize("batch", [7, 2 ** 40])
+    def test_tiny_batches_give_the_same_labels(self, monkeypatch, batch):
+        # 7 splits every gathered table and pair expansion; 2 ** 40 makes
+        # every pass sweep all of its offsets in one batch from the start
         rng = np.random.default_rng(9)
         sets = []
         for _ in range(20):
@@ -251,9 +268,76 @@ class TestExactLabels:
                 sets.append((pts, float(rng.choice([0.25, 0.5])),
                              int(rng.integers(1, 12))))
         expected = [dbscan_labels(*args) for args in sets]
-        monkeypatch.setattr(spatialqa.dbscan, "_BATCH_PAIRS", 7)
+        monkeypatch.setattr(spatialqa.dbscan, "_BATCH_PAIRS", batch)
         for args, labels in zip(sets, expected):
             np.testing.assert_array_equal(dbscan_labels(*args), labels)
+
+
+def _face_lattices():
+    """Lattice sets of multiples of 0.25 whose cell and half-cell faces
+    fall on lattice points: eps is the diagonal of a 0.5-wide cell after
+    the grid's relative shrink, nudged by a few ulps either way so that
+    some of the divisions by the cell land exactly on a face.  No pair
+    sits at exactly eps (squared distances are multiples of 1/16)."""
+    rng = np.random.default_rng(10)
+    for dim in (2, 3):
+        face_eps = 0.5 * math.sqrt(dim) / (1.0 - 1e-9)
+        for ulps in range(-3, 4):
+            eps = face_eps * (1.0 + ulps * 2.0 ** -52)
+            for _ in range(4):
+                n = int(rng.integers(20, 300))
+                side = int(rng.integers(3, 9))
+                pts = rng.integers(-side, side, size=(n, dim)) * 0.25
+                yield pts, eps, int(rng.integers(2, 14))
+
+
+def _pairs_at_eps():
+    """Blobs plus partners at eps * (1 +- 1e-12) from blob points, along
+    the axes and the diagonal, so the pairs straddle cell and half-cell
+    faces on every axis."""
+    rng = np.random.default_rng(11)
+    directions = np.vstack([np.eye(3), np.ones((1, 3)) / math.sqrt(3)])
+    for _ in range(40):
+        eps = float(rng.uniform(0.2, 0.6))
+        n = int(rng.integers(20, 150))
+        base = rng.normal(0, eps, size=(n, 3))
+        step = directions[rng.integers(0, 4, size=n)] * eps \
+            * (1.0 + rng.choice([-1e-12, 1e-12], size=(n, 1)))
+        yield np.vstack([base, base + step]), eps, int(rng.integers(2, 12))
+
+
+class TestHalfCellCertificate:
+    """Cores decided from half-cell block counts, with no distance test."""
+
+    def test_face_lattices_exact(self):
+        for args in _face_lattices():
+            TestExactLabels.assert_exact(*args)
+
+    def test_pairs_at_eps_across_half_cells_exact(self):
+        for args in _pairs_at_eps():
+            TestExactLabels.assert_exact(*args)
+
+    def test_certified_points_are_cores(self):
+        rng = np.random.default_rng(12)
+        blobs = []
+        for _ in range(50):
+            n = int(rng.integers(50, 400))
+            centers = rng.uniform(0, 2, size=(3, 3))
+            pts = centers[rng.integers(0, 3, size=n)] + rng.normal(
+                0, 0.2, size=(n, 3))
+            blobs.append((pts, float(rng.uniform(0.1, 0.5)),
+                          int(rng.integers(2, 30))))
+        certified_total = 0
+        for pts, eps, min_pts in [*_face_lattices(), *_pairs_at_eps(),
+                                  *blobs]:
+            grid = spatialqa.dbscan._CellGrid(pts, eps)
+            certified = spatialqa.dbscan._certified(grid, min_pts)
+            sorted_pts = pts[grid.order]
+            d = np.linalg.norm(sorted_pts[certified][:, None, :]
+                               - sorted_pts[None, :, :], axis=2)
+            assert ((d <= eps).sum(axis=1) >= min_pts).all()
+            certified_total += int(certified.sum())
+        assert certified_total > 10_000  # the certificate is exercised
 
 
 def _estimation_object_cloud() -> np.ndarray:
@@ -281,4 +365,19 @@ class TestMemory:
         assert (labels >= 0).mean() > 0.9
         # pair expansion is batched: the peak stays a few MiB instead of
         # growing with the ~230 eps-neighbours of each point
+        assert peak < 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+    def test_peak_traced_memory_on_a_noise_heavy_cloud(self):
+        # half of the points are noise: the passes that gather many
+        # offsets of few points at once must still stay bounded
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.normal(0, 0.05, size=(10_000, 3)),
+                         rng.uniform(-1, 1, size=(10_001, 3))])
+        eps = default_eps(pts)
+        tracemalloc.start()
+        try:
+            dbscan_labels(pts, eps, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak < 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
