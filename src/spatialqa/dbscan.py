@@ -4,6 +4,11 @@ Semantics are pinned so that results are a pure function of the point
 multiset (order-independent):
 
   * a point's eps-neighborhood includes the point itself, radius inclusive;
+    q is within eps of p when, in float64,
+    ``max(|p|^2 + |q|^2 - 2 p.q, 0) <= eps * eps``, so a pair at exactly
+    eps is decided by that rounding (at eps = 0.5 sqrt(3), ``eps * eps``
+    is 0.7499999999999999, so two points at squared distance 0.75 are
+    not neighbors);
   * core points are those with at least ``min_pts`` neighbors;
   * clusters are connected components of core points under eps-adjacency;
   * a border point joins the cluster of its nearest core neighbor (distance
@@ -20,11 +25,13 @@ most ``_BATCH_PAIRS`` entries and expanding the (point, member of the
 neighbor cell) pairs in batches of at most ``_BATCH_PAIRS``, so memory
 stays flat however dense or noisy the cloud is:
 
-  1. cores: each cell is split into 2^dim half-cells.  A point whose
-     3^dim block of half-cells (its own in the middle) holds at least
-     ``min_pts`` points is a core with no distance test, since every
-     point of the block lies within eps of it; the block counts come
-     from per-cell half-cell counts and one 0/1 matrix per unit offset.
+  1. cores: each cell is split into 2^dim half-cells.  A point is a
+     core with no distance test when the half-cells wholly within eps of
+     its own (every point of one within eps of every point of the other)
+     hold at least ``min_pts`` points; in 3-D these are the 3^3 block
+     around it and the 6 half-cells two halves away along one axis.  The
+     counts come from per-cell half-cell counts and one 0/1 matrix per
+     unit offset.
      Every other point counts its own cell in full, then visits further
      offsets only while it is still below ``min_pts``: in steps of 1,
      2, 4, ... offsets, fewer where (points left) x (offsets taken)
@@ -36,14 +43,15 @@ stays flat however dense or noisy the cloud is:
      within eps (first cores, then all), and those that pass are merged
      by hook-and-compress on a parent array over cells;
   3. numbering: clusters are numbered in the order of their
-     lexicographically smallest core point;
+     lexicographically smallest core point, looked for only among the
+     cores at the smallest x of their component;
   4. borders: over all offsets at once, each non-core point keeps a
      running best core neighbor, ordered by (squared distance,
      coordinates).
 
-Every deciding distance is |p|^2 + |q|^2 - 2 p.q, clamped at 0 and
-compared with eps^2.  Tests verify the labels against an O(n^2)
-brute-force reference.
+Every deciding distance is the squared one above; cells and half-cells
+are shrunk so that the pairs they decide without a test are well inside
+it.  Tests verify the labels against an O(n^2) brute-force reference.
 """
 
 from __future__ import annotations
@@ -66,8 +74,8 @@ def _offsets(dim: int) -> tuple[np.ndarray, list[np.ndarray]]:
     and the half-cell matrix of each leading unit offset.
 
     The unit offsets (every component in {-1, 0, 1}) lead.  The matrix of
-    unit offset u has a 1 at (h, h') when half-cell h' of cell c + u lies
-    in the 3^dim block of half-cells around half-cell h of cell c.
+    unit offset u has a 1 at (h, h') when every point of half-cell h' of
+    cell c + u is within eps of every point of half-cell h of cell c.
     """
     reach = 1 + math.isqrt(dim)
     axes = [np.arange(-reach, reach + 1)] * dim
@@ -79,12 +87,14 @@ def _offsets(dim: int) -> tuple[np.ndarray, list[np.ndarray]]:
     gap = (np.maximum(np.abs(offsets) - 1, 0) ** 2).sum(axis=1)
     offsets, gap = offsets[gap <= dim], gap[gap <= dim]
     offsets = offsets[np.lexsort(((offsets ** 2).sum(axis=1), gap))]
-    # per axis, half h' of the cell u over is within one half of half h
-    halves = np.arange(2)
-    axis_matrix = {u: (np.abs(2 * u + halves - halves[:, None]) <= 1)
-                   .astype(float) for u in (-1, 0, 1)}
-    matrices = [functools.reduce(np.kron, [axis_matrix[u] for u in o])
-                for o in offsets[:3 ** dim].tolist()]
+    # half-cells lie on a grid of half sides; on each axis half h' of the
+    # cell u over is |2u + h' - h| halves from half h, and the farthest
+    # points of the two are that plus one half apart; a half side squared
+    # is eps^2 / (4 dim) shrunk
+    bits = np.arange(2 ** dim)[:, None] >> np.arange(dim - 1, -1, -1) & 1
+    matrices = [(((np.abs(2 * o + bits - bits[:, None]) + 1) ** 2)
+                 .sum(axis=2) <= 4 * dim).astype(float)
+                for o in offsets[:3 ** dim]]
     return offsets, matrices
 
 
@@ -102,8 +112,9 @@ class _CellGrid:
     def __init__(self, pts: np.ndarray, eps: float):
         dim = pts.shape[1]
         # Cells are shrunk by a relative 1e-9.  Two points of one cell, or
-        # a point of a half-cell and any point of the block of half-cells
-        # around it, are then less than eps (1 - 1e-9) apart: their squared
+        # of two half-cells whose farthest corners are at most 4 dim half
+        # sides squared apart (one cell diagonal, squared, as for the 3^dim
+        # block), are then less than eps (1 - 1e-9) apart: their squared
         # distance is at least ~2e-9 eps^2 below eps^2, ~1e-11 m^2 at the
         # pipeline's eps^2 ~ 6e-3 m^2.  The |p|^2 + |q|^2 - 2 p.q test errs
         # by a few ulps of |p|^2, ~1e-14 m^2 at |p|^2 ~ 20 m^2, so it would
@@ -127,11 +138,13 @@ class _CellGrid:
         for axis in range(dim - 2, -1, -1):
             strides[axis] = strides[axis + 1] * int(widths[axis + 1])
         packed = (index - low + reach).astype(np.int64) @ strides
-        cell_keys, inverse = np.unique(packed, return_inverse=True)
-        self.order = np.argsort(inverse, kind="stable")
-        self.counts = np.bincount(inverse)
-        self.start = np.concatenate(([0], np.cumsum(self.counts)))
-        self.cell_of = inverse[self.order]
+        self.order = np.argsort(packed, kind="stable")
+        packed = packed[self.order]
+        first = np.concatenate(([True], packed[1:] != packed[:-1]))
+        cell_keys = packed[first]
+        self.start = np.append(np.flatnonzero(first), len(packed))
+        self.counts = np.diff(self.start)
+        self.cell_of = np.cumsum(first) - 1
         self.half = (half_index[self.order].astype(np.int64)
                      @ (1 << np.arange(dim - 1, -1, -1)))
 
@@ -164,23 +177,19 @@ class _CellGrid:
 
 
 def _certified(grid: _CellGrid, min_pts: int) -> np.ndarray:
-    """Points, in cell order, whose 3^dim block of half-cells holds at
-    least ``min_pts`` points.
-
-    The block around half-cell h of a cell spans, on each axis, h and the
-    halves on either side, so each of its points is less than one cell
-    side from any point of h on every axis, and within eps of it: the
-    points of h are cores.
+    """Points, in cell order, whose half-cells wholly within eps hold at
+    least ``min_pts`` points; each of those points is within eps of
+    every point of the half-cell, so its points are cores.
     """
     n_half = len(grid.halves[0])
     # one trailing row of zeros, which the -1 entries of the table pick
     inside = np.bincount(grid.cell_of * n_half + grid.half,
                          minlength=(len(grid.counts) + 1) * n_half)
     inside = inside.reshape(-1, n_half).astype(float)
-    block = np.zeros_like(inside[:-1])
+    near = np.zeros_like(inside[:-1])
     for shifted, matrix in zip(grid.neighbors, grid.halves):
-        block += inside[shifted] @ matrix.T
-    return block[grid.cell_of, grid.half] >= min_pts
+        near += inside[shifted] @ matrix.T
+    return near[grid.cell_of, grid.half] >= min_pts
 
 
 def _batches(starts: np.ndarray, lengths: np.ndarray):
@@ -237,11 +246,12 @@ def _merge(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
             parent[:] = up
 
 
-def _keep_best(best: np.ndarray, best_d2: np.ndarray, tie: np.ndarray,
+def _keep_best(best: np.ndarray, best_d2: np.ndarray, axes: list,
                found: list) -> None:
     """Fold ``(point, core, d2)`` candidates into each point's best core.
 
-    Cores are ordered by (d2, tie); ``found`` is emptied.
+    Cores are ordered by (d2, coordinates), the coordinates read from
+    ``axes``; ``found`` is emptied.
     """
     p, q, d2 = (np.concatenate(x) for x in zip(*found))
     found.clear()
@@ -250,7 +260,7 @@ def _keep_best(best: np.ndarray, best_d2: np.ndarray, tie: np.ndarray,
     p = np.concatenate([p, held])
     q = np.concatenate([q, best[held]])
     d2 = np.concatenate([d2, best_d2[held]])
-    rank = np.lexsort((tie[q], d2, p))
+    rank = np.lexsort([*(x[q] for x in axes[::-1]), d2, p])
     first = rank[np.diff(p[rank], prepend=-1) != 0]
     best[p[first]] = q[first]
     best_d2[p[first]] = d2[first]
@@ -351,9 +361,14 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
                 linked[pair[i[dist2(p[i], q) <= eps2]]] = True
         _merge(parent, a[linked], b[linked])
 
-    # numbering by each component's lexicographically smallest core point
-    lex = np.lexsort([x[core_pos] for x in axes[::-1]])
+    # numbering by each component's lexicographically smallest core
+    # point, which is among its cores of smallest x
     component = parent[cell_of[core_pos]]
+    core_x = axes[0][core_pos]
+    low_x = np.full(len(grid.counts), np.inf)
+    np.minimum.at(low_x, component, core_x)
+    low = np.nonzero(core_x == low_x[component])[0]
+    lex = low[np.lexsort([x[core_pos[low]] for x in axes[::-1]])]
     roots, first = np.unique(component[lex], return_index=True)
     cluster = np.empty(len(grid.counts), dtype=int)
     cluster[roots[np.argsort(first)]] = np.arange(len(roots))
@@ -362,10 +377,7 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 
     # pass 3: border points join their nearest core neighbor, ordered by
     # (squared distance, coordinates); here points outside the cores are
-    # named by their index in `outside`, cores by their index in core_pos,
-    # and `tie` ranks the cores by coordinates
-    tie = np.empty(len(lex), dtype=int)
-    tie[lex] = np.arange(len(lex))
+    # named by their index in `outside`
     outside = np.nonzero(~core)[0]
     best = np.full(len(outside), -1)
     best_d2 = np.full(len(outside), np.inf)
@@ -374,18 +386,19 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         has = core_counts[cells] > 0
         k, cells = k[has], cells[has]
         for i, at in _batches(core_start[cells], core_counts[cells]):
-            d2 = dist2(outside[k[i]], core_pos[at])
+            q = core_pos[at]
+            d2 = dist2(outside[k[i]], q)
             near = d2 <= eps2
             # fold before `found` would outgrow _BATCH_PAIRS candidates
             if n_found + int(near.sum()) > _BATCH_PAIRS and found:
-                _keep_best(best, best_d2, tie, found)
+                _keep_best(best, best_d2, axes, found)
                 n_found = 0
-            found.append((k[i[near]], at[near], d2[near]))
+            found.append((k[i[near]], q[near], d2[near]))
             n_found += len(found[-1][0])
     if found:
-        _keep_best(best, best_d2, tie, found)
+        _keep_best(best, best_d2, axes, found)
     border = best >= 0
-    labels[outside[border]] = labels[core_pos[best[border]]]
+    labels[outside[border]] = labels[best[border]]
     out = np.empty(n, dtype=int)
     out[grid.order] = labels
     return out

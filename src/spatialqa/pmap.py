@@ -86,9 +86,11 @@ class PointMap:
 def _sanitize(points: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Demote non-finite or out-of-range points to invalid."""
     warnings: list[str] = []
-    finite = np.isfinite(points).all(axis=2)
-    in_range = (np.abs(points) <= COORD_LIMIT).all(axis=2)
-    bad = valid & ~(finite & in_range)
+    # NaN and +-inf compare False, so this also demotes non-finite points;
+    # anding the three columns beats a reduction over the short last axis
+    near = np.abs(points) <= COORD_LIMIT
+    in_range = near[..., 0] & near[..., 1] & near[..., 2]
+    bad = valid & ~in_range
     if bad.any():
         rows, cols = np.nonzero(bad)
         for v, u in zip(rows[:16], cols[:16]):
@@ -100,7 +102,7 @@ def _sanitize(points: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, list[s
         extra = int(bad.sum()) - min(int(bad.sum()), 16)
         if extra > 0:
             warnings.append(f"... and {extra} more out-of-range pixels")
-        valid = valid & finite & in_range
+        valid = valid & in_range
     return valid, warnings
 
 

@@ -1,5 +1,6 @@
 """Density clustering against an independent brute-force reference."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -252,6 +253,45 @@ class TestExactLabels:
         assert labels[-1] == 1
         self.assert_exact(pts, eps, min_pts)
 
+    def test_clusters_sharing_their_smallest_x_numbered_by_y_then_z(self):
+        # every cluster but the first has its smallest x at 0, so the
+        # numbering falls to y, then z; each cluster doubles the core at
+        # its smallest corner, and the (0, 3, 2.5) cluster reaches down to
+        # y = -1 at x = 0.25, cores that must not decide its number
+        eps, min_pts = 0.6, 4
+        block = np.stack(np.meshgrid(*[[0.0, 0.25]] * 3, indexing="ij"),
+                         axis=-1).reshape(-1, 3)
+        corners = [[-3.0, 9, 9], [0, 0, 0], [0, 0, 5], [0, 3, 2.5],
+                   [0, 5, 0], [0, 5, 2.5]]
+        clusters = [np.vstack([block + c, [c]]) for c in corners]
+        reach = np.stack(np.meshgrid([0.25, 0.5], np.arange(-1, 3, 0.25),
+                                     [2.5, 2.75], indexing="ij"),
+                         axis=-1).reshape(-1, 3)
+        clusters[3] = np.vstack([clusters[3], reach])
+        pts = np.vstack(clusters[::-1])
+        first = np.cumsum([0] + [len(c) for c in clusters[::-1]])[:-1]
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            shuffle = rng.permutation(len(pts))
+            labels = dbscan_labels(pts[shuffle], eps, min_pts)
+            back = np.empty_like(labels)
+            back[shuffle] = labels
+            np.testing.assert_array_equal(back[first], [5, 4, 3, 2, 1, 0])
+            assert (back >= 0).all()
+            self.assert_exact(pts[shuffle], eps, min_pts)
+
+    def test_pair_at_exactly_eps_decided_by_rounded_eps_squared(self):
+        # 0.75 is exactly the squared distance, but eps * eps rounds to
+        # 0.7499999999999999: by the pinned float64 rule the pair is apart
+        eps = 0.5 * math.sqrt(3)
+        assert eps * eps < 0.75
+        for base in (0.0, 1.0):
+            pts = np.array([[base] * 3, [base + 0.5] * 3])
+            np.testing.assert_array_equal(dbscan_labels(pts, eps, 2),
+                                          [-1, -1])
+            np.testing.assert_array_equal(
+                dbscan_labels(pts, math.nextafter(eps, 1.0), 2), [0, 0])
+
     @pytest.mark.parametrize("batch", [7, 2 ** 40])
     def test_tiny_batches_give_the_same_labels(self, monkeypatch, batch):
         # 7 splits every gathered table and pair expansion; 2 ** 40 makes
@@ -317,6 +357,23 @@ class TestHalfCellCertificate:
         for args in _pairs_at_eps():
             TestExactLabels.assert_exact(*args)
 
+    def test_half_cell_two_halves_over_along_x_certifies(self):
+        # cell side ~0.577 at eps 1, halves ~0.289: the point at x = 0.1
+        # is alone in its half-cell and its whole cell, and its partners
+        # sit in the half-cell two halves over along x, wholly within eps
+        eps, min_pts = 1.0, 5
+        partners = np.column_stack([[0.6, 0.65, 0.7, 0.75],
+                                    [0.05, 0.15, 0.2, 0.25],
+                                    [0.25, 0.2, 0.05, 0.1]])
+        pts = np.vstack([[0.1, 0.1, 0.1], partners])
+        grid = spatialqa.dbscan._CellGrid(pts, eps)
+        at = int(np.nonzero(grid.order == 0)[0][0])
+        assert grid.counts[grid.cell_of[at]] == 1
+        assert spatialqa.dbscan._certified(grid, min_pts)[at]
+        TestExactLabels.assert_exact(pts, eps, min_pts)
+        np.testing.assert_array_equal(dbscan_labels(pts, eps, min_pts),
+                                      [0] * 5)
+
     def test_certified_points_are_cores(self):
         rng = np.random.default_rng(12)
         blobs = []
@@ -349,6 +406,28 @@ def _estimation_object_cloud() -> np.ndarray:
     pm, masks, _ = render_scene(scene,
                                 rng=np.random.default_rng(seed + 1_000_003))
     return extract_object_points(pm, masks["obj-1"]).points
+
+
+class TestPinnedLabels:
+    def test_estimation_scenes_labels_unchanged(self):
+        # every object cloud of estimation-preset scenes 0, 1 and 2 at
+        # sigma 0.01 (7 clouds, 59,864 points), clustered with the
+        # pipeline's defaults; the corpus prints boxes at a resolution
+        # that can hide a label change, this hash cannot
+        digest = hashlib.sha256()
+        for seed in range(3):
+            scene = prune_occluded(
+                sample_scene(seed, config=ESTIMATION_SAMPLER,
+                             noise_sigma=0.01), 0.85)
+            pm, masks, _ = render_scene(
+                scene, rng=np.random.default_rng(seed + 1_000_003))
+            for object_id in sorted(masks):
+                pts = extract_object_points(pm, masks[object_id]).points
+                labels = dbscan_labels(pts, default_eps(pts),
+                                       default_min_pts(len(pts)))
+                digest.update(labels.astype("<i8").tobytes())
+        assert digest.hexdigest() == ("6c1dbe415dbc0754e4ff9524b1247539"
+                                      "9ac65291a129e061d62bfa20bb2f6581")
 
 
 class TestMemory:

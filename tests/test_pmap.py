@@ -80,6 +80,39 @@ class TestValidation:
         pm = make_pointmap(points, np.ones((1, 2), dtype=bool))
         assert pm.valid_count == 1
 
+    def test_non_finite_and_out_of_range_on_every_axis(self, tmp_path):
+        points = np.zeros((3, 4, 3), dtype=np.float32)
+        valid = np.ones((3, 4), dtype=bool)
+        for v, axis in enumerate("xyz"):
+            for u, value in enumerate((np.inf, -np.inf, np.nan)):
+                points[v, u, v] = value
+        points[0, 3, 0] = -300.0
+        points[2, 3, 1] = np.nan  # already invalid: no warning
+        valid[2, 3] = False
+        warnings = [
+            f"pixel ({u},{v}) coordinates ({c}) outside [-250,250]; "
+            "marked invalid"
+            for u, v, c in [(0, 0, "inf,0,0"), (1, 0, "-inf,0,0"),
+                            (2, 0, "nan,0,0"), (3, 0, "-300,0,0"),
+                            (0, 1, "0,inf,0"), (1, 1, "0,-inf,0"),
+                            (2, 1, "0,nan,0"), (0, 2, "0,0,inf"),
+                            (1, 2, "0,0,-inf"), (2, 2, "0,0,nan")]]
+        expected = np.zeros((3, 4), dtype=bool)
+        expected[1, 3] = True
+        pm = make_pointmap(points, valid)
+        np.testing.assert_array_equal(pm.valid, expected)
+        assert pm.warnings == warnings
+        # the reader demotes the same pixels of a file that marks all valid
+        grid = np.ones((3, 4, 4), dtype="<f4")
+        grid[:, :, :3] = points
+        path = tmp_path / "bad.pmap"
+        path.write_bytes(MAGIC + struct.pack("<II", 4, 3) + grid.tobytes())
+        back = read_pointmap(path)
+        np.testing.assert_array_equal(back.valid, expected)
+        assert back.warnings == warnings + [
+            "pixel (3,2) coordinates (0,nan,0) outside [-250,250]; "
+            "marked invalid"]
+
     def test_boundary_value_is_valid(self):
         points = np.full((1, 1, 3), COORD_LIMIT, dtype=np.float32)
         pm = make_pointmap(points, np.ones((1, 1), dtype=bool))
