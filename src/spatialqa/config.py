@@ -13,7 +13,8 @@ Config file keys (all optional):
 Environment overrides (take precedence over the file):
   SPATIALQA_WORKERS, SPATIALQA_SEED, SPATIALQA_BAND, SPATIALQA_CACHE_DIR
 
-An unknown key (at the top level, in ``synth`` or in ``synth.guards``), a
+An unknown key (at the top level, in ``synth``, ``synth.guards`` or
+``tag_filter``), a ``tag_filter`` exclude list without an include list, a
 bad value, malformed JSON or a file that is not a JSON object raises
 ``ConfigError``; the CLI prints it as ``error: ...`` and exits 2.
 """
@@ -68,6 +69,18 @@ def _synth_from_dict(d: dict) -> SynthConfig:
     return SynthConfig(guards=guards, **d)
 
 
+def _tags_from_dict(d: dict) -> tuple[list[str], list[str]]:
+    unknown = set(d) - {"include", "exclude"}
+    if unknown:
+        raise ConfigError(f"unknown tag_filter keys: {sorted(unknown)}")
+    include, exclude = list(d.get("include", [])), list(d.get("exclude", []))
+    if exclude and not include:
+        # the vote counts include tags only, so every tagged image would
+        # be skipped
+        raise ConfigError("tag_filter: exclude needs a non-empty include")
+    return include, exclude
+
+
 _KEYS = {"workers", "seed", "band", "synth", "clients", "tag_filter",
          "cache_dir"}
 
@@ -80,15 +93,15 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if band not in ("tight", "wide"):
         raise ConfigError(f"band must be tight or wide, got {band!r}")
     try:
-        tag_filter = raw.get("tag_filter", {})
+        tag_include, tag_exclude = _tags_from_dict(raw.get("tag_filter", {}))
         return PipelineConfig(
             workers=int(raw.get("workers", 1)),
             seed=int(raw.get("seed", 0)),
             band=band,
             synth=_synth_from_dict(raw.get("synth", {})),
             clients=raw.get("clients", {}),
-            tag_include=list(tag_filter.get("include", [])),
-            tag_exclude=list(tag_filter.get("exclude", [])),
+            tag_include=tag_include,
+            tag_exclude=tag_exclude,
             cache_dir=raw.get("cache_dir"),
         )
     except (AttributeError, TypeError, ValueError) as e:

@@ -370,22 +370,12 @@ def fit_box3d(pc: ObjectPointCloud, gf: GravityFrame,
     horiz = world[:, [0, 2]]  # world (x, z)
 
     if yaw_hint_deg is not None:
-        # footprint measured along the hinted box axes
-        r = math.radians(yaw_hint_deg)
-        c, s = math.cos(r), math.sin(r)
-        u = horiz[:, 0] * c + horiz[:, 1] * s      # along local x
-        w = -horiz[:, 0] * s + horiz[:, 1] * c     # along local z
-        umin, umax = u.min(), u.max()
-        wmin, wmax = w.min(), w.max()
-        cu, cw = (umin + umax) / 2.0, (wmin + wmax) / 2.0
-        cx = cu * c - cw * s
-        cz = cu * s + cw * c
-        width, depth = umax - umin, wmax - wmin
-        yaw = float(yaw_hint_deg)
+        # footprint measured along the hinted box axes (local x, local z)
+        yaw, width, depth, (cx, cz) = _rect_at_angle(horiz,
+                                                     float(yaw_hint_deg))
         quality = "hinted"
     else:
-        ang, width, depth, center2 = min_area_rect(horiz)
-        cx, cz = center2
+        ang, width, depth, (cx, cz) = min_area_rect(horiz)
         yaw = ang % 90.0
         quality = "min_area"
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -102,49 +103,54 @@ class ImageManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ImageManifest":
-        try:
-            objects = [
-                ObjectAnnotation(
-                    object_id=o["object_id"], category=o["category"],
-                    box2d=[float(v) for v in o["box2d"]],
-                    mask=o.get("mask"),
-                    yaw_deg=o.get("yaw_deg"), pitch_deg=o.get("pitch_deg"),
-                    captions=list(o.get("captions", [])),
-                    grounding=o.get("grounding"),
-                    box3d=o.get("box3d"),
-                )
-                for o in d.get("objects", [])
-            ]
-            intr = d.get("intrinsics")
-            return cls(
-                image_id=d["image_id"], width=int(d["width"]),
-                height=int(d["height"]), pointmap=d["pointmap"],
-                gravity=d.get("gravity"),
-                intrinsics=CameraIntrinsics.from_dict(intr) if intr else None,
-                pixel_stats=d.get("pixel_stats"), tags=d.get("tags"),
-                objects=objects,
+        objects = [
+            ObjectAnnotation(
+                object_id=o["object_id"], category=o["category"],
+                box2d=[float(v) for v in o["box2d"]],
+                mask=o.get("mask"),
+                yaw_deg=o.get("yaw_deg"), pitch_deg=o.get("pitch_deg"),
+                captions=list(o.get("captions", [])),
+                grounding=o.get("grounding"),
+                box3d=o.get("box3d"),
             )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ManifestError(f"bad manifest record: {e}") from e
+            for o in d.get("objects", [])
+        ]
+        intr = d.get("intrinsics")
+        return cls(
+            image_id=d["image_id"], width=int(d["width"]),
+            height=int(d["height"]), pointmap=d["pointmap"],
+            gravity=d.get("gravity"),
+            intrinsics=CameraIntrinsics.from_dict(intr) if intr else None,
+            pixel_stats=d.get("pixel_stats"), tags=d.get("tags"),
+            objects=objects,
+        )
 
 
-def read_manifest(path: str | Path) -> list[ImageManifest]:
-    """Parse a JSON-lines manifest; blank lines are ignored."""
-    entries = []
+def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
+    """``parse`` applied to each record of a JSON-lines file, in order;
+    blank lines are ignored.  Invalid JSON, or a record that ``parse``
+    rejects with an AttributeError, KeyError, TypeError or ValueError,
+    raises ManifestError naming the file and line."""
+    records = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                records.append(parse(json.loads(line)))
             except json.JSONDecodeError as e:
-                raise ManifestError(f"line {lineno}: invalid JSON: {e}") from e
-            try:
-                entries.append(ImageManifest.from_dict(record))
-            except ManifestError as e:
-                raise ManifestError(f"line {lineno}: {e}") from e
-    return entries
+                raise ManifestError(
+                    f"{path} line {lineno}: invalid JSON: {e}") from e
+            except (AttributeError, KeyError, TypeError, ValueError) as e:
+                raise ManifestError(
+                    f"{path} line {lineno}: bad record: {e!r}") from e
+    return records
+
+
+def read_manifest(path: str | Path) -> list[ImageManifest]:
+    """Parse a JSON-lines manifest; blank lines are ignored."""
+    return read_jsonl(path, ImageManifest.from_dict)
 
 
 def write_manifest(entries: list[ImageManifest], path: str | Path) -> None:

@@ -2,9 +2,10 @@
 
 Produces exactly the input formats the generation pipeline consumes,
 plus a scenes.jsonl with the exact ground-truth layouts for independent
-answer checking.  Objects that render too few pixels are dropped from
-both the manifest and the saved ground truth, keeping the two views of
-the scene consistent.
+answer checking.  Objects the renderer prunes as too occluded, and kept
+objects that render too few pixels, are dropped from both the manifest
+and the saved ground truth, keeping the two views of the scene
+consistent.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ..clients import record_fixture
 from ..manifest import ImageManifest, ObjectAnnotation, write_manifest
 from ..pmap import write_pointmap
 from .fixtures import problem_fixture_response
-from .render import prune_occluded, render_scene
+from .render import render_scene
 from .scene import OracleScene, SceneSamplerConfig, sample_scene, write_scenes
 
 MIN_OBJECT_PIXELS = 30
@@ -52,8 +53,8 @@ def scene_to_files(scene: OracleScene, paths: DatasetPaths,
                    ) -> tuple[ImageManifest, OracleScene]:
     """Render one scene and write its pmap + masks; returns the manifest
     entry and the visibility-filtered ground truth."""
-    scene = prune_occluded(scene, min_visible_fraction)
-    pm, masks, _depth = render_scene(scene, rng=rng)
+    pm, masks, _depth = render_scene(scene, rng=rng,
+                                     min_visible_fraction=min_visible_fraction)
     pmap_rel = f"pmaps/{scene.scene_id}.pmap"
     pmap_path = paths.root / pmap_rel
     pmap_path.parent.mkdir(parents=True, exist_ok=True)
@@ -62,8 +63,8 @@ def scene_to_files(scene: OracleScene, paths: DatasetPaths,
     annotations = []
     visible = []
     for obj in scene.objects:
-        mask = masks[obj.object_id]
-        if int(mask.sum()) < MIN_OBJECT_PIXELS:
+        mask = masks.get(obj.object_id)
+        if mask is None or int(mask.sum()) < MIN_OBJECT_PIXELS:
             continue
         visible.append(obj)
         mask_rel = f"masks/{scene.scene_id}-{obj.object_id}.npy"

@@ -1,10 +1,11 @@
 """Ray-cast rendering of oracle scenes into point maps and masks.
 
 Each pixel ray is intersected with every box (slab test in the box local
-frame); the nearest hit owns the pixel.  The resulting depth grid,
-optionally perturbed by Gaussian noise, is backprojected through the
-scene intrinsics, which mirrors how an upstream geometry estimator would
-deliver a point map.
+frame) once per scene; the nearest hit owns the pixel.  Too-occluded
+boxes are pruned from those same hit depths before the depth grid and
+masks are built.  The depth grid, optionally perturbed by Gaussian
+noise, is backprojected through the scene intrinsics, which mirrors how
+an upstream geometry estimator would deliver a point map.
 """
 
 from __future__ import annotations
@@ -57,75 +58,52 @@ def _box_hit_depths(scene: OracleScene, gf, obj, rays: np.ndarray) -> np.ndarray
     return np.where(hit, t, np.inf)
 
 
-def prune_occluded(scene: OracleScene,
-                   min_visible_fraction: float = 0.85) -> OracleScene:
-    """Drop objects whose visible pixel share falls below the threshold.
-
-    Mostly hidden boxes make single-view extents unrecoverable, and real
-    annotation pipelines skip them too.  Pruning iterates (removing the
-    worst offender frees pixels for the rest) and returns a scene whose
-    objects are mutually visible enough; callers render the pruned scene,
-    so dropped boxes do not occlude anything.
-    """
-    if not scene.objects:
-        return scene
-    gf = gravity_frame(scene.gravity)
-    rays = _ray_grid(scene)
-    depths = np.stack([_box_hit_depths(scene, gf, obj, rays)
-                       for obj in scene.objects])
-    alone = [(depths[i] < scene.background_depth).sum()
-             for i in range(len(scene.objects))]
-
-    active = list(range(len(scene.objects)))
-    while active:
-        stack = depths[active]
-        owner = stack.argmin(axis=0)
-        best = stack.min(axis=0)
-        fractions = []
-        for k, i in enumerate(active):
-            visible = ((owner == k) & (stack[k] < scene.background_depth)).sum()
-            fractions.append(visible / alone[i] if alone[i] else 0.0)
-        worst = int(np.argmin(fractions))
-        if fractions[worst] >= min_visible_fraction:
-            break
-        del active[worst]
-
-    kept = [scene.objects[i] for i in active]
-    return OracleScene(
-        scene_id=scene.scene_id, width=scene.width, height=scene.height,
-        intrinsics=scene.intrinsics, gravity=scene.gravity, objects=kept,
-        noise_sigma=scene.noise_sigma,
-        background_depth=scene.background_depth,
-    )
-
-
-def render_scene(scene: OracleScene, rng: np.random.Generator | None = None
+def render_scene(scene: OracleScene, rng: np.random.Generator | None = None,
+                 min_visible_fraction: float = 0.0
                  ) -> tuple[PointMap, dict[str, np.ndarray], np.ndarray]:
     """Render to (point map, per-object masks, clean depth grid).
 
+    Objects whose visible pixel share (of the pixels they cover when
+    rendered alone) falls below ``min_visible_fraction`` are dropped one
+    at a time, worst first, since removing one frees pixels for the
+    rest.  Mostly hidden boxes make single-view extents unrecoverable,
+    and real annotation pipelines skip them too.  Dropped boxes occlude
+    nothing, and the masks name exactly the kept objects.
+
     Depth noise of scene.noise_sigma meters is applied before
-    backprojection when a generator is supplied (or sigma > 0).
+    backprojection when sigma > 0 (from ``rng``, or a generator seeded
+    with 0 when none is given).
     """
     gf = gravity_frame(scene.gravity)
     rays = _ray_grid(scene)
     h, w = scene.height, scene.width
+    background = scene.background_depth
 
-    depths = np.full((len(scene.objects), h, w), np.inf)
+    depths = np.empty((len(scene.objects), h, w))
     for i, obj in enumerate(scene.objects):
         depths[i] = _box_hit_depths(scene, gf, obj, rays)
+    alone = (depths < background).sum(axis=(1, 2))
 
-    background = np.full((h, w), scene.background_depth)
-    if len(scene.objects):
-        best = depths.min(axis=0)
+    # depths[k] is the hit depth of object kept[k]
+    kept = list(range(len(scene.objects)))
+    while kept:
         owner = depths.argmin(axis=0)
-    else:
-        best = np.full((h, w), np.inf)
-        owner = np.zeros((h, w), dtype=int)
-    depth = np.where(best < background, best, background)
+        fractions = [
+            ((owner == k) & (depths[k] < background)).sum() / alone[i]
+            if alone[i] else 0.0
+            for k, i in enumerate(kept)
+        ]
+        worst = int(np.argmin(fractions))
+        if fractions[worst] >= min_visible_fraction:
+            break
+        del kept[worst]
+        depths = np.delete(depths, worst, axis=0)
 
+    best = depths.min(axis=0) if kept else np.full((h, w), np.inf)
+    depth = np.where(best < background, best, background)
     masks = {
-        obj.object_id: (owner == i) & (depths[i] < background)
-        for i, obj in enumerate(scene.objects)
+        scene.objects[i].object_id: (owner == k) & (depths[k] < background)
+        for k, i in enumerate(kept)
     }
 
     noisy = depth.copy()

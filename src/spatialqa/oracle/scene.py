@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..geometry import CameraIntrinsics, box_local_axes, gravity_frame
+from ..geometry import CameraIntrinsics, box_local_axes, gravity_frame, project
+from ..manifest import read_jsonl
 
 CATEGORY_POOL = (
     "chair", "table", "sofa", "lamp", "bed", "desk", "shelf", "cabinet",
@@ -179,9 +180,7 @@ def _in_frustum(obj: OracleObject, scene: OracleScene, gf,
     corners = box_corners_camera(obj, gf)
     if (corners[:, 2] <= 0.3).any():
         return False
-    k = scene.intrinsics
-    u = k.fx * corners[:, 0] / corners[:, 2] + k.cx
-    v = k.fy * corners[:, 1] / corners[:, 2] + k.cy
+    u, v = project(corners, scene.intrinsics).T
     return bool((u >= margin_px).all() and (u <= scene.width - 1 - margin_px).all()
                 and (v >= margin_px).all()
                 and (v <= scene.height - 1 - margin_px).all())
@@ -263,10 +262,4 @@ def write_scenes(scenes: list[OracleScene], path: str | Path) -> None:
 
 
 def read_scenes(path: str | Path) -> list[OracleScene]:
-    scenes = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                scenes.append(OracleScene.from_dict(json.loads(line)))
-    return scenes
+    return read_jsonl(path, OracleScene.from_dict)

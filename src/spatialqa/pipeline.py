@@ -39,7 +39,13 @@ from .geometry import (
     fit_box3d,
     gravity_frame,
 )
-from .manifest import ImageManifest, ManifestError, read_manifest, resolve_path
+from .manifest import (
+    ImageManifest,
+    ManifestError,
+    read_jsonl,
+    read_manifest,
+    resolve_path,
+)
 from .pmap import read_pointmap
 from .qa.items import QAItem, canonical_json, derive_seed
 from .qa.problem import scene_digest, validate_candidates
@@ -246,27 +252,34 @@ def run_generate(manifest_path: str | Path, config: PipelineConfig,
     """Generate the corpus for a manifest; resumable and order-stable.
 
     Returns the run ledger; writes corpus.jsonl, ledger.json and
-    parts/*.jsonl under out_dir.
+    parts/*.jsonl under out_dir.  A repeated image_id raises
+    ManifestError before any image runs.
     """
     start = time.monotonic()
     manifest_path = str(manifest_path)
+    entries = read_manifest(manifest_path)
+    seen: set[str] = set()
+    for entry in entries:
+        if entry.image_id in seen:
+            raise ManifestError(f"{manifest_path}: duplicate image_id "
+                                f"{entry.image_id!r}")
+        seen.add(entry.image_id)
+
     out = Path(out_dir)
     parts_dir = out / "parts"
     parts_dir.mkdir(parents=True, exist_ok=True)
-    entries = read_manifest(manifest_path)
     ledger = RunLedger()
-
-    selected = entries if limit is None else entries[:limit]
-    for entry in entries[len(selected):]:
-        ledger.add(entry.image_id, "skipped", "beyond --limit")
-
+    n_selected = len(entries[:limit])
     todo = []
-    for entry in selected:
+    for i, entry in enumerate(entries):
         part_path = _part_path(parts_dir, entry.image_id)
         if part_path.exists() and _read_header(part_path)["status"] == "done":
+            # assembled into the corpus below, within --limit or not
             ledger.add(entry.image_id, "skipped", "already done")
-            continue
-        todo.append(entry)
+        elif i >= n_selected:
+            ledger.add(entry.image_id, "skipped", "beyond --limit")
+        else:
+            todo.append(entry)
 
     clients = build_clients(config.clients, cache_dir=config.cache_dir)
     if config.workers <= 1 or len(todo) <= 1:
@@ -316,32 +329,12 @@ def run_generate(manifest_path: str | Path, config: PipelineConfig,
 # ---------------------------------------------------------------------------
 
 def read_corpus(path: str | Path) -> list[dict]:
-    items = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                items.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise ManifestError(f"corpus line {lineno}: {e}") from e
-    return items
+    return read_jsonl(path, lambda record: record)
 
 
 def read_responses(path: str | Path) -> dict[str, str]:
-    responses = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                responses[record["item_id"]] = record["response"]
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise ManifestError(f"responses line {lineno}: {e}") from e
-    return responses
+    return dict(read_jsonl(
+        path, lambda record: (record["item_id"], record["response"])))
 
 
 def run_evaluate(corpus_path: str | Path, responses_path: str | Path,

@@ -143,11 +143,7 @@ def read_pointmap(path: str | Path) -> PointMap:
         )
     raw = np.frombuffer(data, dtype="<f4", offset=HEADER_SIZE)
     grid = raw.reshape(height, width, 4)
-    points = np.ascontiguousarray(grid[:, :, :3])
-    valid = grid[:, :, 3] != 0.0
-    valid, warnings = _sanitize(points, valid)
-    return PointMap(width=width, height=height, points=points, valid=valid,
-                    warnings=warnings)
+    return make_pointmap(grid[:, :, :3], grid[:, :, 3] != 0.0)
 
 
 def write_pointmap(pm: PointMap, path: str | Path) -> None:

@@ -29,6 +29,7 @@ from .relations import (
     DEFAULT_GUARDS,
     GuardConfig,
     SceneObject,
+    ratio_gaps_ok,
 )
 
 FALLBACK_PALETTE = ("red", "green", "blue", "yellow",
@@ -198,11 +199,6 @@ def _coordinate_gaps_ok(values: list[float], guards: GuardConfig) -> bool:
     return True
 
 
-def _ratio_gaps_ok(values: list[float], guards: GuardConfig) -> bool:
-    return all(hi >= lo * (1.0 + guards.comparison_ratio)
-               for lo, hi in zip(values, values[1:]))
-
-
 def _rank_references(objs: list[SceneObject], metric: str, value, gaps_ok,
                      guards: GuardConfig,
                      out: dict[str, list[ObjectReference]]) -> None:
@@ -245,7 +241,7 @@ def positional_reference(objs: list[SceneObject], gf: GravityFrame,
             objs, axis, lambda o: float(centers[o.object_id][axis_i]),
             _coordinate_gaps_ok, guards, out)
     _rank_references(objs, "camera-distance",
-                     ATTRIBUTE_GETTERS["camera-distance"], _ratio_gaps_ok,
+                     ATTRIBUTE_GETTERS["camera-distance"], ratio_gaps_ok,
                      guards, out)
     return out
 
@@ -259,7 +255,7 @@ def size_reference(objs: list[SceneObject], dimension: str,
     out: dict[str, list[ObjectReference]] = {o.object_id: [] for o in objs}
     if len(objs) >= 2:
         _rank_references(objs, dimension, ATTRIBUTE_GETTERS[dimension],
-                         _ratio_gaps_ok, guards, out)
+                         ratio_gaps_ok, guards, out)
     return out
 
 

@@ -271,6 +271,13 @@ class ComparisonResult:
     selected: str | None = None    # for extreme modes
 
 
+def ratio_gaps_ok(values: list[float], guards: GuardConfig) -> bool:
+    """The 10% rule: each of the ascending ``values`` exceeds the one
+    before it by at least ``guards.comparison_ratio`` of it."""
+    return all(hi >= lo * (1.0 + guards.comparison_ratio)
+               for lo, hi in zip(values, values[1:]))
+
+
 def relational_comparison(objs: list[SceneObject], attribute: str, mode: str,
                           guards: GuardConfig = DEFAULT_GUARDS
                           ) -> ComparisonResult | None:
@@ -290,21 +297,14 @@ def relational_comparison(objs: list[SceneObject], attribute: str, mode: str,
     pairs = sorted(((getter(o), o.object_id) for o in objs))
     values = [p[0] for p in pairs]
 
-    def gap_ok(lo: float, hi: float) -> bool:
-        return hi >= lo * (1.0 + guards.comparison_ratio)
-
     if mode == "full-order":
-        if not all(gap_ok(values[i], values[i + 1]) for i in range(len(values) - 1)):
-            return None
-        selected = None
+        guarded, selected = values, None
     elif mode == "extreme-min":
-        if not gap_ok(values[0], values[1]):
-            return None
-        selected = pairs[0][1]
+        guarded, selected = values[:2], pairs[0][1]
     else:
-        if not gap_ok(values[-2], values[-1]):
-            return None
-        selected = pairs[-1][1]
+        guarded, selected = values[-2:], pairs[-1][1]
+    if not ratio_gaps_ok(guarded, guards):
+        return None
     return ComparisonResult(
         attribute=attribute, mode=mode,
         ordering=[p[1] for p in pairs],

@@ -110,6 +110,28 @@ class TestGenerateEvaluateCheck:
                    str(corrupted)])
         assert rc == 1
 
+    def test_oracle_check_bad_scenes_file_exits_2(self, oracle_dir, tmp_path,
+                                                 capsys):
+        scenes = tmp_path / "scenes.jsonl"
+        scenes.write_text(
+            (oracle_dir / "scenes.jsonl").read_text().splitlines()[0]
+            + "\n" + json.dumps({"scene_id": "x"}) + "\n")
+        rc = main(["oracle", "check", "--scenes", str(scenes), "--corpus",
+                   str(scenes)])
+        assert rc == 2
+        assert "scenes.jsonl line 2: bad record" in capsys.readouterr().err
+
+    def test_evaluate_bad_responses_file_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("")
+        responses = tmp_path / "responses.jsonl"
+        responses.write_text(json.dumps({"item_id": "a"}) + "\n")
+        rc = main(["evaluate", "--corpus", str(corpus), "--responses",
+                   str(responses), "--out", str(tmp_path / "report")])
+        assert rc == 2
+        assert "responses.jsonl line 1: bad record" in \
+            capsys.readouterr().err
+
 
 class TestEncodeDump:
     def test_dump_and_patchify(self, oracle_dir, tmp_path):

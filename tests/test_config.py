@@ -66,3 +66,21 @@ class TestLoadConfig:
     def test_bad_env_value_rejected(self):
         with pytest.raises(ConfigError):
             load_config(None, env={"SPATIALQA_WORKERS": "two"})
+
+    @pytest.mark.parametrize("tag_filter, match", [
+        ({"includes": ["photo"]}, "includes"),
+        ({"include": ["photo"], "exlude": ["chart"]}, "exlude"),
+        ({"exclude": ["chart"]}, "exclude needs"),
+        ({"include": [], "exclude": ["chart"]}, "exclude needs"),
+    ])
+    def test_bad_tag_filter_rejected(self, tmp_path, tag_filter, match):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"tag_filter": tag_filter}))
+        with pytest.raises(ConfigError, match=match):
+            load_config(path, env={})
+
+    def test_include_only_tag_filter_accepted(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"tag_filter": {"include": ["photo"]}}))
+        config = load_config(path, env={})
+        assert (config.tag_include, config.tag_exclude) == (["photo"], [])

@@ -19,7 +19,7 @@ from spatialqa.geometry import (
     ObjectPointCloud,
     extract_object_points,
 )
-from spatialqa.oracle.render import prune_occluded, render_scene
+from spatialqa.oracle.render import render_scene
 from spatialqa.oracle.scene import ESTIMATION_SAMPLER, sample_scene
 
 
@@ -175,6 +175,13 @@ class TestDefaults:
             dbscan_labels(np.zeros(5), eps=1.0, min_pts=1)
         with pytest.raises(ValueError, match="2-D"):
             dbscan_labels(np.zeros((2, 2, 3)), eps=1.0, min_pts=1)
+
+    def test_dimension_above_five_rejected_at_once(self):
+        # checked before any grid work: 7^8 cell offsets would take
+        # ~370 MB to enumerate at d = 8
+        for n in (0, 10):
+            with pytest.raises(ValueError, match="dimension 8"):
+                dbscan_labels(np.zeros((n, 8)), eps=1.0, min_pts=3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
@@ -401,10 +408,10 @@ def _estimation_object_cloud() -> np.ndarray:
     """The largest object cloud of the first scenes of the estimation
     preset at sigma 0.01: 20,001 points (scene 5, obj-1)."""
     seed = 5
-    scene = prune_occluded(sample_scene(seed, config=ESTIMATION_SAMPLER,
-                                        noise_sigma=0.01), 0.85)
+    scene = sample_scene(seed, config=ESTIMATION_SAMPLER, noise_sigma=0.01)
     pm, masks, _ = render_scene(scene,
-                                rng=np.random.default_rng(seed + 1_000_003))
+                                rng=np.random.default_rng(seed + 1_000_003),
+                                min_visible_fraction=0.85)
     return extract_object_points(pm, masks["obj-1"]).points
 
 
@@ -416,11 +423,11 @@ class TestPinnedLabels:
         # that can hide a label change, this hash cannot
         digest = hashlib.sha256()
         for seed in range(3):
-            scene = prune_occluded(
-                sample_scene(seed, config=ESTIMATION_SAMPLER,
-                             noise_sigma=0.01), 0.85)
+            scene = sample_scene(seed, config=ESTIMATION_SAMPLER,
+                                 noise_sigma=0.01)
             pm, masks, _ = render_scene(
-                scene, rng=np.random.default_rng(seed + 1_000_003))
+                scene, rng=np.random.default_rng(seed + 1_000_003),
+                min_visible_fraction=0.85)
             for object_id in sorted(masks):
                 pts = extract_object_points(pm, masks[object_id]).points
                 labels = dbscan_labels(pts, default_eps(pts),

@@ -10,6 +10,7 @@ from spatialqa.manifest import (
     ImageManifest,
     ManifestError,
     ObjectAnnotation,
+    read_jsonl,
     read_manifest,
     resolve_path,
     validate_manifest,
@@ -67,6 +68,24 @@ class TestRoundTrip:
         path = tmp_path / "manifest.jsonl"
         path.write_text(json.dumps({"image_id": "a"}) + "\n")
         with pytest.raises(ManifestError):
+            read_manifest(path)
+
+
+class TestReadJsonl:
+    def test_invalid_json_names_file_and_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": 1}\n\n{"a": \n')
+        with pytest.raises(ManifestError,
+                           match=r"r\.jsonl line 3: invalid JSON"):
+            read_jsonl(path, lambda r: r["a"])
+
+    @pytest.mark.parametrize("line", ['{"b": 1}', "[1, 2]", "7", '"text"'])
+    def test_rejected_record_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(json.dumps(_entry(tmp_path).to_dict()) + "\n"
+                        + line + "\n")
+        with pytest.raises(ManifestError,
+                           match=r"manifest\.jsonl line 2: bad record"):
             read_manifest(path)
 
 

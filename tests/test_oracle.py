@@ -1,13 +1,18 @@
 """Oracle scenes: sampling, rendering, pruning, independent answers."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from spatialqa.geometry import gravity_frame
 from spatialqa.oracle.answers import answers_match, oracle_answer
 from spatialqa.oracle.fixtures import problem_fixture_response
-from spatialqa.oracle.render import analytic_point, prune_occluded, render_scene
+from spatialqa.oracle.gen import generate_dataset
+from spatialqa.oracle.render import analytic_point, render_scene
 from spatialqa.oracle.scene import (
+    ESTIMATION_SAMPLER,
     OracleObject,
     OracleScene,
     box_corners_camera,
@@ -154,15 +159,71 @@ class TestPruning:
         blocker = _box("front", (0.0, 0.0, 2.0), size=(1.4, 1.4, 0.4))
         hidden = _box("back", (0.0, 0.0, 3.2), size=(0.6, 0.6, 0.4))
         scene = _manual_scene([blocker, hidden])
-        pruned = prune_occluded(scene, min_visible_fraction=0.85)
-        assert [o.object_id for o in pruned.objects] == ["front"]
+        _, masks, _ = render_scene(scene, min_visible_fraction=0.85)
+        assert list(masks) == ["front"]
 
     def test_disjoint_objects_kept(self):
         a = _box("a", (-0.8, 0.0, 3.0), size=(0.6, 0.6, 0.6))
         b = _box("b", (0.8, 0.0, 3.0), size=(0.6, 0.6, 0.6))
         scene = _manual_scene([a, b])
-        pruned = prune_occluded(scene, min_visible_fraction=0.85)
-        assert len(pruned.objects) == 2
+        _, masks, _ = render_scene(scene, min_visible_fraction=0.85)
+        assert list(masks) == ["a", "b"]
+
+    def test_hidden_object_kept_without_threshold(self):
+        blocker = _box("front", (0.0, 0.0, 2.0), size=(1.4, 1.4, 0.4))
+        hidden = _box("back", (0.0, 0.0, 3.2), size=(0.6, 0.6, 0.4))
+        _, masks, _ = render_scene(_manual_scene([blocker, hidden]))
+        assert list(masks) == ["front", "back"]
+        assert not masks["back"].any()
+
+    @pytest.mark.parametrize("seed, sampler", [
+        (1, None), (4, None), (5, ESTIMATION_SAMPLER), (9, ESTIMATION_SAMPLER),
+    ])
+    def test_pruned_render_equals_render_of_kept_objects(self, seed, sampler):
+        # dropped boxes occlude nothing: the pruned render is bit for bit
+        # the render of a scene holding only the kept objects
+        scene = sample_scene(seed, config=sampler, noise_sigma=0.01)
+        pm, masks, depth = render_scene(
+            scene, rng=np.random.default_rng(seed), min_visible_fraction=0.85)
+        kept = dataclasses.replace(
+            scene, objects=[o for o in scene.objects if o.object_id in masks])
+        assert 0 < len(kept.objects) < len(scene.objects)
+        pm2, masks2, depth2 = render_scene(kept,
+                                           rng=np.random.default_rng(seed))
+        assert np.array_equal(pm.points, pm2.points)
+        assert np.array_equal(pm.valid, pm2.valid)
+        assert np.array_equal(depth, depth2)
+        assert list(masks) == list(masks2)
+        for object_id in masks:
+            assert np.array_equal(masks[object_id], masks2[object_id])
+
+
+class TestGenOutputBytes:
+    """Every file ``oracle gen`` writes, pinned by one digest per seed set
+    over the sorted (relative path, file sha256) pairs."""
+
+    @staticmethod
+    def _tree_digest(root) -> tuple[str, int]:
+        digest = hashlib.sha256()
+        files = sorted(p.relative_to(root).as_posix()
+                       for p in root.rglob("*") if p.is_file())
+        for name in files:
+            digest.update(f"{name}\n".encode())
+            digest.update(hashlib.sha256((root / name).read_bytes()).digest())
+        return digest.hexdigest(), len(files)
+
+    def test_gt_scenes_with_fixtures(self, tmp_path):
+        generate_dataset(range(0, 20), tmp_path, problem_fixtures=True)
+        assert self._tree_digest(tmp_path) == (
+            "cd43b69edccf37cbb2d3a9d657bea03343dbe0eb363ff5ed284c0c3feda7d165",
+            84)
+
+    def test_estimation_scenes(self, tmp_path):
+        generate_dataset(range(0, 3), tmp_path, sigma=0.01, gt_boxes=False,
+                         sampler=ESTIMATION_SAMPLER)
+        assert self._tree_digest(tmp_path) == (
+            "4343807d566a5c112d606965418b266439cd73d001f6b71a653d3bbc46f3f0f7",
+            12)
 
 
 class TestOracleAnswers:

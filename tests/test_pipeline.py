@@ -119,6 +119,39 @@ class TestRunGenerate:
         assert full == resumed
         assert ledger2.family_counts == ledger0.family_counts
 
+    def test_duplicate_image_id_rejected_before_any_image_runs(
+            self, dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(Path(dataset.manifest_path).parent, data)
+        lines = (data / "manifest.jsonl").read_text().splitlines()[:3]
+        manifest = data / "duplicated.jsonl"
+        manifest.write_text("\n".join(lines + lines[:1]) + "\n")
+        image_id = json.loads(lines[0])["image_id"]
+        out = tmp_path / "o"
+        assert main(["generate", "--manifest", str(manifest),
+                     "--out", str(out)]) == 2
+        assert f"duplicate image_id {image_id!r}" in capsys.readouterr().err
+        assert not (out / "corpus.jsonl").exists()
+        assert not (out / "ledger.json").exists()
+        assert not (out / "parts").exists()
+
+    def test_limit_ledger_agrees_with_corpus(self, dataset, tmp_path):
+        config = PipelineConfig(workers=1, seed=0)
+        out = tmp_path / "o"
+        first = run_generate(dataset.manifest_path, config, out, limit=3)
+        assert first.summary == {"done": 3, "skipped": 3}
+        corpus = (out / "corpus.jsonl").read_bytes()
+        rerun = run_generate(dataset.manifest_path, config, out, limit=1)
+        ids = [e.image_id for e in read_manifest(dataset.manifest_path)]
+        # parts done earlier are assembled into the corpus, within the
+        # limit or beyond it, and the ledger says so
+        assert [rerun.statuses[i].get("reason") for i in ids] == \
+            ["already done"] * 3 + ["beyond --limit"] * 3
+        assert (out / "corpus.jsonl").read_bytes() == corpus
+        assert rerun.family_counts == first.family_counts
+        assert sum(rerun.family_counts.values()) == \
+            len(read_corpus(out / "corpus.jsonl"))
+
     def test_ledger_partitions_manifest(self, dataset, tmp_path):
         config = PipelineConfig(workers=1, seed=0)
         ledger = run_generate(dataset.manifest_path, config, tmp_path / "o",
