@@ -103,12 +103,11 @@ class AssignmentResult:
 
 def hungarian_label_transfer(
     pred_boxes: list, pred_categories: list[str], gt_boxes: list,
-    iou_threshold: float = IOU_KEEP_THRESHOLD,
 ) -> tuple[AssignmentResult, list[str | None]]:
     """Label ground-truth boxes with matched prediction categories.
 
-    Returns the assignment (only pairs with IoU >= ``iou_threshold``) and
-    a per-GT-box category list (None where no reliable match exists).
+    Returns the assignment (only pairs with IoU >= ``IOU_KEEP_THRESHOLD``)
+    and a per-GT-box category list (None where no reliable match exists).
     """
     if len(pred_boxes) != len(pred_categories):
         raise ValueError("one category per predicted box required")
@@ -137,7 +136,7 @@ def hungarian_label_transfer(
     matched_p, matched_g = set(), set()
     for i, j in raw_pairs:
         pair_iou = float(iou[i, j])
-        if pair_iou >= iou_threshold:
+        if pair_iou >= IOU_KEEP_THRESHOLD:
             result.pairs.append((i, j, pair_iou))
             labels[j] = pred_categories[i]
             matched_p.add(i)

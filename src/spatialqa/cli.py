@@ -33,12 +33,17 @@ from .pipeline import read_corpus, run_evaluate, run_generate
 from .pmap import PmapError, read_pointmap
 
 
-def _parse_seed_range(text: str) -> range:
-    for sep in (":", ".."):
-        if sep in text:
-            lo, hi = text.split(sep, 1)
-            return range(int(lo), int(hi))
-    start = int(text)
+def _seed_range(text: str) -> range:
+    """Seeds "A:B" or "A..B" (B exclusive), or the single seed "A"."""
+    try:
+        for sep in (":", ".."):
+            if sep in text:
+                lo, hi = text.split(sep, 1)
+                return range(int(lo), int(hi))
+        start = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad seed range {text!r}, expected A:B") from None
     return range(start, start + 1)
 
 
@@ -70,7 +75,7 @@ def cmd_oracle_gen(args) -> int:
     sampler = ESTIMATION_SAMPLER if args.preset == "estimation" \
         else SceneSamplerConfig()
     result = generate_dataset(
-        _parse_seed_range(args.seeds), args.out, sigma=args.sigma,
+        args.seeds, args.out, sigma=args.sigma,
         gt_boxes=not args.estimate, sampler=sampler,
         problem_fixtures=args.problem_fixtures)
     print(f"oracle gen: {result.n_scenes} scenes, {result.n_objects} objects "
@@ -151,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     osub = oracle.add_subparsers(dest="oracle_command", required=True)
 
     p = osub.add_parser("gen", help="generate oracle scenes + dataset files")
-    p.add_argument("--seeds", required=True, help="seed range a:b")
+    p.add_argument("--seeds", required=True, type=_seed_range,
+                   help="seed range a:b")
     p.add_argument("--out", required=True)
     p.add_argument("--sigma", type=float, default=0.0,
                    help="render depth noise in meters")

@@ -31,7 +31,7 @@ import os
 import tempfile
 import time
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 ROLES = ("grounder", "judge", "problem-generator")
@@ -79,12 +79,22 @@ class ClientConfig:
 
     @classmethod
     def from_dict(cls, role: str, d: dict) -> "ClientConfig":
-        return cls(role=role, endpoint=d.get("endpoint"),
-                   fixture_dir=d.get("fixture_dir"),
-                   cache_dir=d.get("cache_dir"),
-                   timeout_s=float(d.get("timeout_s", 10.0)),
-                   max_attempts=int(d.get("max_attempts", 3)),
-                   backoff_base_s=float(d.get("backoff_base_s", 0.1)))
+        """A role's config-file spec; a spec that is not an object, an
+        unknown key or a bad number raises ClientError."""
+        if not isinstance(d, dict):
+            raise ClientError(role, f"spec must be a JSON object, got {d!r}")
+        unknown = set(d) - {f.name for f in fields(cls) if f.name != "role"}
+        if unknown:
+            raise ClientError(role, f"unknown keys: {sorted(unknown)}")
+        try:
+            return cls(role=role, endpoint=d.get("endpoint"),
+                       fixture_dir=d.get("fixture_dir"),
+                       cache_dir=d.get("cache_dir"),
+                       timeout_s=float(d.get("timeout_s", 10.0)),
+                       max_attempts=int(d.get("max_attempts", 3)),
+                       backoff_base_s=float(d.get("backoff_base_s", 0.1)))
+        except (TypeError, ValueError) as e:
+            raise ClientError(role, f"bad number: {e}") from e
 
 
 class Client:

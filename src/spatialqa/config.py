@@ -5,7 +5,6 @@ Config file keys (all optional):
   workers        int, parallel image workers (default 1)
   seed           int, corpus seed (default 0)
   band           "tight" | "wide", quantitative scoring band
-  synth          candidate caps; "guards" holds the guard-band overrides
   clients        {role: {"endpoint" | "fixture_dir", "cache_dir", ...}}
   tag_filter     {"include": [...], "exclude": [...]}
   cache_dir      default client cache directory
@@ -13,22 +12,23 @@ Config file keys (all optional):
 Environment overrides (take precedence over the file):
   SPATIALQA_WORKERS, SPATIALQA_SEED, SPATIALQA_BAND, SPATIALQA_CACHE_DIR
 
-An unknown key (at the top level, in ``synth``, ``synth.guards`` or
-``tag_filter``), a ``tag_filter`` exclude list without an include list, a
-bad value, malformed JSON or a file that is not a JSON object raises
-``ConfigError``; the CLI prints it as ``error: ...`` and exits 2.
+Guard bands, per-scene synthesis caps and prompt templates are fixed
+design values (constants in ``relations``, ``qa.synth`` and
+``qa.templates``), not configuration.
+
+An unknown key (at the top level or in ``tag_filter``), a ``tag_filter``
+include or exclude that is not a list of strings, a tag in both, an
+exclude list without an include list, a bad value, malformed JSON or a
+file that is not a JSON object raises ``ConfigError``; the CLI prints it
+as ``error: ...`` and exits 2.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from .qa.synth import SynthConfig
-from .relations import GuardConfig
 
 ENV_PREFIX = "SPATIALQA_"
 
@@ -42,38 +42,26 @@ class PipelineConfig:
     workers: int = 1
     seed: int = 0
     band: str = "tight"
-    synth: SynthConfig = field(default_factory=SynthConfig)
     clients: dict[str, dict] = field(default_factory=dict)
     tag_include: list[str] = field(default_factory=list)
     tag_exclude: list[str] = field(default_factory=list)
     cache_dir: str | None = None
 
 
-def _guards_from_dict(d: dict) -> GuardConfig:
-    fields = {f.name for f in dataclasses.fields(GuardConfig)}
-    unknown = set(d) - fields
-    if unknown:
-        raise ConfigError(f"unknown guard keys: {sorted(unknown)}")
-    return GuardConfig(**d)
-
-
-def _synth_from_dict(d: dict) -> SynthConfig:
-    d = dict(d)
-    guards = _guards_from_dict(d.pop("guards", {}))
-    if "size_dimensions" in d:
-        d["size_dimensions"] = tuple(d["size_dimensions"])
-    fields = {f.name for f in dataclasses.fields(SynthConfig)} - {"guards"}
-    unknown = set(d) - fields
-    if unknown:
-        raise ConfigError(f"unknown synth keys: {sorted(unknown)}")
-    return SynthConfig(guards=guards, **d)
-
-
 def _tags_from_dict(d: dict) -> tuple[list[str], list[str]]:
     unknown = set(d) - {"include", "exclude"}
     if unknown:
         raise ConfigError(f"unknown tag_filter keys: {sorted(unknown)}")
-    include, exclude = list(d.get("include", [])), list(d.get("exclude", []))
+    include, exclude = d.get("include", []), d.get("exclude", [])
+    for name, tags in (("include", include), ("exclude", exclude)):
+        if not (isinstance(tags, list)
+                and all(isinstance(t, str) for t in tags)):
+            raise ConfigError(f"tag_filter: {name} must be a list of "
+                              f"strings, got {tags!r}")
+    overlap = set(include) & set(exclude)
+    if overlap:
+        raise ConfigError(f"tag_filter: tags in both include and exclude: "
+                          f"{sorted(overlap)}")
     if exclude and not include:
         # the vote counts include tags only, so every tagged image would
         # be skipped
@@ -81,8 +69,7 @@ def _tags_from_dict(d: dict) -> tuple[list[str], list[str]]:
     return include, exclude
 
 
-_KEYS = {"workers", "seed", "band", "synth", "clients", "tag_filter",
-         "cache_dir"}
+_KEYS = {"workers", "seed", "band", "clients", "tag_filter", "cache_dir"}
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -92,13 +79,14 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     band = raw.get("band", "tight")
     if band not in ("tight", "wide"):
         raise ConfigError(f"band must be tight or wide, got {band!r}")
+    if not isinstance(raw.get("clients", {}), dict):
+        raise ConfigError(f"clients must be an object, got {raw['clients']!r}")
     try:
         tag_include, tag_exclude = _tags_from_dict(raw.get("tag_filter", {}))
         return PipelineConfig(
             workers=int(raw.get("workers", 1)),
             seed=int(raw.get("seed", 0)),
             band=band,
-            synth=_synth_from_dict(raw.get("synth", {})),
             clients=raw.get("clients", {}),
             tag_include=tag_include,
             tag_exclude=tag_exclude,

@@ -246,15 +246,13 @@ def _accuracy(records: list[EvalRecord]) -> dict:
     return entry
 
 
-def report(records: list[EvalRecord],
-           groupings: tuple[str, ...] = ("family", "level", "format", "rule")
-           ) -> Report:
+def report(records: list[EvalRecord]) -> Report:
     """Accuracy per group; groups with n=0 are simply absent, and overall
     accuracy is None (undefined marker) when no records exist."""
     rep = Report()
     rep.overall = _accuracy(records)
     rep.missing = sum(1 for r in records if r.rule == "missing")
-    for axis in groupings:
+    for axis in ("family", "level", "format", "rule"):
         table: dict[str, dict] = {}
         for rec in records:
             key = getattr(rec, axis)

@@ -318,13 +318,14 @@ def _rect_at_angle(pts: np.ndarray, angle_deg: float):
 # ---------------------------------------------------------------------------
 
 _MIN_HALF_EXTENT = 1e-4  # meters; keeps degenerate boxes representable
+_GATE_MADS = 3.0
 
 
-def _robust_inliers(world_pts: np.ndarray, gate_mads: float = 3.0) -> np.ndarray:
+def _robust_inliers(world_pts: np.ndarray) -> np.ndarray:
     """Per-axis percentile gate; points outside on any axis are outliers.
 
     The gate expands the 1st-99th percentile interval by the larger of
-    gate_mads * MAD and 30% of the interval itself.  The MAD term rejects
+    _GATE_MADS * MAD and 30% of the interval itself.  The MAD term rejects
     far segmentation bleed; the spread term keeps thin single-face strips
     (where the mass concentrates at one end and MAD collapses) intact.
     """
@@ -333,7 +334,7 @@ def _robust_inliers(world_pts: np.ndarray, gate_mads: float = 3.0) -> np.ndarray
         v = world_pts[:, axis]
         p1, p99 = np.percentile(v, [1.0, 99.0])
         mad = np.median(np.abs(v - np.median(v)))
-        margin = max(gate_mads * mad, 0.3 * (p99 - p1))
+        margin = max(_GATE_MADS * mad, 0.3 * (p99 - p1))
         keep &= (v >= p1 - margin) & (v <= p99 + margin)
     return keep
 

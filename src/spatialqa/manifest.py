@@ -167,6 +167,17 @@ def resolve_path(manifest_path: str | Path, ref: str) -> Path:
     return Path(manifest_path).parent / p
 
 
+def _resolves(manifest_path: str | Path, ref) -> bool:
+    return isinstance(ref, str) and resolve_path(manifest_path, ref).exists()
+
+
+def _fraction(v) -> bool:
+    try:
+        return 0.0 <= float(v) <= 1.0
+    except (TypeError, ValueError):
+        return False
+
+
 def validate_manifest(path: str | Path) -> list[str]:
     """Full schema validation; returns a list of violation messages."""
     problems: list[str] = []
@@ -183,20 +194,34 @@ def validate_manifest(path: str | Path) -> list[str]:
         seen_ids.add(entry.image_id)
         if entry.width <= 0 or entry.height <= 0:
             problems.append(f"{ctx}: nonpositive dimensions")
-        pm_path = resolve_path(path, entry.pointmap)
-        if not pm_path.exists():
+        if not _resolves(path, entry.pointmap):
             problems.append(f"{ctx}: pointmap {entry.pointmap!r} does not resolve")
         if entry.gravity is not None:
-            norm = float(np.linalg.norm(entry.gravity))
-            if abs(norm - 1.0) > 1e-6:
-                problems.append(f"{ctx}: gravity norm {norm:.6f} != 1")
+            try:
+                gravity = np.asarray(entry.gravity, dtype=float)
+            except (TypeError, ValueError):
+                gravity = None
+            if gravity is None or gravity.shape != (3,):
+                problems.append(f"{ctx}: gravity {entry.gravity!r} is not "
+                                f"[gx, gy, gz]")
+            else:
+                norm = float(np.linalg.norm(gravity))
+                if abs(norm - 1.0) > 1e-6:
+                    problems.append(f"{ctx}: gravity norm {norm:.6f} != 1")
         if entry.pixel_stats is not None:
-            for key in ("white", "black", "invalid_depth"):
-                v = entry.pixel_stats.get(key)
-                if v is None or not 0.0 <= float(v) <= 1.0:
-                    problems.append(f"{ctx}: pixel_stats.{key} missing or out of range")
-        if entry.tags is not None and len(entry.tags) != 5:
-            problems.append(f"{ctx}: expected 5 tags, got {len(entry.tags)}")
+            if not isinstance(entry.pixel_stats, dict):
+                problems.append(f"{ctx}: pixel_stats is not an object")
+            else:
+                for key in ("white", "black", "invalid_depth"):
+                    if not _fraction(entry.pixel_stats.get(key)):
+                        problems.append(f"{ctx}: pixel_stats.{key} missing "
+                                        f"or out of range")
+        if entry.tags is not None:
+            if not isinstance(entry.tags, list):
+                problems.append(f"{ctx}: tags is not a list")
+            elif len(entry.tags) != 5:
+                problems.append(
+                    f"{ctx}: expected 5 tags, got {len(entry.tags)}")
 
         obj_ids = set()
         for obj in entry.objects:
@@ -204,10 +229,16 @@ def validate_manifest(path: str | Path) -> list[str]:
             if obj.object_id in obj_ids:
                 problems.append(f"{octx}: duplicate object_id")
             obj_ids.add(obj.object_id)
-            x0, y0, x1, y1 = obj.box2d
-            if not (0 <= x0 < x1 <= entry.width and 0 <= y0 < y1 <= entry.height):
-                problems.append(f"{octx}: box2d {obj.box2d} outside image bounds")
-            if obj.mask is not None and not resolve_path(path, obj.mask).exists():
+            if len(obj.box2d) != 4:
+                problems.append(f"{octx}: box2d {obj.box2d} is not "
+                                f"[x0, y0, x1, y1]")
+            else:
+                x0, y0, x1, y1 = obj.box2d
+                if not (0 <= x0 < x1 <= entry.width
+                        and 0 <= y0 < y1 <= entry.height):
+                    problems.append(
+                        f"{octx}: box2d {obj.box2d} outside image bounds")
+            if obj.mask is not None and not _resolves(path, obj.mask):
                 problems.append(f"{octx}: mask {obj.mask!r} does not resolve")
             if obj.box3d is not None:
                 for key in ("center", "size", "yaw_deg"):

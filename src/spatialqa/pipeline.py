@@ -180,7 +180,7 @@ def build_scene(entry: ImageManifest, manifest_path: str | Path,
 
     captions = _verified_captions(entry, objects, clients.get("grounder"))
     refs = assign_references(objects, gf, verified_captions=captions,
-                             boxes2d=boxes2d, guards=config.synth.guards)
+                             boxes2d=boxes2d)
     return Scene(image_id=entry.image_id, objects=objects, refs=refs,
                  gf=gf, gravity=gravity, pm=pm,
                  intrinsics=entry.intrinsics)
@@ -200,7 +200,7 @@ def process_image(entry: ImageManifest, manifest_path: str | Path,
         problems, _rejected = validate_candidates(
             digest, response.get("candidates", []))
     seed = derive_seed(config.seed, entry.image_id)
-    return synthesize_scene_qa(scene, config.synth, seed, problems=problems)
+    return synthesize_scene_qa(scene, seed, problems=problems)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +332,16 @@ def read_corpus(path: str | Path) -> list[dict]:
     return read_jsonl(path, lambda record: record)
 
 
-def read_responses(path: str | Path) -> dict[str, str]:
-    return dict(read_jsonl(
-        path, lambda record: (record["item_id"], record["response"])))
+def _response(record: dict) -> tuple[str, str | None]:
+    response = record["response"]
+    if response is not None and not isinstance(response, str):
+        raise TypeError(f"response must be a string, got {response!r}")
+    return record["item_id"], response
+
+
+def read_responses(path: str | Path) -> dict[str, str | None]:
+    """item_id -> response text; a null response counts as missing."""
+    return dict(read_jsonl(path, _response))
 
 
 def run_evaluate(corpus_path: str | Path, responses_path: str | Path,

@@ -8,10 +8,10 @@ from .items import (
     canonical_json,
     derive_seed,
 )
-from .synth import Scene, SynthConfig, synthesize_scene_qa
+from .synth import Scene, synthesize_scene_qa
 
 __all__ = [
     "DEFAULT_WEIGHTS", "FAMILIES", "FORMATS", "Payload", "QAItem",
     "SamplingConfig", "canonical_json", "derive_seed",
-    "Scene", "SynthConfig", "synthesize_scene_qa",
+    "Scene", "synthesize_scene_qa",
 ]

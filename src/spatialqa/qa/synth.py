@@ -9,7 +9,7 @@ every answer.  Output is deterministic for a fixed (seed, scene).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,8 @@ from ..pmap import PointMap
 from ..quantity import format_point, format_quantity, format_unit_vector
 from ..references import ObjectReference
 from ..relations import (
-    GuardConfig,
+    DEPTH_TIE_MARGIN_M,
+    DISTANCE_FLOOR_M,
     OPPOSITE_LABEL,
     SceneObject,
     depth_order,
@@ -39,7 +40,7 @@ from .mcq import (
     render_options,
 )
 from .problem import ValidatedProblem
-from .templates import MCQ_INSTRUCTION, TF_SUFFIX, TemplateBank, load_templates
+from .templates import MCQ_INSTRUCTION, TEMPLATES, TF_SUFFIX, pick_template
 
 
 @dataclass
@@ -58,20 +59,15 @@ class Scene:
         return self.refs[object_id].text
 
 
-@dataclass
-class SynthConfig:
-    """Candidate caps and guard bands for scene synthesis."""
-
-    guards: GuardConfig = field(default_factory=GuardConfig)
-    n_point_queries: int = 3
-    n_depth_pairs: int = 2
-    max_pairs: int = 6
-    max_comparisons: int = 4
-    max_consistency: int = 2
-    max_perspective: int = 4
-    max_counting: int = 3
-    size_dimensions: tuple[str, ...] = ("width", "height", "depth")
-    template_path: str | None = None
+# Candidate caps per scene.
+N_POINT_QUERIES = 3
+N_DEPTH_PAIRS = 2
+MAX_PAIRS = 6
+MAX_COMPARISONS = 4
+MAX_CONSISTENCY = 2
+MAX_PERSPECTIVE = 4
+MAX_COUNTING = 3
+SIZE_DIMENSIONS = ("width", "height", "depth")
 
 
 _AXIS_CHOICE_CAMERA = {
@@ -138,12 +134,9 @@ def _listing(texts: list[str]) -> str:
 
 
 class _SceneSynthesizer:
-    def __init__(self, scene: Scene, config: SynthConfig, seed: int,
-                 bank: TemplateBank):
+    def __init__(self, scene: Scene, seed: int):
         self.scene = scene
-        self.config = config
         self.rng = np.random.default_rng(seed)
-        self.bank = bank
         self.items: list[QAItem] = []
         self._seq = 0
         self.objects = sorted(scene.objects, key=lambda o: o.object_id)
@@ -183,7 +176,7 @@ class _SceneSynthesizer:
         in-sentence phrasing.
         """
         available = ["free-form"]
-        if ("true-false" in self.bank.templates.get(template_key, {})
+        if ("true-false" in TEMPLATES[template_key]
                 and payload.kind != "unit-vector"):
             available.append("true-false")
         mcq = None
@@ -206,13 +199,13 @@ class _SceneSynthesizer:
                 stated_text = stated_phrase(str(stated))
             else:
                 stated_text = _text(payload.kind, stated)
-            prompt = self.bank.pick(self.rng, template_key, "true-false")
+            prompt = pick_template(self.rng, template_key, "true-false")
             prompt = prompt.format(stated=stated_text, **fmt_args)
             prompt += TF_SUFFIX
             answer = "True" if truth else "False"
             provenance["stated"] = stated
         else:
-            prompt = self.bank.pick(self.rng, template_key, "free-form")
+            prompt = pick_template(self.rng, template_key, "free-form")
             prompt = prompt.format(**fmt_args)
             if fmt == "mcq":
                 options, answer = mcq
@@ -260,7 +253,7 @@ class _SceneSynthesizer:
         rows, cols = np.nonzero(pm.valid)
         n_pix = len(rows)
 
-        for _ in range(self.config.n_point_queries):
+        for _ in range(N_POINT_QUERIES):
             k = int(self.rng.integers(0, n_pix))
             u, v = int(cols[k]), int(rows[k])
             point = [float(c) for c in pm.point_at(u, v)]
@@ -270,10 +263,9 @@ class _SceneSynthesizer:
                 {"u": u, "v": v},
             )
 
-        margin = self.config.guards.depth_tie_margin_m
         emitted = 0
-        for _ in range(self.config.n_depth_pairs * 8):
-            if emitted >= self.config.n_depth_pairs:
+        for _ in range(N_DEPTH_PAIRS * 8):
+            if emitted >= N_DEPTH_PAIRS:
                 break
             k1 = int(self.rng.integers(0, n_pix))
             k2 = int(self.rng.integers(0, n_pix))
@@ -281,7 +273,7 @@ class _SceneSynthesizer:
             p2 = (int(cols[k2]), int(rows[k2]))
             if p1 == p2:
                 continue
-            order = depth_order(pm, p1, p2, margin_m=margin)
+            order = depth_order(pm, p1, p2)
             if order == "tie":
                 continue
             emitted += 1
@@ -289,7 +281,8 @@ class _SceneSynthesizer:
                 "depth_ordering", "depth_ordering",
                 {"u1": p1[0], "v1": p1[1], "u2": p2[0], "v2": p2[1]},
                 Payload(kind="label", value=order),
-                {"p1": list(p1), "p2": list(p2), "margin_m": margin},
+                {"p1": list(p1), "p2": list(p2),
+                 "margin_m": DEPTH_TIE_MARGIN_M},
                 label_pool=["first", "second"],
             )
 
@@ -310,7 +303,7 @@ class _SceneSynthesizer:
                 Payload(kind="quantity", value=obj.camera_distance, unit="m"),
                 {"object": obj.object_id, "aspect": "camera-distance"},
             )
-            for dim in self.config.size_dimensions:
+            for dim in SIZE_DIMENSIONS:
                 self._emit(
                     "object_size", "object_size", {"ref": ref, "dimension": dim},
                     Payload(kind="quantity",
@@ -318,7 +311,7 @@ class _SceneSynthesizer:
                     {"object": obj.object_id, "dimension": dim},
                 )
             if obj.yaw_deg is not None:
-                label = orientation_label(obj, gf, self.config.guards)
+                label = orientation_label(obj, gf)
                 if label is not None:
                     self._emit(
                         "object_orientation", "object_orientation", {"ref": ref},
@@ -331,13 +324,12 @@ class _SceneSynthesizer:
 
     def level2(self) -> None:
         gf = self.scene.gf
-        guards = self.config.guards
         n = len(self.objects)
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        for i, j in self._sample(pairs, self.config.max_pairs):
+        for i, j in self._sample(pairs, MAX_PAIRS):
             a, b = self.objects[i], self.objects[j]
             ta, tb = self.scene.ref_text(a.object_id), self.scene.ref_text(b.object_id)
-            rel = relative_direction(a, b, gf, guards)
+            rel = relative_direction(a, b, gf)
             self._emit_direction(
                 "relative_direction", rel, _AXIS_CHOICE_CAMERA,
                 _RELATION_PHRASE, {"a": ta, "b": tb},
@@ -352,7 +344,7 @@ class _SceneSynthesizer:
             dist = relative_distance(a, b, gf)
             components = [c for c in ("euclidean", "vertical", "horizontal",
                                       "depthwise")
-                          if dist.component(c) >= guards.distance_floor_m]
+                          if dist.component(c) >= DISTANCE_FLOOR_M]
             if components:
                 comp = components[int(self.rng.integers(0, len(components)))]
                 self._emit(
@@ -369,15 +361,13 @@ class _SceneSynthesizer:
             self._consistency()
 
     def _comparisons(self) -> None:
-        guards = self.config.guards
         candidates = []
         for attribute in ("camera-distance", "width", "height", "volume"):
             for mode in ("extreme-min", "extreme-max", "full-order"):
-                result = relational_comparison(self.objects, attribute, mode,
-                                               guards)
+                result = relational_comparison(self.objects, attribute, mode)
                 if result is not None:
                     candidates.append(result)
-        for result in self._sample(candidates, self.config.max_comparisons):
+        for result in self._sample(candidates, MAX_COMPARISONS):
             ordered_texts = [self.scene.ref_text(oid) for oid in result.ordering]
             listing_order = self.rng.permutation(len(ordered_texts))
             listing = _listing([ordered_texts[k] for k in listing_order])
@@ -416,15 +406,14 @@ class _SceneSynthesizer:
         return pool
 
     def _consistency(self) -> None:
-        guards = self.config.guards
         yawed = [o for o in self.objects if o.yaw_deg is not None]
         candidates = []
         for i in range(len(yawed)):
             for j in range(i + 1, len(yawed)):
-                rel = orientation_consistency(yawed[i], yawed[j], guards)
+                rel = orientation_consistency(yawed[i], yawed[j])
                 if rel is not None:
                     candidates.append((yawed[i], yawed[j], rel))
-        for a, b, rel in self._sample(candidates, self.config.max_consistency):
+        for a, b, rel in self._sample(candidates, MAX_CONSISTENCY):
             self._emit(
                 "relational_comparison", "orientation_consistency",
                 {"a": self.scene.ref_text(a.object_id),
@@ -457,20 +446,19 @@ class _SceneSynthesizer:
             ))
 
     def _perspective(self) -> None:
-        guards = self.config.guards
         anchors = [o for o in self.objects if o.yaw_deg is not None]
         combos = [(a, t) for a in anchors for t in self.objects
                   if t.object_id != a.object_id]
-        for anchor, target in self._sample(combos, self.config.max_perspective):
+        for anchor, target in self._sample(combos, MAX_PERSPECTIVE):
             direction, distance = perspective_transform(anchor, target,
-                                                        self.scene.gf, guards)
+                                                        self.scene.gf)
             ta = self.scene.ref_text(anchor.object_id)
             tt = self.scene.ref_text(target.object_id)
             self._emit_direction(
                 "perspective_taking", direction, _AXIS_CHOICE_ANCHOR,
                 _ANCHOR_PHRASE, {"anchor": ta, "target": tt},
                 {"anchor": anchor.object_id, "target": target.object_id})
-            if distance.euclidean >= guards.distance_floor_m:
+            if distance.euclidean >= DISTANCE_FLOOR_M:
                 self._emit(
                     "perspective_taking", "perspective_distance",
                     {"anchor": ta, "target": tt},
@@ -481,7 +469,6 @@ class _SceneSynthesizer:
                 )
 
     def _counting(self) -> None:
-        guards = self.config.guards
         categories = sorted({o.category for o in self.objects})
         candidates = []
         for category in categories:
@@ -493,11 +480,11 @@ class _SceneSynthesizer:
                 for label in ("left", "right", "front", "behind",
                               "above", "below"):
                     count = spatial_count(self.objects, category, anchor,
-                                          label, self.scene.gf, guards)
+                                          label, self.scene.gf)
                     if count is not None:
                         candidates.append((category, anchor, label, count))
         for category, anchor, label, count in self._sample(
-                candidates, self.config.max_counting):
+                candidates, MAX_COUNTING):
             self._emit(
                 "spatial_counting", "spatial_counting",
                 {"category": category,
@@ -509,7 +496,7 @@ class _SceneSynthesizer:
             )
 
 
-def synthesize_scene_qa(scene: Scene, config: SynthConfig, seed: int,
+def synthesize_scene_qa(scene: Scene, seed: int,
                         problems: list[ValidatedProblem] | None = None
                         ) -> list[QAItem]:
     """All QA items for one scene; deterministic for fixed seed and scene.
@@ -519,8 +506,7 @@ def synthesize_scene_qa(scene: Scene, config: SynthConfig, seed: int,
     """
     if not scene.objects:
         return []
-    bank = load_templates(config.template_path)
-    synth = _SceneSynthesizer(scene, config, seed, bank)
+    synth = _SceneSynthesizer(scene, seed)
     synth.level0()
     synth.level1()
     synth.level2()

@@ -1,21 +1,16 @@
-"""Prompt template bank: several paraphrases per family, seeded choice.
+"""Prompt templates: several paraphrases per family, seeded choice.
 
-A template file is JSON: {"version": int, "families": {family: {format:
-[template, ...]}}}.  "free-form" templates phrase the question;
-"true-false" templates phrase a declarative statement (the True/False
-suffix is appended by the synthesizer); MCQ reuses the free-form
-question with an option block.  Placeholders are named; the synthesizer
-formats each template with the fields listed per family below.
+``TEMPLATES`` maps a template key to {format: [template, ...]}.
+"free-form" templates phrase the question; "true-false" templates phrase
+a declarative statement (the True/False suffix is appended by the
+synthesizer); MCQ reuses the free-form question with an option block.
+Placeholders are named; the synthesizer formats each template with the
+fields listed per family below.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
-
-TEMPLATE_VERSION = 1
 
 # placeholders by family:
 #   point_querying      u, v, stated (tf)
@@ -28,7 +23,7 @@ TEMPLATE_VERSION = 1
 #   relational_comparison  listing, superlative / low, high, stated (tf)
 #   perspective_taking  anchor, target, choice, stated (tf)
 #   spatial_counting    category, relation_phrase, anchor, stated (tf)
-DEFAULT_TEMPLATES: dict[str, dict[str, list[str]]] = {
+TEMPLATES: dict[str, dict[str, list[str]]] = {
     "point_querying": {
         "free-form": [
             "What are the 3D coordinates, in meters, of the point at pixel ({u}, {v})?",
@@ -167,22 +162,7 @@ TF_SUFFIX = " True or False?"
 MCQ_INSTRUCTION = "Answer with the letter of the correct option."
 
 
-class TemplateBank:
-    def __init__(self, templates: dict, version: int = TEMPLATE_VERSION):
-        self.templates = templates
-        self.version = version
-
-    def pick(self, rng: np.random.Generator, key: str, fmt: str) -> str:
-        group = self.templates.get(key)
-        if not group or fmt not in group:
-            raise KeyError(f"no template for {key!r} / {fmt!r}")
-        options = group[fmt]
-        return options[int(rng.integers(0, len(options)))]
-
-
-def load_templates(path: str | Path | None = None) -> TemplateBank:
-    """Default bank, or a versioned JSON template file override."""
-    if path is None:
-        return TemplateBank(DEFAULT_TEMPLATES)
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return TemplateBank(data["families"], version=data.get("version", 0))
+def pick_template(rng: np.random.Generator, key: str, fmt: str) -> str:
+    """One of the ``fmt`` paraphrases of ``key``, drawn from ``rng``."""
+    options = TEMPLATES[key][fmt]
+    return options[int(rng.integers(0, len(options)))]

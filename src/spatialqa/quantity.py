@@ -63,15 +63,16 @@ def parse_quantity(text: str) -> float | None:
     return None
 
 
-def format_point(p, decimals: int = METER_DECIMALS) -> str:
+def format_point(p) -> str:
     """Canonical text for a camera-frame point: "(x, y, z) meters"."""
-    x, y, z = (float(v) for v in p)
-    return f"({x:.{decimals}f}, {y:.{decimals}f}, {z:.{decimals}f}) meters"
+    return f"{format_unit_vector(p)} meters"
 
 
-def format_unit_vector(v, decimals: int = METER_DECIMALS) -> str:
+def format_unit_vector(v) -> str:
+    """Canonical text for a 3-vector: "(x, y, z)"."""
     x, y, z = (float(c) for c in v)
-    return f"({x:.{decimals}f}, {y:.{decimals}f}, {z:.{decimals}f})"
+    d = METER_DECIMALS
+    return f"({x:.{d}f}, {y:.{d}f}, {z:.{d}f})"
 
 
 _TRIPLE_RE = re.compile(

@@ -26,8 +26,8 @@ import numpy as np
 from .geometry import GravityFrame
 from .relations import (
     ATTRIBUTE_GETTERS,
-    DEFAULT_GUARDS,
-    GuardConfig,
+    COMPARISON_RATIO,
+    COORDINATE_GAP_FLOOR_M,
     SceneObject,
     ratio_gaps_ok,
 )
@@ -116,15 +116,14 @@ _AXIS_SIDE = {0: ("left", "left-right"), 1: ("top", "top-bottom"),
               2: ("front", "front-back")}
 
 
-def linear_order_reference(objs: list[SceneObject], gf: GravityFrame,
-                           ratio: float = PCA_LINEAR_RATIO
+def linear_order_reference(objs: list[SceneObject], gf: GravityFrame
                            ) -> list[ObjectReference] | None:
     """Ordinal references along the dominant axis of a near-linear group.
 
     Principal components come from the SVD of the centered world-frame
     centers; the group is linear when the second singular value is below
-    ``ratio`` of the first.  Returns None when the group is not linear or
-    the dominant direction is ambiguous between two world axes.
+    ``PCA_LINEAR_RATIO`` of the first.  Returns None when the group is not
+    linear or the dominant direction is ambiguous between two world axes.
     """
     if len(objs) < 3:
         return None
@@ -134,7 +133,7 @@ def linear_order_reference(objs: list[SceneObject], gf: GravityFrame,
     s0, s1 = float(svals[0]), float(svals[1])
     if s0 <= 0:
         return None
-    if s1 / s0 >= ratio:
+    if s1 / s0 >= PCA_LINEAR_RATIO:
         return None
 
     pc1 = vt[0]
@@ -190,22 +189,21 @@ _PAIR_SURFACE = {"camera-distance": ("the closer {cat}", "the farther {cat}")}
 _SIZE_DIMENSIONS = ("width", "height", "volume")
 
 
-def _coordinate_gaps_ok(values: list[float], guards: GuardConfig) -> bool:
+def _coordinate_gaps_ok(values: list[float]) -> bool:
     for lo, hi in zip(values, values[1:]):
         gap = hi - lo
-        if gap < max(guards.comparison_ratio * max(abs(lo), abs(hi)),
-                     guards.coordinate_gap_floor_m):
+        if gap < max(COMPARISON_RATIO * max(abs(lo), abs(hi)),
+                     COORDINATE_GAP_FLOOR_M):
             return False
     return True
 
 
 def _rank_references(objs: list[SceneObject], metric: str, value, gaps_ok,
-                     guards: GuardConfig,
                      out: dict[str, list[ObjectReference]]) -> None:
     """Append a rank reference per object along ``metric`` to ``out``,
     unless some pair of adjacent ranked values fails ``gaps_ok``."""
     ranked = sorted(objs, key=value)
-    if not gaps_ok([value(o) for o in ranked], guards):
+    if not gaps_ok([value(o) for o in ranked]):
         return
     n = len(ranked)
     low, high, mid = _RANK_SURFACE[metric]
@@ -223,8 +221,7 @@ def _rank_references(objs: list[SceneObject], metric: str, value, gaps_ok,
         ))
 
 
-def positional_reference(objs: list[SceneObject], gf: GravityFrame,
-                         guards: GuardConfig = DEFAULT_GUARDS
+def positional_reference(objs: list[SceneObject], gf: GravityFrame
                          ) -> dict[str, list[ObjectReference]]:
     """Rank-based positional references for a same-category group.
 
@@ -239,15 +236,13 @@ def positional_reference(objs: list[SceneObject], gf: GravityFrame,
     for axis_i, axis in enumerate(("x", "y", "z")):
         _rank_references(
             objs, axis, lambda o: float(centers[o.object_id][axis_i]),
-            _coordinate_gaps_ok, guards, out)
+            _coordinate_gaps_ok, out)
     _rank_references(objs, "camera-distance",
-                     ATTRIBUTE_GETTERS["camera-distance"], ratio_gaps_ok,
-                     guards, out)
+                     ATTRIBUTE_GETTERS["camera-distance"], ratio_gaps_ok, out)
     return out
 
 
-def size_reference(objs: list[SceneObject], dimension: str,
-                   guards: GuardConfig = DEFAULT_GUARDS
+def size_reference(objs: list[SceneObject], dimension: str
                    ) -> dict[str, list[ObjectReference]]:
     """Size-rank references ("the widest sofa") for a same-category group."""
     if dimension not in _SIZE_DIMENSIONS:
@@ -255,7 +250,7 @@ def size_reference(objs: list[SceneObject], dimension: str,
     out: dict[str, list[ObjectReference]] = {o.object_id: [] for o in objs}
     if len(objs) >= 2:
         _rank_references(objs, dimension, ATTRIBUTE_GETTERS[dimension],
-                         ratio_gaps_ok, guards, out)
+                         ratio_gaps_ok, out)
     return out
 
 
@@ -277,8 +272,7 @@ def select_reference(candidates: list[ObjectReference]) -> ObjectReference:
 
 def assign_references(objs: list[SceneObject], gf: GravityFrame,
                       verified_captions: dict[str, str] | None = None,
-                      boxes2d: dict[str, list] | None = None,
-                      guards: GuardConfig = DEFAULT_GUARDS
+                      boxes2d: dict[str, list] | None = None
                       ) -> dict[str, ObjectReference]:
     """One unique reference per object, picking the simplest passing kind."""
     verified_captions = verified_captions or {}
@@ -304,10 +298,10 @@ def assign_references(objs: list[SceneObject], gf: GravityFrame,
         if linear:
             for ref in linear:
                 candidates[ref.object_id].append(ref)
-        for oid, refs in positional_reference(group, gf, guards).items():
+        for oid, refs in positional_reference(group, gf).items():
             candidates[oid].extend(refs)
         for dimension in _SIZE_DIMENSIONS:
-            for oid, refs in size_reference(group, dimension, guards).items():
+            for oid, refs in size_reference(group, dimension).items():
                 candidates[oid].extend(refs)
 
     result: dict[str, ObjectReference] = {}
@@ -325,8 +319,7 @@ def assign_references(objs: list[SceneObject], gf: GravityFrame,
 
 
 def resolve_reference(ref: ObjectReference, objs: list[SceneObject],
-                      gf: GravityFrame, guards: GuardConfig = DEFAULT_GUARDS
-                      ) -> SceneObject | None:
+                      gf: GravityFrame) -> SceneObject | None:
     """Re-resolve a non-textual reference against the scene.
 
     Returns the unique matching object, or None when the reference no
@@ -351,9 +344,9 @@ def resolve_reference(ref: ObjectReference, objs: list[SceneObject],
                 return _by_id(r.object_id, objs)
         return None
     if ref.kind == "positional":
-        table = positional_reference(group, gf, guards)
+        table = positional_reference(group, gf)
     elif ref.kind == "size-comparison":
-        table = size_reference(group, ref.params["dimension"], guards)
+        table = size_reference(group, ref.params["dimension"])
     else:
         raise ValueError(f"unknown reference kind {ref.kind!r}")
     for oid, refs in table.items():

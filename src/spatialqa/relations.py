@@ -5,9 +5,10 @@ on object pairs and groups, level 3 adds anchor-centric viewpoints and
 constrained counting.
 
 Qualitative outputs are guard-banded: a label is only produced when the
-underlying quantity clears a configurable margin from the bin boundary,
-so every emitted answer is unambiguous.  Functions return None where a
-guard suppresses the output; precondition violations raise.
+underlying quantity clears a fixed margin (the module constants below)
+from the bin boundary, so every emitted answer is unambiguous.  Functions
+return None where a guard suppresses the output; precondition violations
+raise.
 
 Direction labels are observer-centric: "front" is along the observer's
 facing direction (the camera's forward axis for camera-frame questions),
@@ -33,25 +34,16 @@ class NoGeometryError(RelationError):
     """Pixel query on an invalid or out-of-bounds pixel."""
 
 
-@dataclass(frozen=True)
-class GuardConfig:
-    """Margins a qualitative answer must clear before a QA item is emitted."""
-
-    orientation_deg: float = 30.0        # yaw distance to a canonical facing
-    direction_deg: float = 30.0          # min angle from axis plane boundary
-    comparison_ratio: float = 0.10       # min gap between compared values
-    consistency_deg: float = 15.0        # similar/orthogonal/opposite bins
-    depth_tie_margin_m: float = 0.15     # depth-order tie window
-    coordinate_gap_floor_m: float = 0.05  # absolute floor for coordinate ranks
-    distance_floor_m: float = 0.20       # min component distance for QA emission
-
-    @property
-    def direction_component(self) -> float:
-        """Minimum |unit-vector component| for an axis label."""
-        return math.sin(math.radians(self.direction_deg))
-
-
-DEFAULT_GUARDS = GuardConfig()
+# Margins a qualitative answer must clear before a QA item is emitted.
+ORIENTATION_GUARD_DEG = 30.0     # yaw distance to a canonical facing
+DIRECTION_GUARD_DEG = 30.0       # min angle from axis plane boundary
+COMPARISON_RATIO = 0.10          # min gap between compared values
+CONSISTENCY_DEG = 15.0           # similar/orthogonal/opposite bins
+DEPTH_TIE_MARGIN_M = 0.15        # depth-order tie window
+COORDINATE_GAP_FLOOR_M = 0.05    # absolute floor for coordinate ranks
+DISTANCE_FLOOR_M = 0.20          # min component distance for QA emission
+# minimum |unit-vector component| for an axis label
+DIRECTION_COMPONENT = math.sin(math.radians(DIRECTION_GUARD_DEG))
 
 AXIS_LABELS = {
     "x": ("left", "right"),    # negative, positive world/anchor x
@@ -152,12 +144,12 @@ def query_point(pm: PointMap, u: int, v: int) -> np.ndarray:
     return pm.point_at(u, v).astype(float)
 
 
-def depth_order(pm: PointMap, p1: tuple[int, int], p2: tuple[int, int],
-                margin_m: float = DEFAULT_GUARDS.depth_tie_margin_m) -> str:
+def depth_order(pm: PointMap, p1: tuple[int, int],
+                p2: tuple[int, int]) -> str:
     """Which pixel is closer in depth: "first", "second" or "tie"."""
     z1 = query_point(pm, *p1)[2]
     z2 = query_point(pm, *p2)[2]
-    if abs(z1 - z2) <= margin_m:
+    if abs(z1 - z2) <= DEPTH_TIE_MARGIN_M:
         return "tie"
     return "first" if z1 < z2 else "second"
 
@@ -171,8 +163,7 @@ def object_position(obj: SceneObject) -> tuple[np.ndarray, float]:
     return obj.center.astype(float), obj.camera_distance
 
 
-def orientation_label(obj: SceneObject, gf: GravityFrame,
-                      guards: GuardConfig = DEFAULT_GUARDS) -> str | None:
+def orientation_label(obj: SceneObject, gf: GravityFrame) -> str | None:
     """Canonical facing label from yaw (and optional pitch), guard-banded.
 
     Returns None when the facing is not within the guard band of any
@@ -182,8 +173,8 @@ def orientation_label(obj: SceneObject, gf: GravityFrame,
         raise RelationError(f"object {obj.object_id!r} has no yaw")
     pitch = obj.pitch_deg
     vertical = None
-    if pitch is not None and abs(pitch) >= guards.orientation_deg:
-        if abs(pitch) > 90.0 - guards.orientation_deg:
+    if pitch is not None and abs(pitch) >= ORIENTATION_GUARD_DEG:
+        if abs(pitch) > 90.0 - ORIENTATION_GUARD_DEG:
             return "up" if pitch > 0 else "down"
         vertical = "up" if pitch > 0 else "down"
 
@@ -193,7 +184,7 @@ def orientation_label(obj: SceneObject, gf: GravityFrame,
         d = abs((yaw - canonical + 180.0) % 360.0 - 180.0)
         if d < best_d:
             best_i, best_d = i, d
-    if best_d > guards.orientation_deg:
+    if best_d > ORIENTATION_GUARD_DEG:
         return None
     label = ORIENTATION_LABELS[best_i]
     return f"{label}-{vertical}" if vertical else label
@@ -203,21 +194,21 @@ def orientation_label(obj: SceneObject, gf: GravityFrame,
 # Level 2
 # ---------------------------------------------------------------------------
 
-def _label_components(unit: np.ndarray, guards: GuardConfig):
+def _label_components(unit: np.ndarray):
     labels: dict[str, str] = {}
     margins: dict[str, float] = {}
     for i, axis in enumerate(("x", "y", "z")):
         comp = float(unit[i])
         margins[axis] = math.degrees(math.asin(min(abs(comp), 1.0))) \
-            - guards.direction_deg
-        if abs(comp) >= guards.direction_component:
+            - DIRECTION_GUARD_DEG
+        if abs(comp) >= DIRECTION_COMPONENT:
             neg, pos = AXIS_LABELS[axis]
             labels[axis] = pos if comp > 0 else neg
     return labels, margins
 
 
-def relative_direction(a: SceneObject, b: SceneObject, gf: GravityFrame,
-                       guards: GuardConfig = DEFAULT_GUARDS) -> DirectionResult:
+def relative_direction(a: SceneObject, b: SceneObject,
+                       gf: GravityFrame) -> DirectionResult:
     """Direction from a to b: camera-frame unit vector plus per-axis labels.
 
     Labels are evaluated on the gravity-aligned world components and only
@@ -231,7 +222,7 @@ def relative_direction(a: SceneObject, b: SceneObject, gf: GravityFrame,
         )
     vec_cam = delta / norm
     comp = gf.to_world(delta) / norm
-    labels, margins = _label_components(comp, guards)
+    labels, margins = _label_components(comp)
     return DirectionResult(vector=vec_cam, frame="camera", components=comp,
                            labels=labels, margins_deg=margins)
 
@@ -271,16 +262,15 @@ class ComparisonResult:
     selected: str | None = None    # for extreme modes
 
 
-def ratio_gaps_ok(values: list[float], guards: GuardConfig) -> bool:
+def ratio_gaps_ok(values: list[float]) -> bool:
     """The 10% rule: each of the ascending ``values`` exceeds the one
-    before it by at least ``guards.comparison_ratio`` of it."""
-    return all(hi >= lo * (1.0 + guards.comparison_ratio)
+    before it by at least ``COMPARISON_RATIO`` of it."""
+    return all(hi >= lo * (1.0 + COMPARISON_RATIO)
                for lo, hi in zip(values, values[1:]))
 
 
-def relational_comparison(objs: list[SceneObject], attribute: str, mode: str,
-                          guards: GuardConfig = DEFAULT_GUARDS
-                          ) -> ComparisonResult | None:
+def relational_comparison(objs: list[SceneObject], attribute: str,
+                          mode: str) -> ComparisonResult | None:
     """Order or select objects by an attribute; None when the guard fails.
 
     Extreme modes require the 10% gap only next to the selected extreme;
@@ -303,7 +293,7 @@ def relational_comparison(objs: list[SceneObject], attribute: str, mode: str,
         guarded, selected = values[:2], pairs[0][1]
     else:
         guarded, selected = values[-2:], pairs[-1][1]
-    if not ratio_gaps_ok(guarded, guards):
+    if not ratio_gaps_ok(guarded):
         return None
     return ComparisonResult(
         attribute=attribute, mode=mode,
@@ -313,17 +303,16 @@ def relational_comparison(objs: list[SceneObject], attribute: str, mode: str,
     )
 
 
-def orientation_consistency(a: SceneObject, b: SceneObject,
-                            guards: GuardConfig = DEFAULT_GUARDS) -> str | None:
+def orientation_consistency(a: SceneObject, b: SceneObject) -> str | None:
     """similar / orthogonal / opposite yaw relation, or None in the gaps."""
     if a.yaw_deg is None or b.yaw_deg is None:
         raise RelationError("both objects need a yaw for consistency")
     delta = abs((a.yaw_deg - b.yaw_deg + 180.0) % 360.0 - 180.0)
-    if delta <= guards.consistency_deg:
+    if delta <= CONSISTENCY_DEG:
         return "similar"
-    if abs(delta - 90.0) <= guards.consistency_deg:
+    if abs(delta - 90.0) <= CONSISTENCY_DEG:
         return "orthogonal"
-    if delta >= 180.0 - guards.consistency_deg:
+    if delta >= 180.0 - CONSISTENCY_DEG:
         return "opposite"
     return None
 
@@ -353,8 +342,7 @@ def _anchor_frame(anchor: SceneObject | ObserverPose, gf: GravityFrame
 
 
 def perspective_transform(anchor: SceneObject | ObserverPose,
-                          target: SceneObject, gf: GravityFrame,
-                          guards: GuardConfig = DEFAULT_GUARDS
+                          target: SceneObject, gf: GravityFrame
                           ) -> tuple[DirectionResult, DistanceResult]:
     """Direction and distances of target in the anchor-centric frame.
 
@@ -369,7 +357,7 @@ def perspective_transform(anchor: SceneObject | ObserverPose,
     if norm < 1e-9:
         raise RelationError("target coincides with the anchor")
     unit = delta / norm
-    labels, margins = _label_components(unit, guards)
+    labels, margins = _label_components(unit)
     direction = DirectionResult(vector=unit, frame="anchor", components=unit,
                                 labels=labels, margins_deg=margins)
     return direction, _distance_result(delta)
@@ -381,8 +369,8 @@ def camera_pose() -> ObserverPose:
 
 
 def spatial_count(objs: list[SceneObject], category: str,
-                  anchor: SceneObject, label: str, gf: GravityFrame,
-                  guards: GuardConfig = DEFAULT_GUARDS) -> int | None:
+                  anchor: SceneObject, label: str,
+                  gf: GravityFrame) -> int | None:
     """Count category members with the given directional relation to anchor.
 
     Returns None when any member's relation along the queried axis is
@@ -396,7 +384,7 @@ def spatial_count(objs: list[SceneObject], category: str,
                if o.category == category and o.object_id != anchor.object_id]
     count = 0
     for member in members:
-        rel = relative_direction(anchor, member, gf, guards)
+        rel = relative_direction(anchor, member, gf)
         if axis not in rel.labels:
             return None
         if rel.labels[axis] == label:

@@ -34,6 +34,15 @@ class TestOracleGen:
         manifest = (tmp_path / "est" / "manifest.jsonl").read_text()
         assert "box3d" not in manifest
 
+    @pytest.mark.parametrize("seeds", ["x:3", "1:", "a..b", "x"])
+    def test_bad_seed_range_is_a_usage_error(self, tmp_path, capsys, seeds):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "gen", "--seeds", seeds, "--out",
+                  str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "bad seed range" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestValidate:
     def test_clean_manifest_passes(self, oracle_dir, capsys):
@@ -132,6 +141,19 @@ class TestGenerateEvaluateCheck:
         assert "responses.jsonl line 1: bad record" in \
             capsys.readouterr().err
 
+    def test_evaluate_non_string_response_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("")
+        responses = tmp_path / "responses.jsonl"
+        responses.write_text(
+            json.dumps({"item_id": "a", "response": "2 meters"}) + "\n"
+            + json.dumps({"item_id": "b", "response": 3}) + "\n")
+        rc = main(["evaluate", "--corpus", str(corpus), "--responses",
+                   str(responses), "--out", str(tmp_path / "report")])
+        assert rc == 2
+        assert "responses.jsonl line 2: bad record" in \
+            capsys.readouterr().err
+
 
 class TestEncodeDump:
     def test_dump_and_patchify(self, oracle_dir, tmp_path):
@@ -172,6 +194,23 @@ class TestErrors:
         # a client role with neither an endpoint nor a fixture directory
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"clients": {"judge": {}}}))
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        rc = main(["evaluate", "--corpus", str(empty), "--responses",
+                   str(empty), "--config", str(config),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("clients", [
+        {"judge": {"fixture_dir": "fx", "timeout_s": "abc"}},
+        {"judge": "http://x"},
+        {"judge": {"fixture_dir": "fx", "cache-dir": "c"}},
+        "http://x",
+    ])
+    def test_bad_client_spec_exit_code(self, tmp_path, capsys, clients):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"clients": clients}))
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         rc = main(["evaluate", "--corpus", str(empty), "--responses",

@@ -126,3 +126,14 @@ class TestBuildClients:
     def test_unconfigured_client_rejected(self):
         with pytest.raises(ClientError):
             Client(ClientConfig(role="judge"))
+
+    @pytest.mark.parametrize("spec, match", [
+        ("http://x", "must be a JSON object"),
+        (["http://x"], "must be a JSON object"),
+        ({"fixture_dir": "fx", "timeout_s": "abc"}, "bad number"),
+        ({"fixture_dir": "fx", "max_attempts": [3]}, "bad number"),
+        ({"fixture_dir": "fx", "cache-dir": "c"}, "unknown keys.*cache-dir"),
+    ])
+    def test_bad_spec_rejected(self, spec, match):
+        with pytest.raises(ClientError, match=match):
+            build_clients({"judge": spec})

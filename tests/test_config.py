@@ -1,6 +1,8 @@
 """Configuration loading and environment overrides."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,23 +15,17 @@ class TestLoadConfig:
         assert config.workers == 1
         assert config.seed == 0
         assert config.band == "tight"
-        assert config.synth.guards.orientation_deg == 30.0
 
     def test_file_values(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({
             "workers": 4, "seed": 11, "band": "wide",
-            "synth": {"n_point_queries": 5,
-                      "guards": {"depth_tie_margin_m": 0.3}},
             "clients": {"judge": {"fixture_dir": "/fx"}},
             "tag_filter": {"include": ["photo"], "exclude": ["chart"]},
         }))
         config = load_config(path, env={})
         assert config.workers == 4
         assert config.band == "wide"
-        assert config.synth.n_point_queries == 5
-        assert config.synth.guards.depth_tie_margin_m == 0.3
-        assert config.synth.guards.orientation_deg == 30.0  # default kept
         assert config.clients["judge"]["fixture_dir"] == "/fx"
         assert config.tag_include == ["photo"]
 
@@ -46,9 +42,11 @@ class TestLoadConfig:
         assert config.cache_dir == "/cc"
 
     def test_unknown_guard_key_rejected(self, tmp_path):
+        # guard bands and synthesis caps are constants, not config keys
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"synth": {"guards": {"bogus": 1}}}))
-        with pytest.raises(ConfigError):
+        path.write_text(json.dumps(
+            {"synth": {"guards": {"depth_tie_margin_m": 0.3}}}))
+        with pytest.raises(ConfigError, match="unknown config keys.*synth"):
             load_config(path, env={})
 
     def test_bad_band_rejected(self, tmp_path):
@@ -72,6 +70,10 @@ class TestLoadConfig:
         ({"include": ["photo"], "exlude": ["chart"]}, "exlude"),
         ({"exclude": ["chart"]}, "exclude needs"),
         ({"include": [], "exclude": ["chart"]}, "exclude needs"),
+        ({"include": ["photo"], "exclude": ["photo"]}, "both.*photo"),
+        ({"include": "photo"}, "include must be a list"),
+        ({"include": ["photo"], "exclude": "chart"}, "exclude must be a list"),
+        ({"include": [1]}, "include must be a list"),
     ])
     def test_bad_tag_filter_rejected(self, tmp_path, tag_filter, match):
         path = tmp_path / "config.json"
@@ -84,3 +86,14 @@ class TestLoadConfig:
         path.write_text(json.dumps({"tag_filter": {"include": ["photo"]}}))
         config = load_config(path, env={})
         assert (config.tag_include, config.tag_exclude) == (["photo"], [])
+
+
+def test_readme_configuration_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    path = tmp_path / "config.json"
+    path.write_text(example)
+    config = load_config(path, env={})
+    assert config.workers == json.loads(example)["workers"]

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from spatialqa.cli import main
 from spatialqa.geometry import CameraIntrinsics
 from spatialqa.manifest import (
     ImageManifest,
@@ -130,6 +131,30 @@ class TestValidation:
         path = tmp_path / "manifest.jsonl"
         write_manifest([entry], path)
         assert any("pixel_stats" in p for p in validate_manifest(path))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("box2d", [1, 2, 3], "is not [x0, y0, x1, y1]"),
+        ("pixel_stats", "oops", "pixel_stats is not an object"),
+        ("pixel_stats", {"white": "x", "black": 0.0, "invalid_depth": 0.0},
+         "pixel_stats.white missing or out of range"),
+        ("gravity", "oops", "is not [gx, gy, gz]"),
+        ("gravity", [0.0, "a", 0.0], "is not [gx, gy, gz]"),
+        ("tags", 3, "tags is not a list"),
+        ("pointmap", 3, "pointmap 3 does not resolve"),
+        ("mask", 3, "mask 3 does not resolve"),
+    ])
+    def test_hostile_field_is_a_violation(self, tmp_path, capsys, field,
+                                          value, message):
+        record = _entry(tmp_path).to_dict()
+        if field in ("box2d", "mask"):
+            record["objects"][0][field] = value
+        else:
+            record[field] = value
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert any(message in p for p in validate_manifest(path))
+        assert main(["validate", "--manifest", str(path)]) == 1
+        assert "violation: image 'img-0'" in capsys.readouterr().err
 
 
 class TestResolvePath:

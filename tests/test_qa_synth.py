@@ -14,7 +14,7 @@ from spatialqa.qa.items import (
     canonical_json,
     derive_seed,
 )
-from spatialqa.qa.synth import Scene, SynthConfig, synthesize_scene_qa
+from spatialqa.qa.synth import Scene, synthesize_scene_qa
 from spatialqa.references import assign_references
 from spatialqa.relations import SceneObject
 
@@ -47,15 +47,13 @@ def rich_scene():
 
 class TestDeterminism:
     def test_same_seed_identical_output(self, rich_scene):
-        config = SynthConfig()
-        a = synthesize_scene_qa(rich_scene, config, seed=7)
-        b = synthesize_scene_qa(rich_scene, config, seed=7)
+        a = synthesize_scene_qa(rich_scene, seed=7)
+        b = synthesize_scene_qa(rich_scene, seed=7)
         assert [i.to_json() for i in a] == [i.to_json() for i in b]
 
     def test_different_seed_differs(self, rich_scene):
-        config = SynthConfig()
-        a = synthesize_scene_qa(rich_scene, config, seed=7)
-        b = synthesize_scene_qa(rich_scene, config, seed=8)
+        a = synthesize_scene_qa(rich_scene, seed=7)
+        b = synthesize_scene_qa(rich_scene, seed=8)
         assert [i.to_json() for i in a] != [i.to_json() for i in b]
 
     def test_derive_seed_stable_and_distinct(self):
@@ -66,7 +64,7 @@ class TestDeterminism:
 
 class TestFormatInvariants:
     def test_every_item_well_formed(self, rich_scene):
-        items = synthesize_scene_qa(rich_scene, SynthConfig(), seed=0)
+        items = synthesize_scene_qa(rich_scene, seed=0)
         assert items
         for item in items:
             if item.format == "mcq":
@@ -81,13 +79,13 @@ class TestFormatInvariants:
             assert item.image_id == "img-0"
 
     def test_roundtrip_json(self, rich_scene):
-        items = synthesize_scene_qa(rich_scene, SynthConfig(), seed=0)
+        items = synthesize_scene_qa(rich_scene, seed=0)
         for item in items:
             back = QAItem.from_json(item.to_json())
             assert back.to_json() == item.to_json()
 
     def test_prompts_use_reference_texts(self, rich_scene):
-        items = synthesize_scene_qa(rich_scene, SynthConfig(), seed=1)
+        items = synthesize_scene_qa(rich_scene, seed=1)
         table_items = [i for i in items
                        if i.provenance.get("object") == "c"
                        or "c" in i.provenance.get("objects", [])]
@@ -97,7 +95,7 @@ class TestFormatInvariants:
 class TestArity:
     def test_single_object_scene_has_no_pairwise_tasks(self):
         scene = _scene([_obj("solo", (0, 0.3, 3.0), yaw=0.0)])
-        items = synthesize_scene_qa(scene, SynthConfig(), seed=0)
+        items = synthesize_scene_qa(scene, seed=0)
         assert items
         levels = {i.level for i in items}
         assert levels <= {0, 1}
@@ -107,7 +105,7 @@ class TestArity:
 
     def test_empty_scene_empty_stream(self):
         scene = _scene([])
-        assert synthesize_scene_qa(scene, SynthConfig(), seed=0) == []
+        assert synthesize_scene_qa(scene, seed=0) == []
 
     def test_objectless_scene_with_pointmap_still_empty(self):
         from spatialqa.pmap import make_pointmap
@@ -115,7 +113,7 @@ class TestArity:
         pts[:, :, 2] = 4.0
         scene = _scene([])
         scene.pm = make_pointmap(pts, np.ones((8, 8), dtype=bool))
-        assert synthesize_scene_qa(scene, SynthConfig(), seed=0) == []
+        assert synthesize_scene_qa(scene, seed=0) == []
 
     def test_suppressed_relations_never_emit(self):
         # two objects at the same depth/height: several guards fail
@@ -123,7 +121,7 @@ class TestArity:
             _obj("a", (-0.01, 0.3, 3.0), category="sofa"),
             _obj("b", (0.01, 0.3, 3.0), category="sofa"),
         ]
-        items = synthesize_scene_qa(_scene(objects), SynthConfig(), seed=0)
+        items = synthesize_scene_qa(_scene(objects), seed=0)
         for item in items:
             if item.family == "relative_direction" and \
                     "axis" in item.provenance:
@@ -135,14 +133,14 @@ class TestArity:
 
 class TestPayloads:
     def test_quantity_answers_formatted(self, rich_scene):
-        items = synthesize_scene_qa(rich_scene, SynthConfig(), seed=3)
+        items = synthesize_scene_qa(rich_scene, seed=3)
         for item in items:
             if item.format == "free-form" and item.payload.kind == "quantity":
                 assert "meters" in item.answer_text or \
                     "centimeters" in item.answer_text
 
     def test_counts_are_ints(self, rich_scene):
-        items = synthesize_scene_qa(rich_scene, SynthConfig(), seed=3)
+        items = synthesize_scene_qa(rich_scene, seed=3)
         for item in items:
             if item.payload.kind == "count":
                 assert isinstance(item.payload.value, int)
@@ -161,10 +159,9 @@ class TestTrueFalseBalance:
             _obj("b", (1.2, 0.4, 3.5), yaw=90.0, category="table"),
         ]
         scene = _scene(objects)
-        config = SynthConfig()
         true_n, total = 0, 0
         for seed in range(1200):
-            for item in synthesize_scene_qa(scene, config, seed=seed):
+            for item in synthesize_scene_qa(scene, seed=seed):
                 if item.format == "true-false":
                     total += 1
                     true_n += item.answer_text == "True"

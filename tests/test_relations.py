@@ -13,7 +13,7 @@ from spatialqa.geometry import (
 )
 from spatialqa.pmap import make_pointmap
 from spatialqa.relations import (
-    GuardConfig,
+    DIRECTION_COMPONENT,
     NoGeometryError,
     ObserverPose,
     RelationError,
@@ -69,15 +69,15 @@ class TestLevel0:
         pts[0, 0, 2] = 2.0
         pts[0, 1, 2] = 3.0
         pm = make_pointmap(pts, np.ones((1, 2), dtype=bool))
-        assert depth_order(pm, (0, 0), (1, 0), margin_m=0.1) == "first"
-        assert depth_order(pm, (1, 0), (0, 0), margin_m=0.1) == "second"
+        assert depth_order(pm, (0, 0), (1, 0)) == "first"
+        assert depth_order(pm, (1, 0), (0, 0)) == "second"
 
     def test_depth_order_tie_within_margin(self):
         pts = np.zeros((1, 2, 3), dtype=np.float32)
         pts[0, 0, 2] = 2.00
         pts[0, 1, 2] = 2.05
         pm = make_pointmap(pts, np.ones((1, 2), dtype=bool))
-        assert depth_order(pm, (0, 0), (1, 0), margin_m=0.1) == "tie"
+        assert depth_order(pm, (0, 0), (1, 0)) == "tie"
 
 
 class TestLevel1:
@@ -291,8 +291,7 @@ class TestSpatialCount:
 
 class TestGuardConfig:
     def test_direction_component_matches_sin(self):
-        g = GuardConfig(direction_deg=30.0)
-        assert g.direction_component == pytest.approx(0.5)
+        assert DIRECTION_COMPONENT == pytest.approx(0.5)
 
     def test_rigid_rotation_invariance(self):
         rng = np.random.default_rng(3)
