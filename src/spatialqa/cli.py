@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .clients import ClientError
-from .config import ConfigError, load_config
+from .config import ConfigError, check_workers, load_config
 from .encoding import ENCODED_CHANNELS, patchify, sinusoidal_encode, write_tensor
 from .manifest import ManifestError, validate_manifest
 from .oracle.answers import QUANTITY_TOL, answers_match
@@ -50,7 +50,7 @@ def _seed_range(text: str) -> range:
 def cmd_generate(args) -> int:
     config = load_config(args.config)
     if args.workers is not None:
-        config.workers = args.workers
+        config.workers = check_workers(args.workers, "--workers")
     if args.seed is not None:
         config.seed = args.seed
     ledger = run_generate(args.manifest, config, args.out, limit=args.limit)

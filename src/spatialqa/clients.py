@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -77,6 +78,27 @@ class ClientConfig:
     max_attempts: int = 3
     backoff_base_s: float = 0.1
 
+    def __post_init__(self):
+        """Reject an attempt count or a duration a client cannot run with."""
+        def real(v) -> bool:
+            return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v))
+
+        checks = (
+            ("max_attempts", "an integer >= 1",
+             isinstance(self.max_attempts, int)
+             and not isinstance(self.max_attempts, bool)
+             and self.max_attempts >= 1),
+            ("timeout_s", "a finite number > 0",
+             real(self.timeout_s) and self.timeout_s > 0),
+            ("backoff_base_s", "a finite number >= 0",
+             real(self.backoff_base_s) and self.backoff_base_s >= 0),
+        )
+        for name, wanted, ok in checks:
+            if not ok:
+                raise ClientError(self.role, f"bad number: {name} must be "
+                                  f"{wanted}, got {getattr(self, name)!r}")
+
     @classmethod
     def from_dict(cls, role: str, d: dict) -> "ClientConfig":
         """A role's config-file spec; a spec that is not an object, an
@@ -86,15 +108,12 @@ class ClientConfig:
         unknown = set(d) - {f.name for f in fields(cls) if f.name != "role"}
         if unknown:
             raise ClientError(role, f"unknown keys: {sorted(unknown)}")
-        try:
-            return cls(role=role, endpoint=d.get("endpoint"),
-                       fixture_dir=d.get("fixture_dir"),
-                       cache_dir=d.get("cache_dir"),
-                       timeout_s=float(d.get("timeout_s", 10.0)),
-                       max_attempts=int(d.get("max_attempts", 3)),
-                       backoff_base_s=float(d.get("backoff_base_s", 0.1)))
-        except (TypeError, ValueError) as e:
-            raise ClientError(role, f"bad number: {e}") from e
+        return cls(role=role, endpoint=d.get("endpoint"),
+                   fixture_dir=d.get("fixture_dir"),
+                   cache_dir=d.get("cache_dir"),
+                   timeout_s=d.get("timeout_s", 10.0),
+                   max_attempts=d.get("max_attempts", 3),
+                   backoff_base_s=d.get("backoff_base_s", 0.1))
 
 
 class Client:

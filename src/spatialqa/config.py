@@ -2,7 +2,7 @@
 
 Config file keys (all optional):
 
-  workers        int, parallel image workers (default 1)
+  workers        int >= 1, parallel image workers (default 1)
   seed           int, corpus seed (default 0)
   band           "tight" | "wide", quantitative scoring band
   clients        {role: {"endpoint" | "fixture_dir", "cache_dir", ...}}
@@ -69,6 +69,14 @@ def _tags_from_dict(d: dict) -> tuple[list[str], list[str]]:
     return include, exclude
 
 
+def check_workers(value, source: str) -> int:
+    """``value`` if it is an integer >= 1, else ConfigError naming
+    ``source``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
+    return value
+
+
 _KEYS = {"workers", "seed", "band", "clients", "tag_filter", "cache_dir"}
 
 
@@ -84,7 +92,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     try:
         tag_include, tag_exclude = _tags_from_dict(raw.get("tag_filter", {}))
         return PipelineConfig(
-            workers=int(raw.get("workers", 1)),
+            workers=check_workers(raw.get("workers", 1), "workers"),
             seed=int(raw.get("seed", 0)),
             band=band,
             clients=raw.get("clients", {}),
@@ -110,7 +118,8 @@ def load_config(path: str | Path | None = None,
     env = os.environ if env is None else env
     try:
         if f"{ENV_PREFIX}WORKERS" in env:
-            config.workers = int(env[f"{ENV_PREFIX}WORKERS"])
+            config.workers = check_workers(int(env[f"{ENV_PREFIX}WORKERS"]),
+                                           f"{ENV_PREFIX}WORKERS")
         if f"{ENV_PREFIX}SEED" in env:
             config.seed = int(env[f"{ENV_PREFIX}SEED"])
     except ValueError as e:

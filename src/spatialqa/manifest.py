@@ -2,13 +2,15 @@
 
 One image per line, UTF-8.  Field-by-field schema:
 
-  image_id      str, unique within the manifest
+  image_id      str, unique within the manifest; it names the image's
+                part file, so it must be non-empty and hold no '/', '\\'
+                or NUL and not be '..'
   width, height int, pixels
   pointmap      str, path to a PMAP file (relative paths resolve against
                 the manifest's directory)
   gravity       optional [gx, gy, gz] unit vector, camera frame; defaults
                 to (0, 1, 0)
-  intrinsics    optional {fx, fy, cx, cy}
+  intrinsics    optional {fx, fy, cx, cy}, finite numbers, fx and fy > 0
   pixel_stats   optional {white, black, invalid_depth} fractions in [0,1]
   tags          optional list of 5 retrieved tag strings
   objects       list of annotations:
@@ -17,21 +19,27 @@ One image per line, UTF-8.  Field-by-field schema:
       box2d       [x0, y0, x1, y1] pixels, x1/y1 exclusive, inside image
       mask        optional path to a .npy boolean array (H, W)
       yaw_deg     optional facing yaw in degrees (orientation estimator
-                  output or ground truth)
-      pitch_deg   optional facing pitch in degrees
+                  output or ground truth), null or a finite number
+      pitch_deg   optional facing pitch in degrees, null or a finite number
       captions    optional list of caption candidates, simplest first
       grounding   optional list parallel to captions of precomputed
                   grounder outputs, each {"boxes": [[x0,y0,x1,y1], ...]};
                   when present, caption verification never calls the
                   grounder client
-      box3d       optional ground-truth 3D box {center, size, yaw_deg};
-                  when present the estimation pipeline is skipped for
-                  this object
+      box3d       optional ground-truth 3D box {center, size, yaw_deg}:
+                  center and size 3 finite numbers each, yaw_deg a
+                  finite number; when present the estimation pipeline is
+                  skipped for this object
+
+``ImageManifest.from_dict`` enforces the image_id, intrinsics, yaw,
+pitch and box3d rules above and raises ManifestError naming the field;
+``validate_manifest`` reports the remaining rules as violations.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -43,6 +51,56 @@ from .geometry import CameraIntrinsics
 
 class ManifestError(Exception):
     """Schema violation in a manifest; message carries line/image context."""
+
+
+def _finite(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _file_safe_id(image_id) -> str:
+    if not (isinstance(image_id, str) and image_id and image_id != ".."
+            and not any(c in image_id for c in "/\\\0")):
+        raise ManifestError(
+            f"image_id {image_id!r} cannot name a file: it must be a "
+            f"non-empty string with no '/', '\\' or NUL, other than '..'")
+    return image_id
+
+
+def _intrinsics(d, ctx: str) -> CameraIntrinsics:
+    if not isinstance(d, dict):
+        raise ManifestError(f"{ctx}: intrinsics {d!r} is not an object")
+    for key in ("fx", "fy", "cx", "cy"):
+        v = d.get(key)
+        if not _finite(v) or (key in ("fx", "fy") and v <= 0):
+            kind = "a positive" if key in ("fx", "fy") else "a finite"
+            raise ManifestError(
+                f"{ctx}: intrinsics.{key} {v!r} is not {kind} number")
+    return CameraIntrinsics.from_dict(d)
+
+
+def _check_object(o: dict, ctx: str) -> None:
+    """Raise ManifestError for a yaw, pitch or box3d of the wrong type."""
+    octx = f"{ctx}, object {o.get('object_id')!r}"
+    for key in ("yaw_deg", "pitch_deg"):
+        v = o.get(key)
+        if v is not None and not _finite(v):
+            raise ManifestError(
+                f"{octx}: {key} {v!r} is neither null nor a finite number")
+    box = o.get("box3d")
+    if box is None:
+        return
+    if not isinstance(box, dict):
+        raise ManifestError(f"{octx}: box3d {box!r} is not an object")
+    for key in ("center", "size"):
+        v = box.get(key)
+        if not (isinstance(v, list) and len(v) == 3
+                and all(_finite(c) for c in v)):
+            raise ManifestError(
+                f"{octx}: box3d.{key} {v!r} is not 3 finite numbers")
+    if not _finite(box.get("yaw_deg")):
+        raise ManifestError(f"{octx}: box3d.yaw_deg {box.get('yaw_deg')!r} "
+                            f"is not a finite number")
 
 
 @dataclass
@@ -103,6 +161,10 @@ class ImageManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ImageManifest":
+        image_id = _file_safe_id(d["image_id"])
+        ctx = f"image {image_id!r}"
+        for o in d.get("objects", []):
+            _check_object(o, ctx)
         objects = [
             ObjectAnnotation(
                 object_id=o["object_id"], category=o["category"],
@@ -117,10 +179,10 @@ class ImageManifest:
         ]
         intr = d.get("intrinsics")
         return cls(
-            image_id=d["image_id"], width=int(d["width"]),
+            image_id=image_id, width=int(d["width"]),
             height=int(d["height"]), pointmap=d["pointmap"],
             gravity=d.get("gravity"),
-            intrinsics=CameraIntrinsics.from_dict(intr) if intr else None,
+            intrinsics=_intrinsics(intr, ctx) if intr else None,
             pixel_stats=d.get("pixel_stats"), tags=d.get("tags"),
             objects=objects,
         )
@@ -129,8 +191,8 @@ class ImageManifest:
 def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
     """``parse`` applied to each record of a JSON-lines file, in order;
     blank lines are ignored.  Invalid JSON, or a record that ``parse``
-    rejects with an AttributeError, KeyError, TypeError or ValueError,
-    raises ManifestError naming the file and line."""
+    rejects with a ManifestError, AttributeError, KeyError, TypeError or
+    ValueError, raises ManifestError naming the file and line."""
     records = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -142,6 +204,8 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
             except json.JSONDecodeError as e:
                 raise ManifestError(
                     f"{path} line {lineno}: invalid JSON: {e}") from e
+            except ManifestError as e:
+                raise ManifestError(f"{path} line {lineno}: {e}") from e
             except (AttributeError, KeyError, TypeError, ValueError) as e:
                 raise ManifestError(
                     f"{path} line {lineno}: bad record: {e!r}") from e
@@ -240,8 +304,4 @@ def validate_manifest(path: str | Path) -> list[str]:
                         f"{octx}: box2d {obj.box2d} outside image bounds")
             if obj.mask is not None and not _resolves(path, obj.mask):
                 problems.append(f"{octx}: mask {obj.mask!r} does not resolve")
-            if obj.box3d is not None:
-                for key in ("center", "size", "yaw_deg"):
-                    if key not in obj.box3d:
-                        problems.append(f"{octx}: box3d missing {key!r}")
     return problems

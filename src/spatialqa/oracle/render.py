@@ -1,32 +1,40 @@
 """Ray-cast rendering of oracle scenes into point maps and masks.
 
-Each pixel ray is intersected with every box (slab test in the box local
-frame) once per scene; the nearest hit owns the pixel.  Too-occluded
-boxes are pruned from those same hit depths before the depth grid and
-masks are built.  The depth grid, optionally perturbed by Gaussian
-noise, is backprojected through the scene intrinsics, which mirrors how
-an upstream geometry estimator would deliver a point map.
+Each box is intersected once per scene (slab test in the box local
+frame) with the pixel rays of its window: the rectangle its projected
+corners cover, padded by one pixel, or the whole image when the box
+reaches behind the near plane.  Rays outside the window miss the box,
+so their depth is +inf, as the slab test would give.  The nearest hit
+owns the pixel.  Too-occluded boxes are pruned from those same hit
+depths before the depth grid and masks are built.  The depth grid,
+optionally perturbed by Gaussian noise, is backprojected through the
+scene intrinsics, which mirrors how an upstream geometry estimator would
+deliver a point map.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..geometry import backproject, box_local_axes, gravity_frame
+from ..geometry import backproject, box_local_axes, gravity_frame, project
 from ..pmap import PointMap
-from .scene import OracleScene
+from .scene import OracleScene, box_corners_camera
 
 Z_NEAR = 0.2
 
 
 def _ray_grid(scene: OracleScene) -> np.ndarray:
+    """(H, W, 3) pixel ray directions; z is 1, so the ray parameter
+    equals depth."""
     k = scene.intrinsics
-    us = np.arange(scene.width, dtype=np.float64)
-    vs = np.arange(scene.height, dtype=np.float64)
-    uu, vv = np.meshgrid(us, vs)
-    d = np.stack([(uu - k.cx) / k.fx, (vv - k.cy) / k.fy,
-                  np.ones_like(uu)], axis=2)
-    return d  # (H, W, 3), z component 1 so the ray parameter equals depth
+    d = np.empty((scene.height, scene.width, 3))
+    d[:, :, 0] = (np.arange(scene.width, dtype=np.float64) - k.cx) / k.fx
+    d[:, :, 1] = ((np.arange(scene.height, dtype=np.float64) - k.cy)
+                  / k.fy)[:, None]
+    d[:, :, 2] = 1.0
+    return d
 
 
 def _box_hit_depths(scene: OracleScene, gf, obj, rays: np.ndarray) -> np.ndarray:
@@ -58,6 +66,37 @@ def _box_hit_depths(scene: OracleScene, gf, obj, rays: np.ndarray) -> np.ndarray
     return np.where(hit, t, np.inf)
 
 
+def _window(scene: OracleScene, gf, obj) -> tuple[slice, slice]:
+    """Rows and columns of the pixels whose rays can hit a box.
+
+    With every corner in front of Z_NEAR the box projects inside the
+    convex hull of its projected corners, so the window is their bounding
+    rectangle, padded by one pixel against rounding and clipped to the
+    image.  Otherwise it is the whole image.
+    """
+    corners = box_corners_camera(obj, gf)
+    if (corners[:, 2] <= Z_NEAR).any():
+        return slice(0, scene.height), slice(0, scene.width)
+    u, v = project(corners, scene.intrinsics).T
+    return (slice(max(math.floor(v.min()) - 1, 0),
+                  max(math.ceil(v.max()) + 2, 0)),
+            slice(max(math.floor(u.min()) - 1, 0),
+                  max(math.ceil(u.max()) + 2, 0)))
+
+
+def _nearest(depths: np.ndarray, shape: tuple[int, int]
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Per pixel, the index of the nearest hit (the first of equal ones,
+    as ``argmin`` would pick, but without its strided reduction) and its
+    depth; +inf where no box is hit."""
+    owner = np.zeros(shape, dtype=np.intp)
+    best = np.full(shape, np.inf)
+    for k, d in enumerate(depths):
+        owner[d < best] = k
+        best = np.minimum(best, d)
+    return owner, best
+
+
 def render_scene(scene: OracleScene, rng: np.random.Generator | None = None,
                  min_visible_fraction: float = 0.0
                  ) -> tuple[PointMap, dict[str, np.ndarray], np.ndarray]:
@@ -79,15 +118,19 @@ def render_scene(scene: OracleScene, rng: np.random.Generator | None = None,
     h, w = scene.height, scene.width
     background = scene.background_depth
 
-    depths = np.empty((len(scene.objects), h, w))
+    # a window's depths equal the full frame's bit for bit
+    # (tests/test_oracle.py::TestRenderWindow)
+    depths = np.full((len(scene.objects), h, w), np.inf)
     for i, obj in enumerate(scene.objects):
-        depths[i] = _box_hit_depths(scene, gf, obj, rays)
+        rows, cols = _window(scene, gf, obj)
+        depths[i, rows, cols] = _box_hit_depths(scene, gf, obj,
+                                                rays[rows, cols])
     alone = (depths < background).sum(axis=(1, 2))
 
     # depths[k] is the hit depth of object kept[k]
     kept = list(range(len(scene.objects)))
+    owner, best = _nearest(depths, (h, w))
     while kept:
-        owner = depths.argmin(axis=0)
         fractions = [
             ((owner == k) & (depths[k] < background)).sum() / alone[i]
             if alone[i] else 0.0
@@ -98,15 +141,15 @@ def render_scene(scene: OracleScene, rng: np.random.Generator | None = None,
             break
         del kept[worst]
         depths = np.delete(depths, worst, axis=0)
+        owner, best = _nearest(depths, (h, w))
 
-    best = depths.min(axis=0) if kept else np.full((h, w), np.inf)
     depth = np.where(best < background, best, background)
     masks = {
         scene.objects[i].object_id: (owner == k) & (depths[k] < background)
         for k, i in enumerate(kept)
     }
 
-    noisy = depth.copy()
+    noisy = depth
     if scene.noise_sigma > 0:
         if rng is None:
             rng = np.random.default_rng(0)

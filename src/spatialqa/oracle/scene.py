@@ -5,6 +5,13 @@ camera frustum, each with category, exact center/size/yaw.  Sampling is
 rejection-based and deterministic per seed.  Box tops stay below the
 camera so the renderer sees the top face, which is what makes footprint
 extents recoverable from a single view.
+
+Each candidate is tested on plain floats, as a ``_Placement`` in the
+gravity-aligned world frame, against the frustum and the boxes already
+placed; only an accepted one becomes an ``OracleObject``.  Every
+candidate takes the same rng draws whatever the outcome, so a seed's
+scene depends only on the accept/reject decisions, which tests pin by
+digest.
 """
 
 from __future__ import annotations
@@ -13,10 +20,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from ..geometry import CameraIntrinsics, box_local_axes, gravity_frame, project
+from ..geometry import CameraIntrinsics, box_local_axes, gravity_frame
 from ..manifest import read_jsonl
 
 CATEGORY_POOL = (
@@ -132,58 +140,71 @@ def box_corners_camera(obj: OracleObject, gf) -> np.ndarray:
     return gf.to_camera(box_corners_world(obj, gf))
 
 
-def _footprint_axes(yaw_deg: float) -> np.ndarray:
+class _Placement(NamedTuple):
+    """A box in the gravity-aligned world frame, as plain floats: its
+    height interval, its footprint axes (local x and z in the (x, z)
+    plane) and its four footprint corners."""
+    y_lo: float
+    y_hi: float
+    axes: tuple[tuple[float, float], tuple[float, float]]
+    corners: tuple[tuple[float, float], ...]
+
+
+def _placement(center_w, size, yaw_deg: float) -> _Placement:
+    x, y, z = center_w
+    hx, hy, hz = size[0] / 2.0, size[1] / 2.0, size[2] / 2.0
     r = math.radians(yaw_deg)
     c, s = math.cos(r), math.sin(r)
-    return np.array([[c, s], [-s, c]])  # rows: local x and z in (x, z) plane
+    corners = tuple((x + sx * hx * c - sz * hz * s,
+                     z + sx * hx * s + sz * hz * c)
+                    for sx in (-1.0, 1.0) for sz in (-1.0, 1.0))
+    return _Placement(y - hy, y + hy, ((c, s), (-s, c)), corners)
 
 
-def _footprints_separated(a: OracleObject, b: OracleObject, gf,
-                          gap: float) -> bool:
-    """2D separating-axis test on the horizontal footprints with a gap."""
-    ca = gf.to_world(a.center)
-    cb = gf.to_world(b.center)
-    fa = ca[[0, 2]]
-    fb = cb[[0, 2]]
-
-    def corners(c2, yaw, size):
-        axes = _footprint_axes(yaw)
-        half = np.array([size[0] / 2.0, size[2] / 2.0])
-        signs = np.array([[sx, sz] for sx in (-1, 1) for sz in (-1, 1)],
-                         dtype=float)
-        return c2 + (signs * half) @ axes
-
-    pa = corners(fa, a.yaw_deg, a.size)
-    pb = corners(fb, b.yaw_deg, b.size)
-    for axes in (_footprint_axes(a.yaw_deg), _footprint_axes(b.yaw_deg)):
-        for axis in axes:
-            proj_a = pa @ axis
-            proj_b = pb @ axis
-            if proj_a.max() + gap <= proj_b.min() or \
-               proj_b.max() + gap <= proj_a.min():
-                return True
+def _placements_disjoint(a: _Placement, b: _Placement, gap: float) -> bool:
+    """Height intervals apart, or a separating axis between the
+    footprints (2D SAT), each by at least ``gap``."""
+    if a.y_hi + gap <= b.y_lo or b.y_hi + gap <= a.y_lo:
+        return True
+    for ux, uz in a.axes + b.axes:
+        proj_a = [x * ux + z * uz for x, z in a.corners]
+        proj_b = [x * ux + z * uz for x, z in b.corners]
+        if max(proj_a) + gap <= min(proj_b) or \
+           max(proj_b) + gap <= min(proj_a):
+            return True
     return False
 
 
 def _boxes_disjoint(a: OracleObject, b: OracleObject, gf, gap: float) -> bool:
-    ya = gf.to_world(a.center)[1]
-    yb = gf.to_world(b.center)[1]
-    a_lo, a_hi = ya - a.size[1] / 2, ya + a.size[1] / 2
-    b_lo, b_hi = yb - b.size[1] / 2, yb + b.size[1] / 2
-    if a_hi + gap <= b_lo or b_hi + gap <= a_lo:
-        return True
-    return _footprints_separated(a, b, gf, gap)
+    """True when two objects keep ``gap`` apart (see _placements_disjoint)."""
+    def placed(o: OracleObject) -> _Placement:
+        return _placement(gf.to_world(o.center).tolist(), o.size.tolist(),
+                          o.yaw_deg)
+    return _placements_disjoint(placed(a), placed(b), gap)
 
 
-def _in_frustum(obj: OracleObject, scene: OracleScene, gf,
+def _in_frustum(box: _Placement, rotation: list[list[float]],
+                intrinsics: CameraIntrinsics, width: int, height: int,
                 margin_px: float) -> bool:
-    corners = box_corners_camera(obj, gf)
-    if (corners[:, 2] <= 0.3).any():
-        return False
-    u, v = project(corners, scene.intrinsics).T
-    return bool((u >= margin_px).all() and (u <= scene.width - 1 - margin_px).all()
-                and (v >= margin_px).all()
-                and (v <= scene.height - 1 - margin_px).all())
+    """All eight corners in front of z = 0.3 and projected at least
+    ``margin_px`` inside the image; ``rotation`` is the gravity frame's,
+    as nested lists."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
+    fx, fy, cx, cy = intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy
+    u_hi, v_hi = width - 1 - margin_px, height - 1 - margin_px
+    for x, z in box.corners:
+        for y in (box.y_lo, box.y_hi):
+            depth = x * r02 + y * r12 + z * r22
+            if depth <= 0.3:
+                return False
+            u = fx * (x * r00 + y * r10 + z * r20) / depth + cx
+            v = fy * (x * r01 + y * r11 + z * r21) / depth + cy
+            if not (margin_px <= u <= u_hi and margin_px <= v <= v_hi):
+                return False
+    return True
+
+
+_CANONICAL_YAWS = (0.0, 90.0, 180.0, 270.0)
 
 
 def sample_scene(seed: int, config: SceneSamplerConfig | None = None,
@@ -213,8 +234,10 @@ def sample_scene(seed: int, config: SceneSamplerConfig | None = None,
         intrinsics=intrinsics, gravity=gravity, noise_sigma=noise_sigma,
     )
     gf = gravity_frame(gravity)
+    rotation = gf.rotation.tolist()
 
     n_target = int(rng.integers(config.min_objects, config.max_objects + 1))
+    placed: list[_Placement] = []
     attempts = 0
     while len(scene.objects) < n_target and attempts < 400:
         attempts += 1
@@ -226,7 +249,8 @@ def sample_scene(seed: int, config: SceneSamplerConfig | None = None,
                 int(rng.integers(0, len(config.categories)))]
         size = rng.uniform(*config.size_range, size=3)
         if rng.random() < config.canonical_yaw_fraction:
-            yaw = float(rng.choice([0.0, 90.0, 180.0, 270.0])
+            # the draw of rng.choice over four values, without its overhead
+            yaw = float(_CANONICAL_YAWS[int(rng.integers(0, 4))]
                         + rng.uniform(-10, 10))
         else:
             yaw = float(rng.uniform(0, 360))
@@ -241,17 +265,19 @@ def sample_scene(seed: int, config: SceneSamplerConfig | None = None,
         y_low = clearance + size[1] / 2.0
         y_high = y_low + 0.25 * z_w
         y_w = float(rng.uniform(y_low, y_high))
-        center = gf.to_camera(np.array([x_w, y_w, z_w]))
 
-        obj = OracleObject(
-            object_id=f"obj-{len(scene.objects)}", category=category,
-            center=center, size=np.asarray(size, dtype=float), yaw_deg=yaw,
-        )
-        if not _in_frustum(obj, scene, gf, config.frustum_margin_px):
+        box = _placement((x_w, y_w, z_w), size.tolist(), yaw)
+        if not _in_frustum(box, rotation, intrinsics, res, res,
+                           config.frustum_margin_px):
             continue
-        if all(_boxes_disjoint(obj, other, gf, config.min_gap)
-               for other in scene.objects):
-            scene.objects.append(obj)
+        if all(_placements_disjoint(box, other, config.min_gap)
+               for other in placed):
+            placed.append(box)
+            scene.objects.append(OracleObject(
+                object_id=f"obj-{len(scene.objects)}", category=category,
+                center=gf.to_camera(np.array([x_w, y_w, z_w])), size=size,
+                yaw_deg=yaw,
+            ))
     return scene
 
 

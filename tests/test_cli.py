@@ -220,6 +220,36 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_workers_flag_exit_code(self, oracle_dir, tmp_path, capsys,
+                                        workers):
+        rc = main(["generate", "--manifest",
+                   str(oracle_dir / "manifest.jsonl"), "--out",
+                   str(tmp_path / "o"), "--workers", workers])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --workers must be an integer >= 1")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"workers": -3},
+        {"workers": 2.7},
+        {"clients": {"problem-generator": {"fixture_dir": "fx",
+                                           "max_attempts": 0}}},
+        {"clients": {"problem-generator": {"fixture_dir": "fx",
+                                           "timeout_s": 0}}},
+    ])
+    def test_unusable_config_number_exit_code(self, oracle_dir, tmp_path,
+                                              capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        rc = main(["generate", "--manifest",
+                   str(oracle_dir / "manifest.jsonl"), "--config",
+                   str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestImports:
     def test_cli_does_not_load_scipy(self):
         # scipy.spatial alone raises a process's peak RSS by tens of MiB,

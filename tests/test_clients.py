@@ -137,3 +137,25 @@ class TestBuildClients:
     def test_bad_spec_rejected(self, spec, match):
         with pytest.raises(ClientError, match=match):
             build_clients({"judge": spec})
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("max_attempts", 0, "max_attempts must be an integer >= 1"),
+        ("max_attempts", -2, "max_attempts must be an integer >= 1"),
+        ("max_attempts", 2.7, "max_attempts must be an integer >= 1"),
+        ("max_attempts", True, "max_attempts must be an integer >= 1"),
+        ("timeout_s", 0, "timeout_s must be a finite number > 0"),
+        ("timeout_s", -1.5, "timeout_s must be a finite number > 0"),
+        ("backoff_base_s", -0.1,
+         "backoff_base_s must be a finite number >= 0"),
+    ])
+    def test_unusable_number_rejected(self, key, value, match):
+        with pytest.raises(ClientError, match=match):
+            build_clients({"judge": {"fixture_dir": "fx", key: value}})
+        with pytest.raises(ClientError, match=match):
+            ClientConfig(role="judge", fixture_dir="fx", **{key: value})
+
+    def test_zero_backoff_accepted(self):
+        clients = build_clients({"judge": {"fixture_dir": "fx",
+                                           "backoff_base_s": 0,
+                                           "max_attempts": 1}})
+        assert clients["judge"].config.backoff_base_s == 0

@@ -61,6 +61,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="sed.*worker"):
             load_config(path, env={})
 
+    @pytest.mark.parametrize("workers", [-3, 0, 2.7, True, "2"])
+    def test_bad_workers_in_file_rejected(self, tmp_path, workers):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"workers": workers}))
+        with pytest.raises(ConfigError, match="workers must be an integer"):
+            load_config(path, env={})
+
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_bad_workers_in_env_rejected(self, workers):
+        with pytest.raises(ConfigError,
+                           match="SPATIALQA_WORKERS must be an integer"):
+            load_config(None, env={"SPATIALQA_WORKERS": workers})
+
     def test_bad_env_value_rejected(self):
         with pytest.raises(ConfigError):
             load_config(None, env={"SPATIALQA_WORKERS": "two"})

@@ -157,6 +157,101 @@ class TestValidation:
         assert "violation: image 'img-0'" in capsys.readouterr().err
 
 
+def _run_both(tmp_path, capsys, record):
+    """validate, then generate, on a one-record manifest: each exit code
+    and stderr, and every file that generate wrote under tmp_path."""
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    validate_rc = main(["validate", "--manifest", str(path)])
+    validate_err = capsys.readouterr().err
+    before = set(tmp_path.rglob("*"))
+    generate_rc = main(["generate", "--manifest", str(path), "--out",
+                        str(tmp_path / "run" / "out")])
+    written = [p for p in set(tmp_path.rglob("*")) - before if p.is_file()]
+    return validate_rc, validate_err, generate_rc, capsys.readouterr().err, \
+        written
+
+
+def _parse(tmp_path, record):
+    path = tmp_path / "parse.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    return read_manifest(path)
+
+
+class TestParseTimeSchema:
+    """Records ``generate`` cannot run are ManifestErrors at parse time, so
+    ``validate`` reports them and ``generate`` exits 2 before any image."""
+
+    @pytest.mark.parametrize("image_id", [
+        "../escaped", "../../escaped", "", "a/b", "a\\b", "a\0b", "..",
+    ])
+    def test_unsafe_image_id_rejected(self, tmp_path, capsys, image_id):
+        record = _entry(tmp_path).to_dict()
+        record["image_id"] = image_id
+        validate_rc, validate_err, generate_rc, generate_err, written = \
+            _run_both(tmp_path, capsys, record)
+        assert validate_rc == 1
+        assert f"image_id {image_id!r}" in validate_err
+        assert generate_rc == 2
+        assert generate_err.startswith("error: ")
+        # nothing at all, so nothing outside --out (tmp_path/run/out)
+        assert written == []
+
+    @staticmethod
+    def _set(record, field, value):
+        if field.startswith("intrinsics."):
+            record["intrinsics"][field.split(".")[1]] = value
+        elif field.startswith("box3d"):
+            obj = record["objects"][0]
+            obj["box3d"] = {"center": [0.0, 0.0, 3.0],
+                            "size": [1.0, 1.0, 1.0], "yaw_deg": 0.0}
+            if field == "box3d":
+                obj["box3d"] = value
+            else:
+                obj["box3d"][field.split(".")[1]] = value
+        else:
+            record["objects"][0][field] = value
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("intrinsics.fx", 0.0, "intrinsics.fx 0.0 is not a positive number"),
+        ("intrinsics.fy", -4.0,
+         "intrinsics.fy -4.0 is not a positive number"),
+        ("box3d.center", "x", "box3d.center 'x' is not 3 finite numbers"),
+        ("box3d.center", [0.0, float("nan"), 3.0],
+         "box3d.center [0.0, nan, 3.0] is not 3 finite numbers"),
+        ("box3d.size", [1.0, 1.0], "box3d.size [1.0, 1.0] is not 3 finite"),
+        ("box3d.yaw_deg", "north",
+         "box3d.yaw_deg 'north' is not a finite number"),
+        ("box3d", [0, 0, 3], "box3d [0, 0, 3] is not an object"),
+        ("yaw_deg", "north",
+         "yaw_deg 'north' is neither null nor a finite number"),
+        ("pitch_deg", float("inf"),
+         "pitch_deg inf is neither null nor a finite number"),
+        ("yaw_deg", True, "yaw_deg True is neither null nor a finite"),
+    ])
+    def test_bad_field_rejected(self, tmp_path, capsys, field, value,
+                                message):
+        record = _entry(tmp_path).to_dict()
+        self._set(record, field, value)
+        with pytest.raises(ManifestError, match="line 1: image 'img-0'"):
+            _parse(tmp_path, record)
+        validate_rc, validate_err, generate_rc, generate_err, written = \
+            _run_both(tmp_path, capsys, record)
+        assert validate_rc == 1
+        assert message in validate_err
+        assert generate_rc == 2
+        assert message in generate_err
+        assert written == []
+
+    def test_null_yaw_and_good_box3d_accepted(self, tmp_path):
+        record = _entry(tmp_path).to_dict()
+        self._set(record, "box3d.yaw_deg", 15)
+        record["objects"][0]["yaw_deg"] = None
+        record["objects"][0]["pitch_deg"] = -5
+        assert _parse(tmp_path, record)[0].objects[0].box3d
+
+
 class TestResolvePath:
     def test_relative_resolves_against_manifest_dir(self, tmp_path):
         p = resolve_path(tmp_path / "m.jsonl", "sub/file.pmap")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from spatialqa.geometry import gravity_frame
 from spatialqa.oracle.answers import answers_match, oracle_answer
 from spatialqa.oracle.fixtures import problem_fixture_response
 from spatialqa.oracle.gen import generate_dataset
-from spatialqa.oracle.render import analytic_point, render_scene
+from spatialqa.oracle.render import (
+    Z_NEAR,
+    _box_hit_depths,
+    _ray_grid,
+    analytic_point,
+    render_scene,
+)
 from spatialqa.oracle.scene import (
     ESTIMATION_SAMPLER,
     OracleObject,
@@ -80,6 +87,24 @@ class TestSampling:
         back = read_scenes(path)
         assert [s.to_dict() for s in back] == [s.to_dict() for s in scenes]
 
+    @staticmethod
+    def _scenes_digest(seeds, config=None) -> str:
+        digest = hashlib.sha256()
+        for seed in seeds:
+            scene = sample_scene(seed, config=config)
+            digest.update(json.dumps(scene.to_dict(), sort_keys=True)
+                          .encode() + b"\n")
+        return digest.hexdigest()
+
+    def test_scene_bytes_default_seeds(self):
+        # every candidate's accept/reject decision shows in these bytes
+        assert self._scenes_digest(range(3000)) == (
+            "7c8d412db4e7ee9f034b54612c95cb3d242b1ea4eb7fc24aab8cb0f379463699")
+
+    def test_scene_bytes_estimation_seeds(self):
+        assert self._scenes_digest(range(300), ESTIMATION_SAMPLER) == (
+            "474f28b2986496955c672c60d407d559a2f9b5bfa4bca4a22c3b7f291e740a2b")
+
 
 def _separated(a, b, gf, gap=1e-9):
     """Brute-force separation check: corner sampling + SAT on world axes."""
@@ -140,6 +165,70 @@ class TestRender:
         pm, masks, depth = render_scene(scene)
         assert (depth == scene.background_depth).all()
         assert pm.valid_count == 64 * 64
+
+
+def _full_frame_render(scene):
+    """Depth and masks from every box slab-tested on every pixel ray."""
+    gf = gravity_frame(scene.gravity)
+    rays = _ray_grid(scene)
+    depths = np.stack([_box_hit_depths(scene, gf, obj, rays)
+                       for obj in scene.objects])
+    background = scene.background_depth
+    best = depths.min(axis=0)
+    owner = depths.argmin(axis=0)
+    depth = np.where(best < background, best, background)
+    masks = {obj.object_id: (owner == k) & (depths[k] < background)
+             for k, obj in enumerate(scene.objects)}
+    return depth, masks
+
+
+class TestRenderWindow:
+    """``render_scene`` slab-tests each box only near its projection; the
+    result must equal the full-frame ray cast bit for bit."""
+
+    TILTED = np.array([0.05, 1.0, 0.08]) / np.linalg.norm([0.05, 1.0, 0.08])
+
+    @staticmethod
+    def _border_scene(gravity):
+        objects = [
+            _box("left", (-1.5, 0.0, 3.0), yaw=20.0),
+            _box("right", (1.5, 0.1, 3.2), yaw=-35.0),
+            _box("top", (0.2, -1.5, 3.0), size=(0.9, 0.6, 0.7)),
+            _box("bottom", (-0.6, 1.4, 3.4), yaw=50.0),
+            # reaches behind the camera, where projected corners flip
+            # sides: only the full frame holds all its hits
+            _box("near", (0.5, 0.4, 0.5), size=(0.6, 0.2, 3.0)),
+        ]
+        return dataclasses.replace(_manual_scene(objects), gravity=gravity)
+
+    @pytest.mark.parametrize("tilted", [False, True])
+    def test_border_boxes_match_full_frame(self, tilted):
+        scene = self._border_scene(self.TILTED if tilted
+                                   else np.array([0.0, 1.0, 0.0]))
+        gf = gravity_frame(scene.gravity)
+        near = box_corners_camera(scene.objects[-1], gf)
+        assert (near[:, 2] <= Z_NEAR).any() and (near[:, 2] > Z_NEAR).any()
+        _, masks, depth = render_scene(scene)
+        ref_depth, ref_masks = _full_frame_render(scene)
+        assert np.array_equal(depth, ref_depth)
+        assert list(masks) == list(ref_masks)
+        for object_id, mask in masks.items():
+            assert mask.any(), object_id
+            assert np.array_equal(mask, ref_masks[object_id]), object_id
+        # each border box is cut by its own image edge
+        assert masks["left"][:, 0].any() and masks["right"][:, -1].any()
+        assert masks["top"][0].any() and masks["bottom"][-1].any()
+
+    @pytest.mark.parametrize("seed, sampler", [
+        (0, None), (3, None), (2, ESTIMATION_SAMPLER),
+    ])
+    def test_sampled_scenes_match_full_frame(self, seed, sampler):
+        scene = sample_scene(seed, config=sampler)
+        _, masks, depth = render_scene(scene)
+        ref_depth, ref_masks = _full_frame_render(scene)
+        assert np.array_equal(depth, ref_depth)
+        for object_id, mask in masks.items():
+            assert np.array_equal(mask, ref_masks[object_id]), object_id
 
 
 class TestAnalyticPoint:
@@ -224,6 +313,19 @@ class TestGenOutputBytes:
         assert self._tree_digest(tmp_path) == (
             "4343807d566a5c112d606965418b266439cd73d001f6b71a653d3bbc46f3f0f7",
             12)
+
+    def test_gt_scenes_0_200_with_fixtures(self, tmp_path):
+        generate_dataset(range(0, 200), tmp_path, problem_fixtures=True)
+        assert self._tree_digest(tmp_path) == (
+            "bfb00ea556b7017aeaaa081cb76271987bbe595051041eff27d0d4bb6bcc6de0",
+            829)
+
+    def test_estimation_scenes_0_30(self, tmp_path):
+        generate_dataset(range(0, 30), tmp_path, sigma=0.01, gt_boxes=False,
+                         sampler=ESTIMATION_SAMPLER)
+        assert self._tree_digest(tmp_path) == (
+            "b58f5bc53647cdc2a2c299047eb1362c405f4497ca28646404542d07c2b52ce3",
+            94)
 
 
 class TestOracleAnswers:
