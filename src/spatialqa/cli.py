@@ -10,20 +10,23 @@
   spatialqa encode-dump --pointmap P --out T [--channels N] [--seed S]
 
 All commands exit nonzero on any error; ``validate`` and ``oracle check``
-exit nonzero when violations or mismatches are found.
+exit nonzero when violations or mismatches are found.  A number outside
+its flag's range (``--limit`` and the ``encode-dump`` seed >= 0,
+``--channels`` >= 1, ``--sigma`` finite and >= 0) is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .clients import ClientError
-from .config import ConfigError, check_workers, load_config
+from .config import ConfigError, check_int, load_config
 from .encoding import ENCODED_CHANNELS, patchify, sinusoidal_encode, write_tensor
 from .manifest import ManifestError, validate_manifest
 from .oracle.answers import QUANTITY_TOL, answers_match
@@ -47,10 +50,23 @@ def _seed_range(text: str) -> range:
     return range(start, start + 1)
 
 
+def _at_least(convert, least: int):
+    """argparse type: ``convert(text)`` if it is finite and >= ``least``."""
+    def parse(text: str):
+        value = convert(text)
+        if not least <= value < math.inf:
+            kind = "an integer" if convert is int else "a finite number"
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not {kind} >= {least}")
+        return value
+    parse.__name__ = convert.__name__  # "invalid int value: 'x'"
+    return parse
+
+
 def cmd_generate(args) -> int:
     config = load_config(args.config)
     if args.workers is not None:
-        config.workers = check_workers(args.workers, "--workers")
+        config.workers = check_int(args.workers, "--workers", least=1)
     if args.seed is not None:
         config.seed = args.seed
     ledger = run_generate(args.manifest, config, args.out, limit=args.limit)
@@ -141,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None,
+    p.add_argument("--limit", type=_at_least(int, 0), default=None,
                    help="process only the first K manifest images")
     p.set_defaults(func=cmd_generate)
 
@@ -159,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True, type=_seed_range,
                    help="seed range a:b")
     p.add_argument("--out", required=True)
-    p.add_argument("--sigma", type=float, default=0.0,
+    p.add_argument("--sigma", type=_at_least(float, 0), default=0.0,
                    help="render depth noise in meters")
     p.add_argument("--estimate", action="store_true",
                    help="omit ground-truth 3D boxes from the manifest")
@@ -183,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pointmap", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--patchify", action="store_true")
-    p.add_argument("--channels", type=int, default=1152)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--channels", type=_at_least(int, 1), default=1152)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.set_defaults(func=cmd_encode_dump)
     return parser
 

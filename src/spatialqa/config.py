@@ -3,7 +3,7 @@
 Config file keys (all optional):
 
   workers        int >= 1, parallel image workers (default 1)
-  seed           int, corpus seed (default 0)
+  seed           int (not a bool), corpus seed (default 0)
   band           "tight" | "wide", quantitative scoring band
   clients        {role: {"endpoint" | "fixture_dir", "cache_dir", ...}}
   tag_filter     {"include": [...], "exclude": [...]}
@@ -69,11 +69,13 @@ def _tags_from_dict(d: dict) -> tuple[list[str], list[str]]:
     return include, exclude
 
 
-def check_workers(value, source: str) -> int:
-    """``value`` if it is an integer >= 1, else ConfigError naming
-    ``source``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{source} must be an integer >= 1, got {value!r}")
+def check_int(value, source: str, least: int | None = None) -> int:
+    """``value`` if it is an integer (not a bool), and >= ``least`` when
+    given; else ConfigError naming ``source``."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{source} must be an integer{bound}, got {value!r}")
     return value
 
 
@@ -92,8 +94,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     try:
         tag_include, tag_exclude = _tags_from_dict(raw.get("tag_filter", {}))
         return PipelineConfig(
-            workers=check_workers(raw.get("workers", 1), "workers"),
-            seed=int(raw.get("seed", 0)),
+            workers=check_int(raw.get("workers", 1), "workers", least=1),
+            seed=check_int(raw.get("seed", 0), "seed"),
             band=band,
             clients=raw.get("clients", {}),
             tag_include=tag_include,
@@ -118,8 +120,8 @@ def load_config(path: str | Path | None = None,
     env = os.environ if env is None else env
     try:
         if f"{ENV_PREFIX}WORKERS" in env:
-            config.workers = check_workers(int(env[f"{ENV_PREFIX}WORKERS"]),
-                                           f"{ENV_PREFIX}WORKERS")
+            config.workers = check_int(int(env[f"{ENV_PREFIX}WORKERS"]),
+                                       f"{ENV_PREFIX}WORKERS", least=1)
         if f"{ENV_PREFIX}SEED" in env:
             config.seed = int(env[f"{ENV_PREFIX}SEED"])
     except ValueError as e:

@@ -229,7 +229,7 @@ def gravity_frame(gravity_dir: np.ndarray) -> GravityFrame:
     g = np.asarray(gravity_dir, dtype=float)
     norm = np.linalg.norm(g)
     if abs(norm - 1.0) > 1e-6:
-        raise GeometryError(f"gravity direction not unit norm: |g| = {norm:.8f}")
+        raise GeometryError(f"gravity norm |g| = {norm:.8f}, not 1")
     g = g / norm
     fwd = _FORWARD - np.dot(_FORWARD, g) * g
     fwd_norm = np.linalg.norm(fwd)

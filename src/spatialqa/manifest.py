@@ -1,39 +1,24 @@
 """Image manifests: the line-delimited JSON input schema of the pipeline.
 
-One image per line, UTF-8.  Field-by-field schema:
+One image per line, UTF-8.  ``_IMAGE_RULES`` and ``_OBJECT_RULES`` state
+the type and range of each field; beyond those:
 
-  image_id      str, unique within the manifest; it names the image's
-                part file, so it must be non-empty and hold no '/', '\\'
-                or NUL and not be '..'
-  width, height int, pixels
-  pointmap      str, path to a PMAP file (relative paths resolve against
-                the manifest's directory)
-  gravity       optional [gx, gy, gz] unit vector, camera frame; defaults
-                to (0, 1, 0)
-  intrinsics    optional {fx, fy, cx, cy}, finite numbers, fx and fy > 0
-  pixel_stats   optional {white, black, invalid_depth} fractions in [0,1]
-  tags          optional list of 5 retrieved tag strings
-  objects       list of annotations:
-      object_id   str, unique within the image
-      category    str
-      box2d       [x0, y0, x1, y1] pixels, x1/y1 exclusive, inside image
-      mask        optional path to a .npy boolean array (H, W)
-      yaw_deg     optional facing yaw in degrees (orientation estimator
-                  output or ground truth), null or a finite number
-      pitch_deg   optional facing pitch in degrees, null or a finite number
-      captions    optional list of caption candidates, simplest first
-      grounding   optional list parallel to captions of precomputed
-                  grounder outputs, each {"boxes": [[x0,y0,x1,y1], ...]};
-                  when present, caption verification never calls the
-                  grounder client
-      box3d       optional ground-truth 3D box {center, size, yaw_deg}:
-                  center and size 3 finite numbers each, yaw_deg a
-                  finite number; when present the estimation pipeline is
-                  skipped for this object
+  image_id   names the image's part file, so it must be non-empty, hold
+             no '/', '\\' or NUL and not be '..'; unique in the manifest
+  pointmap   path to a PMAP file and ``mask`` to a .npy boolean array,
+             relative to the manifest's directory unless absolute
+  gravity    camera-frame unit vector, not parallel to the camera's
+             forward axis; defaults to (0, 1, 0)
+  objects    object_id is unique within the image; box2d is [x0, y0, x1,
+             y1] pixels, x1/y1 exclusive, inside the image; grounding
+             (grounder boxes per caption) spares the grounder client;
+             box3d (ground truth) skips estimation for the object
 
-``ImageManifest.from_dict`` enforces the image_id, intrinsics, yaw,
-pitch and box3d rules above and raises ManifestError naming the field;
-``validate_manifest`` reports the remaining rules as violations.
+Optional fields may be null.  ``ImageManifest.from_dict`` enforces each
+rule one record can break, raising ManifestError with the field, its
+value and what was wanted.  ``read_manifest`` also rejects a repeated
+image_id; ``validate_manifest`` reports every bad line, and paths that
+do not resolve, as ``<file> line <n>: ...``.
 """
 
 from __future__ import annotations
@@ -42,11 +27,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
-import numpy as np
-
-from .geometry import CameraIntrinsics
+from .filters import TAG_COUNT
+from .geometry import CameraIntrinsics, GeometryError, gravity_frame
 
 
 class ManifestError(Exception):
@@ -58,6 +42,75 @@ def _finite(v) -> bool:
             and math.isfinite(v))
 
 
+def _numbers(n: int) -> Callable[[Any], bool]:
+    return lambda v: (isinstance(v, list) and len(v) == n
+                      and all(map(_finite, v)))
+
+
+def _strings(v) -> bool:
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+
+
+def _or_null(ok: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: v is None or ok(v)
+
+
+def _grounding(v) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(g, dict) and isinstance(g.get("boxes"), list)
+        and all(map(_numbers(4), g["boxes"])) for g in v)
+
+
+_SIZE = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+         "is not an integer >= 1")
+_POSITIVE = (lambda v: _finite(v) and v > 0, "is not a positive number")
+_FINITE = (_finite, "is not a finite number")
+_FRACTION = (lambda v: _finite(v) and 0 <= v <= 1, "is not a number in [0, 1]")
+_TEXT = (lambda v: isinstance(v, str), "is not a string")
+_DICT = (_or_null(lambda v: isinstance(v, dict)), "is not an object")
+
+# (field, test, what a value that fails it is), checked in order.  A
+# missing field reads as null, and a dotted field is checked only when
+# its parent, checked before it, is not null.
+_IMAGE_RULES = (
+    ("width", *_SIZE), ("height", *_SIZE), ("pointmap", *_TEXT),
+    ("gravity", _or_null(_numbers(3)), "is not [gx, gy, gz]"),
+    ("intrinsics", *_DICT),
+    ("intrinsics.fx", *_POSITIVE), ("intrinsics.fy", *_POSITIVE),
+    ("intrinsics.cx", *_FINITE), ("intrinsics.cy", *_FINITE),
+    ("pixel_stats", *_DICT), ("pixel_stats.white", *_FRACTION),
+    ("pixel_stats.black", *_FRACTION),
+    ("pixel_stats.invalid_depth", *_FRACTION),
+    ("tags", _or_null(lambda v: _strings(v) and len(v) == TAG_COUNT),
+     f"is not a list of {TAG_COUNT} strings"),
+    ("objects", _or_null(lambda v: isinstance(v, list) and all(
+        isinstance(o, dict) for o in v)), "is not a list of objects"),
+)
+_OBJECT_RULES = (
+    ("object_id", *_TEXT), ("category", *_TEXT),
+    ("box2d", _numbers(4), "is not [x0, y0, x1, y1]"),
+    ("mask", _or_null(lambda v: isinstance(v, str)), "is not a string"),
+    ("yaw_deg", _or_null(_finite), "is neither null nor a finite number"),
+    ("pitch_deg", _or_null(_finite), "is neither null nor a finite number"),
+    ("captions", _or_null(_strings), "is not a list of strings"),
+    ("grounding", _or_null(_grounding),
+     'is not a list of {"boxes": [[x0, y0, x1, y1], ...]}'),
+    ("box3d", *_DICT),
+    ("box3d.center", _numbers(3), "is not 3 finite numbers"),
+    ("box3d.size", _numbers(3), "is not 3 finite numbers"),
+    ("box3d.yaw_deg", *_FINITE),
+)
+
+
+def _check(d: dict, rules) -> None:
+    """Raise ManifestError for the first field of ``d`` that breaks a rule."""
+    for key, ok, wanted in rules:
+        parent, _, leaf = key.rpartition(".")
+        owner = d.get(parent) if parent else d
+        if owner is not None and not ok(owner.get(leaf)):
+            raise ManifestError(f"{key} {owner.get(leaf)!r} {wanted}")
+
+
 def _file_safe_id(image_id) -> str:
     if not (isinstance(image_id, str) and image_id and image_id != ".."
             and not any(c in image_id for c in "/\\\0")):
@@ -65,42 +118,6 @@ def _file_safe_id(image_id) -> str:
             f"image_id {image_id!r} cannot name a file: it must be a "
             f"non-empty string with no '/', '\\' or NUL, other than '..'")
     return image_id
-
-
-def _intrinsics(d, ctx: str) -> CameraIntrinsics:
-    if not isinstance(d, dict):
-        raise ManifestError(f"{ctx}: intrinsics {d!r} is not an object")
-    for key in ("fx", "fy", "cx", "cy"):
-        v = d.get(key)
-        if not _finite(v) or (key in ("fx", "fy") and v <= 0):
-            kind = "a positive" if key in ("fx", "fy") else "a finite"
-            raise ManifestError(
-                f"{ctx}: intrinsics.{key} {v!r} is not {kind} number")
-    return CameraIntrinsics.from_dict(d)
-
-
-def _check_object(o: dict, ctx: str) -> None:
-    """Raise ManifestError for a yaw, pitch or box3d of the wrong type."""
-    octx = f"{ctx}, object {o.get('object_id')!r}"
-    for key in ("yaw_deg", "pitch_deg"):
-        v = o.get(key)
-        if v is not None and not _finite(v):
-            raise ManifestError(
-                f"{octx}: {key} {v!r} is neither null nor a finite number")
-    box = o.get("box3d")
-    if box is None:
-        return
-    if not isinstance(box, dict):
-        raise ManifestError(f"{octx}: box3d {box!r} is not an object")
-    for key in ("center", "size"):
-        v = box.get(key)
-        if not (isinstance(v, list) and len(v) == 3
-                and all(_finite(c) for c in v)):
-            raise ManifestError(
-                f"{octx}: box3d.{key} {v!r} is not 3 finite numbers")
-    if not _finite(box.get("yaw_deg")):
-        raise ManifestError(f"{octx}: box3d.yaw_deg {box.get('yaw_deg')!r} "
-                            f"is not a finite number")
 
 
 @dataclass
@@ -132,6 +149,24 @@ class ObjectAnnotation:
             d["box3d"] = self.box3d
         return d
 
+    @classmethod
+    def from_dict(cls, o: dict, width: int, height: int) -> "ObjectAnnotation":
+        """The annotation ``o`` of a ``width`` x ``height`` image."""
+        try:
+            _check(o, _OBJECT_RULES)
+            x0, y0, x1, y1 = o["box2d"]
+            if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
+                raise ManifestError(
+                    f"box2d {o['box2d']!r} outside image bounds")
+        except ManifestError as e:
+            raise ManifestError(
+                f"object {o.get('object_id')!r}: {e}") from None
+        return cls(object_id=o["object_id"], category=o["category"],
+                   box2d=[float(v) for v in o["box2d"]], mask=o.get("mask"),
+                   yaw_deg=o.get("yaw_deg"), pitch_deg=o.get("pitch_deg"),
+                   captions=o.get("captions") or [],
+                   grounding=o.get("grounding"), box3d=o.get("box3d"))
+
 
 @dataclass
 class ImageManifest:
@@ -161,60 +196,83 @@ class ImageManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ImageManifest":
+        """The record ``d`` (a record with no image_id is a KeyError)."""
         image_id = _file_safe_id(d["image_id"])
-        ctx = f"image {image_id!r}"
-        for o in d.get("objects", []):
-            _check_object(o, ctx)
-        objects = [
-            ObjectAnnotation(
-                object_id=o["object_id"], category=o["category"],
-                box2d=[float(v) for v in o["box2d"]],
-                mask=o.get("mask"),
-                yaw_deg=o.get("yaw_deg"), pitch_deg=o.get("pitch_deg"),
-                captions=list(o.get("captions", [])),
-                grounding=o.get("grounding"),
-                box3d=o.get("box3d"),
-            )
-            for o in d.get("objects", [])
-        ]
-        intr = d.get("intrinsics")
+        try:
+            _check(d, _IMAGE_RULES)
+            width, height, gravity = d["width"], d["height"], d.get("gravity")
+            if gravity is not None:
+                try:
+                    gravity_frame(gravity)
+                except GeometryError as e:
+                    raise ManifestError(f"gravity {gravity!r}: {e}") from None
+            objects = [ObjectAnnotation.from_dict(o, width, height)
+                       for o in d.get("objects") or []]
+            ids = [o.object_id for o in objects]
+            if len(set(ids)) < len(ids):
+                raise ManifestError(f"object_ids {ids!r} are not unique")
+        except ManifestError as e:
+            raise ManifestError(f"image {image_id!r}: {e}") from None
+        intrinsics = d.get("intrinsics")
         return cls(
-            image_id=image_id, width=int(d["width"]),
-            height=int(d["height"]), pointmap=d["pointmap"],
-            gravity=d.get("gravity"),
-            intrinsics=_intrinsics(intr, ctx) if intr else None,
+            image_id=image_id, width=width, height=height,
+            pointmap=d["pointmap"], gravity=gravity,
+            intrinsics=intrinsics and CameraIntrinsics.from_dict(intrinsics),
             pixel_stats=d.get("pixel_stats"), tags=d.get("tags"),
-            objects=objects,
-        )
+            objects=objects)
+
+
+def _records(path: str | Path, parse: Callable[[Any], Any]
+             ) -> Iterator[tuple[int, Any]]:
+    """(line number, ``parse(record)``) for each non-blank line.  Invalid
+    UTF-8 or JSON, or a record that ``parse`` rejects with a
+    ManifestError, AttributeError, KeyError, TypeError or ValueError,
+    gives a ManifestError naming the file and line instead."""
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = parse(json.loads(line.decode("utf-8")))
+            except (json.JSONDecodeError, UnicodeDecodeError) as e:
+                record = ManifestError(f"{path} line {lineno}: invalid "
+                                       f"JSON: {e}")
+            except ManifestError as e:
+                record = ManifestError(f"{path} line {lineno}: {e}")
+            except (AttributeError, KeyError, TypeError, ValueError) as e:
+                record = ManifestError(f"{path} line {lineno}: bad "
+                                       f"record: {e!r}")
+            yield lineno, record
 
 
 def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
     """``parse`` applied to each record of a JSON-lines file, in order;
-    blank lines are ignored.  Invalid JSON, or a record that ``parse``
-    rejects with a ManifestError, AttributeError, KeyError, TypeError or
-    ValueError, raises ManifestError naming the file and line."""
+    blank lines are ignored, and the first bad line raises its
+    ManifestError (see ``_records``)."""
     records = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(parse(json.loads(line)))
-            except json.JSONDecodeError as e:
-                raise ManifestError(
-                    f"{path} line {lineno}: invalid JSON: {e}") from e
-            except ManifestError as e:
-                raise ManifestError(f"{path} line {lineno}: {e}") from e
-            except (AttributeError, KeyError, TypeError, ValueError) as e:
-                raise ManifestError(
-                    f"{path} line {lineno}: bad record: {e!r}") from e
+    for _, record in _records(path, parse):
+        if isinstance(record, ManifestError):
+            raise record
+        records.append(record)
     return records
+
+
+def _entry_parser() -> Callable[[Any], ImageManifest]:
+    """``ImageManifest.from_dict`` that also rejects a repeated image_id."""
+    seen: set[str] = set()
+
+    def parse(d) -> ImageManifest:
+        entry = ImageManifest.from_dict(d)
+        if entry.image_id in seen:
+            raise ManifestError(f"duplicate image_id {entry.image_id!r}")
+        seen.add(entry.image_id)
+        return entry
+    return parse
 
 
 def read_manifest(path: str | Path) -> list[ImageManifest]:
     """Parse a JSON-lines manifest; blank lines are ignored."""
-    return read_jsonl(path, ImageManifest.from_dict)
+    return read_jsonl(path, _entry_parser())
 
 
 def write_manifest(entries: list[ImageManifest], path: str | Path) -> None:
@@ -231,77 +289,19 @@ def resolve_path(manifest_path: str | Path, ref: str) -> Path:
     return Path(manifest_path).parent / p
 
 
-def _resolves(manifest_path: str | Path, ref) -> bool:
-    return isinstance(ref, str) and resolve_path(manifest_path, ref).exists()
-
-
-def _fraction(v) -> bool:
-    try:
-        return 0.0 <= float(v) <= 1.0
-    except (TypeError, ValueError):
-        return False
-
-
 def validate_manifest(path: str | Path) -> list[str]:
-    """Full schema validation; returns a list of violation messages."""
+    """Every schema violation of a manifest, one message per bad line,
+    plus one per pointmap or mask path that does not resolve to a file."""
     problems: list[str] = []
-    try:
-        entries = read_manifest(path)
-    except ManifestError as e:
-        return [str(e)]
-
-    seen_ids = set()
-    for entry in entries:
-        ctx = f"image {entry.image_id!r}"
-        if entry.image_id in seen_ids:
-            problems.append(f"{ctx}: duplicate image_id")
-        seen_ids.add(entry.image_id)
-        if entry.width <= 0 or entry.height <= 0:
-            problems.append(f"{ctx}: nonpositive dimensions")
-        if not _resolves(path, entry.pointmap):
-            problems.append(f"{ctx}: pointmap {entry.pointmap!r} does not resolve")
-        if entry.gravity is not None:
-            try:
-                gravity = np.asarray(entry.gravity, dtype=float)
-            except (TypeError, ValueError):
-                gravity = None
-            if gravity is None or gravity.shape != (3,):
-                problems.append(f"{ctx}: gravity {entry.gravity!r} is not "
-                                f"[gx, gy, gz]")
-            else:
-                norm = float(np.linalg.norm(gravity))
-                if abs(norm - 1.0) > 1e-6:
-                    problems.append(f"{ctx}: gravity norm {norm:.6f} != 1")
-        if entry.pixel_stats is not None:
-            if not isinstance(entry.pixel_stats, dict):
-                problems.append(f"{ctx}: pixel_stats is not an object")
-            else:
-                for key in ("white", "black", "invalid_depth"):
-                    if not _fraction(entry.pixel_stats.get(key)):
-                        problems.append(f"{ctx}: pixel_stats.{key} missing "
-                                        f"or out of range")
-        if entry.tags is not None:
-            if not isinstance(entry.tags, list):
-                problems.append(f"{ctx}: tags is not a list")
-            elif len(entry.tags) != 5:
-                problems.append(
-                    f"{ctx}: expected 5 tags, got {len(entry.tags)}")
-
-        obj_ids = set()
-        for obj in entry.objects:
-            octx = f"{ctx}, object {obj.object_id!r}"
-            if obj.object_id in obj_ids:
-                problems.append(f"{octx}: duplicate object_id")
-            obj_ids.add(obj.object_id)
-            if len(obj.box2d) != 4:
-                problems.append(f"{octx}: box2d {obj.box2d} is not "
-                                f"[x0, y0, x1, y1]")
-            else:
-                x0, y0, x1, y1 = obj.box2d
-                if not (0 <= x0 < x1 <= entry.width
-                        and 0 <= y0 < y1 <= entry.height):
-                    problems.append(
-                        f"{octx}: box2d {obj.box2d} outside image bounds")
-            if obj.mask is not None and not _resolves(path, obj.mask):
-                problems.append(f"{octx}: mask {obj.mask!r} does not resolve")
+    for lineno, entry in _records(path, _entry_parser()):
+        if isinstance(entry, ManifestError):
+            problems.append(str(entry))
+            continue
+        refs = [("pointmap", entry.pointmap)] + [
+            (f"object {o.object_id!r}: mask", o.mask)
+            for o in entry.objects if o.mask is not None]
+        problems += [
+            f"{path} line {lineno}: image {entry.image_id!r}: {what} "
+            f"{ref!r} does not resolve"
+            for what, ref in refs if not resolve_path(path, ref).is_file()]
     return problems

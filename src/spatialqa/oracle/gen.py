@@ -23,6 +23,7 @@ from .render import render_scene
 from .scene import OracleScene, SceneSamplerConfig, sample_scene, write_scenes
 
 MIN_OBJECT_PIXELS = 30
+MIN_VISIBLE_FRACTION = 0.85  # of an object's pixels when rendered alone
 
 
 @dataclass
@@ -48,13 +49,12 @@ def _mask_box(mask: np.ndarray) -> list[float]:
 
 
 def scene_to_files(scene: OracleScene, paths: DatasetPaths,
-                   gt_boxes: bool, rng: np.random.Generator,
-                   min_visible_fraction: float = 0.85
+                   gt_boxes: bool, rng: np.random.Generator
                    ) -> tuple[ImageManifest, OracleScene]:
     """Render one scene and write its pmap + masks; returns the manifest
     entry and the visibility-filtered ground truth."""
     pm, masks, _depth = render_scene(scene, rng=rng,
-                                     min_visible_fraction=min_visible_fraction)
+                                     min_visible_fraction=MIN_VISIBLE_FRACTION)
     pmap_rel = f"pmaps/{scene.scene_id}.pmap"
     pmap_path = paths.root / pmap_rel
     pmap_path.parent.mkdir(parents=True, exist_ok=True)

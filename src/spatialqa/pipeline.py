@@ -39,13 +39,7 @@ from .geometry import (
     fit_box3d,
     gravity_frame,
 )
-from .manifest import (
-    ImageManifest,
-    ManifestError,
-    read_jsonl,
-    read_manifest,
-    resolve_path,
-)
+from .manifest import ImageManifest, read_jsonl, read_manifest, resolve_path
 from .pmap import read_pointmap
 from .qa.items import QAItem, canonical_json, derive_seed
 from .qa.problem import scene_digest, validate_candidates
@@ -88,11 +82,10 @@ class RunLedger:
 # ---------------------------------------------------------------------------
 
 def _apply_filters(entry: ImageManifest, config: PipelineConfig) -> None:
-    if entry.pixel_stats is not None:
-        stats = entry.pixel_stats
+    stats = entry.pixel_stats
+    if stats is not None:
         decision = heuristic_image_filter(
-            float(stats.get("white", 0.0)), float(stats.get("black", 0.0)),
-            float(stats.get("invalid_depth", 0.0)))
+            stats["white"], stats["black"], stats["invalid_depth"])
         if not decision.keep:
             raise SceneSkipped("; ".join(decision.reasons))
     if entry.tags is not None and (config.tag_include or config.tag_exclude):
@@ -138,14 +131,12 @@ def _verified_captions(entry: ImageManifest, objects: list[SceneObject],
     by_id = {ann.object_id: ann for ann in entry.objects}
     verified: dict[str, str] = {}
     for obj in objects:
-        ann = by_id.get(obj.object_id)
-        if ann is None or not ann.captions:
-            continue
+        ann = by_id[obj.object_id]
         for i, caption in enumerate(ann.captions):
             if ann.grounding is not None:
                 if i >= len(ann.grounding):
                     break
-                boxes = ann.grounding[i].get("boxes", [])
+                boxes = ann.grounding[i]["boxes"]
             elif grounder is not None:
                 boxes = grounder.call(
                     {"image_id": entry.image_id, "caption": caption}
@@ -252,18 +243,13 @@ def run_generate(manifest_path: str | Path, config: PipelineConfig,
     """Generate the corpus for a manifest; resumable and order-stable.
 
     Returns the run ledger; writes corpus.jsonl, ledger.json and
-    parts/*.jsonl under out_dir.  A repeated image_id raises
-    ManifestError before any image runs.
+    parts/*.jsonl under out_dir.  A bad manifest record (see
+    ``read_manifest``) or client spec raises before anything is written.
     """
     start = time.monotonic()
     manifest_path = str(manifest_path)
     entries = read_manifest(manifest_path)
-    seen: set[str] = set()
-    for entry in entries:
-        if entry.image_id in seen:
-            raise ManifestError(f"{manifest_path}: duplicate image_id "
-                                f"{entry.image_id!r}")
-        seen.add(entry.image_id)
+    clients = build_clients(config.clients, cache_dir=config.cache_dir)
 
     out = Path(out_dir)
     parts_dir = out / "parts"
@@ -281,7 +267,6 @@ def run_generate(manifest_path: str | Path, config: PipelineConfig,
         else:
             todo.append(entry)
 
-    clients = build_clients(config.clients, cache_dir=config.cache_dir)
     if config.workers <= 1 or len(todo) <= 1:
         results = [
             _process_entry_to_part(e, manifest_path, config, clients,

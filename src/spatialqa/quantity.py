@@ -33,19 +33,14 @@ _QUANTITY_RE = re.compile(
 _BARE_NUMBER_RE = re.compile(_NUMBER)
 
 
-def format_quantity(value_m: float, style: str = "auto") -> str:
-    """Canonical text for a nonnegative metric value.
-
-    style "auto" picks meters at >= 1 m and whole centimeters below;
-    "meters" and "centimeters" force a unit.
-    """
+def format_quantity(value_m: float) -> str:
+    """Canonical text for a nonnegative metric value: meters at >= 1 m,
+    whole centimeters below."""
     if value_m < 0:
         raise ValueError(f"quantities are nonnegative, got {value_m}")
-    if style == "meters" or (style == "auto" and value_m >= 1.0):
+    if value_m >= 1.0:
         return f"{value_m:.{METER_DECIMALS}f} meters"
-    if style in ("auto", "centimeters"):
-        return f"{round(value_m * 100):d} centimeters"
-    raise ValueError(f"unknown style {style!r}")
+    return f"{round(value_m * 100):d} centimeters"
 
 
 def parse_quantity(text: str) -> float | None:

@@ -249,6 +249,55 @@ class TestErrors:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_rejected_client_spec_writes_nothing(self, oracle_dir, tmp_path,
+                                                 capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"clients": {"judge": {
+            "fixture_dir": "x", "max_attempts": 0}}}))
+        rc = main(["generate", "--manifest",
+                   str(oracle_dir / "manifest.jsonl"), "--config",
+                   str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", [2.7, True, "3", None])
+    def test_non_integer_config_seed_exit_code(self, oracle_dir, tmp_path,
+                                               capsys, seed):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": seed}))
+        rc = main(["generate", "--manifest",
+                   str(oracle_dir / "manifest.jsonl"), "--config",
+                   str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: seed must be an integer, got {seed!r}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--manifest", "m.jsonl", "--limit", "-1"],
+         "--limit: '-1' is not an integer >= 0"),
+        (["encode-dump", "--pointmap", "p.pmap", "--patchify",
+          "--channels", "-3"], "--channels: '-3' is not an integer >= 1"),
+        (["encode-dump", "--pointmap", "p.pmap", "--channels", "0"],
+         "--channels: '0' is not an integer >= 1"),
+        (["encode-dump", "--pointmap", "p.pmap", "--seed", "-1"],
+         "--seed: '-1' is not an integer >= 0"),
+        (["oracle", "gen", "--seeds", "0:1", "--sigma", "-1"],
+         "--sigma: '-1' is not a finite number >= 0"),
+        (["oracle", "gen", "--seeds", "0:1", "--sigma", "nan"],
+         "--sigma: 'nan' is not a finite number >= 0"),
+        (["oracle", "gen", "--seeds", "0:1", "--sigma", "inf"],
+         "--sigma: 'inf' is not a finite number >= 0"),
+    ])
+    def test_number_out_of_range_is_a_usage_error(self, tmp_path, capsys,
+                                                  argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestImports:
     def test_cli_does_not_load_scipy(self):

@@ -1,12 +1,15 @@
 """Manifest schema reading, writing and validation."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from spatialqa.cli import main
 from spatialqa.geometry import CameraIntrinsics
+from spatialqa.oracle.gen import generate_dataset
+from spatialqa.oracle.scene import ESTIMATION_SAMPLER
 from spatialqa.manifest import (
     ImageManifest,
     ManifestError,
@@ -80,6 +83,18 @@ class TestReadJsonl:
                            match=r"r\.jsonl line 3: invalid JSON"):
             read_jsonl(path, lambda r: r["a"])
 
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(json.dumps(_entry(tmp_path).to_dict()).encode()
+                         + b'\n{"image_id": "caf\xe9"}\n')
+        with pytest.raises(ManifestError, match=r"manifest\.jsonl line 2: "
+                           r"invalid JSON: 'utf-8' codec can't decode"):
+            read_manifest(path)
+        assert main(["validate", "--manifest", str(path)]) == 1
+        assert main(["generate", "--manifest", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("line", ['{"b": 1}', "[1, 2]", "7", '"text"'])
     def test_rejected_record_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "manifest.jsonl"
@@ -134,14 +149,14 @@ class TestValidation:
 
     @pytest.mark.parametrize("field, value, message", [
         ("box2d", [1, 2, 3], "is not [x0, y0, x1, y1]"),
-        ("pixel_stats", "oops", "pixel_stats is not an object"),
+        ("pixel_stats", "oops", "pixel_stats 'oops' is not an object"),
         ("pixel_stats", {"white": "x", "black": 0.0, "invalid_depth": 0.0},
-         "pixel_stats.white missing or out of range"),
+         "pixel_stats.white 'x' is not a number in [0, 1]"),
         ("gravity", "oops", "is not [gx, gy, gz]"),
         ("gravity", [0.0, "a", 0.0], "is not [gx, gy, gz]"),
-        ("tags", 3, "tags is not a list"),
-        ("pointmap", 3, "pointmap 3 does not resolve"),
-        ("mask", 3, "mask 3 does not resolve"),
+        ("tags", 3, "tags 3 is not a list of 5 strings"),
+        ("pointmap", 3, "pointmap 3 is not a string"),
+        ("mask", 3, "mask 3 is not a string"),
     ])
     def test_hostile_field_is_a_violation(self, tmp_path, capsys, field,
                                           value, message):
@@ -154,7 +169,8 @@ class TestValidation:
         path.write_text(json.dumps(record) + "\n")
         assert any(message in p for p in validate_manifest(path))
         assert main(["validate", "--manifest", str(path)]) == 1
-        assert "violation: image 'img-0'" in capsys.readouterr().err
+        assert f"violation: {path} line 1: image 'img-0': " \
+            in capsys.readouterr().err
 
 
 def _run_both(tmp_path, capsys, record):
@@ -260,3 +276,105 @@ class TestResolvePath:
     def test_absolute_passthrough(self, tmp_path):
         p = resolve_path(tmp_path / "m.jsonl", "/abs/file.pmap")
         assert str(p) == "/abs/file.pmap"
+
+
+# ROADMAP item 4's hostile values, each put in place of one field of
+# record 2 of a 3-record oracle manifest
+HOSTILE = [None, "x", -1, 0, 1e308, float("nan"), [], {}, [1, 2],
+           "../../etc/passwd", True]
+IMAGE_FIELDS = [
+    "image_id", "width", "height", "pointmap", "gravity", "intrinsics",
+    "intrinsics.fx", "intrinsics.fy", "intrinsics.cx", "intrinsics.cy",
+    "pixel_stats", "pixel_stats.white", "pixel_stats.black",
+    "pixel_stats.invalid_depth", "tags", "objects",
+]
+OBJECT_FIELDS = ["object_id", "category", "box2d", "mask", "yaw_deg",
+                 "pitch_deg", "captions", "grounding", "box3d"]
+BOX3D_FIELDS = ["box3d.center", "box3d.size", "box3d.yaw_deg"]
+
+
+def _mutated(record: dict, field: str, value) -> dict:
+    record = json.loads(json.dumps(record))
+    if field in OBJECT_FIELDS or field in BOX3D_FIELDS:
+        owner = record["objects"][0]
+    else:
+        owner = record
+    *path, key = field.split(".")
+    for part in path:
+        owner = owner[part]
+    owner[key] = value
+    return record
+
+
+class TestHostileRecords:
+    """Mutation sweep over oracle seeds 0:3: no exception escapes the CLI,
+    a manifest that validates clean generates clean, and generate writes
+    nothing outside --out."""
+
+    @pytest.mark.parametrize("estimate", [False, True],
+                             ids=["gt-boxes", "estimation"])
+    def test_validate_clean_means_generate_clean(self, tmp_path, capsys,
+                                                 estimate):
+        data = tmp_path / "data"
+        if estimate:
+            generate_dataset(range(3), data, sigma=0.01, gt_boxes=False,
+                             sampler=ESTIMATION_SAMPLER)
+        else:
+            generate_dataset(range(3), data)
+        lines = (data / "manifest.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        assert record["objects"]
+        fields = IMAGE_FIELDS + OBJECT_FIELDS + ([] if estimate
+                                                 else BOX3D_FIELDS)
+        # records 1 and 3 stay as they are: their done parts are copied
+        # into each run, so generate resumes past them
+        assert main(["generate", "--manifest", str(data / "manifest.jsonl"),
+                     "--out", str(tmp_path / "clean")]) == 0
+        ids = [json.loads(line)["image_id"] for line in (lines[0], lines[2])]
+        done = [tmp_path / "clean" / "parts" / f"{i}.jsonl" for i in ids]
+        manifest = data / "mutated.jsonl"
+        out = tmp_path / "run" / "out"
+        faults = []
+        for field in fields:
+            for value in HOSTILE:
+                case = f"{field}={value!r}"
+                lines[1] = json.dumps(_mutated(record, field, value))
+                manifest.write_text("\n".join(lines) + "\n")
+                shutil.rmtree(tmp_path / "run", ignore_errors=True)
+                (out / "parts").mkdir(parents=True)
+                for part in done:
+                    shutil.copy(part, out / "parts")
+                before = set(tmp_path.rglob("*"))
+                try:
+                    validate_rc = main(["validate", "--manifest",
+                                        str(manifest)])
+                    generate_rc = main(["generate", "--manifest",
+                                        str(manifest), "--out", str(out)])
+                except Exception as e:  # noqa: BLE001 - the fault sought
+                    faults.append(f"{case}: {type(e).__name__}: {e}")
+                    continue
+                finally:
+                    capsys.readouterr()
+                written = set(tmp_path.rglob("*")) - before
+                faults += [f"{case}: wrote {p}" for p in written
+                           if out not in p.parents and p != out
+                           and p not in out.parents]
+                if validate_rc == 0 and (generate_rc != 0 or "failed" in (
+                        json.loads((out / "ledger.json").read_text())
+                        ["summary"])):
+                    faults.append(f"{case}: validates clean, generate "
+                                  f"exits {generate_rc}")
+        assert not faults, f"{len(faults)} faults:\n" + "\n".join(faults)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("box2d", "1234", "box2d '1234' is not [x0, y0, x1, y1]"),
+        ("captions", "a red chair",
+         "captions 'a red chair' is not a list of strings"),
+    ])
+    def test_string_for_a_list_is_a_violation(self, tmp_path, field, value,
+                                              message):
+        record = _mutated(_entry(tmp_path).to_dict(), field, value)
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert [p.split(": ", 1)[1] for p in validate_manifest(path)] == [
+            f"image 'img-0': object 'obj0': {message}"]

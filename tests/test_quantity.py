@@ -23,10 +23,6 @@ class TestFormat:
     def test_boundary_exactly_one(self):
         assert format_quantity(1.0) == "1.00 meters"
 
-    def test_forced_styles(self):
-        assert format_quantity(0.42, style="meters") == "0.42 meters"
-        assert format_quantity(1.5, style="centimeters") == "150 centimeters"
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             format_quantity(-0.1)
