@@ -5,14 +5,18 @@
   spatialqa evaluate    --corpus Q --responses R --out D [--config C]
   spatialqa oracle gen  --seeds A:B --out D [--sigma S] [--estimate]
                         [--preset default|estimation] [--problem-fixtures]
-  spatialqa oracle check --scenes S --corpus Q [--quantity-tol T]
+  spatialqa oracle check --scenes S --corpus Q
   spatialqa validate    --manifest M
   spatialqa encode-dump --pointmap P --out T [--channels N] [--seed S]
 
 All commands exit nonzero on any error; ``validate`` and ``oracle check``
-exit nonzero when violations or mismatches are found.  A number outside
-its flag's range (``--limit`` and the ``encode-dump`` seed >= 0,
-``--channels`` >= 1, ``--sigma`` finite and >= 0) is a usage error.
+exit nonzero when violations or mismatches are found (a corpus item the
+oracle cannot read counts as a mismatch).  A number outside its flag's
+range (``--limit``, the ``oracle gen`` seeds and the ``encode-dump`` seed
+>= 0, ``--channels`` >= 1, ``--sigma`` finite and >= 0) is a usage error.
+
+A run is set by its input files, its ``--config`` file (see ``config``)
+and these flags; no environment variable changes it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .clients import ClientError
 from .config import ConfigError, check_int, load_config
 from .encoding import ENCODED_CHANNELS, patchify, sinusoidal_encode, write_tensor
 from .manifest import ManifestError, validate_manifest
-from .oracle.answers import QUANTITY_TOL, answers_match
+from .oracle.answers import OracleMismatch, answers_match
 from .oracle.gen import generate_dataset
 from .oracle.scene import ESTIMATION_SAMPLER, SceneSamplerConfig, read_scenes
 from .pipeline import read_corpus, run_evaluate, run_generate
@@ -37,17 +41,17 @@ from .pmap import PmapError, read_pointmap
 
 
 def _seed_range(text: str) -> range:
-    """Seeds "A:B" or "A..B" (B exclusive), or the single seed "A"."""
+    """Seeds "A:B" or "A..B" (B exclusive), or the single seed "A"; no
+    seed is negative."""
+    lo, sep, hi = text.replace("..", ":").partition(":")
     try:
-        for sep in (":", ".."):
-            if sep in text:
-                lo, hi = text.split(sep, 1)
-                return range(int(lo), int(hi))
-        start = int(text)
+        seeds = range(int(lo), int(hi) if sep else int(lo) + 1)
     except ValueError:
+        seeds = None
+    if seeds is None or min(seeds.start, seeds.stop) < 0:
         raise argparse.ArgumentTypeError(
-            f"bad seed range {text!r}, expected A:B") from None
-    return range(start, start + 1)
+            f"bad seed range {text!r}, expected A:B with A, B >= 0")
+    return seeds
 
 
 def _at_least(convert, least: int):
@@ -105,17 +109,20 @@ def cmd_oracle_check(args) -> int:
     mismatches = 0
     checked = 0
     for item in items:
-        scene = scenes.get(item["image_id"])
+        scene = scenes.get(item.get("image_id"))
         if scene is None:
-            print(f"oracle check: no scene for {item['item_id']}",
+            print(f"oracle check: no scene for {item.get('item_id')}",
                   file=sys.stderr)
             mismatches += 1
             continue
-        ok, why = answers_match(scene, item, quantity_tol=args.quantity_tol)
+        try:
+            ok, why = answers_match(scene, item)
+        except (OracleMismatch, LookupError, TypeError, ValueError) as e:
+            ok, why = False, f"oracle cannot read the item: {e!r}"
         checked += 1
         if not ok:
             mismatches += 1
-            print(f"MISMATCH {item['item_id']}: {why}", file=sys.stderr)
+            print(f"MISMATCH {item.get('item_id')}: {why}", file=sys.stderr)
     print(f"oracle check: {checked} items, {mismatches} mismatches")
     return 1 if mismatches else 0
 
@@ -188,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = osub.add_parser("check", help="verify a corpus against scene truth")
     p.add_argument("--scenes", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--quantity-tol", type=float, default=QUANTITY_TOL)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("validate", help="validate a manifest")

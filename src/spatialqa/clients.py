@@ -21,6 +21,11 @@ Role schemas:
   problem-generator   scene digest (see qa.problem) ->
                       {"candidates": [{question, kind, value?, answer?,
                                        check}, ...]}
+
+A role's spec in the config file holds ``SPEC_KEYS`` only: ``endpoint``
+and ``fixture_dir`` (strings), ``timeout_s``, ``max_attempts`` and
+``backoff_base_s``.  Every role caches under the config's top-level
+``cache_dir``; a spec cannot set its own.
 """
 
 from __future__ import annotations
@@ -32,10 +37,12 @@ import os
 import tempfile
 import time
 import urllib.request
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 ROLES = ("grounder", "judge", "problem-generator")
+SPEC_KEYS = ("endpoint", "fixture_dir", "timeout_s", "max_attempts",
+             "backoff_base_s")
 
 
 class ClientError(Exception):
@@ -79,11 +86,17 @@ class ClientConfig:
     backoff_base_s: float = 0.1
 
     def __post_init__(self):
-        """Reject an attempt count or a duration a client cannot run with."""
+        """Reject a path that is not a string, or an attempt count or a
+        duration a client cannot run with."""
         def real(v) -> bool:
             return (isinstance(v, (int, float)) and not isinstance(v, bool)
                     and math.isfinite(v))
 
+        for name in ("endpoint", "fixture_dir"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ClientError(self.role, f"{name} must be a string, "
+                                  f"got {value!r}")
         checks = (
             ("max_attempts", "an integer >= 1",
              isinstance(self.max_attempts, int)
@@ -100,20 +113,16 @@ class ClientConfig:
                                   f"{wanted}, got {getattr(self, name)!r}")
 
     @classmethod
-    def from_dict(cls, role: str, d: dict) -> "ClientConfig":
-        """A role's config-file spec; a spec that is not an object, an
-        unknown key or a bad number raises ClientError."""
+    def from_dict(cls, role: str, d: dict,
+                  cache_dir: str | None = None) -> "ClientConfig":
+        """A role's config-file spec; a spec that is not an object, a key
+        outside ``SPEC_KEYS`` or a bad value raises ClientError."""
         if not isinstance(d, dict):
             raise ClientError(role, f"spec must be a JSON object, got {d!r}")
-        unknown = set(d) - {f.name for f in fields(cls) if f.name != "role"}
+        unknown = set(d) - set(SPEC_KEYS)
         if unknown:
             raise ClientError(role, f"unknown keys: {sorted(unknown)}")
-        return cls(role=role, endpoint=d.get("endpoint"),
-                   fixture_dir=d.get("fixture_dir"),
-                   cache_dir=d.get("cache_dir"),
-                   timeout_s=d.get("timeout_s", 10.0),
-                   max_attempts=d.get("max_attempts", 3),
-                   backoff_base_s=d.get("backoff_base_s", 0.1))
+        return cls(role=role, cache_dir=cache_dir, **d)
 
 
 class Client:
@@ -188,11 +197,7 @@ def record_fixture(fixture_dir: str | Path, role: str, request: dict,
 
 def build_clients(client_configs: dict[str, dict],
                   cache_dir: str | None = None) -> dict[str, Client]:
-    """Instantiate clients from config dicts; roles absent stay disabled."""
-    clients = {}
-    for role, spec in client_configs.items():
-        cfg = ClientConfig.from_dict(role, spec)
-        if cfg.cache_dir is None and cache_dir is not None:
-            cfg.cache_dir = cache_dir
-        clients[role] = Client(cfg)
-    return clients
+    """Instantiate clients from config specs, all caching under
+    ``cache_dir``; roles absent stay disabled."""
+    return {role: Client(ClientConfig.from_dict(role, spec, cache_dir))
+            for role, spec in client_configs.items()}

@@ -1,16 +1,16 @@
-"""Pipeline configuration: JSON file plus SPATIALQA_* environment overrides.
+"""Pipeline configuration: one JSON file, then the CLI flags.
 
 Config file keys (all optional):
 
   workers        int >= 1, parallel image workers (default 1)
   seed           int (not a bool), corpus seed (default 0)
   band           "tight" | "wide", quantitative scoring band
-  clients        {role: {"endpoint" | "fixture_dir", "cache_dir", ...}}
+  clients        {role: {"endpoint" | "fixture_dir", ...}}, see ``clients``
   tag_filter     {"include": [...], "exclude": [...]}
-  cache_dir      default client cache directory
+  cache_dir      string, the client cache directory of every role
 
-Environment overrides (take precedence over the file):
-  SPATIALQA_WORKERS, SPATIALQA_SEED, SPATIALQA_BAND, SPATIALQA_CACHE_DIR
+The environment sets nothing: a run is fixed by its manifest, this file
+and its command line.
 
 Guard bands, per-scene synthesis caps and prompt templates are fixed
 design values (constants in ``relations``, ``qa.synth`` and
@@ -26,11 +26,8 @@ as ``error: ...`` and exits 2.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-
-ENV_PREFIX = "SPATIALQA_"
 
 
 class ConfigError(Exception):
@@ -91,6 +88,9 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise ConfigError(f"band must be tight or wide, got {band!r}")
     if not isinstance(raw.get("clients", {}), dict):
         raise ConfigError(f"clients must be an object, got {raw['clients']!r}")
+    cache_dir = raw.get("cache_dir")
+    if cache_dir is not None and not isinstance(cache_dir, str):
+        raise ConfigError(f"cache_dir must be a string, got {cache_dir!r}")
     try:
         tag_include, tag_exclude = _tags_from_dict(raw.get("tag_filter", {}))
         return PipelineConfig(
@@ -100,14 +100,14 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             clients=raw.get("clients", {}),
             tag_include=tag_include,
             tag_exclude=tag_exclude,
-            cache_dir=raw.get("cache_dir"),
+            cache_dir=cache_dir,
         )
     except (AttributeError, TypeError, ValueError) as e:
         raise ConfigError(f"bad config: {e}") from e
 
 
-def load_config(path: str | Path | None = None,
-                env: dict | None = None) -> PipelineConfig:
+def load_config(path: str | Path | None = None) -> PipelineConfig:
+    """The config file at ``path``, or the defaults when there is none."""
     raw = {}
     if path is not None:
         try:
@@ -116,20 +116,4 @@ def load_config(path: str | Path | None = None,
             raise ConfigError(f"{path}: {e}") from e
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: not a JSON object")
-    config = config_from_dict(raw)
-    env = os.environ if env is None else env
-    try:
-        if f"{ENV_PREFIX}WORKERS" in env:
-            config.workers = check_int(int(env[f"{ENV_PREFIX}WORKERS"]),
-                                       f"{ENV_PREFIX}WORKERS", least=1)
-        if f"{ENV_PREFIX}SEED" in env:
-            config.seed = int(env[f"{ENV_PREFIX}SEED"])
-    except ValueError as e:
-        raise ConfigError(f"bad {ENV_PREFIX}* override: {e}") from e
-    if f"{ENV_PREFIX}BAND" in env:
-        config.band = env[f"{ENV_PREFIX}BAND"]
-        if config.band not in ("tight", "wide"):
-            raise ConfigError(f"bad {ENV_PREFIX}BAND {config.band!r}")
-    if f"{ENV_PREFIX}CACHE_DIR" in env:
-        config.cache_dir = env[f"{ENV_PREFIX}CACHE_DIR"]
-    return config
+    return config_from_dict(raw)

@@ -429,23 +429,28 @@ def dbscan_largest_cluster(pc: ObjectPointCloud, eps: float,
     best = int(np.argmax(counts))  # argmax takes the lowest id on ties,
     # and ids are ordered by smallest core point
     keep = labels == best
-    return ObjectPointCloud(object_id=pc.object_id, points=pc.points[keep],
-                            source_pixels=pc.source_pixels)
+    return ObjectPointCloud(object_id=pc.object_id, points=pc.points[keep])
 
 
-def default_eps(points: np.ndarray, fraction: float = 0.05) -> float:
-    """Scale-free default: a fraction of the cloud's bounding diagonal."""
+# The pipeline's DBSCAN scale: eps as a fraction of the cloud's bounding
+# diagonal, min_pts as a fraction of its point count, capped.
+EPS_FRACTION = 0.05
+MIN_PTS_FRACTION = 0.005
+MIN_PTS_CAP = 40
+
+
+def default_eps(points: np.ndarray) -> float:
+    """Scale-free default: ``EPS_FRACTION`` of the bounding diagonal."""
     pts = np.asarray(points, dtype=float)
     diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    return max(fraction * diag, 1e-6)
+    return max(EPS_FRACTION * diag, 1e-6)
 
 
-def default_min_pts(n_points: int, fraction: float = 0.005,
-                    cap: int = 40) -> int:
-    """max(5, 0.5% of points), capped.
+def default_min_pts(n_points: int) -> int:
+    """max(5, 0.5% of points), capped at ``MIN_PTS_CAP``.
 
     The cap matters for dense clouds: the count-proportional term would
     otherwise outgrow the eps-ball occupancy of obliquely viewed surfaces
     and misclassify whole faces as noise.
     """
-    return max(5, min(cap, int(round(fraction * n_points))))
+    return max(5, min(MIN_PTS_CAP, int(round(MIN_PTS_FRACTION * n_points))))

@@ -19,9 +19,6 @@ class FilterDecision:
     keep: bool
     reasons: tuple[str, ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.keep
-
 
 def heuristic_image_filter(white_frac: float, black_frac: float,
                            invalid_depth_frac: float) -> FilterDecision:

@@ -59,7 +59,6 @@ class CameraIntrinsics:
 class ObjectPointCloud:
     object_id: str
     points: np.ndarray  # (N, 3) float, camera frame meters
-    source_pixels: int
 
     def __len__(self) -> int:
         return len(self.points)
@@ -105,14 +104,6 @@ class Box3D:
     @property
     def volume(self) -> float:
         return float(np.prod(self.size))
-
-    def to_dict(self) -> dict:
-        return {
-            "center": [float(c) for c in self.center],
-            "size": [float(s) for s in self.size],
-            "yaw_deg": float(self.yaw_deg),
-            "quality": self.quality,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Box3D":
@@ -208,8 +199,7 @@ def extract_object_points(pm: PointMap, mask: np.ndarray,
             f"({int(mask.sum())} masked)"
         )
     pts = pm.points[take].astype(np.float64)
-    return ObjectPointCloud(object_id=object_id, points=pts,
-                            source_pixels=int(mask.sum()))
+    return ObjectPointCloud(object_id=object_id, points=pts)
 
 
 # ---------------------------------------------------------------------------

@@ -224,9 +224,9 @@ def _evaluate_check(check, objs):
 # Item-level agreement
 # ---------------------------------------------------------------------------
 
-def _payloads_agree(kind: str, stored, oracle, quantity_tol: float) -> bool:
+def _payloads_agree(kind: str, stored, oracle) -> bool:
     if kind == "quantity":
-        return abs(float(stored) - float(oracle)) <= quantity_tol
+        return abs(float(stored) - float(oracle)) <= QUANTITY_TOL
     if kind == "count":
         return int(stored) == int(oracle)
     if kind == "label":
@@ -234,7 +234,7 @@ def _payloads_agree(kind: str, stored, oracle, quantity_tol: float) -> bool:
     if kind == "vector3":
         s = np.asarray(stored, dtype=float)
         o = np.asarray(oracle, dtype=float)
-        return bool(np.max(np.abs(s - o)) <= max(VECTOR_TOL, quantity_tol))
+        return bool(np.max(np.abs(s - o)) <= VECTOR_TOL)
     if kind == "unit-vector":
         s = np.asarray(stored, dtype=float)
         o = np.asarray(oracle, dtype=float)
@@ -244,8 +244,7 @@ def _payloads_agree(kind: str, stored, oracle, quantity_tol: float) -> bool:
     raise OracleMismatch(f"unknown payload kind {kind!r}")
 
 
-def answers_match(scene: OracleScene, item: dict,
-                  quantity_tol: float = QUANTITY_TOL) -> tuple[bool, str]:
+def answers_match(scene: OracleScene, item: dict) -> tuple[bool, str]:
     """Does the stored item answer agree with the independent oracle?
 
     Free-form items compare payloads directly; MCQ items must store the
@@ -260,12 +259,12 @@ def answers_match(scene: OracleScene, item: dict,
     fmt = item["format"]
     if fmt == "free-form" or fmt is None:
         ok = _payloads_agree(payload["kind"], payload["value"],
-                             oracle["value"], quantity_tol)
+                             oracle["value"])
         return ok, "" if ok else (
             f"stored {payload['value']!r} != oracle {oracle['value']!r}")
 
     if fmt == "mcq":
-        letter = _oracle_option_letter(item["options"], oracle, quantity_tol)
+        letter = _oracle_option_letter(item["options"], oracle)
         if letter is None:
             return False, "no option matches the oracle value"
         ok = letter == item["answer"]
@@ -276,8 +275,7 @@ def answers_match(scene: OracleScene, item: dict,
         stated = item["provenance"].get("stated")
         if stated is None:
             return False, "true-false item without stated value"
-        agrees = _payloads_agree(payload["kind"], stated, oracle["value"],
-                                 quantity_tol)
+        agrees = _payloads_agree(payload["kind"], stated, oracle["value"])
         expected = "True" if agrees else "False"
         ok = expected == item["answer"]
         return ok, "" if ok else (
@@ -287,15 +285,14 @@ def answers_match(scene: OracleScene, item: dict,
     return False, f"unknown format {fmt!r}"
 
 
-def _oracle_option_letter(options: list[str], oracle: dict,
-                          quantity_tol: float) -> str | None:
+def _oracle_option_letter(options: list[str], oracle: dict) -> str | None:
     letters = "ABCD"
     kind = oracle["kind"]
     for i, option in enumerate(options):
         if kind == "quantity":
             parsed = parse_quantity(option)
             if parsed is not None and \
-               abs(parsed - float(oracle["value"])) <= quantity_tol:
+               abs(parsed - float(oracle["value"])) <= QUANTITY_TOL:
                 return letters[i]
         elif kind == "count":
             try:

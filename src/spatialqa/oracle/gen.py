@@ -10,7 +10,7 @@ consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +106,6 @@ class GenerateResult:
     fixture_dir: Path | None
     n_scenes: int = 0
     n_objects: int = 0
-    extras: dict = field(default_factory=dict)
 
 
 def generate_dataset(seeds: range, out_dir: str | Path, sigma: float = 0.0,

@@ -92,23 +92,25 @@ class OracleScene:
         )
 
 
+# Sampler values every preset shares.
+MIN_OBJECTS = 2
+MAX_OBJECTS = 5
+MAX_TILT_DEG = 8.0
+FRUSTUM_MARGIN_PX = 2.0
+CANONICAL_YAW_FRACTION = 0.7
+DUPLICATE_CATEGORY_BIAS = 0.5   # chance to reuse a present category
+
+
 @dataclass
 class SceneSamplerConfig:
     resolution: int = 96
     focal_factor: float = 1.0       # fx = focal_factor * resolution
     cy_factor: float = 0.5          # principal point row / resolution
-    min_objects: int = 2
-    max_objects: int = 5
     size_range: tuple[float, float] = (0.4, 1.4)
     depth_range: tuple[float, float] = (2.5, 6.5)
     min_gap: float = 0.12
-    max_tilt_deg: float = 8.0
     top_clearance: float = 0.15     # camera must stay above box tops
     top_clearance_fraction: float = 0.0  # additionally >= fraction * depth
-    frustum_margin_px: float = 2.0
-    canonical_yaw_fraction: float = 0.7
-    categories: tuple[str, ...] = CATEGORY_POOL
-    duplicate_category_bias: float = 0.5  # chance to reuse a present category
 
 
 # Geometry under which single-view box estimation is well-posed: high
@@ -184,11 +186,11 @@ def _boxes_disjoint(a: OracleObject, b: OracleObject, gf, gap: float) -> bool:
 
 
 def _in_frustum(box: _Placement, rotation: list[list[float]],
-                intrinsics: CameraIntrinsics, width: int, height: int,
-                margin_px: float) -> bool:
+                intrinsics: CameraIntrinsics, width: int, height: int) -> bool:
     """All eight corners in front of z = 0.3 and projected at least
-    ``margin_px`` inside the image; ``rotation`` is the gravity frame's,
-    as nested lists."""
+    ``FRUSTUM_MARGIN_PX`` inside the image; ``rotation`` is the gravity
+    frame's, as nested lists."""
+    margin_px = FRUSTUM_MARGIN_PX
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
     fx, fy, cx, cy = intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy
     u_hi, v_hi = width - 1 - margin_px, height - 1 - margin_px
@@ -220,10 +222,8 @@ def sample_scene(seed: int, config: SceneSamplerConfig | None = None,
     if rng.random() < 0.5:
         gravity = np.array([0.0, 1.0, 0.0])
     else:
-        tilt = math.radians(float(rng.uniform(-config.max_tilt_deg,
-                                              config.max_tilt_deg)))
-        roll = math.radians(float(rng.uniform(-config.max_tilt_deg,
-                                              config.max_tilt_deg)))
+        tilt = math.radians(float(rng.uniform(-MAX_TILT_DEG, MAX_TILT_DEG)))
+        roll = math.radians(float(rng.uniform(-MAX_TILT_DEG, MAX_TILT_DEG)))
         gravity = np.array([math.sin(roll),
                             math.cos(roll) * math.cos(tilt),
                             math.cos(roll) * math.sin(tilt)])
@@ -236,19 +236,18 @@ def sample_scene(seed: int, config: SceneSamplerConfig | None = None,
     gf = gravity_frame(gravity)
     rotation = gf.rotation.tolist()
 
-    n_target = int(rng.integers(config.min_objects, config.max_objects + 1))
+    n_target = int(rng.integers(MIN_OBJECTS, MAX_OBJECTS + 1))
     placed: list[_Placement] = []
     attempts = 0
     while len(scene.objects) < n_target and attempts < 400:
         attempts += 1
         present = [o.category for o in scene.objects]
-        if present and rng.random() < config.duplicate_category_bias:
+        if present and rng.random() < DUPLICATE_CATEGORY_BIAS:
             category = present[int(rng.integers(0, len(present)))]
         else:
-            category = config.categories[
-                int(rng.integers(0, len(config.categories)))]
+            category = CATEGORY_POOL[int(rng.integers(0, len(CATEGORY_POOL)))]
         size = rng.uniform(*config.size_range, size=3)
-        if rng.random() < config.canonical_yaw_fraction:
+        if rng.random() < CANONICAL_YAW_FRACTION:
             # the draw of rng.choice over four values, without its overhead
             yaw = float(_CANONICAL_YAWS[int(rng.integers(0, 4))]
                         + rng.uniform(-10, 10))
@@ -267,8 +266,7 @@ def sample_scene(seed: int, config: SceneSamplerConfig | None = None,
         y_w = float(rng.uniform(y_low, y_high))
 
         box = _placement((x_w, y_w, z_w), size.tolist(), yaw)
-        if not _in_frustum(box, rotation, intrinsics, res, res,
-                           config.frustum_margin_px):
+        if not _in_frustum(box, rotation, intrinsics, res, res):
             continue
         if all(_placements_disjoint(box, other, config.min_gap)
                for other in placed):

@@ -157,9 +157,8 @@ def build_scene(entry: ImageManifest, manifest_path: str | Path,
     clients = clients or {}
     _apply_filters(entry, config)
     pm = read_pointmap(resolve_path(manifest_path, entry.pointmap))
-    gravity = np.asarray(entry.gravity, dtype=float) \
-        if entry.gravity is not None else IDENTITY_GRAVITY.copy()
-    gf = gravity_frame(gravity)
+    gf = gravity_frame(IDENTITY_GRAVITY if entry.gravity is None
+                       else entry.gravity)
 
     objects: list[SceneObject] = []
     boxes2d: dict[str, list] = {}
@@ -173,8 +172,7 @@ def build_scene(entry: ImageManifest, manifest_path: str | Path,
     refs = assign_references(objects, gf, verified_captions=captions,
                              boxes2d=boxes2d)
     return Scene(image_id=entry.image_id, objects=objects, refs=refs,
-                 gf=gf, gravity=gravity, pm=pm,
-                 intrinsics=entry.intrinsics)
+                 gf=gf, pm=pm)
 
 
 def process_image(entry: ImageManifest, manifest_path: str | Path,

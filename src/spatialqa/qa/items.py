@@ -71,10 +71,6 @@ class Payload:
             d["unit"] = self.unit
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Payload":
-        return cls(kind=d["kind"], value=d["value"], unit=d.get("unit"))
-
 
 @dataclass
 class QAItem:
@@ -127,19 +123,6 @@ class QAItem:
 
     def to_json(self) -> str:
         return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QAItem":
-        return cls(
-            item_id=d["item_id"], image_id=d["image_id"], family=d["family"],
-            format=d["format"], prompt=d["prompt"], answer_text=d["answer"],
-            payload=Payload.from_dict(d["payload"]),
-            options=d.get("options"), provenance=d.get("provenance", {}),
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "QAItem":
-        return cls.from_dict(json.loads(line))
 
 
 def canonical_json(obj) -> str:

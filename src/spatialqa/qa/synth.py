@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import CameraIntrinsics, DIM_INDEX, GravityFrame
+from ..geometry import DIM_INDEX, GravityFrame
 from ..pmap import PointMap
 from ..quantity import format_point, format_quantity, format_unit_vector
 from ..references import ObjectReference
@@ -51,9 +51,7 @@ class Scene:
     objects: list[SceneObject]
     refs: dict[str, ObjectReference]
     gf: GravityFrame
-    gravity: np.ndarray
     pm: PointMap | None = None
-    intrinsics: CameraIntrinsics | None = None
 
     def ref_text(self, object_id: str) -> str:
         return self.refs[object_id].text

@@ -59,22 +59,6 @@ class ObjectReference:
     color: str | None = None          # box-fallback only
     pixel_box: list | None = None     # box-fallback only
 
-    def to_dict(self) -> dict:
-        d = {"object_id": self.object_id, "kind": self.kind, "text": self.text}
-        if self.params:
-            d["params"] = self.params
-        if self.color:
-            d["color"] = self.color
-        if self.pixel_box is not None:
-            d["pixel_box"] = list(self.pixel_box)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObjectReference":
-        return cls(object_id=d["object_id"], kind=d["kind"], text=d["text"],
-                   params=d.get("params", {}), color=d.get("color"),
-                   pixel_box=d.get("pixel_box"))
-
 
 # ---------------------------------------------------------------------------
 # Textual verification and fallback

@@ -112,11 +112,9 @@ class ObserverPose:
 
 @dataclass
 class DirectionResult:
-    vector: np.ndarray            # unit vector in `frame`
-    frame: str                    # "camera" or "anchor"
+    vector: np.ndarray            # unit vector, camera or anchor frame
     components: np.ndarray        # unit vector in the labeling frame
     labels: dict[str, str] = field(default_factory=dict)
-    margins_deg: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -125,7 +123,6 @@ class DistanceResult:
     vertical: float
     horizontal: float      # single left-right world component
     depthwise: float
-    horizontal_planar: float  # 2D norm in the horizontal plane
 
     def component(self, name: str) -> float:
         return getattr(self, name)
@@ -158,11 +155,6 @@ def depth_order(pm: PointMap, p1: tuple[int, int],
 # Level 1
 # ---------------------------------------------------------------------------
 
-def object_position(obj: SceneObject) -> tuple[np.ndarray, float]:
-    """Camera-frame center and Euclidean object-to-camera distance."""
-    return obj.center.astype(float), obj.camera_distance
-
-
 def orientation_label(obj: SceneObject, gf: GravityFrame) -> str | None:
     """Canonical facing label from yaw (and optional pitch), guard-banded.
 
@@ -194,17 +186,14 @@ def orientation_label(obj: SceneObject, gf: GravityFrame) -> str | None:
 # Level 2
 # ---------------------------------------------------------------------------
 
-def _label_components(unit: np.ndarray):
+def _label_components(unit: np.ndarray) -> dict[str, str]:
     labels: dict[str, str] = {}
-    margins: dict[str, float] = {}
     for i, axis in enumerate(("x", "y", "z")):
         comp = float(unit[i])
-        margins[axis] = math.degrees(math.asin(min(abs(comp), 1.0))) \
-            - DIRECTION_GUARD_DEG
         if abs(comp) >= DIRECTION_COMPONENT:
             neg, pos = AXIS_LABELS[axis]
             labels[axis] = pos if comp > 0 else neg
-    return labels, margins
+    return labels
 
 
 def relative_direction(a: SceneObject, b: SceneObject,
@@ -222,9 +211,8 @@ def relative_direction(a: SceneObject, b: SceneObject,
         )
     vec_cam = delta / norm
     comp = gf.to_world(delta) / norm
-    labels, margins = _label_components(comp)
-    return DirectionResult(vector=vec_cam, frame="camera", components=comp,
-                           labels=labels, margins_deg=margins)
+    return DirectionResult(vector=vec_cam, components=comp,
+                           labels=_label_components(comp))
 
 
 def relative_distance(a: SceneObject, b: SceneObject,
@@ -241,7 +229,6 @@ def _distance_result(delta: np.ndarray) -> DistanceResult:
         vertical=abs(float(delta[1])),
         horizontal=abs(float(delta[0])),
         depthwise=abs(float(delta[2])),
-        horizontal_planar=float(math.hypot(delta[0], delta[2])),
     )
 
 
@@ -258,7 +245,6 @@ class ComparisonResult:
     attribute: str
     mode: str                      # "extreme-min" | "extreme-max" | "full-order"
     ordering: list[str]            # object ids, ascending attribute value
-    values: dict[str, float]
     selected: str | None = None    # for extreme modes
 
 
@@ -298,7 +284,6 @@ def relational_comparison(objs: list[SceneObject], attribute: str,
     return ComparisonResult(
         attribute=attribute, mode=mode,
         ordering=[p[1] for p in pairs],
-        values={p[1]: p[0] for p in pairs},
         selected=selected,
     )
 
@@ -357,9 +342,8 @@ def perspective_transform(anchor: SceneObject | ObserverPose,
     if norm < 1e-9:
         raise RelationError("target coincides with the anchor")
     unit = delta / norm
-    labels, margins = _label_components(unit)
-    direction = DirectionResult(vector=unit, frame="anchor", components=unit,
-                                labels=labels, margins_deg=margins)
+    direction = DirectionResult(vector=unit, components=unit,
+                                labels=_label_components(unit))
     return direction, _distance_result(delta)
 
 

@@ -34,10 +34,11 @@ class TestOracleGen:
         manifest = (tmp_path / "est" / "manifest.jsonl").read_text()
         assert "box3d" not in manifest
 
-    @pytest.mark.parametrize("seeds", ["x:3", "1:", "a..b", "x"])
+    @pytest.mark.parametrize("seeds", ["x:3", "1:", "a..b", "x", "-1",
+                                       "-3:-1"])
     def test_bad_seed_range_is_a_usage_error(self, tmp_path, capsys, seeds):
         with pytest.raises(SystemExit) as exc:
-            main(["oracle", "gen", "--seeds", seeds, "--out",
+            main(["oracle", "gen", f"--seeds={seeds}", "--out",
                   str(tmp_path / "o")])
         assert exc.value.code == 2
         assert "bad seed range" in capsys.readouterr().err
@@ -118,6 +119,32 @@ class TestGenerateEvaluateCheck:
                    str(oracle_dir / "scenes.jsonl"), "--corpus",
                    str(corrupted)])
         assert rc == 1
+
+    def test_oracle_check_counts_unreadable_items(self, oracle_dir, tmp_path,
+                                                  capsys):
+        run = tmp_path / "run3"
+        main(["generate", "--manifest", str(oracle_dir / "manifest.jsonl"),
+              "--out", str(run), "--seed", "0"])
+        items = read_corpus(run / "corpus.jsonl")
+        unknown = items[0]
+        unknown["family"] = "no_such_family"
+        missing = next(i for i in items[1:] if i["family"] == "object_size")
+        del missing["provenance"]["object"]
+        no_image = dict(items[-2])
+        del no_image["image_id"]
+        corrupted = tmp_path / "unreadable.jsonl"
+        with open(corrupted, "w") as f:
+            for item in (unknown, missing, no_image, items[-1]):
+                f.write(json.dumps(item) + "\n")
+        rc = main(["oracle", "check", "--scenes",
+                   str(oracle_dir / "scenes.jsonl"), "--corpus",
+                   str(corrupted)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert f"MISMATCH {unknown['item_id']}: " in err
+        assert f"MISMATCH {missing['item_id']}: " in err
+        assert f"no scene for {no_image['item_id']}" in err
+        assert "oracle check: 3 items, 3 mismatches" in out
 
     def test_oracle_check_bad_scenes_file_exits_2(self, oracle_dir, tmp_path,
                                                  capsys):
@@ -207,6 +234,9 @@ class TestErrors:
         {"judge": "http://x"},
         {"judge": {"fixture_dir": "fx", "cache-dir": "c"}},
         "http://x",
+        {"judge": {"endpoint": 5}},
+        {"judge": {"fixture_dir": ["fx"]}},
+        {"judge": {"fixture_dir": "fx", "cache_dir": "c"}},
     ])
     def test_bad_client_spec_exit_code(self, tmp_path, capsys, clients):
         config = tmp_path / "config.json"
@@ -238,6 +268,7 @@ class TestErrors:
                                            "max_attempts": 0}}},
         {"clients": {"problem-generator": {"fixture_dir": "fx",
                                            "timeout_s": 0}}},
+        {"cache_dir": 5},
     ])
     def test_unusable_config_number_exit_code(self, oracle_dir, tmp_path,
                                               capsys, config):
@@ -248,6 +279,16 @@ class TestErrors:
                    str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_environment_does_not_set_workers(self, oracle_dir, tmp_path,
+                                              monkeypatch):
+        monkeypatch.setenv("SPATIALQA_WORKERS", "0")
+        rc = main(["generate", "--manifest",
+                   str(oracle_dir / "manifest.jsonl"), "--out",
+                   str(tmp_path / "o"), "--limit", "1"])
+        assert rc == 0
+        assert (tmp_path / "o" / "corpus.jsonl").exists()
 
     def test_rejected_client_spec_writes_nothing(self, oracle_dir, tmp_path,
                                                  capsys):

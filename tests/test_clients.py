@@ -114,10 +114,15 @@ class TestBuildClients:
     def test_roles_and_default_cache(self, tmp_path):
         clients = build_clients(
             {"judge": {"fixture_dir": str(tmp_path)},
-             "grounder": {"endpoint": "http://x", "cache_dir": "/tmp/own"}},
+             "grounder": {"endpoint": "http://x"}},
             cache_dir=str(tmp_path / "cache"))
         assert clients["judge"].config.cache_dir == str(tmp_path / "cache")
-        assert clients["grounder"].config.cache_dir == "/tmp/own"
+        assert clients["grounder"].config.cache_dir == str(tmp_path / "cache")
+        # the top-level cache_dir is the only one: a spec cannot set its own
+        with pytest.raises(ClientError, match="unknown keys.*cache_dir"):
+            build_clients({"grounder": {"endpoint": "http://x",
+                                        "cache_dir": "/tmp/own"}},
+                          cache_dir=str(tmp_path / "cache"))
 
     def test_unknown_role_rejected(self, tmp_path):
         with pytest.raises(ClientError):
@@ -133,6 +138,8 @@ class TestBuildClients:
         ({"fixture_dir": "fx", "timeout_s": "abc"}, "bad number"),
         ({"fixture_dir": "fx", "max_attempts": [3]}, "bad number"),
         ({"fixture_dir": "fx", "cache-dir": "c"}, "unknown keys.*cache-dir"),
+        ({"endpoint": 5}, "endpoint must be a string"),
+        ({"fixture_dir": ["fx"]}, "fixture_dir must be a string"),
     ])
     def test_bad_spec_rejected(self, spec, match):
         with pytest.raises(ClientError, match=match):

@@ -1,4 +1,5 @@
-"""Configuration loading and environment overrides."""
+"""Configuration loading: the file is the only source; the environment
+sets nothing."""
 
 import json
 import re
@@ -11,7 +12,7 @@ from spatialqa.config import ConfigError, load_config
 
 class TestLoadConfig:
     def test_defaults(self):
-        config = load_config(None, env={})
+        config = load_config(None)
         assert config.workers == 1
         assert config.seed == 0
         assert config.band == "tight"
@@ -23,23 +24,11 @@ class TestLoadConfig:
             "clients": {"judge": {"fixture_dir": "/fx"}},
             "tag_filter": {"include": ["photo"], "exclude": ["chart"]},
         }))
-        config = load_config(path, env={})
+        config = load_config(path)
         assert config.workers == 4
         assert config.band == "wide"
         assert config.clients["judge"]["fixture_dir"] == "/fx"
         assert config.tag_include == ["photo"]
-
-    def test_env_overrides_file(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"workers": 4, "seed": 11}))
-        config = load_config(path, env={"SPATIALQA_WORKERS": "8",
-                                        "SPATIALQA_SEED": "3",
-                                        "SPATIALQA_BAND": "wide",
-                                        "SPATIALQA_CACHE_DIR": "/cc"})
-        assert config.workers == 8
-        assert config.seed == 3
-        assert config.band == "wide"
-        assert config.cache_dir == "/cc"
 
     def test_unknown_guard_key_rejected(self, tmp_path):
         # guard bands and synthesis caps are constants, not config keys
@@ -47,36 +36,42 @@ class TestLoadConfig:
         path.write_text(json.dumps(
             {"synth": {"guards": {"depth_tie_margin_m": 0.3}}}))
         with pytest.raises(ConfigError, match="unknown config keys.*synth"):
-            load_config(path, env={})
+            load_config(path)
 
     def test_bad_band_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"band": "loose"}))
         with pytest.raises(ConfigError):
-            load_config(path, env={})
+            load_config(path)
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"worker": 2, "sed": 5}))
         with pytest.raises(ConfigError, match="sed.*worker"):
-            load_config(path, env={})
+            load_config(path)
 
     @pytest.mark.parametrize("workers", [-3, 0, 2.7, True, "2"])
     def test_bad_workers_in_file_rejected(self, tmp_path, workers):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"workers": workers}))
         with pytest.raises(ConfigError, match="workers must be an integer"):
-            load_config(path, env={})
+            load_config(path)
 
-    @pytest.mark.parametrize("workers", ["-3", "0"])
-    def test_bad_workers_in_env_rejected(self, workers):
-        with pytest.raises(ConfigError,
-                           match="SPATIALQA_WORKERS must be an integer"):
-            load_config(None, env={"SPATIALQA_WORKERS": workers})
-
-    def test_bad_env_value_rejected(self):
-        with pytest.raises(ConfigError):
-            load_config(None, env={"SPATIALQA_WORKERS": "two"})
+    @pytest.mark.parametrize("env", [
+        {"SPATIALQA_WORKERS": "-3"},
+        {"SPATIALQA_WORKERS": "0"},
+        {"SPATIALQA_WORKERS": "two"},
+        {"SPATIALQA_WORKERS": "8", "SPATIALQA_SEED": "3",
+         "SPATIALQA_BAND": "wide", "SPATIALQA_CACHE_DIR": "/cc"},
+    ], ids=["-3", "0", "two", "all"])
+    def test_environment_is_ignored(self, tmp_path, monkeypatch, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"workers": 4, "seed": 11}))
+        config = load_config(path)
+        assert (config.workers, config.seed, config.band,
+                config.cache_dir) == (4, 11, "tight", None)
 
     @pytest.mark.parametrize("tag_filter, match", [
         ({"includes": ["photo"]}, "includes"),
@@ -92,12 +87,12 @@ class TestLoadConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"tag_filter": tag_filter}))
         with pytest.raises(ConfigError, match=match):
-            load_config(path, env={})
+            load_config(path)
 
     def test_include_only_tag_filter_accepted(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"tag_filter": {"include": ["photo"]}}))
-        config = load_config(path, env={})
+        config = load_config(path)
         assert (config.tag_include, config.tag_exclude) == (["photo"], [])
 
 
@@ -108,5 +103,5 @@ def test_readme_configuration_example_loads(tmp_path):
     example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
     path = tmp_path / "config.json"
     path.write_text(example)
-    config = load_config(path, env={})
+    config = load_config(path)
     assert config.workers == json.loads(example)["workers"]

@@ -118,7 +118,7 @@ class TestLargestCluster:
         eps = 0.3
         big = rng.normal(0, 0.05, size=(100, 3))
         small = rng.normal(0, 0.05, size=(40, 3)) + 10 * eps
-        pc = ObjectPointCloud("o", np.vstack([big, small]), 140)
+        pc = ObjectPointCloud("o", np.vstack([big, small]))
         out = dbscan_largest_cluster(pc, eps=eps, min_pts=3)
         assert len(out) == 100
         assert np.abs(out.points).max() < 1.0
@@ -126,13 +126,13 @@ class TestLargestCluster:
     def test_single_blob_survives_whole(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(0, 0.05, size=(80, 3))
-        pc = ObjectPointCloud("o", pts, 80)
+        pc = ObjectPointCloud("o", pts)
         out = dbscan_largest_cluster(pc, eps=0.5, min_pts=3)
         assert len(out) == 80
 
     def test_all_noise_raises(self):
         pts = np.arange(30, dtype=float).reshape(10, 3) * 100.0
-        pc = ObjectPointCloud("o", pts, 10)
+        pc = ObjectPointCloud("o", pts)
         with pytest.raises(EmptyObjectError):
             dbscan_largest_cluster(pc, eps=0.01, min_pts=3)
 
@@ -141,13 +141,13 @@ class TestLargestCluster:
         a = rng.normal(0, 0.1, size=(60, 3))
         b = rng.normal(0, 0.1, size=(50, 3)) + 4.0
         pts = np.vstack([a, b])
-        pc = ObjectPointCloud("o", pts, 110)
+        pc = ObjectPointCloud("o", pts)
         ref = dbscan_largest_cluster(pc, eps=0.5, min_pts=3)
         ref_sorted = np.array(sorted(map(tuple, ref.points)))
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(len(pts))
             out = dbscan_largest_cluster(
-                ObjectPointCloud("o", pts[perm], 110), eps=0.5, min_pts=3)
+                ObjectPointCloud("o", pts[perm]), eps=0.5, min_pts=3)
             out_sorted = np.array(sorted(map(tuple, out.points)))
             np.testing.assert_array_equal(out_sorted, ref_sorted)
 

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from spatialqa.filters import FilterDecision, heuristic_image_filter, tag_vote_filter
+from spatialqa.filters import heuristic_image_filter, tag_vote_filter
 
 
 class TestHeuristicFilter:
@@ -82,7 +82,3 @@ class TestTagVoteFilter:
     def test_overlapping_sets_rejected(self):
         with pytest.raises(ValueError):
             tag_vote_filter(["a"] * 5, {"x"}, {"x"})
-
-    def test_decision_is_truthy(self):
-        assert bool(FilterDecision(keep=True)) is True
-        assert bool(FilterDecision(keep=False, reasons=("r",))) is False

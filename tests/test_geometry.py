@@ -78,7 +78,6 @@ class TestExtractObjectPoints:
         mask[2, :] = True
         pc = extract_object_points(pm, mask)
         assert len(pc) == 10
-        assert pc.source_pixels == 10
 
     def test_only_invalid_pixels_raises(self):
         pts = np.zeros((2, 2, 3), dtype=np.float32)
@@ -167,7 +166,7 @@ class TestFitBox3D:
             [[sx, sy, sz] for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)
              for sz in (-0.5, 0.5)]
         ) + [0, 0, 3.0]
-        pc = ObjectPointCloud("cube", np.vstack([pts, corners]), 0)
+        pc = ObjectPointCloud("cube", np.vstack([pts, corners]))
         box = fit_box3d(pc, self.GF)
         np.testing.assert_allclose(box.size, [1.0, 1.0, 1.0], atol=1e-9)
         assert min(box.yaw_deg % 90, 90 - box.yaw_deg % 90) < 0.5
@@ -178,17 +177,17 @@ class TestFitBox3D:
         base = _cube_points(rng, center=(0, 0, 0))
         R = yaw_rotation(30.0)
         pts = base @ R.T + [0, 0, 3.0]
-        box = fit_box3d(ObjectPointCloud("c", pts, 0), self.GF)
+        box = fit_box3d(ObjectPointCloud("c", pts), self.GF)
         assert box.yaw_deg % 90 == pytest.approx(30.0, abs=0.5)
 
     def test_outliers_rejected_within_2pct(self):
         rng = np.random.default_rng(6)
         clean = _cube_points(rng, n=2000)
-        pc_clean = ObjectPointCloud("c", clean, 0)
+        pc_clean = ObjectPointCloud("c", clean)
         box_clean = fit_box3d(pc_clean, self.GF)
         n_out = 20  # 1 percent
         outliers = rng.uniform(8, 12, size=(n_out, 3))
-        pc_dirty = ObjectPointCloud("c", np.vstack([clean, outliers]), 0)
+        pc_dirty = ObjectPointCloud("c", np.vstack([clean, outliers]))
         box_dirty = fit_box3d(pc_dirty, self.GF)
         np.testing.assert_allclose(
             box_dirty.size, box_clean.size, rtol=0.02
@@ -197,30 +196,30 @@ class TestFitBox3D:
     def test_yaw_hint_overrides_fit(self):
         rng = np.random.default_rng(7)
         pts = _cube_points(rng)
-        box = fit_box3d(ObjectPointCloud("c", pts, 0), self.GF, yaw_hint_deg=217.0)
+        box = fit_box3d(ObjectPointCloud("c", pts), self.GF, yaw_hint_deg=217.0)
         assert box.yaw_deg == 217.0
         assert box.quality == "hinted"
 
     def test_under_three_points_aabb_fallback(self):
         pts = np.array([[0.0, 0.0, 2.0], [0.2, 0.1, 2.5]])
-        box = fit_box3d(ObjectPointCloud("c", pts, 0), self.GF)
+        box = fit_box3d(ObjectPointCloud("c", pts), self.GF)
         assert box.quality == "aabb"
         assert (box.half_extents > 0).all()
 
     def test_empty_cloud_raises(self):
         with pytest.raises(EmptyObjectError):
-            fit_box3d(ObjectPointCloud("c", np.empty((0, 3)), 0), self.GF)
+            fit_box3d(ObjectPointCloud("c", np.empty((0, 3))), self.GF)
 
     def test_equivariance_under_gravity_rotation(self):
         rng = np.random.default_rng(8)
         base = _cube_points(rng, center=(0, 0, 0)) * np.array([2.0, 1.0, 1.0])
         base = base + [0.3, 0.2, 4.0]
-        pc = ObjectPointCloud("c", base, 0)
+        pc = ObjectPointCloud("c", base)
         box0 = fit_box3d(pc, self.GF, yaw_hint_deg=20.0, robust=False)
         phi = 25.0
         R = yaw_rotation(phi)
         rotated = base @ R.T
-        box1 = fit_box3d(ObjectPointCloud("c", rotated, 0), self.GF,
+        box1 = fit_box3d(ObjectPointCloud("c", rotated), self.GF,
                          yaw_hint_deg=20.0 + phi, robust=False)
         np.testing.assert_allclose(box1.size, box0.size, atol=1e-9)
         assert (box1.yaw_deg - box0.yaw_deg) % 360 == pytest.approx(phi, abs=1e-9)
@@ -229,12 +228,12 @@ class TestFitBox3D:
     def test_volume_monotone_on_exact_path(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(-1, 1, size=(200, 3)) + [0, 0, 4.0]
-        pc = ObjectPointCloud("c", pts, 0)
+        pc = ObjectPointCloud("c", pts)
         box = fit_box3d(pc, self.GF, yaw_hint_deg=0.0, robust=False)
         for _ in range(20):
             extra = rng.uniform(-2, 2, size=(rng.integers(1, 30), 3)) + [0, 0, 4.0]
             pts = np.vstack([pts, extra])
-            grown = fit_box3d(ObjectPointCloud("c", pts, 0), self.GF,
+            grown = fit_box3d(ObjectPointCloud("c", pts), self.GF,
                               yaw_hint_deg=0.0, robust=False)
             assert grown.volume >= box.volume - 1e-12
             box = grown
@@ -255,7 +254,10 @@ class TestConventions:
     def test_box_roundtrip_dict(self):
         box = Box3D(center=np.array([1.0, 2.0, 3.0]),
                     half_extents=np.array([0.5, 0.6, 0.7]), yaw_deg=12.0)
-        back = Box3D.from_dict(box.to_dict())
+        # the manifest's box3d form: full size, not half extents
+        back = Box3D.from_dict({"center": box.center.tolist(),
+                                "size": box.size.tolist(),
+                                "yaw_deg": box.yaw_deg})
         np.testing.assert_allclose(back.center, box.center)
         np.testing.assert_allclose(back.half_extents, box.half_extents)
         assert back.yaw_deg == box.yaw_deg

@@ -28,8 +28,7 @@ def _scene():
     ]
     gf = gravity_frame(IDENTITY_GRAVITY)
     refs = assign_references(objs, gf)
-    return Scene(image_id="img-9", objects=objs, refs=refs, gf=gf,
-                 gravity=IDENTITY_GRAVITY.copy())
+    return Scene(image_id="img-9", objects=objs, refs=refs, gf=gf)
 
 
 DIGEST = scene_digest(_scene())

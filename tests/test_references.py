@@ -240,11 +240,6 @@ class TestSelectAndAssign:
             texts = [r.text for r in refs.values()]
             assert len(set(texts)) == len(texts)
 
-    def test_reference_roundtrip_dict(self):
-        ref = fallback_reference("o", "chair", 9, pixel_box=[1, 2, 3, 4])
-        back = ObjectReference.from_dict(ref.to_dict())
-        assert back == ref
-
 
 class TestOrdinals:
     def test_words(self):
