@@ -10,10 +10,12 @@
   spatialqa encode-dump --pointmap P --out T [--channels N] [--seed S]
 
 All commands exit nonzero on any error; ``validate`` and ``oracle check``
-exit nonzero when violations or mismatches are found (a corpus item the
-oracle cannot read counts as a mismatch).  A number outside its flag's
-range (``--limit``, the ``oracle gen`` seeds and the ``encode-dump`` seed
->= 0, ``--channels`` >= 1, ``--sigma`` finite and >= 0) is a usage error.
+exit nonzero when violations or mismatches are found.  A corpus or
+responses line that breaks its schema is an error (see ``read_corpus``);
+an item whose provenance the oracle cannot read counts as a mismatch.  A
+number outside its flag's range (``--limit``, the ``oracle gen`` seeds
+and the ``encode-dump`` seed >= 0, ``--channels`` >= 1, ``--sigma``
+finite and >= 0) is a usage error.
 
 A run is set by its input files, its ``--config`` file (see ``config``)
 and these flags; no environment variable changes it.
@@ -109,9 +111,9 @@ def cmd_oracle_check(args) -> int:
     mismatches = 0
     checked = 0
     for item in items:
-        scene = scenes.get(item.get("image_id"))
+        scene = scenes.get(item["image_id"])
         if scene is None:
-            print(f"oracle check: no scene for {item.get('item_id')}",
+            print(f"oracle check: no scene for {item['item_id']}",
                   file=sys.stderr)
             mismatches += 1
             continue
@@ -122,7 +124,7 @@ def cmd_oracle_check(args) -> int:
         checked += 1
         if not ok:
             mismatches += 1
-            print(f"MISMATCH {item.get('item_id')}: {why}", file=sys.stderr)
+            print(f"MISMATCH {item['item_id']}: {why}", file=sys.stderr)
     print(f"oracle check: {checked} items, {mismatches} mismatches")
     return 1 if mismatches else 0
 

@@ -154,31 +154,39 @@ def score_label(response: str, gt: str) -> bool:
 # Item-level dispatch
 # ---------------------------------------------------------------------------
 
+def judged(item: dict) -> bool:
+    """Is ``item`` scored by a judge verdict when there is one?  True for
+    the free-form problem items whose answer is a label."""
+    return (item["family"] == "problem_solving"
+            and item["format"] == "free-form"
+            and item["payload"]["kind"] == "label")
+
+
 def score_item(item: dict, response: str | None,
                judge_verdict: str | None = None,
                band: str = "tight") -> EvalRecord:
-    """Score one response against a corpus item (QAItem dict form).
+    """Score one response against a corpus line (see ``check_item``).
 
     Problem items use rule ``problem-25pct``: numeric answers at the tight
-    band, other answers by the judge verdict when there is one and by
-    label match when not.
+    band, ``judged`` answers by the judge verdict when there is one and
+    by label match when not.
     """
     rec = EvalRecord(item_id=item["item_id"], raw_response=response,
-                     rule="missing", correct=False, family=item.get("family"),
-                     level=item.get("level"), format=item.get("format"))
+                     rule="missing", correct=False, family=item["family"],
+                     level=item["level"], format=item["format"])
     if response is None:
         rec.note = "missing"
         return rec
 
     kind, value = item["payload"]["kind"], item["payload"]["value"]
-    problem = item.get("family") == "problem_solving"
+    problem = item["family"] == "problem_solving"
     if item["format"] == "mcq":
         rec.rule = "mcq"
-        rec.correct = score_mcq(response, item["answer"], item.get("options"))
+        rec.correct = score_mcq(response, item["answer"], item["options"])
     elif item["format"] == "true-false":
         rec.rule = "true-false"
         rec.correct = score_tf(response, item["answer"])
-    elif problem and kind != "quantity":
+    elif judged(item):
         rec.rule = "problem-25pct"
         if judge_verdict is not None:
             rec.correct = judge_verdict.strip().lower() == "match"
@@ -197,11 +205,8 @@ def score_item(item: dict, response: str | None,
             rec.note = "parse-failure"
         elif kind == "quantity":
             rec.parsed = pred
-            if float(value) > 0:
-                rec.correct, rec.error = score_ratio(
-                    pred, float(value), "tight" if problem else band)
-            else:  # no ratio to a truth <= 0: the item cannot be scored
-                rec.note = "invalid-truth"
+            rec.correct, rec.error = score_ratio(
+                pred, float(value), "tight" if problem else band)
         elif kind == "unit-vector":
             rec.parsed = list(pred)
             rec.correct, rec.error = score_direction(pred, value)
@@ -255,10 +260,7 @@ def report(records: list[EvalRecord]) -> Report:
     for axis in ("family", "level", "format", "rule"):
         table: dict[str, dict] = {}
         for rec in records:
-            key = getattr(rec, axis)
-            if key is None:
-                continue
-            table.setdefault(str(key), []).append(rec)
+            table.setdefault(str(getattr(rec, axis)), []).append(rec)
         rep.groups[axis] = {k: _accuracy(v) for k, v in sorted(table.items())}
     return rep
 

@@ -136,15 +136,6 @@ def box_local_axes(yaw_deg: float) -> np.ndarray:
     ])
 
 
-def yaw_rotation(yaw_deg: float) -> np.ndarray:
-    """Rotation about the gravity axis that adds ``yaw_deg`` to a box's yaw.
-
-    Columns are the yawed local axes, so ``yaw_rotation(a) @ v`` rotates a
-    world vector; it is the transpose of ``box_local_axes``.
-    """
-    return box_local_axes(yaw_deg).T
-
-
 # ---------------------------------------------------------------------------
 # Backprojection
 # ---------------------------------------------------------------------------
@@ -330,20 +321,19 @@ def _robust_inliers(world_pts: np.ndarray) -> np.ndarray:
 
 
 def fit_box3d(pc: ObjectPointCloud, gf: GravityFrame,
-              yaw_hint_deg: float | None = None,
-              robust: bool = True) -> Box3D:
+              yaw_hint_deg: float | None = None) -> Box3D:
     """Fit a gravity-aligned 3D box to an object point cloud.
 
     Vertical extent comes from the world-y span; the horizontal footprint
     is oriented by ``yaw_hint_deg`` when given, otherwise by the
-    minimum-area rectangle of the horizontal projection.  With ``robust``
-    a percentile+MAD gate drops far outliers (segmentation bleed that
+    minimum-area rectangle of the horizontal projection.  From 20 points
+    on, a percentile+MAD gate drops far outliers (segmentation bleed that
     survives clustering) before taking exact extents over the survivors.
     """
     if len(pc) == 0:
         raise EmptyObjectError(f"object {pc.object_id!r}: empty point cloud")
     world = gf.to_world(pc.points)
-    if robust and len(world) >= 20:
+    if len(world) >= 20:
         keep = _robust_inliers(world)
         if keep.any():
             world = world[keep]

@@ -30,11 +30,16 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from .filters import TAG_COUNT
-from .geometry import CameraIntrinsics, GeometryError, gravity_frame
+from .geometry import (IDENTITY_GRAVITY, CameraIntrinsics, GeometryError,
+                       GravityFrame, gravity_frame)
 
 
 class ManifestError(Exception):
-    """Schema violation in a manifest; message carries line/image context."""
+    """Schema violation in a JSON-lines record; the message says where."""
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _finite(v) -> bool:
@@ -61,8 +66,7 @@ def _grounding(v) -> bool:
         and all(map(_numbers(4), g["boxes"])) for g in v)
 
 
-_SIZE = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-         "is not an integer >= 1")
+_SIZE = (lambda v: _integer(v) and v >= 1, "is not an integer >= 1")
 _POSITIVE = (lambda v: _finite(v) and v > 0, "is not a positive number")
 _FINITE = (_finite, "is not a finite number")
 _FRACTION = (lambda v: _finite(v) and 0 <= v <= 1, "is not a number in [0, 1]")
@@ -97,7 +101,8 @@ _OBJECT_RULES = (
      'is not a list of {"boxes": [[x0, y0, x1, y1], ...]}'),
     ("box3d", *_DICT),
     ("box3d.center", _numbers(3), "is not 3 finite numbers"),
-    ("box3d.size", _numbers(3), "is not 3 finite numbers"),
+    ("box3d.size", lambda v: _numbers(3)(v) and min(v) > 0,
+     "is not 3 finite positive numbers"),
     ("box3d.yaw_deg", *_FINITE),
 )
 
@@ -179,6 +184,12 @@ class ImageManifest:
     pixel_stats: dict | None = None
     tags: list[str] | None = None
     objects: list[ObjectAnnotation] = field(default_factory=list)
+    # derived from gravity, the identity frame when it is null
+    frame: GravityFrame = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.frame = gravity_frame(
+            IDENTITY_GRAVITY if self.gravity is None else self.gravity)
 
     def to_dict(self) -> dict:
         d = {"image_id": self.image_id, "width": self.width,
@@ -201,11 +212,6 @@ class ImageManifest:
         try:
             _check(d, _IMAGE_RULES)
             width, height, gravity = d["width"], d["height"], d.get("gravity")
-            if gravity is not None:
-                try:
-                    gravity_frame(gravity)
-                except GeometryError as e:
-                    raise ManifestError(f"gravity {gravity!r}: {e}") from None
             objects = [ObjectAnnotation.from_dict(o, width, height)
                        for o in d.get("objects") or []]
             ids = [o.object_id for o in objects]
@@ -213,13 +219,17 @@ class ImageManifest:
                 raise ManifestError(f"object_ids {ids!r} are not unique")
         except ManifestError as e:
             raise ManifestError(f"image {image_id!r}: {e}") from None
-        intrinsics = d.get("intrinsics")
-        return cls(
-            image_id=image_id, width=width, height=height,
-            pointmap=d["pointmap"], gravity=gravity,
-            intrinsics=intrinsics and CameraIntrinsics.from_dict(intrinsics),
-            pixel_stats=d.get("pixel_stats"), tags=d.get("tags"),
-            objects=objects)
+        intrinsics = (d.get("intrinsics")
+                      and CameraIntrinsics.from_dict(d["intrinsics"]))
+        try:
+            return cls(
+                image_id=image_id, width=width, height=height,
+                pointmap=d["pointmap"], gravity=gravity, intrinsics=intrinsics,
+                pixel_stats=d.get("pixel_stats"), tags=d.get("tags"),
+                objects=objects)
+        except GeometryError as e:  # from the frame of gravity
+            raise ManifestError(
+                f"image {image_id!r}: gravity {gravity!r}: {e}") from None
 
 
 def _records(path: str | Path, parse: Callable[[Any], Any]
@@ -257,22 +267,23 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
     return records
 
 
-def _entry_parser() -> Callable[[Any], ImageManifest]:
-    """``ImageManifest.from_dict`` that also rejects a repeated image_id."""
-    seen: set[str] = set()
+def unique(key: str, parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """``parse`` that also rejects a record whose ``key`` repeats that of
+    an earlier record it accepted."""
+    seen: set = set()
 
-    def parse(d) -> ImageManifest:
-        entry = ImageManifest.from_dict(d)
-        if entry.image_id in seen:
-            raise ManifestError(f"duplicate image_id {entry.image_id!r}")
-        seen.add(entry.image_id)
-        return entry
-    return parse
+    def parse_unique(d):
+        record = parse(d)
+        if d[key] in seen:
+            raise ManifestError(f"duplicate {key} {d[key]!r}")
+        seen.add(d[key])
+        return record
+    return parse_unique
 
 
 def read_manifest(path: str | Path) -> list[ImageManifest]:
     """Parse a JSON-lines manifest; blank lines are ignored."""
-    return read_jsonl(path, _entry_parser())
+    return read_jsonl(path, unique("image_id", ImageManifest.from_dict))
 
 
 def write_manifest(entries: list[ImageManifest], path: str | Path) -> None:
@@ -293,7 +304,8 @@ def validate_manifest(path: str | Path) -> list[str]:
     """Every schema violation of a manifest, one message per bad line,
     plus one per pointmap or mask path that does not resolve to a file."""
     problems: list[str] = []
-    for lineno, entry in _records(path, _entry_parser()):
+    for lineno, entry in _records(
+            path, unique("image_id", ImageManifest.from_dict)):
         if isinstance(entry, ManifestError):
             problems.append(str(entry))
             continue

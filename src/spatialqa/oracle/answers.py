@@ -151,13 +151,11 @@ def oracle_answer(scene: OracleScene, item: dict) -> dict:
                 count += 1
         return {"kind": "count", "value": count}
 
-    if family == "problem_solving":
-        value = _evaluate_check(prov["check"], objs)
-        if isinstance(value, str):
-            return {"kind": "label", "value": value}
-        return {"kind": "quantity", "value": value}
-
-    raise OracleMismatch(f"no oracle for family {family!r}")
+    # problem_solving
+    value = _evaluate_check(prov["check"], objs)
+    if isinstance(value, str):
+        return {"kind": "label", "value": value}
+    return {"kind": "quantity", "value": value}
 
 
 def _comparison_answer(prov: dict, objs: dict) -> dict:
@@ -235,17 +233,17 @@ def _payloads_agree(kind: str, stored, oracle) -> bool:
         s = np.asarray(stored, dtype=float)
         o = np.asarray(oracle, dtype=float)
         return bool(np.max(np.abs(s - o)) <= VECTOR_TOL)
-    if kind == "unit-vector":
-        s = np.asarray(stored, dtype=float)
-        o = np.asarray(oracle, dtype=float)
-        cos = float(np.clip(np.dot(s, o) /
-                            (np.linalg.norm(s) * np.linalg.norm(o)), -1, 1))
-        return math.degrees(math.acos(cos)) <= ANGLE_TOL_DEG
-    raise OracleMismatch(f"unknown payload kind {kind!r}")
+    # unit-vector
+    s = np.asarray(stored, dtype=float)
+    o = np.asarray(oracle, dtype=float)
+    cos = float(np.clip(np.dot(s, o) /
+                        (np.linalg.norm(s) * np.linalg.norm(o)), -1, 1))
+    return math.degrees(math.acos(cos)) <= ANGLE_TOL_DEG
 
 
 def answers_match(scene: OracleScene, item: dict) -> tuple[bool, str]:
-    """Does the stored item answer agree with the independent oracle?
+    """Does the stored answer of a corpus line (see ``check_item``) agree
+    with the independent oracle?
 
     Free-form items compare payloads directly; MCQ items must store the
     letter of the option matching the oracle value; True/False items must
@@ -257,7 +255,7 @@ def answers_match(scene: OracleScene, item: dict) -> tuple[bool, str]:
         return False, f"payload kind {payload['kind']} != oracle {oracle['kind']}"
 
     fmt = item["format"]
-    if fmt == "free-form" or fmt is None:
+    if fmt == "free-form":
         ok = _payloads_agree(payload["kind"], payload["value"],
                              oracle["value"])
         return ok, "" if ok else (
@@ -271,18 +269,16 @@ def answers_match(scene: OracleScene, item: dict) -> tuple[bool, str]:
         return ok, "" if ok else (
             f"stored letter {item['answer']} but oracle picks {letter}")
 
-    if fmt == "true-false":
-        stated = item["provenance"].get("stated")
-        if stated is None:
-            return False, "true-false item without stated value"
-        agrees = _payloads_agree(payload["kind"], stated, oracle["value"])
-        expected = "True" if agrees else "False"
-        ok = expected == item["answer"]
-        return ok, "" if ok else (
-            f"stated {stated!r} vs oracle {oracle['value']!r} implies "
-            f"{expected}, stored {item['answer']}")
-
-    return False, f"unknown format {fmt!r}"
+    # true-false
+    stated = item["provenance"].get("stated")
+    if stated is None:
+        return False, "true-false item without stated value"
+    agrees = _payloads_agree(payload["kind"], stated, oracle["value"])
+    expected = "True" if agrees else "False"
+    ok = expected == item["answer"]
+    return ok, "" if ok else (
+        f"stated {stated!r} vs oracle {oracle['value']!r} implies "
+        f"{expected}, stored {item['answer']}")
 
 
 def _oracle_option_letter(options: list[str], oracle: dict) -> str | None:

@@ -29,19 +29,18 @@ from .assignment import box_iou
 from .clients import Client, build_clients
 from .config import PipelineConfig
 from .dbscan import dbscan_largest_cluster, default_eps, default_min_pts
-from .evalharness import Report, render_report, report, score_item
+from .evalharness import Report, judged, render_report, report, score_item
 from .filters import heuristic_image_filter, tag_vote_filter
 from .geometry import (
     Box3D,
     EmptyObjectError,
-    IDENTITY_GRAVITY,
     extract_object_points,
     fit_box3d,
-    gravity_frame,
 )
-from .manifest import ImageManifest, read_jsonl, read_manifest, resolve_path
+from .manifest import (ImageManifest, read_jsonl, read_manifest,
+                       resolve_path, unique)
 from .pmap import read_pointmap
-from .qa.items import QAItem, canonical_json, derive_seed
+from .qa.items import QAItem, canonical_json, check_item, derive_seed
 from .qa.problem import scene_digest, validate_candidates
 from .qa.synth import Scene, synthesize_scene_qa
 from .references import assign_references, verify_textual_reference
@@ -95,7 +94,7 @@ def _apply_filters(entry: ImageManifest, config: PipelineConfig) -> None:
             raise SceneSkipped(decision.reasons[0])
 
 
-def _estimate_object(entry: ImageManifest, ann, pm, gf,
+def _estimate_object(entry: ImageManifest, ann, pm,
                      manifest_path) -> SceneObject | None:
     if ann.box3d is not None:
         # ground-truth annotation: the estimation pipeline is skipped
@@ -113,7 +112,7 @@ def _estimate_object(entry: ImageManifest, ann, pm, gf,
         cloud = dbscan_largest_cluster(
             cloud, eps=default_eps(cloud.points),
             min_pts=default_min_pts(len(cloud)))
-        box = fit_box3d(cloud, gf, yaw_hint_deg=ann.yaw_deg)
+        box = fit_box3d(cloud, entry.frame, yaw_hint_deg=ann.yaw_deg)
     except EmptyObjectError:
         return None
     return SceneObject(object_id=ann.object_id, category=ann.category,
@@ -157,22 +156,20 @@ def build_scene(entry: ImageManifest, manifest_path: str | Path,
     clients = clients or {}
     _apply_filters(entry, config)
     pm = read_pointmap(resolve_path(manifest_path, entry.pointmap))
-    gf = gravity_frame(IDENTITY_GRAVITY if entry.gravity is None
-                       else entry.gravity)
 
     objects: list[SceneObject] = []
     boxes2d: dict[str, list] = {}
     for ann in entry.objects:
-        obj = _estimate_object(entry, ann, pm, gf, manifest_path)
+        obj = _estimate_object(entry, ann, pm, manifest_path)
         if obj is not None:
             objects.append(obj)
             boxes2d[obj.object_id] = list(ann.box2d)
 
     captions = _verified_captions(entry, objects, clients.get("grounder"))
-    refs = assign_references(objects, gf, verified_captions=captions,
-                             boxes2d=boxes2d)
+    refs = assign_references(objects, entry.frame,
+                             verified_captions=captions, boxes2d=boxes2d)
     return Scene(image_id=entry.image_id, objects=objects, refs=refs,
-                 gf=gf, pm=pm)
+                 gf=entry.frame, pm=pm)
 
 
 def process_image(entry: ImageManifest, manifest_path: str | Path,
@@ -312,7 +309,8 @@ def run_generate(manifest_path: str | Path, config: PipelineConfig,
 # ---------------------------------------------------------------------------
 
 def read_corpus(path: str | Path) -> list[dict]:
-    return read_jsonl(path, lambda record: record)
+    """The lines of a corpus (see ``check_item``), with unique item_ids."""
+    return read_jsonl(path, unique("item_id", check_item))
 
 
 def _response(record: dict) -> tuple[str, str | None]:
@@ -323,8 +321,9 @@ def _response(record: dict) -> tuple[str, str | None]:
 
 
 def read_responses(path: str | Path) -> dict[str, str | None]:
-    """item_id -> response text; a null response counts as missing."""
-    return dict(read_jsonl(path, _response))
+    """item_id -> response text; a null response counts as missing, and
+    a repeated item_id is a bad line."""
+    return dict(read_jsonl(path, unique("item_id", _response)))
 
 
 def run_evaluate(corpus_path: str | Path, responses_path: str | Path,
@@ -339,9 +338,7 @@ def run_evaluate(corpus_path: str | Path, responses_path: str | Path,
     for item in items:
         response = responses.get(item["item_id"])
         verdict = None
-        if (judge is not None and response is not None
-                and item["family"] == "problem_solving"
-                and item["payload"]["kind"] == "label"):
+        if judge is not None and response is not None and judged(item):
             verdict = judge.call({
                 "item_id": item["item_id"], "question": item["prompt"],
                 "answer": item["answer"], "response": response,

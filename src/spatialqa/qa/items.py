@@ -8,6 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..manifest import (ManifestError, _POSITIVE, _TEXT, _check, _integer,
+                        _numbers, _strings)
+
 SCHEMA_VERSION = 1
 
 # family -> hierarchy level
@@ -44,6 +47,58 @@ DEFAULT_WEIGHTS: dict[str, float] = {
 
 PAYLOAD_KINDS = ("quantity", "vector3", "unit-vector", "label", "count")
 
+# (field, test, what a value that fails it is), as read by manifest._check:
+# the rules of every line, then those of its format and its payload kind.
+_ITEM_RULES = (
+    ("schema_version", lambda v: _integer(v) and v == SCHEMA_VERSION,
+     f"is not {SCHEMA_VERSION}"),
+    ("item_id", *_TEXT), ("image_id", *_TEXT),
+    ("family", lambda v: isinstance(v, str) and v in FAMILIES,
+     "is not a known family"),
+    ("format", lambda v: v in FORMATS, f"is not one of {', '.join(FORMATS)}"),
+    ("prompt", *_TEXT), ("answer", *_TEXT),
+    ("payload", lambda v: isinstance(v, dict), "is not an object"),
+    ("payload.kind", lambda v: v in PAYLOAD_KINDS,
+     f"is not one of {', '.join(PAYLOAD_KINDS)}"),
+    ("provenance", lambda v: isinstance(v, dict), "is not an object"),
+)
+_FORMAT_RULES = {  # free-form lines have none
+    "mcq": (("options", lambda v: _strings(v) and len(v) == len(set(v)) == 4,
+             "is not 4 distinct strings"),
+            ("answer", lambda v: v in ("A", "B", "C", "D"),
+             "is not a letter A-D")),
+    "true-false": (("answer", lambda v: v in ("True", "False"),
+                    "is not 'True' or 'False'"),),
+}
+_VECTOR = (("payload.value", _numbers(3), "is not 3 finite numbers"),)
+_VALUE_RULES = {
+    "quantity": (("payload.value", *_POSITIVE),),
+    "count": (("payload.value", lambda v: _integer(v) and v >= 0,
+               "is not an integer >= 0"),),
+    "label": (("payload.value", *_TEXT),),
+    "vector3": _VECTOR, "unit-vector": _VECTOR,
+}
+_KEYS = frozenset(("schema_version", "item_id", "image_id", "level", "family",
+                   "format", "prompt", "answer", "payload", "provenance"))
+_MCQ_KEYS = _KEYS | {"options"}
+
+
+def check_item(d: dict) -> dict:
+    """``d`` if it is a well-formed corpus line, else a ManifestError
+    naming the first field that breaks a rule.  ``QAItem.to_json`` checks
+    each line it writes, ``pipeline.read_corpus`` each line it reads."""
+    _check(d, _ITEM_RULES)
+    _check(d, _FORMAT_RULES.get(d["format"], ()))
+    _check(d, _VALUE_RULES[d["payload"]["kind"]])
+    level = FAMILIES[d["family"]]
+    if not (_integer(d.get("level")) and d["level"] == level):
+        raise ManifestError(f"level {d.get('level')!r} is not {level}, the "
+                            f"level of {d['family']}")
+    extra = d.keys() - (_MCQ_KEYS if d["format"] == "mcq" else _KEYS)
+    if extra:
+        raise ManifestError(f"unexpected keys {sorted(extra)}")
+    return d
+
 
 class QAError(Exception):
     pass
@@ -56,14 +111,6 @@ class Payload:
     kind: str
     value: float | int | str | list
     unit: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in PAYLOAD_KINDS:
-            raise QAError(f"unknown payload kind {self.kind!r}")
-        if isinstance(self.value, np.ndarray):
-            self.value = [float(v) for v in self.value]
-        elif isinstance(self.value, (np.floating, np.integer)):
-            self.value = self.value.item()
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "value": self.value}
@@ -84,32 +131,12 @@ class QAItem:
     options: list[str] | None = None       # mcq only, exactly 4
     provenance: dict = field(default_factory=dict)
 
-    @property
-    def level(self) -> int:
-        return FAMILIES[self.family]
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise QAError(f"unknown family {self.family!r}")
-        if self.format not in FORMATS:
-            raise QAError(f"unknown format {self.format!r}")
-        if self.format == "mcq":
-            if not self.options or len(self.options) != 4:
-                raise QAError("mcq items need exactly 4 options")
-            if len(set(self.options)) != 4:
-                raise QAError("mcq options must be distinct")
-            if self.answer_text not in ("A", "B", "C", "D"):
-                raise QAError(f"mcq answer must be a letter, got {self.answer_text!r}")
-        if self.format == "true-false" and self.answer_text not in ("True", "False"):
-            raise QAError(f"true-false answer must be True/False, got "
-                          f"{self.answer_text!r}")
-
     def to_dict(self) -> dict:
         d = {
             "schema_version": SCHEMA_VERSION,
             "item_id": self.item_id,
             "image_id": self.image_id,
-            "level": self.level,
+            "level": FAMILIES.get(self.family),
             "family": self.family,
             "format": self.format,
             "prompt": self.prompt,
@@ -122,7 +149,8 @@ class QAItem:
         return d
 
     def to_json(self) -> str:
-        return canonical_json(self.to_dict())
+        """The corpus line of this item (see ``check_item``)."""
+        return canonical_json(check_item(self.to_dict()))
 
 
 def canonical_json(obj) -> str:

@@ -122,29 +122,37 @@ class TestGenerateEvaluateCheck:
 
     def test_oracle_check_counts_unreadable_items(self, oracle_dir, tmp_path,
                                                   capsys):
+        """An item the oracle cannot recompute, or whose image has no
+        scene, is a counted mismatch; a line that breaks the corpus schema
+        is an error."""
         run = tmp_path / "run3"
         main(["generate", "--manifest", str(oracle_dir / "manifest.jsonl"),
               "--out", str(run), "--seed", "0"])
         items = read_corpus(run / "corpus.jsonl")
-        unknown = items[0]
-        unknown["family"] = "no_such_family"
-        missing = next(i for i in items[1:] if i["family"] == "object_size")
+        missing = next(i for i in items if i["family"] == "object_size")
         del missing["provenance"]["object"]
-        no_image = dict(items[-2])
-        del no_image["image_id"]
-        corrupted = tmp_path / "unreadable.jsonl"
-        with open(corrupted, "w") as f:
-            for item in (unknown, missing, no_image, items[-1]):
-                f.write(json.dumps(item) + "\n")
-        rc = main(["oracle", "check", "--scenes",
-                   str(oracle_dir / "scenes.jsonl"), "--corpus",
-                   str(corrupted)])
-        assert rc == 1
+        no_scene = dict(items[-2], image_id="no-such-scene")
+        corpus = tmp_path / "unreadable.jsonl"
+        check = ["oracle", "check", "--scenes",
+                 str(oracle_dir / "scenes.jsonl"), "--corpus", str(corpus)]
+        corpus.write_text("".join(json.dumps(item) + "\n"
+                                  for item in (missing, no_scene, items[-1])))
+        assert main(check) == 1
         out, err = capsys.readouterr()
-        assert f"MISMATCH {unknown['item_id']}: " in err
-        assert f"MISMATCH {missing['item_id']}: " in err
-        assert f"no scene for {no_image['item_id']}" in err
-        assert "oracle check: 3 items, 3 mismatches" in out
+        assert f"MISMATCH {missing['item_id']}: oracle cannot read" in err
+        assert f"no scene for {no_scene['item_id']}" in err
+        assert "oracle check: 2 items, 2 mismatches" in out
+
+        unknown = dict(items[0], family="no_such_family")
+        no_image = dict(items[0])
+        del no_image["image_id"]
+        for item, message in (
+                (unknown, "family 'no_such_family' is not a known family"),
+                (no_image, "image_id None is not a string")):
+            corpus.write_text(json.dumps(item) + "\n")
+            assert main(check) == 2
+            assert capsys.readouterr().err == \
+                f"error: {corpus} line 1: {message}\n"
 
     def test_oracle_check_bad_scenes_file_exits_2(self, oracle_dir, tmp_path,
                                                  capsys):

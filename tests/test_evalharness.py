@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -17,8 +18,9 @@ from spatialqa.evalharness import (
     score_ratio,
     score_tf,
     )
-from spatialqa.config import PipelineConfig
-from spatialqa.pipeline import run_evaluate
+from spatialqa.cli import main
+from spatialqa.manifest import ManifestError
+from spatialqa.qa.items import check_item
 from spatialqa.quantity import parse_quantity
 
 
@@ -158,27 +160,29 @@ class TestScoreItem:
 
     @pytest.mark.parametrize("truth", [0.0, -1.0, float("nan")])
     def test_quantity_truth_not_positive_is_incorrect(self, truth):
-        item = dict(self.ITEM, payload={"kind": "quantity", "value": truth,
-                                        "unit": "m"})
-        rec = score_item(item, "2 meters")
-        assert not rec.correct and rec.note == "invalid-truth"
-        assert rec.rule == "ratio-tight" and rec.parsed == 2.0
+        """A quantity truth that is not positive has no ratio to score
+        against, so it makes an incorrect corpus line."""
+        item = dict(self.ITEM, schema_version=1, image_id="x",
+                    payload={"kind": "quantity", "value": truth, "unit": "m"})
+        with pytest.raises(ManifestError, match=re.escape(
+                f"payload.value {truth!r} is not a positive number")):
+            check_item(item)
 
-    def test_evaluate_finishes_on_a_zero_truth(self, tmp_path):
-        item = dict(self.ITEM, payload={"kind": "quantity", "value": 0.0,
-                                        "unit": "m"})
+    def test_evaluate_finishes_on_a_zero_truth(self, tmp_path, capsys):
+        """``evaluate`` stops at the line with exit 2 and writes nothing."""
+        item = dict(self.ITEM, schema_version=1, image_id="x",
+                    payload={"kind": "quantity", "value": 0.0, "unit": "m"})
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(json.dumps(item) + "\n")
         responses = tmp_path / "responses.jsonl"
         responses.write_text(json.dumps(
             {"item_id": item["item_id"], "response": "2 meters"}) + "\n")
-        run_evaluate(corpus, responses, PipelineConfig(), tmp_path / "out")
-        lines = (tmp_path / "out" / "records.jsonl").read_text().splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record["correct"] is False
-        assert record["note"] == "invalid-truth"
-        assert (tmp_path / "out" / "report.json").is_file()
+        assert main(["evaluate", "--corpus", str(corpus), "--responses",
+                     str(responses), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {corpus} line 1: payload.value 0.0 is not a positive "
+            f"number\n")
+        assert not (tmp_path / "out").exists()
 
     def test_problem_numeric_25pct(self):
         item = dict(self.ITEM, family="problem_solving")

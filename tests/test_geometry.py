@@ -22,7 +22,6 @@ from spatialqa.geometry import (
     gravity_frame,
     min_area_rect,
     project,
-    yaw_rotation,
 )
 from spatialqa.pmap import make_pointmap
 
@@ -175,7 +174,7 @@ class TestFitBox3D:
     def test_rotated_cube_recovers_yaw(self):
         rng = np.random.default_rng(5)
         base = _cube_points(rng, center=(0, 0, 0))
-        R = yaw_rotation(30.0)
+        R = box_local_axes(30.0).T
         pts = base @ R.T + [0, 0, 3.0]
         box = fit_box3d(ObjectPointCloud("c", pts), self.GF)
         assert box.yaw_deg % 90 == pytest.approx(30.0, abs=0.5)
@@ -215,12 +214,12 @@ class TestFitBox3D:
         base = _cube_points(rng, center=(0, 0, 0)) * np.array([2.0, 1.0, 1.0])
         base = base + [0.3, 0.2, 4.0]
         pc = ObjectPointCloud("c", base)
-        box0 = fit_box3d(pc, self.GF, yaw_hint_deg=20.0, robust=False)
+        box0 = fit_box3d(pc, self.GF, yaw_hint_deg=20.0)
         phi = 25.0
-        R = yaw_rotation(phi)
+        R = box_local_axes(phi).T
         rotated = base @ R.T
         box1 = fit_box3d(ObjectPointCloud("c", rotated), self.GF,
-                         yaw_hint_deg=20.0 + phi, robust=False)
+                         yaw_hint_deg=20.0 + phi)
         np.testing.assert_allclose(box1.size, box0.size, atol=1e-9)
         assert (box1.yaw_deg - box0.yaw_deg) % 360 == pytest.approx(phi, abs=1e-9)
         np.testing.assert_allclose(box1.center, R @ box0.center, atol=1e-9)
@@ -229,12 +228,12 @@ class TestFitBox3D:
         rng = np.random.default_rng(9)
         pts = rng.uniform(-1, 1, size=(200, 3)) + [0, 0, 4.0]
         pc = ObjectPointCloud("c", pts)
-        box = fit_box3d(pc, self.GF, yaw_hint_deg=0.0, robust=False)
+        box = fit_box3d(pc, self.GF, yaw_hint_deg=0.0)
         for _ in range(20):
             extra = rng.uniform(-2, 2, size=(rng.integers(1, 30), 3)) + [0, 0, 4.0]
             pts = np.vstack([pts, extra])
             grown = fit_box3d(ObjectPointCloud("c", pts), self.GF,
-                              yaw_hint_deg=0.0, robust=False)
+                              yaw_hint_deg=0.0)
             assert grown.volume >= box.volume - 1e-12
             box = grown
 

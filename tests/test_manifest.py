@@ -245,6 +245,10 @@ class TestParseTimeSchema:
         ("pitch_deg", float("inf"),
          "pitch_deg inf is neither null nor a finite number"),
         ("yaw_deg", True, "yaw_deg True is neither null nor a finite"),
+        ("box3d.size", [0, 1, 1],
+         "box3d.size [0, 1, 1] is not 3 finite positive numbers"),
+        ("box3d.size", [-0.5, 1, 1],
+         "box3d.size [-0.5, 1, 1] is not 3 finite positive numbers"),
     ])
     def test_bad_field_rejected(self, tmp_path, capsys, field, value,
                                 message):

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from spatialqa.geometry import Box3D, IDENTITY_GRAVITY, gravity_frame
+from spatialqa.manifest import ManifestError
 from spatialqa.qa.items import (
     DEFAULT_WEIGHTS,
     FAMILIES,
     Payload,
     QAError,
+    QAItem,
     SamplingConfig,
     canonical_json,
     derive_seed,
@@ -98,7 +100,7 @@ class TestArity:
         scene = _scene([_obj("solo", (0, 0.3, 3.0), yaw=0.0)])
         items = synthesize_scene_qa(scene, seed=0)
         assert items
-        levels = {i.level for i in items}
+        levels = {FAMILIES[i.family] for i in items}
         assert levels <= {0, 1}
         # point map absent -> no level 0 either
         assert {i.family for i in items} <= {
@@ -147,8 +149,12 @@ class TestPayloads:
                 assert isinstance(item.payload.value, int)
 
     def test_bad_payload_kind_rejected(self):
-        with pytest.raises(QAError):
-            Payload(kind="tensor", value=1.0)
+        item = QAItem(item_id="img:object_size:0001", image_id="img",
+                      family="object_size", format="free-form", prompt="?",
+                      answer_text="1",
+                      payload=Payload(kind="tensor", value=1.0))
+        with pytest.raises(ManifestError, match="payload.kind 'tensor'"):
+            item.to_json()
 
 
 class TestTrueFalseBalance:

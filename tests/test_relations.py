@@ -8,8 +8,8 @@ import pytest
 from spatialqa.geometry import (
     Box3D,
     IDENTITY_GRAVITY,
+    box_local_axes,
     gravity_frame,
-    yaw_rotation,
 )
 from spatialqa.pmap import make_pointmap
 from spatialqa.relations import (
@@ -296,7 +296,7 @@ class TestGuardConfig:
             d0 = relative_distance(a, b, GF)
             pd0, pdist0 = perspective_transform(a, b, GF)
             phi = float(rng.uniform(0, 360))
-            R = yaw_rotation(phi)
+            R = box_local_axes(phi).T
             a2 = _obj("a", R @ a.center, yaw=a.yaw_deg + phi)
             b2 = _obj("b", R @ b.center, yaw=b.yaw_deg + phi)
             d1 = relative_distance(a2, b2, GF)
