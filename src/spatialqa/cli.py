@@ -14,8 +14,8 @@ exit nonzero when violations or mismatches are found.  A corpus or
 responses line that breaks its schema is an error (see ``read_corpus``);
 an item whose provenance the oracle cannot read counts as a mismatch.  A
 number outside its flag's range (``--limit``, the ``oracle gen`` seeds
-and the ``encode-dump`` seed >= 0, ``--channels`` >= 1, ``--sigma``
-finite and >= 0) is a usage error.
+and the ``encode-dump`` seed >= 0, ``--workers`` and ``--channels``
+>= 1, ``--sigma`` finite and >= 0) is a usage error.
 
 A run is set by its input files, its ``--config`` file (see ``config``)
 and these flags; no environment variable changes it.
@@ -32,14 +32,10 @@ import numpy as np
 
 from . import __version__
 from .clients import ClientError
-from .config import ConfigError, check_int, load_config
-from .encoding import ENCODED_CHANNELS, patchify, sinusoidal_encode, write_tensor
+from .config import ConfigError, load_config
 from .manifest import ManifestError, validate_manifest
-from .oracle.answers import OracleMismatch, answers_match
-from .oracle.gen import generate_dataset
-from .oracle.scene import ESTIMATION_SAMPLER, SceneSamplerConfig, read_scenes
 from .pipeline import read_corpus, run_evaluate, run_generate
-from .pmap import PmapError, read_pointmap
+from .pmap import PmapError
 
 
 def _seed_range(text: str) -> range:
@@ -72,7 +68,7 @@ def _at_least(convert, least: int):
 def cmd_generate(args) -> int:
     config = load_config(args.config)
     if args.workers is not None:
-        config.workers = check_int(args.workers, "--workers", least=1)
+        config.workers = args.workers
     if args.seed is not None:
         config.seed = args.seed
     ledger = run_generate(args.manifest, config, args.out, limit=args.limit)
@@ -94,6 +90,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_oracle_gen(args) -> int:
+    from .oracle.gen import generate_dataset
+    from .oracle.scene import ESTIMATION_SAMPLER, SceneSamplerConfig
+
     sampler = ESTIMATION_SAMPLER if args.preset == "estimation" \
         else SceneSamplerConfig()
     result = generate_dataset(
@@ -106,6 +105,9 @@ def cmd_oracle_gen(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from .oracle.answers import OracleMismatch, answers_match
+    from .oracle.scene import read_scenes
+
     scenes = {s.scene_id: s for s in read_scenes(args.scenes)}
     items = read_corpus(args.corpus)
     mismatches = 0
@@ -138,6 +140,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_encode_dump(args) -> int:
+    from .encoding import (ENCODED_CHANNELS, patchify, sinusoidal_encode,
+                           write_tensor)
+    from .pmap import read_pointmap
+
     pm = read_pointmap(args.pointmap)
     encoded = sinusoidal_encode(pm)
     if args.patchify:
@@ -164,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_at_least(int, 1), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--limit", type=_at_least(int, 0), default=None,
                    help="process only the first K manifest images")

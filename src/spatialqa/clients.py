@@ -22,27 +22,27 @@ Role schemas:
                       {"candidates": [{question, kind, value?, answer?,
                                        check}, ...]}
 
-A role's spec in the config file holds ``SPEC_KEYS`` only: ``endpoint``
-and ``fixture_dir`` (strings), ``timeout_s``, ``max_attempts`` and
-``backoff_base_s``.  Every role caches under the config's top-level
+A role's spec in the config file holds the keys of ``_SPEC_RULES`` only:
+``endpoint`` and ``fixture_dir`` (strings), ``timeout_s``, ``max_attempts``
+and ``backoff_base_s``.  Every role caches under the config's top-level
 ``cache_dir``; a spec cannot set its own.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import math
 import os
 import tempfile
 import time
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
+from .schema import (MUST_BE, check, finite, integer, is_object, only,
+                     or_null, text)
+
 ROLES = ("grounder", "judge", "problem-generator")
-SPEC_KEYS = ("endpoint", "fixture_dir", "timeout_s", "max_attempts",
-             "backoff_base_s")
 
 
 class ClientError(Exception):
@@ -75,6 +75,19 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+# (key, test, what it must be), read by ``schema.check``
+_SPEC_RULES = (
+    ("endpoint", or_null(text), "a string"),
+    ("fixture_dir", or_null(text), "a string"),
+    ("max_attempts", lambda v: integer(v) and v >= 1, "an integer >= 1"),
+    ("timeout_s", lambda v: finite(v) and v > 0, "a finite number > 0"),
+    ("backoff_base_s", lambda v: finite(v) and v >= 0,
+     "a finite number >= 0"),
+)
+_SPEC_SHAPE = (("spec", is_object, "a JSON object"),
+               only([key for key, _, _ in _SPEC_RULES], within="spec"))
+
+
 @dataclass
 class ClientConfig:
     role: str
@@ -86,43 +99,9 @@ class ClientConfig:
     backoff_base_s: float = 0.1
 
     def __post_init__(self):
-        """Reject a path that is not a string, or an attempt count or a
-        duration a client cannot run with."""
-        def real(v) -> bool:
-            return (isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v))
-
-        for name in ("endpoint", "fixture_dir"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ClientError(self.role, f"{name} must be a string, "
-                                  f"got {value!r}")
-        checks = (
-            ("max_attempts", "an integer >= 1",
-             isinstance(self.max_attempts, int)
-             and not isinstance(self.max_attempts, bool)
-             and self.max_attempts >= 1),
-            ("timeout_s", "a finite number > 0",
-             real(self.timeout_s) and self.timeout_s > 0),
-            ("backoff_base_s", "a finite number >= 0",
-             real(self.backoff_base_s) and self.backoff_base_s >= 0),
-        )
-        for name, wanted, ok in checks:
-            if not ok:
-                raise ClientError(self.role, f"bad number: {name} must be "
-                                  f"{wanted}, got {getattr(self, name)!r}")
-
-    @classmethod
-    def from_dict(cls, role: str, d: dict,
-                  cache_dir: str | None = None) -> "ClientConfig":
-        """A role's config-file spec; a spec that is not an object, a key
-        outside ``SPEC_KEYS`` or a bad value raises ClientError."""
-        if not isinstance(d, dict):
-            raise ClientError(role, f"spec must be a JSON object, got {d!r}")
-        unknown = set(d) - set(SPEC_KEYS)
-        if unknown:
-            raise ClientError(role, f"unknown keys: {sorted(unknown)}")
-        return cls(role=role, cache_dir=cache_dir, **d)
+        """Reject a field that breaks ``_SPEC_RULES``."""
+        check(vars(self), _SPEC_RULES,
+              functools.partial(ClientError, self.role), MUST_BE)
 
 
 class Client:
@@ -166,6 +145,8 @@ class Client:
         return response
 
     def _http(self, request: dict) -> dict:
+        import urllib.request  # only a run with an endpoint needs it
+
         body = json.dumps(request).encode()
         last_error = None
         for attempt in range(1, self.config.max_attempts + 1):
@@ -198,6 +179,12 @@ def record_fixture(fixture_dir: str | Path, role: str, request: dict,
 def build_clients(client_configs: dict[str, dict],
                   cache_dir: str | None = None) -> dict[str, Client]:
     """Instantiate clients from config specs, all caching under
-    ``cache_dir``; roles absent stay disabled."""
-    return {role: Client(ClientConfig.from_dict(role, spec, cache_dir))
-            for role, spec in client_configs.items()}
+    ``cache_dir``; roles absent stay disabled.  A spec that is not an
+    object, an unknown key or a bad value raises ClientError."""
+    clients = {}
+    for role, spec in client_configs.items():
+        check({"spec": spec}, _SPEC_SHAPE,
+              functools.partial(ClientError, role), MUST_BE)
+        clients[role] = Client(ClientConfig(role=role, cache_dir=cache_dir,
+                                            **spec))
+    return clients

@@ -16,11 +16,11 @@ Guard bands, per-scene synthesis caps and prompt templates are fixed
 design values (constants in ``relations``, ``qa.synth`` and
 ``qa.templates``), not configuration.
 
-An unknown key (at the top level or in ``tag_filter``), a ``tag_filter``
-include or exclude that is not a list of strings, a tag in both, an
-exclude list without an include list, a bad value, malformed JSON or a
-file that is not a JSON object raises ``ConfigError``; the CLI prints it
-as ``error: ...`` and exits 2.
+``_RULES`` and ``_TAG_RULES`` state each key's type and range.  An
+unknown key (at the top level or in ``tag_filter``), a bad value, a tag
+in both include and exclude, an exclude list without an include list,
+malformed JSON or a file that is not a JSON object raises
+``ConfigError``; the CLI prints it as ``error: ...`` and exits 2.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .schema import (MUST_BE, check, integer, is_object, only, or_null,
+                     strings, text)
 
 
 class ConfigError(Exception):
@@ -45,16 +48,37 @@ class PipelineConfig:
     cache_dir: str | None = None
 
 
-def _tags_from_dict(d: dict) -> tuple[list[str], list[str]]:
-    unknown = set(d) - {"include", "exclude"}
-    if unknown:
-        raise ConfigError(f"unknown tag_filter keys: {sorted(unknown)}")
-    include, exclude = d.get("include", []), d.get("exclude", [])
-    for name, tags in (("include", include), ("exclude", exclude)):
-        if not (isinstance(tags, list)
-                and all(isinstance(t, str) for t in tags)):
-            raise ConfigError(f"tag_filter: {name} must be a list of "
-                              f"strings, got {tags!r}")
+# a key absent from the file takes its value here; null is a value
+_DEFAULTS = {"workers": 1, "seed": 0, "band": "tight", "clients": {},
+             "tag_filter": {}, "cache_dir": None}
+_TAG_DEFAULTS = {"include": [], "exclude": []}
+
+# (key, test, what it must be), read by ``schema.check``
+_RULES = (
+    only(_DEFAULTS),
+    ("workers", lambda v: integer(v) and v >= 1, "an integer >= 1"),
+    ("seed", integer, "an integer"),
+    ("band", lambda v: v in ("tight", "wide"), "tight or wide"),
+    ("clients", is_object, "an object"),
+    ("tag_filter", is_object, "an object"),
+    only(_TAG_DEFAULTS, within="tag_filter"),
+    ("cache_dir", or_null(text), "a string"),
+)
+_TAG_RULES = (  # on tag_filter, after its defaults
+    ("include", strings, "a list of strings"),
+    ("exclude", strings, "a list of strings"),
+)
+
+
+def config_from_dict(raw: dict) -> PipelineConfig:
+    """The config of the file's object ``raw``."""
+    check({"config": raw}, (("config", is_object, "a JSON object"),),
+          ConfigError, MUST_BE)
+    d = check({**_DEFAULTS, **raw}, _RULES, ConfigError, MUST_BE)
+    tags = {**_TAG_DEFAULTS, **d["tag_filter"]}
+    check(tags, _TAG_RULES, lambda m: ConfigError(f"tag_filter: {m}"),
+          MUST_BE)
+    include, exclude = tags["include"], tags["exclude"]
     overlap = set(include) & set(exclude)
     if overlap:
         raise ConfigError(f"tag_filter: tags in both include and exclude: "
@@ -63,47 +87,10 @@ def _tags_from_dict(d: dict) -> tuple[list[str], list[str]]:
         # the vote counts include tags only, so every tagged image would
         # be skipped
         raise ConfigError("tag_filter: exclude needs a non-empty include")
-    return include, exclude
-
-
-def check_int(value, source: str, least: int | None = None) -> int:
-    """``value`` if it is an integer (not a bool), and >= ``least`` when
-    given; else ConfigError naming ``source``."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (least is not None and value < least)):
-        bound = "" if least is None else f" >= {least}"
-        raise ConfigError(f"{source} must be an integer{bound}, got {value!r}")
-    return value
-
-
-_KEYS = {"workers", "seed", "band", "clients", "tag_filter", "cache_dir"}
-
-
-def config_from_dict(raw: dict) -> PipelineConfig:
-    unknown = set(raw) - _KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    band = raw.get("band", "tight")
-    if band not in ("tight", "wide"):
-        raise ConfigError(f"band must be tight or wide, got {band!r}")
-    if not isinstance(raw.get("clients", {}), dict):
-        raise ConfigError(f"clients must be an object, got {raw['clients']!r}")
-    cache_dir = raw.get("cache_dir")
-    if cache_dir is not None and not isinstance(cache_dir, str):
-        raise ConfigError(f"cache_dir must be a string, got {cache_dir!r}")
-    try:
-        tag_include, tag_exclude = _tags_from_dict(raw.get("tag_filter", {}))
-        return PipelineConfig(
-            workers=check_int(raw.get("workers", 1), "workers", least=1),
-            seed=check_int(raw.get("seed", 0), "seed"),
-            band=band,
-            clients=raw.get("clients", {}),
-            tag_include=tag_include,
-            tag_exclude=tag_exclude,
-            cache_dir=cache_dir,
-        )
-    except (AttributeError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad config: {e}") from e
+    return PipelineConfig(
+        workers=d["workers"], seed=d["seed"], band=d["band"],
+        clients=d["clients"], tag_include=include, tag_exclude=exclude,
+        cache_dir=d["cache_dir"])
 
 
 def load_config(path: str | Path | None = None) -> PipelineConfig:
@@ -114,6 +101,4 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: {e}") from e
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: not a JSON object")
     return config_from_dict(raw)

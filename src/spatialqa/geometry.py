@@ -237,18 +237,20 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     if len(pts) <= 2:
         return pts
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
+    # the chain runs on Python floats: the same doubles as numpy rows,
+    # without a numpy call per scalar
+    pts = pts[order].tolist()
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[np.ndarray] = []
+    lower: list[list[float]] = []
     for p in pts:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
+    upper: list[list[float]] = []
+    for p in reversed(pts):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)

@@ -24,105 +24,62 @@ do not resolve, as ``<file> line <n>: ...``.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator
 
 from .filters import TAG_COUNT
 from .geometry import (IDENTITY_GRAVITY, CameraIntrinsics, GeometryError,
                        GravityFrame, gravity_frame)
-
-
-class ManifestError(Exception):
-    """Schema violation in a JSON-lines record; the message says where."""
-
-
-def _integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _finite(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
-
-
-def _numbers(n: int) -> Callable[[Any], bool]:
-    return lambda v: (isinstance(v, list) and len(v) == n
-                      and all(map(_finite, v)))
-
-
-def _strings(v) -> bool:
-    return isinstance(v, list) and all(isinstance(s, str) for s in v)
-
-
-def _or_null(ok: Callable[[Any], bool]) -> Callable[[Any], bool]:
-    return lambda v: v is None or ok(v)
+from .schema import (FINITE, FRACTION, POSITIVE, SIZE, TEXT, ManifestError,
+                     check, finite, is_object, numbers, or_null, read_jsonl,
+                     records, strings, text, unique)
 
 
 def _grounding(v) -> bool:
     return isinstance(v, list) and all(
         isinstance(g, dict) and isinstance(g.get("boxes"), list)
-        and all(map(_numbers(4), g["boxes"])) for g in v)
+        and all(map(numbers(4), g["boxes"])) for g in v)
 
 
-_SIZE = (lambda v: _integer(v) and v >= 1, "is not an integer >= 1")
-_POSITIVE = (lambda v: _finite(v) and v > 0, "is not a positive number")
-_FINITE = (_finite, "is not a finite number")
-_FRACTION = (lambda v: _finite(v) and 0 <= v <= 1, "is not a number in [0, 1]")
-_TEXT = (lambda v: isinstance(v, str), "is not a string")
-_DICT = (_or_null(lambda v: isinstance(v, dict)), "is not an object")
+_DICT = (or_null(is_object), "is not an object")
 
-# (field, test, what a value that fails it is), checked in order.  A
-# missing field reads as null, and a dotted field is checked only when
-# its parent, checked before it, is not null.
+# (field, test, what a value that fails it is), read by ``schema.check``;
+# the image_id first, since a message about any other field names it
+_ID_RULES = (
+    ("image_id", lambda v: text(v) and v not in ("", "..") and not any(
+        c in v for c in "/\\\0"),
+     "cannot name a file: it must be a non-empty string with no '/', '\\' "
+     "or NUL, other than '..'"),
+)
 _IMAGE_RULES = (
-    ("width", *_SIZE), ("height", *_SIZE), ("pointmap", *_TEXT),
-    ("gravity", _or_null(_numbers(3)), "is not [gx, gy, gz]"),
+    ("width", *SIZE), ("height", *SIZE), ("pointmap", *TEXT),
+    ("gravity", or_null(numbers(3)), "is not [gx, gy, gz]"),
     ("intrinsics", *_DICT),
-    ("intrinsics.fx", *_POSITIVE), ("intrinsics.fy", *_POSITIVE),
-    ("intrinsics.cx", *_FINITE), ("intrinsics.cy", *_FINITE),
-    ("pixel_stats", *_DICT), ("pixel_stats.white", *_FRACTION),
-    ("pixel_stats.black", *_FRACTION),
-    ("pixel_stats.invalid_depth", *_FRACTION),
-    ("tags", _or_null(lambda v: _strings(v) and len(v) == TAG_COUNT),
+    ("intrinsics.fx", *POSITIVE), ("intrinsics.fy", *POSITIVE),
+    ("intrinsics.cx", *FINITE), ("intrinsics.cy", *FINITE),
+    ("pixel_stats", *_DICT), ("pixel_stats.white", *FRACTION),
+    ("pixel_stats.black", *FRACTION),
+    ("pixel_stats.invalid_depth", *FRACTION),
+    ("tags", or_null(lambda v: strings(v) and len(v) == TAG_COUNT),
      f"is not a list of {TAG_COUNT} strings"),
-    ("objects", _or_null(lambda v: isinstance(v, list) and all(
+    ("objects", or_null(lambda v: isinstance(v, list) and all(
         isinstance(o, dict) for o in v)), "is not a list of objects"),
 )
 _OBJECT_RULES = (
-    ("object_id", *_TEXT), ("category", *_TEXT),
-    ("box2d", _numbers(4), "is not [x0, y0, x1, y1]"),
-    ("mask", _or_null(lambda v: isinstance(v, str)), "is not a string"),
-    ("yaw_deg", _or_null(_finite), "is neither null nor a finite number"),
-    ("pitch_deg", _or_null(_finite), "is neither null nor a finite number"),
-    ("captions", _or_null(_strings), "is not a list of strings"),
-    ("grounding", _or_null(_grounding),
+    ("object_id", *TEXT), ("category", *TEXT),
+    ("box2d", numbers(4), "is not [x0, y0, x1, y1]"),
+    ("mask", or_null(text), "is not a string"),
+    ("yaw_deg", or_null(finite), "is neither null nor a finite number"),
+    ("pitch_deg", or_null(finite), "is neither null nor a finite number"),
+    ("captions", or_null(strings), "is not a list of strings"),
+    ("grounding", or_null(_grounding),
      'is not a list of {"boxes": [[x0, y0, x1, y1], ...]}'),
     ("box3d", *_DICT),
-    ("box3d.center", _numbers(3), "is not 3 finite numbers"),
-    ("box3d.size", lambda v: _numbers(3)(v) and min(v) > 0,
+    ("box3d.center", numbers(3), "is not 3 finite numbers"),
+    ("box3d.size", lambda v: numbers(3)(v) and min(v) > 0,
      "is not 3 finite positive numbers"),
-    ("box3d.yaw_deg", *_FINITE),
+    ("box3d.yaw_deg", *FINITE),
 )
-
-
-def _check(d: dict, rules) -> None:
-    """Raise ManifestError for the first field of ``d`` that breaks a rule."""
-    for key, ok, wanted in rules:
-        parent, _, leaf = key.rpartition(".")
-        owner = d.get(parent) if parent else d
-        if owner is not None and not ok(owner.get(leaf)):
-            raise ManifestError(f"{key} {owner.get(leaf)!r} {wanted}")
-
-
-def _file_safe_id(image_id) -> str:
-    if not (isinstance(image_id, str) and image_id and image_id != ".."
-            and not any(c in image_id for c in "/\\\0")):
-        raise ManifestError(
-            f"image_id {image_id!r} cannot name a file: it must be a "
-            f"non-empty string with no '/', '\\' or NUL, other than '..'")
-    return image_id
 
 
 @dataclass
@@ -157,15 +114,12 @@ class ObjectAnnotation:
     @classmethod
     def from_dict(cls, o: dict, width: int, height: int) -> "ObjectAnnotation":
         """The annotation ``o`` of a ``width`` x ``height`` image."""
-        try:
-            _check(o, _OBJECT_RULES)
-            x0, y0, x1, y1 = o["box2d"]
-            if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
-                raise ManifestError(
-                    f"box2d {o['box2d']!r} outside image bounds")
-        except ManifestError as e:
-            raise ManifestError(
-                f"object {o.get('object_id')!r}: {e}") from None
+        def error(message: str) -> ManifestError:
+            return ManifestError(f"object {o.get('object_id')!r}: {message}")
+
+        x0, y0, x1, y1 = check(o, _OBJECT_RULES, error)["box2d"]
+        if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
+            raise error(f"box2d {o['box2d']!r} outside image bounds")
         return cls(object_id=o["object_id"], category=o["category"],
                    box2d=[float(v) for v in o["box2d"]], mask=o.get("mask"),
                    yaw_deg=o.get("yaw_deg"), pitch_deg=o.get("pitch_deg"),
@@ -207,10 +161,10 @@ class ImageManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ImageManifest":
-        """The record ``d`` (a record with no image_id is a KeyError)."""
-        image_id = _file_safe_id(d["image_id"])
+        """The record ``d``."""
+        image_id = check(d, _ID_RULES)["image_id"]
         try:
-            _check(d, _IMAGE_RULES)
+            check(d, _IMAGE_RULES)
             width, height, gravity = d["width"], d["height"], d.get("gravity")
             objects = [ObjectAnnotation.from_dict(o, width, height)
                        for o in d.get("objects") or []]
@@ -230,55 +184,6 @@ class ImageManifest:
         except GeometryError as e:  # from the frame of gravity
             raise ManifestError(
                 f"image {image_id!r}: gravity {gravity!r}: {e}") from None
-
-
-def _records(path: str | Path, parse: Callable[[Any], Any]
-             ) -> Iterator[tuple[int, Any]]:
-    """(line number, ``parse(record)``) for each non-blank line.  Invalid
-    UTF-8 or JSON, or a record that ``parse`` rejects with a
-    ManifestError, AttributeError, KeyError, TypeError or ValueError,
-    gives a ManifestError naming the file and line instead."""
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = parse(json.loads(line.decode("utf-8")))
-            except (json.JSONDecodeError, UnicodeDecodeError) as e:
-                record = ManifestError(f"{path} line {lineno}: invalid "
-                                       f"JSON: {e}")
-            except ManifestError as e:
-                record = ManifestError(f"{path} line {lineno}: {e}")
-            except (AttributeError, KeyError, TypeError, ValueError) as e:
-                record = ManifestError(f"{path} line {lineno}: bad "
-                                       f"record: {e!r}")
-            yield lineno, record
-
-
-def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
-    """``parse`` applied to each record of a JSON-lines file, in order;
-    blank lines are ignored, and the first bad line raises its
-    ManifestError (see ``_records``)."""
-    records = []
-    for _, record in _records(path, parse):
-        if isinstance(record, ManifestError):
-            raise record
-        records.append(record)
-    return records
-
-
-def unique(key: str, parse: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """``parse`` that also rejects a record whose ``key`` repeats that of
-    an earlier record it accepted."""
-    seen: set = set()
-
-    def parse_unique(d):
-        record = parse(d)
-        if d[key] in seen:
-            raise ManifestError(f"duplicate {key} {d[key]!r}")
-        seen.add(d[key])
-        return record
-    return parse_unique
 
 
 def read_manifest(path: str | Path) -> list[ImageManifest]:
@@ -304,7 +209,7 @@ def validate_manifest(path: str | Path) -> list[str]:
     """Every schema violation of a manifest, one message per bad line,
     plus one per pointmap or mask path that does not resolve to a file."""
     problems: list[str] = []
-    for lineno, entry in _records(
+    for lineno, entry in records(
             path, unique("image_id", ImageManifest.from_dict)):
         if isinstance(entry, ManifestError):
             problems.append(str(entry))

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..geometry import CameraIntrinsics, box_local_axes, gravity_frame
-from ..manifest import read_jsonl
+from ..schema import read_jsonl
 
 CATEGORY_POOL = (
     "chair", "table", "sofa", "lamp", "bed", "desk", "shelf", "cabinet",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -37,14 +38,14 @@ from .geometry import (
     extract_object_points,
     fit_box3d,
 )
-from .manifest import (ImageManifest, read_jsonl, read_manifest,
-                       resolve_path, unique)
+from .manifest import ImageManifest, read_manifest, resolve_path
 from .pmap import read_pointmap
 from .qa.items import QAItem, canonical_json, check_item, derive_seed
 from .qa.problem import scene_digest, validate_candidates
 from .qa.synth import Scene, synthesize_scene_qa
 from .references import assign_references, verify_textual_reference
 from .relations import SceneObject
+from .schema import TEXT, check, or_null, read_jsonl, text, unique
 
 
 class SceneSkipped(Exception):
@@ -313,11 +314,15 @@ def read_corpus(path: str | Path) -> list[dict]:
     return read_jsonl(path, unique("item_id", check_item))
 
 
-def _response(record: dict) -> tuple[str, str | None]:
-    response = record["response"]
-    if response is not None and not isinstance(response, str):
-        raise TypeError(f"response must be a string, got {response!r}")
-    return record["item_id"], response
+_RESPONSE_RULES = (
+    ("item_id", *TEXT),
+    ("response", or_null(text), "is neither null nor a string"),
+)
+
+
+def _response(d: dict) -> tuple[str, str | None]:
+    check(d, _RESPONSE_RULES)
+    return d["item_id"], d["response"]  # a line without "response" is bad
 
 
 def read_responses(path: str | Path) -> dict[str, str | None]:
@@ -328,9 +333,14 @@ def read_responses(path: str | Path) -> dict[str, str | None]:
 
 def run_evaluate(corpus_path: str | Path, responses_path: str | Path,
                  config: PipelineConfig, out_dir: str | Path) -> Report:
-    """Join corpus with responses, score, and write report files."""
+    """Join corpus with responses, score, and write report files; the
+    count of responses that name no corpus item goes to stderr."""
     items = read_corpus(corpus_path)
     responses = read_responses(responses_path)
+    unmatched = len(responses.keys() - {item["item_id"] for item in items})
+    if unmatched:
+        print(f"evaluate: responses naming no corpus item: {unmatched}",
+              file=sys.stderr)
     clients = build_clients(config.clients, cache_dir=config.cache_dir)
     judge = clients.get("judge")
 

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..manifest import (ManifestError, _POSITIVE, _TEXT, _check, _integer,
-                        _numbers, _strings)
+from ..schema import (OBJECT, POSITIVE, TEXT, ManifestError, check, integer,
+                      numbers, only, strings)
 
 SCHEMA_VERSION = 1
 
@@ -47,56 +47,55 @@ DEFAULT_WEIGHTS: dict[str, float] = {
 
 PAYLOAD_KINDS = ("quantity", "vector3", "unit-vector", "label", "count")
 
-# (field, test, what a value that fails it is), as read by manifest._check:
+# (field, test, what a value that fails it is), as read by schema.check:
 # the rules of every line, then those of its format and its payload kind.
 _ITEM_RULES = (
-    ("schema_version", lambda v: _integer(v) and v == SCHEMA_VERSION,
+    ("schema_version", lambda v: integer(v) and v == SCHEMA_VERSION,
      f"is not {SCHEMA_VERSION}"),
-    ("item_id", *_TEXT), ("image_id", *_TEXT),
+    ("item_id", *TEXT), ("image_id", *TEXT),
     ("family", lambda v: isinstance(v, str) and v in FAMILIES,
      "is not a known family"),
     ("format", lambda v: v in FORMATS, f"is not one of {', '.join(FORMATS)}"),
-    ("prompt", *_TEXT), ("answer", *_TEXT),
-    ("payload", lambda v: isinstance(v, dict), "is not an object"),
+    ("prompt", *TEXT), ("answer", *TEXT),
+    ("payload", *OBJECT),
     ("payload.kind", lambda v: v in PAYLOAD_KINDS,
      f"is not one of {', '.join(PAYLOAD_KINDS)}"),
-    ("provenance", lambda v: isinstance(v, dict), "is not an object"),
+    ("provenance", *OBJECT),
 )
-_FORMAT_RULES = {  # free-form lines have none
-    "mcq": (("options", lambda v: _strings(v) and len(v) == len(set(v)) == 4,
+_KEYS = ("schema_version", "item_id", "image_id", "level", "family", "format",
+         "prompt", "answer", "payload", "provenance")
+_FORMAT_RULES = {
+    "free-form": (only(_KEYS),),
+    "mcq": (("options", lambda v: strings(v) and len(v) == len(set(v)) == 4,
              "is not 4 distinct strings"),
             ("answer", lambda v: v in ("A", "B", "C", "D"),
-             "is not a letter A-D")),
+             "is not a letter A-D"),
+            only(_KEYS + ("options",))),
     "true-false": (("answer", lambda v: v in ("True", "False"),
-                    "is not 'True' or 'False'"),),
+                    "is not 'True' or 'False'"),
+                   only(_KEYS)),
 }
-_VECTOR = (("payload.value", _numbers(3), "is not 3 finite numbers"),)
+_VECTOR = (("payload.value", numbers(3), "is not 3 finite numbers"),)
 _VALUE_RULES = {
-    "quantity": (("payload.value", *_POSITIVE),),
-    "count": (("payload.value", lambda v: _integer(v) and v >= 0,
+    "quantity": (("payload.value", *POSITIVE),),
+    "count": (("payload.value", lambda v: integer(v) and v >= 0,
                "is not an integer >= 0"),),
-    "label": (("payload.value", *_TEXT),),
+    "label": (("payload.value", *TEXT),),
     "vector3": _VECTOR, "unit-vector": _VECTOR,
 }
-_KEYS = frozenset(("schema_version", "item_id", "image_id", "level", "family",
-                   "format", "prompt", "answer", "payload", "provenance"))
-_MCQ_KEYS = _KEYS | {"options"}
 
 
 def check_item(d: dict) -> dict:
     """``d`` if it is a well-formed corpus line, else a ManifestError
     naming the first field that breaks a rule.  ``QAItem.to_json`` checks
     each line it writes, ``pipeline.read_corpus`` each line it reads."""
-    _check(d, _ITEM_RULES)
-    _check(d, _FORMAT_RULES.get(d["format"], ()))
-    _check(d, _VALUE_RULES[d["payload"]["kind"]])
+    check(d, _ITEM_RULES)
+    check(d, _FORMAT_RULES[d["format"]])
+    check(d, _VALUE_RULES[d["payload"]["kind"]])
     level = FAMILIES[d["family"]]
-    if not (_integer(d.get("level")) and d["level"] == level):
+    if not (integer(d.get("level")) and d["level"] == level):
         raise ManifestError(f"level {d.get('level')!r} is not {level}, the "
                             f"level of {d['family']}")
-    extra = d.keys() - (_MCQ_KEYS if d["format"] == "mcq" else _KEYS)
-    if extra:
-        raise ManifestError(f"unexpected keys {sorted(extra)}")
     return d
 
 
@@ -166,9 +165,7 @@ class SamplingConfig:
     general_mix: tuple[int, int] = (1, 7)   # general : spatial
 
     def __post_init__(self):
-        unknown = set(self.weights) - set(FAMILIES)
-        if unknown:
-            raise QAError(f"unknown families in weights: {sorted(unknown)}")
+        check({"weights": self.weights}, (only(FAMILIES, "weights"),), QAError)
         if any(w < 0 for w in self.weights.values()):
             raise QAError("weights must be nonnegative")
         total = sum(self.weights.values())

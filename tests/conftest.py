@@ -1,0 +1,29 @@
+"""Fixtures shared by several test modules."""
+
+from types import SimpleNamespace
+
+import pytest
+
+from spatialqa.config import PipelineConfig
+from spatialqa.oracle.gen import generate_dataset
+from spatialqa.oracle.scene import ESTIMATION_SAMPLER
+from spatialqa.pipeline import run_generate
+
+
+@pytest.fixture(scope="session")
+def reference(tmp_path_factory):
+    """The GT-box (seeds 0:200, problem fixtures) and estimation (seeds
+    0:3, sigma 0.01) reference corpora, built once per session; tests
+    read them and write nothing under their directory."""
+    root = tmp_path_factory.mktemp("reference")
+    gt = generate_dataset(range(0, 200), root / "gt", problem_fixtures=True)
+    run_generate(gt.manifest_path, PipelineConfig(clients={
+        "problem-generator": {"fixture_dir": str(gt.fixture_dir)}}),
+        root / "gt-out")
+    est = generate_dataset(range(0, 3), root / "est", sigma=0.01,
+                           gt_boxes=False, sampler=ESTIMATION_SAMPLER)
+    run_generate(est.manifest_path, PipelineConfig(), root / "est-out")
+    return SimpleNamespace(scenes=gt.scenes_path,
+                           gt=root / "gt-out" / "corpus.jsonl",
+                           estimation_manifest=est.manifest_path,
+                           estimation=root / "est-out" / "corpus.jsonl")

@@ -186,8 +186,8 @@ class TestGenerateEvaluateCheck:
         rc = main(["evaluate", "--corpus", str(corpus), "--responses",
                    str(responses), "--out", str(tmp_path / "report")])
         assert rc == 2
-        assert "responses.jsonl line 2: bad record" in \
-            capsys.readouterr().err
+        assert "responses.jsonl line 2: response 3 is neither null nor a " \
+            "string" in capsys.readouterr().err
 
 
 class TestEncodeDump:
@@ -261,12 +261,13 @@ class TestErrors:
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_workers_flag_exit_code(self, oracle_dir, tmp_path, capsys,
                                         workers):
-        rc = main(["generate", "--manifest",
-                   str(oracle_dir / "manifest.jsonl"), "--out",
-                   str(tmp_path / "o"), "--workers", workers])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith(
-            "error: --workers must be an integer >= 1")
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--manifest",
+                  str(oracle_dir / "manifest.jsonl"), "--out",
+                  str(tmp_path / "o"), "--workers", workers])
+        assert exc.value.code == 2
+        assert f"--workers: '{workers}' is not an integer >= 1" in \
+            capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("config", [

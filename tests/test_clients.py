@@ -135,8 +135,10 @@ class TestBuildClients:
     @pytest.mark.parametrize("spec, match", [
         ("http://x", "must be a JSON object"),
         (["http://x"], "must be a JSON object"),
-        ({"fixture_dir": "fx", "timeout_s": "abc"}, "bad number"),
-        ({"fixture_dir": "fx", "max_attempts": [3]}, "bad number"),
+        ({"fixture_dir": "fx", "timeout_s": "abc"},
+         "timeout_s must be a finite number"),
+        ({"fixture_dir": "fx", "max_attempts": [3]},
+         "max_attempts must be an integer"),
         ({"fixture_dir": "fx", "cache-dir": "c"}, "unknown keys.*cache-dir"),
         ({"endpoint": 5}, "endpoint must be a string"),
         ({"fixture_dir": ["fx"]}, "fixture_dir must be a string"),

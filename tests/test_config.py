@@ -35,7 +35,7 @@ class TestLoadConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(
             {"synth": {"guards": {"depth_tie_margin_m": 0.3}}}))
-        with pytest.raises(ConfigError, match="unknown config keys.*synth"):
+        with pytest.raises(ConfigError, match="unknown keys.*synth"):
             load_config(path)
 
     def test_bad_band_rejected(self, tmp_path):

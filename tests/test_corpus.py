@@ -3,16 +3,12 @@ writes a line and where ``evaluate`` and ``oracle check`` read it."""
 
 import json
 import math
-from types import SimpleNamespace
 
 import pytest
 
 from spatialqa.cli import main
-from spatialqa.config import PipelineConfig
 from spatialqa.manifest import ManifestError
-from spatialqa.oracle.gen import generate_dataset
-from spatialqa.oracle.scene import ESTIMATION_SAMPLER
-from spatialqa.pipeline import read_corpus, run_generate
+from spatialqa.pipeline import read_corpus
 
 # The manifest sweep's hostile values (test_manifest.HOSTILE), less the
 # path, each put in place of one field of a corpus line
@@ -21,23 +17,6 @@ FIELDS = ["schema_version", "item_id", "image_id", "level", "family",
           "format", "prompt", "answer", "payload", "options", "provenance",
           "payload.kind", "payload.value"]
 ABSENT = object()
-
-
-@pytest.fixture(scope="module")
-def reference(tmp_path_factory):
-    """The GT-box (seeds 0:200, problem fixtures) and estimation (seeds
-    0:3, sigma 0.01) reference corpora."""
-    root = tmp_path_factory.mktemp("reference")
-    gt = generate_dataset(range(0, 200), root / "gt", problem_fixtures=True)
-    run_generate(gt.manifest_path, PipelineConfig(clients={
-        "problem-generator": {"fixture_dir": str(gt.fixture_dir)}}),
-        root / "gt-out")
-    est = generate_dataset(range(0, 3), root / "est", sigma=0.01,
-                           gt_boxes=False, sampler=ESTIMATION_SAMPLER)
-    run_generate(est.manifest_path, PipelineConfig(), root / "est-out")
-    return SimpleNamespace(scenes=gt.scenes_path,
-                           gt=root / "gt-out" / "corpus.jsonl",
-                           estimation=root / "est-out" / "corpus.jsonl")
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +180,33 @@ class TestRepeatedItemIds:
                      str(responses), "--out", str(tmp_path / "report")]) == 2
         assert capsys.readouterr().err == \
             f"error: {responses} line 2: duplicate item_id {item_id!r}\n"
+
+
+class TestResponsesLines:
+    @pytest.mark.parametrize("item_id", [7, None, ["a"]])
+    def test_non_string_item_id_exits_2(self, reference, tmp_path, capsys,
+                                        item_id):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(reference.gt.read_text().splitlines()[0] + "\n")
+        responses = tmp_path / "responses.jsonl"
+        responses.write_text(
+            json.dumps({"item_id": item_id, "response": "A"}) + "\n")
+        assert main(["evaluate", "--corpus", str(corpus), "--responses",
+                     str(responses), "--out", str(tmp_path / "report")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {responses} line 1: item_id {item_id!r} is not a " \
+            f"string\n"
+
+    def test_unknown_item_ids_are_counted(self, reference, tmp_path, capsys):
+        first = reference.gt.read_text().splitlines()[0]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(first + "\n")
+        responses = tmp_path / "responses.jsonl"
+        responses.write_text("".join(
+            json.dumps({"item_id": item_id, "response": "A"}) + "\n"
+            for item_id in ("nope", json.loads(first)["item_id"], "nope2")))
+        assert main(["evaluate", "--corpus", str(corpus), "--responses",
+                     str(responses), "--out", str(tmp_path / "report")]) == 0
+        out, err = capsys.readouterr()
+        assert err == "evaluate: responses naming no corpus item: 2\n"
+        assert out.startswith("evaluate: n=1 ")

@@ -1,9 +1,13 @@
 """Backprojection, gravity frames and gravity-aligned box fitting."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+
+from spatialqa.dbscan import (dbscan_largest_cluster, default_eps,
+                              default_min_pts)
 
 from spatialqa.geometry import (
     Box3D,
@@ -23,7 +27,8 @@ from spatialqa.geometry import (
     min_area_rect,
     project,
 )
-from spatialqa.pmap import make_pointmap
+from spatialqa.manifest import read_manifest, resolve_path
+from spatialqa.pmap import make_pointmap, read_pointmap
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=32.0, cy=32.0)
 
@@ -152,6 +157,26 @@ class TestMinAreaRect:
         ang, eu, ev, _ = min_area_rect(pts)
         assert ang == pytest.approx(30.0, abs=0.5)
         assert sorted([eu, ev]) == pytest.approx([1.0, 2.0], abs=1e-6)
+
+    def test_pinned_on_estimation_clouds(self, reference):
+        """Bit for bit, the rectangles of the horizontal projections of
+        the cleaned object clouds of estimation scenes 0-2 (sigma 0.01)."""
+        manifest = reference.estimation_manifest
+        rects = []
+        for entry in read_manifest(manifest):
+            pm = read_pointmap(resolve_path(manifest, entry.pointmap))
+            for ann in entry.objects:
+                mask = np.load(resolve_path(manifest, ann.mask))
+                cloud = extract_object_points(pm, mask)
+                cloud = dbscan_largest_cluster(
+                    cloud, eps=default_eps(cloud.points),
+                    min_pts=default_min_pts(len(cloud)))
+                horiz = entry.frame.to_world(cloud.points)[:, [0, 2]]
+                ang, eu, ev, center = min_area_rect(horiz)
+                rects.append((float(ang), eu, ev, *center.tolist()))
+        assert len(rects) == 7
+        assert hashlib.sha256(repr(rects).encode()).hexdigest() == \
+            "25f0706d2afc0f650886fac21e83611da51dcc685167d9d0d2cb995292c937fe"
 
 
 class TestFitBox3D:

@@ -12,7 +12,6 @@ from spatialqa.clients import record_fixture
 from spatialqa.config import PipelineConfig
 from spatialqa.manifest import read_manifest, write_manifest
 from spatialqa.oracle.gen import generate_dataset
-from spatialqa.oracle.scene import ESTIMATION_SAMPLER
 from spatialqa.pipeline import (
     RunLedger,
     SceneSkipped,
@@ -223,20 +222,12 @@ class TestReferenceCorpusBytes:
     def _sha256(path) -> str:
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
-    def test_gt_box_corpus(self, tmp_path):
-        data = generate_dataset(range(0, 200), tmp_path / "ds",
-                                problem_fixtures=True)
-        config = PipelineConfig(clients={"problem-generator": {
-            "fixture_dir": str(data.fixture_dir)}})
-        run_generate(data.manifest_path, config, tmp_path / "out")
-        assert self._sha256(tmp_path / "out" / "corpus.jsonl") == \
+    def test_gt_box_corpus(self, reference):
+        assert self._sha256(reference.gt) == \
             "6437c869484e7ca81f59425c7c8d4932af038c1756a5c1cf1f6c90b3192d96ae"
 
-    def test_estimation_corpus(self, tmp_path):
-        data = generate_dataset(range(0, 3), tmp_path / "ds", sigma=0.01,
-                                gt_boxes=False, sampler=ESTIMATION_SAMPLER)
-        run_generate(data.manifest_path, PipelineConfig(), tmp_path / "out")
-        assert self._sha256(tmp_path / "out" / "corpus.jsonl") == \
+    def test_estimation_corpus(self, reference):
+        assert self._sha256(reference.estimation) == \
             "17d7158e1f3171dfbd880ce4e70457c18d49fa6f7b7a1b5193147c9bfbedfda6"
 
     @staticmethod
