@@ -9,9 +9,17 @@ generator) is reached through the same request/response JSON discipline:
 
 A client resolves a request in order: disk cache, fixture directory,
 HTTP endpoint.  Fixture mode never touches the network; a cache miss in
-fixture mode is an error.  Cache writes are write-then-rename so
-concurrent workers cannot tear files.  Built clients pickle, so
-``run_generate`` builds them once and hands them to its workers.
+fixture mode is an error.  A cache or fixture file is
+``<root>/<role>/<key>.json`` holding ``{"request", "response"}`` (sorted
+keys), written by ``record_fixture`` with write-then-rename so concurrent
+workers cannot tear files.  Built clients pickle, so ``run_generate``
+builds them once and hands them to its workers.
+
+Whatever answered, the reply is checked against its role's rules
+(``_REPLY_RULES``) before a caller sees it, and a stored file must be a
+JSON object whose ``request`` is the request asked.  A reply that breaks
+them raises ClientError naming the role and the file or endpoint it came
+from, and is never cached.
 
 Role schemas:
   grounder            {"image_id", "caption"} ->
@@ -19,8 +27,8 @@ Role schemas:
   judge               {"item_id", "question", "answer", "response"} ->
                       {"verdict": "match" | "mismatch"}
   problem-generator   scene digest (see qa.problem) ->
-                      {"candidates": [{question, kind, value?, answer?,
-                                       check}, ...]}
+                      {"candidates": [...]}, each candidate checked by
+                      qa.problem.validate_candidates
 
 A role's spec in the config file holds the keys of ``_SPEC_RULES`` only:
 ``endpoint`` and ``fixture_dir`` (strings), ``timeout_s``, ``max_attempts``
@@ -39,17 +47,13 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .schema import (MUST_BE, check, finite, integer, is_object, only,
-                     or_null, text)
-
-ROLES = ("grounder", "judge", "problem-generator")
+from .schema import (MUST_BE, boxes, check, finite, integer, is_object,
+                     only, or_null, text)
 
 
 class ClientError(Exception):
-    def __init__(self, role: str, message: str, attempts: int = 0):
+    def __init__(self, role: str, message: str):
         super().__init__(f"client {role!r}: {message}")
-        self.role = role
-        self.attempts = attempts
 
 
 class FixtureMissError(ClientError):
@@ -60,6 +64,10 @@ def request_key(role: str, request: dict) -> str:
     blob = role + "\n" + json.dumps(request, sort_keys=True,
                                     separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _stored_path(root: str | Path, role: str, key: str) -> Path:
+    return Path(root) / role / f"{key}.json"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -84,6 +92,17 @@ _SPEC_RULES = (
     ("backoff_base_s", lambda v: finite(v) and v >= 0,
      "a finite number >= 0"),
 )
+# (field, test, what it must be) per role, read by ``schema.check`` on
+# {"reply": <reply>}; the role check reads the keys
+_REPLY = ("reply", is_object, "a JSON object")
+_REPLY_RULES = {
+    "grounder": (_REPLY, ("reply.boxes", boxes,
+                          "a list of [x0, y0, x1, y1] finite-number lists")),
+    "judge": (_REPLY, ("reply.verdict", ("match", "mismatch").__contains__,
+                       '"match" or "mismatch"')),
+    "problem-generator": (_REPLY, ("reply.candidates",
+                                   lambda v: isinstance(v, list), "a list")),
+}
 _SPEC_SHAPE = (("spec", is_object, "a JSON object"),
                only([key for key, _, _ in _SPEC_RULES], within="spec"))
 
@@ -108,41 +127,57 @@ class Client:
     """One upstream role; resolution order cache -> fixture -> endpoint."""
 
     def __init__(self, config: ClientConfig):
-        if config.role not in ROLES:
+        if config.role not in _REPLY_RULES:
             raise ClientError(config.role, "unknown role")
         if config.endpoint is None and config.fixture_dir is None:
             raise ClientError(config.role,
                               "needs an endpoint or a fixture directory")
         self.config = config
 
-    def _cache_path(self, key: str) -> Path | None:
-        if self.config.cache_dir is None:
-            return None
-        return Path(self.config.cache_dir) / self.config.role / f"{key}.json"
-
     def call(self, request: dict) -> dict:
-        key = request_key(self.config.role, request)
-        cache_path = self._cache_path(key)
-        if cache_path is not None and cache_path.exists():
-            return json.loads(cache_path.read_text(encoding="utf-8"))["response"]
+        """The checked reply to ``request``; a bad one raises ClientError."""
+        role, cache_dir = self.config.role, self.config.cache_dir
+        key = request_key(role, request)
+        if cache_dir is not None:
+            cached = _stored_path(cache_dir, role, key)
+            if cached.exists():
+                return self._read(cached, request)
 
         if self.config.fixture_dir is not None:
-            fixture = (Path(self.config.fixture_dir) / self.config.role
-                       / f"{key}.json")
+            fixture = _stored_path(self.config.fixture_dir, role, key)
             if not fixture.exists():
                 raise FixtureMissError(
-                    self.config.role,
-                    f"no fixture for request key {key} "
+                    role, f"no fixture for request key {key} "
                     f"(request={json.dumps(request, sort_keys=True)[:200]})")
-            response = json.loads(
-                fixture.read_text(encoding="utf-8"))["response"]
+            response = self._read(fixture, request)
         else:
-            response = self._http(request)
+            response = self._checked(self._http(request),
+                                     self.config.endpoint)
 
-        if cache_path is not None:
-            _atomic_write(cache_path, json.dumps(
-                {"request": request, "response": response}, sort_keys=True))
+        if cache_dir is not None:
+            record_fixture(cache_dir, role, request, response)
         return response
+
+    def _read(self, path: Path, request: dict) -> dict:
+        """The checked reply stored at ``path``, a JSON object whose
+        ``request`` must be ``request``."""
+        try:
+            stored = json.loads(path.read_bytes())
+        except ValueError as e:  # invalid UTF-8 or JSON
+            raise ClientError(self.config.role,
+                              f"{path}: invalid JSON: {e}") from None
+        if not is_object(stored) or stored.get("request") != request:
+            raise ClientError(self.config.role,
+                              f"{path}: not a stored reply to this request")
+        return self._checked(stored.get("response"), path)
+
+    def _checked(self, reply, source) -> dict:
+        """``reply`` if it keeps its role's ``_REPLY_RULES``; else a
+        ClientError naming ``source``, the file or endpoint."""
+        role = self.config.role
+        return check({"reply": reply}, _REPLY_RULES[role],
+                     lambda m: ClientError(role, f"{source}: {m}"),
+                     MUST_BE)["reply"]
 
     def _http(self, request: dict) -> dict:
         import urllib.request  # only a run with an endpoint needs it
@@ -163,14 +198,14 @@ class Client:
                     time.sleep(self.config.backoff_base_s * 2 ** (attempt - 1))
         raise ClientError(self.config.role,
                           f"failed after {self.config.max_attempts} attempts: "
-                          f"{last_error}", attempts=self.config.max_attempts)
+                          f"{last_error}")
 
 
 def record_fixture(fixture_dir: str | Path, role: str, request: dict,
                    response: dict) -> Path:
-    """Persist a recorded upstream response for hermetic replay."""
-    key = request_key(role, request)
-    path = Path(fixture_dir) / role / f"{key}.json"
+    """Store ``response`` to ``request`` under ``fixture_dir`` for
+    hermetic replay; the client's cache writes through here too."""
+    path = _stored_path(fixture_dir, role, request_key(role, request))
     _atomic_write(path, json.dumps(
         {"request": request, "response": response}, sort_keys=True))
     return path

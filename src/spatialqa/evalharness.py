@@ -168,8 +168,9 @@ def score_item(item: dict, response: str | None,
     """Score one response against a corpus line (see ``check_item``).
 
     Problem items use rule ``problem-25pct``: numeric answers at the tight
-    band, ``judged`` answers by the judge verdict when there is one and
-    by label match when not.
+    band, ``judged`` answers by the judge verdict (``"match"`` or
+    ``"mismatch"``, as the client checks it) when there is one and by
+    label match when not.
     """
     rec = EvalRecord(item_id=item["item_id"], raw_response=response,
                      rule="missing", correct=False, family=item["family"],
@@ -189,7 +190,7 @@ def score_item(item: dict, response: str | None,
     elif judged(item):
         rec.rule = "problem-25pct"
         if judge_verdict is not None:
-            rec.correct = judge_verdict.strip().lower() == "match"
+            rec.correct = judge_verdict == "match"
             rec.note = "judge-verdict"
         else:
             rec.correct = score_label(response, str(value))

@@ -31,14 +31,14 @@ from .filters import TAG_COUNT
 from .geometry import (IDENTITY_GRAVITY, CameraIntrinsics, GeometryError,
                        GravityFrame, gravity_frame)
 from .schema import (FINITE, FRACTION, POSITIVE, SIZE, TEXT, ManifestError,
-                     check, finite, is_object, numbers, or_null, read_jsonl,
-                     records, strings, text, unique)
+                     boxes, check, finite, is_object, numbers, or_null,
+                     read_jsonl, records, strings, text, unique)
 
 
 def _grounding(v) -> bool:
     return isinstance(v, list) and all(
-        isinstance(g, dict) and isinstance(g.get("boxes"), list)
-        and all(map(numbers(4), g["boxes"])) for g in v)
+        isinstance(g, dict) and "boxes" in g and boxes(g["boxes"])
+        for g in v)
 
 
 _DICT = (or_null(is_object), "is not an object")

@@ -139,8 +139,7 @@ def _verified_captions(entry: ImageManifest, objects: list[SceneObject],
                 boxes = ann.grounding[i]["boxes"]
             elif grounder is not None:
                 boxes = grounder.call(
-                    {"image_id": entry.image_id, "caption": caption}
-                ).get("boxes", [])
+                    {"image_id": entry.image_id, "caption": caption})["boxes"]
             else:
                 break
             iou = box_iou(boxes[0], ann.box2d) if len(boxes) == 1 else 0.0
@@ -183,9 +182,8 @@ def process_image(entry: ImageManifest, manifest_path: str | Path,
     generator = clients.get("problem-generator")
     if generator is not None and scene.objects:
         digest = scene_digest(scene)
-        response = generator.call(digest)
         problems, _rejected = validate_candidates(
-            digest, response.get("candidates", []))
+            digest, generator.call(digest)["candidates"])
     seed = derive_seed(config.seed, entry.image_id)
     return synthesize_scene_qa(scene, seed, problems=problems)
 
@@ -352,7 +350,7 @@ def run_evaluate(corpus_path: str | Path, responses_path: str | Path,
             verdict = judge.call({
                 "item_id": item["item_id"], "question": item["prompt"],
                 "answer": item["answer"], "response": response,
-            }).get("verdict")
+            })["verdict"]
         records.append(score_item(item, response, judge_verdict=verdict,
                                   band=config.band))
 

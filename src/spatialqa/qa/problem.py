@@ -7,7 +7,10 @@ candidates.  A candidate must carry a machine-checkable ``check``
 expression over the digest; numeric answers are accepted when they land
 within 25% of the recomputed value and are then canonicalized to the
 recomputed value, judgement answers must match the recomputed comparison
-exactly.
+exactly.  The client checks that a reply's ``candidates`` is a list;
+each candidate is checked here and costs only itself: one that breaks a
+rule, is not an object or holds a field of the wrong type is rejected
+with its reason, and the others still count.
 
 Check expression grammar (JSON):
 
@@ -21,6 +24,7 @@ Check expression grammar (JSON):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,61 +130,62 @@ class ValidatedProblem:
     check: dict
 
 
-def validate_candidates(digest: dict, candidates: list[dict]
-                        ) -> tuple[list[ValidatedProblem], list[tuple[dict, str]]]:
-    """Split generator candidates into accepted problems and rejections."""
-    accepted: list[ValidatedProblem] = []
-    rejected: list[tuple[dict, str]] = []
-    for cand in candidates:
-        question = cand.get("question", "").strip()
-        kind = cand.get("kind")
-        check = cand.get("check")
-        if not question:
-            rejected.append((cand, "empty question"))
-            continue
-        if kind not in ("numeric", "judgement"):
-            rejected.append((cand, f"unknown kind {kind!r}"))
-            continue
-        if check is None:
-            rejected.append((cand, "missing machine-checkable derivation"))
-            continue
-        try:
-            recomputed = evaluate_check(check, digest)
-        except ProblemValidationError as e:
-            rejected.append((cand, f"bad check: {e}"))
-            continue
+def _validate(cand: dict, digest: dict) -> ValidatedProblem:
+    """The problem ``cand`` states; ProblemValidationError says why not."""
+    question = cand.get("question", "").strip()
+    kind = cand.get("kind")
+    check = cand.get("check")
+    if not question:
+        raise ProblemValidationError("empty question")
+    if kind not in ("numeric", "judgement"):
+        raise ProblemValidationError(f"unknown kind {kind!r}")
+    if check is None:
+        raise ProblemValidationError("missing machine-checkable derivation")
+    try:
+        recomputed = evaluate_check(check, digest)
+    except ProblemValidationError as e:
+        raise ProblemValidationError(f"bad check: {e}") from None
 
-        if kind == "numeric":
-            if not isinstance(recomputed, float):
-                rejected.append((cand, "check yields a judgement, kind says numeric"))
-                continue
-            stated = cand.get("value")
-            if stated is None:
-                rejected.append((cand, "numeric candidate without value"))
-                continue
-            if recomputed <= 0:
-                rejected.append((cand, "recomputed value nonpositive"))
-                continue
-            if abs(float(stated) - recomputed) / recomputed > NUMERIC_TOLERANCE:
-                rejected.append((
-                    cand,
-                    f"stated {stated} deviates more than "
-                    f"{NUMERIC_TOLERANCE:.0%} from recomputed {recomputed:.4f}",
-                ))
-                continue
-            accepted.append(ValidatedProblem(
-                question=question, kind="numeric",
-                answer_value=recomputed, check=check))
-        else:
-            if not isinstance(recomputed, str):
-                rejected.append((cand, "check yields a number, kind says judgement"))
-                continue
-            stated = str(cand.get("answer", "")).strip().lower()
-            if stated != recomputed:
-                rejected.append((
-                    cand, f"stated {stated!r} contradicts recomputed {recomputed!r}"))
-                continue
-            accepted.append(ValidatedProblem(
-                question=question, kind="judgement",
-                answer_value=recomputed, check=check))
+    if kind == "numeric":
+        if not isinstance(recomputed, float):
+            raise ProblemValidationError(
+                "check yields a judgement, kind says numeric")
+        stated = cand.get("value")
+        if stated is None:
+            raise ProblemValidationError("numeric candidate without value")
+        if not 0 < recomputed < math.inf:
+            raise ProblemValidationError(
+                "recomputed value not a positive finite number")
+        if abs(float(stated) - recomputed) / recomputed > NUMERIC_TOLERANCE:
+            raise ProblemValidationError(
+                f"stated {stated} deviates more than "
+                f"{NUMERIC_TOLERANCE:.0%} from recomputed {recomputed:.4f}")
+    else:
+        if not isinstance(recomputed, str):
+            raise ProblemValidationError(
+                "check yields a number, kind says judgement")
+        stated = str(cand.get("answer", "")).strip().lower()
+        if stated != recomputed:
+            raise ProblemValidationError(
+                f"stated {stated!r} contradicts recomputed {recomputed!r}")
+    return ValidatedProblem(question=question, kind=kind,
+                            answer_value=recomputed, check=check)
+
+
+def validate_candidates(digest: dict, candidates: list
+                        ) -> tuple[list[ValidatedProblem], list[tuple]]:
+    """Split generator candidates into accepted problems and
+    ``(candidate, reason)`` rejections.  A candidate of any shape costs
+    only itself: one that is not an object, or whose fields have the
+    wrong type, is rejected as a bad candidate."""
+    accepted: list[ValidatedProblem] = []
+    rejected: list[tuple] = []
+    for cand in candidates:
+        try:
+            accepted.append(_validate(cand, digest))
+        except ProblemValidationError as e:
+            rejected.append((cand, str(e)))
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError) as e:
+            rejected.append((cand, f"bad candidate: {e!r}"))
     return accepted, rejected

@@ -21,6 +21,7 @@ from ..relations import (
     DEPTH_TIE_MARGIN_M,
     DISTANCE_FLOOR_M,
     OPPOSITE_LABEL,
+    RelationError,
     SceneObject,
     depth_order,
     orientation_consistency,
@@ -327,7 +328,10 @@ class _SceneSynthesizer:
         for i, j in self._sample(pairs, MAX_PAIRS):
             a, b = self.objects[i], self.objects[j]
             ta, tb = self.scene.ref_text(a.object_id), self.scene.ref_text(b.object_id)
-            rel = relative_direction(a, b, gf)
+            try:
+                rel = relative_direction(a, b, gf)
+            except RelationError:  # coincident centers: no direction
+                continue
             self._emit_direction(
                 "relative_direction", rel, _AXIS_CHOICE_CAMERA,
                 _RELATION_PHRASE, {"a": ta, "b": tb},
@@ -448,8 +452,11 @@ class _SceneSynthesizer:
         combos = [(a, t) for a in anchors for t in self.objects
                   if t.object_id != a.object_id]
         for anchor, target in self._sample(combos, MAX_PERSPECTIVE):
-            direction, distance = perspective_transform(anchor, target,
-                                                        self.scene.gf)
+            try:
+                direction, distance = perspective_transform(
+                    anchor, target, self.scene.gf)
+            except RelationError:  # target at the anchor: no direction
+                continue
             ta = self.scene.ref_text(anchor.object_id)
             tt = self.scene.ref_text(target.object_id)
             self._emit_direction(
@@ -477,8 +484,11 @@ class _SceneSynthesizer:
             for anchor in anchors:
                 for label in ("left", "right", "front", "behind",
                               "above", "below"):
-                    count = spatial_count(self.objects, category, anchor,
-                                          label, self.scene.gf)
+                    try:
+                        count = spatial_count(self.objects, category, anchor,
+                                              label, self.scene.gf)
+                    except RelationError:  # a member at the anchor
+                        continue
                     if count is not None:
                         candidates.append((category, anchor, label, count))
         for category, anchor, label, count in self._sample(

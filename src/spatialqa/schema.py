@@ -42,6 +42,11 @@ def numbers(n: int) -> Callable[[Any], bool]:
                       and all(map(finite, v)))
 
 
+def boxes(v) -> bool:
+    """A list of [x0, y0, x1, y1] finite-number lists."""
+    return isinstance(v, list) and all(map(numbers(4), v))
+
+
 def strings(v) -> bool:
     return isinstance(v, list) and all(isinstance(s, str) for s in v)
 

@@ -1,7 +1,9 @@
 """Client layer: caching, fixtures, retries, hermeticity."""
 
 import json
+import shutil
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -106,7 +108,7 @@ class TestRetries:
         with pytest.raises(ClientError) as e:
             client.call({"image_id": "i", "caption": "c"})
         assert len(attempts) == 3
-        assert e.value.attempts == 3
+        assert "failed after 3 attempts" in str(e.value)
         assert "grounder" in str(e.value)
 
 
@@ -168,3 +170,177 @@ class TestBuildClients:
                                            "backoff_base_s": 0,
                                            "max_attempts": 1}})
         assert clients["judge"].config.backoff_base_s == 0
+
+
+# ROADMAP item 4's hostile values, each put in place of a whole reply or
+# of its one field
+HOSTILE = [None, "x", -1, 0, 1e308, float("nan"), [], {}, [1, 2],
+           "../../etc/passwd", True]
+REQUESTS = {
+    "grounder": {"image_id": "i", "caption": "a red chair"},
+    "judge": {"item_id": "1", "question": "q", "answer": "a",
+              "response": "r"},
+    "problem-generator": {"version": 1, "image_id": "i", "objects": []},
+}
+FIELDS = {"grounder": "boxes", "judge": "verdict",
+          "problem-generator": "candidates"}
+# hostile field values the role's rules accept: no box, no candidate, and
+# candidates that qa.problem.validate_candidates rejects one by one
+VALID = {("grounder", "[]"), ("problem-generator", "[]"),
+         ("problem-generator", "[1, 2]")}
+
+
+def _stored_client(tmp_path, role, where, reply):
+    """A client whose cache or fixture directory holds ``reply`` to the
+    role's request, the path of that file, and the cache directory."""
+    fixtures, cache = tmp_path / "fx", tmp_path / "cache"
+    path = record_fixture(fixtures if where == "fixture" else cache, role,
+                          REQUESTS[role], reply)
+    client = Client(ClientConfig(role=role, fixture_dir=str(fixtures),
+                                 cache_dir=str(cache)))
+    return client, path, cache
+
+
+def _upstream(monkeypatch, body: bytes):
+    class FakeResponse:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *a):
+            return False
+
+        def read(self):
+            return body
+
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda req, timeout=None: FakeResponse())
+
+
+class TestReplies:
+    @pytest.mark.parametrize("where", ["cache", "fixture"])
+    @pytest.mark.parametrize("shape", ["reply", "field"])
+    @pytest.mark.parametrize("role", sorted(REQUESTS))
+    @pytest.mark.parametrize("value", HOSTILE, ids=repr)
+    def test_hostile_stored_reply(self, tmp_path, role, shape, where, value):
+        reply = value if shape == "reply" else {FIELDS[role]: value}
+        client, path, cache = _stored_client(tmp_path, role, where, reply)
+        if shape == "field" and (role, repr(value)) in VALID:
+            assert client.call(REQUESTS[role]) == reply
+            return
+        with pytest.raises(ClientError) as e:
+            client.call(REQUESTS[role])
+        assert str(e.value).startswith(f"client {role!r}: {path}: reply")
+        if where == "fixture":  # a bad reply is never cached
+            assert not cache.exists()
+
+    @pytest.mark.parametrize("body, match", [
+        (b'{"request": ', "invalid JSON"),
+        (b"\xff\xfe{}", "invalid JSON"),
+        (b"[1, 2]", "not a stored reply to this request"),
+        (json.dumps({"request": {"item_id": "2"},
+                     "response": {"verdict": "match"}}).encode(),
+         "not a stored reply to this request"),
+    ], ids=["truncated", "not-utf8", "not-object", "other-request"])
+    def test_bad_stored_file(self, tmp_path, body, match):
+        client, path, _ = _stored_client(tmp_path, "judge", "fixture",
+                                         {"verdict": "match"})
+        path.write_bytes(body)
+        with pytest.raises(ClientError, match=f"client 'judge': .*{match}"):
+            client.call(REQUESTS["judge"])
+
+    @pytest.mark.parametrize("body", [b'{"verdict": "Match"}', b"[]",
+                                      b'{"verdict": null}'])
+    def test_bad_upstream_reply_not_cached(self, tmp_path, monkeypatch,
+                                           body):
+        _upstream(monkeypatch, body)
+        cache = tmp_path / "cache"
+        client = Client(ClientConfig(role="judge", endpoint="http://x/judge",
+                                     cache_dir=str(cache)))
+        with pytest.raises(ClientError,
+                           match=r"client 'judge': http://x/judge: reply"):
+            client.call(REQUESTS["judge"])
+        assert not cache.exists()
+
+    def test_good_upstream_reply_cached_as_fixture(self, tmp_path,
+                                                   monkeypatch):
+        _upstream(monkeypatch, b'{"verdict": "mismatch"}')
+        cache = tmp_path / "cache"
+        client = Client(ClientConfig(role="judge", endpoint="http://x/judge",
+                                     cache_dir=str(cache)))
+        assert client.call(REQUESTS["judge"]) == {"verdict": "mismatch"}
+        stored = record_fixture(tmp_path / "fx", "judge", REQUESTS["judge"],
+                                {"verdict": "mismatch"})
+        [cached] = (cache / "judge").glob("*.json")
+        assert cached.name == stored.name
+        assert cached.read_bytes() == stored.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def oracle2(tmp_path_factory):
+    """Scenes 0:2 with problem-generator fixtures, their corpus, and the
+    judge request and responses file of the first judged item."""
+    from spatialqa.cli import main
+    from spatialqa.evalharness import judged
+    from spatialqa.oracle.gen import generate_dataset
+    from spatialqa.pipeline import read_corpus
+
+    root = tmp_path_factory.mktemp("oracle2")
+    data = generate_dataset(range(0, 2), root / "ds", problem_fixtures=True)
+    config = root / "config.json"
+    config.write_text(json.dumps({"clients": {"problem-generator": {
+        "fixture_dir": str(data.fixture_dir)}}}))
+    assert main(["generate", "--manifest", str(data.manifest_path),
+                 "--out", str(root / "g"), "--config", str(config)]) == 0
+    corpus = root / "g" / "corpus.jsonl"
+    item = next(i for i in read_corpus(corpus) if judged(i))
+    responses = root / "responses.jsonl"
+    responses.write_text(json.dumps({"item_id": item["item_id"],
+                                     "response": item["answer"]}) + "\n")
+    return SimpleNamespace(
+        data=data, corpus=corpus, responses=responses,
+        judge_request={"item_id": item["item_id"],
+                       "question": item["prompt"], "answer": item["answer"],
+                       "response": item["answer"]})
+
+
+class TestCliReplies:
+    def test_bad_judge_fixture_exits_2(self, oracle2, tmp_path, capsys):
+        from spatialqa.cli import main
+
+        path = record_fixture(tmp_path / "fx", "judge",
+                              oracle2.judge_request, {"verdict": "Match"})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "clients": {"judge": {"fixture_dir": str(tmp_path / "fx")}},
+            "cache_dir": str(tmp_path / "cache")}))
+        assert main(["evaluate", "--corpus", str(oracle2.corpus),
+                     "--responses", str(oracle2.responses),
+                     "--out", str(tmp_path / "r"),
+                     "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: client 'judge': {path}: ")
+        assert not (tmp_path / "cache").exists()
+
+    def test_bad_generator_fixture_fails_its_image(self, oracle2, tmp_path):
+        from spatialqa.cli import main
+
+        fixtures = tmp_path / "fx"
+        shutil.copytree(oracle2.data.fixture_dir, fixtures)
+        path = min((fixtures / "problem-generator").glob("*.json"))
+        stored = json.loads(path.read_text())
+        record_fixture(fixtures, "problem-generator", stored["request"],
+                       {"candidates": "x"})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"clients": {"problem-generator": {
+            "fixture_dir": str(fixtures)}}}))
+        out = tmp_path / "o"
+        assert main(["generate", "--manifest",
+                     str(oracle2.data.manifest_path), "--out", str(out),
+                     "--config", str(config)]) == 1
+        statuses = json.loads((out / "ledger.json").read_text())["statuses"]
+        victim = statuses.pop(stored["request"]["image_id"])
+        assert victim["status"] == "failed"
+        assert victim["reason"].startswith(
+            f"ClientError: client 'problem-generator': {path}: ")
+        assert [s["status"] for s in statuses.values()] == ["done"]
+        assert (out / "corpus.jsonl").stat().st_size > 0

@@ -160,8 +160,8 @@ class TestRunGenerate:
         total = sum(ledger.summary.values())
         assert total == len(entries)
 
-        # an image that raises inside synthesis (two coincident object
-        # centers) fails alone: the run still writes corpus and ledger
+        # two objects at one center lose only the pairs they make, not the
+        # image: synthesis skips the direction they have none of
         broken = tmp_path / "coincident"
         shutil.copytree(Path(dataset.manifest_path).parent, broken)
         entries = read_manifest(broken / "manifest.jsonl")[:5]
@@ -172,15 +172,13 @@ class TestRunGenerate:
         out = tmp_path / "coincident-out"
         assert main(["generate", "--manifest",
                      str(broken / "manifest.jsonl"),
-                     "--out", str(out)]) == 1
+                     "--out", str(out)]) == 0
         assert (out / "corpus.jsonl").exists()
         statuses = json.loads((out / "ledger.json").read_text())["statuses"]
         assert len(statuses) == len(entries)
-        assert statuses[victim.image_id]["status"] == "failed"
-        assert statuses[victim.image_id]["reason"].startswith(
-            "RelationError")
+        assert statuses[victim.image_id]["status"] == "done"
         assert sum(s["status"] == "done" for s in statuses.values()) == \
-            len(entries) - 1
+            len(entries)
 
     def test_corrupt_pointmap_isolated(self, dataset, tmp_path):
         # copy the dataset, truncate one pmap file

@@ -132,3 +132,28 @@ class TestValidateCandidates:
             "kind": "numeric", "question": " ", "value": 2.0,
             "check": self.CHECK}])
         assert "empty" in rejected[0][1]
+
+    @pytest.mark.parametrize("bad, reason", [
+        ("How far?", "bad candidate: AttributeError"),
+        ({"kind": "numeric", "question": 5, "value": 2.0,
+          "check": CHECK}, "bad candidate: AttributeError"),
+        ({"kind": "numeric", "question": "q", "value": "far",
+          "check": CHECK}, "bad candidate: ValueError"),
+        ({"kind": "numeric", "question": "q", "value": 2.0,
+          "check": {"op": "add", "args": 5}}, "bad candidate: TypeError"),
+        ({"kind": "numeric", "question": "q", "value": 2.0,
+          "check": {"op": "distance", "a": [1], "b": "b"}},
+         "bad candidate: TypeError"),
+        ({"kind": "numeric", "question": "q", "value": 1e308,
+          "check": {"op": "add", "args": [1e308, 1e308]}},
+         "not a positive finite number"),
+        ({"kind": "numeric", "question": "q", "value": 10 ** 400,
+          "check": CHECK}, "bad candidate: OverflowError"),
+    ], ids=["not-object", "question-5", "value-far", "args-5", "id-list",
+            "infinite", "value-huge-int"])
+    def test_bad_candidate_costs_only_itself(self, bad, reason):
+        good = {"kind": "numeric", "question": "How far apart?",
+                "value": 2.0, "check": self.CHECK}
+        accepted, rejected = validate_candidates(DIGEST, [bad, good])
+        assert [p.question for p in accepted] == ["How far apart?"]
+        assert rejected[0][0] is bad and reason in rejected[0][1]
