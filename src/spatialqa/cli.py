@@ -72,20 +72,20 @@ def cmd_generate(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     ledger = run_generate(args.manifest, config, args.out, limit=args.limit)
-    summary = ledger.summary
+    summary = ledger["summary"]
     print(f"generate: {json.dumps(summary, sort_keys=True)} "
-          f"items={sum(ledger.family_counts.values())} "
-          f"wall={ledger.wall_seconds:.1f}s")
+          f"items={sum(ledger['family_counts'].values())} "
+          f"wall={ledger['wall_seconds']:.1f}s")
     return 1 if summary.get("failed") else 0
 
 
 def cmd_evaluate(args) -> int:
     config = load_config(args.config)
     rep = run_evaluate(args.corpus, args.responses, config, args.out)
-    acc = rep.overall.get("accuracy")
-    print(f"evaluate: n={rep.overall.get('n', 0)} "
+    acc = rep["overall"]["accuracy"]
+    print(f"evaluate: n={rep['overall']['n']} "
           f"accuracy={'n/a' if acc is None else f'{acc:.4f}'} "
-          f"missing={rep.missing}")
+          f"missing={rep['missing']}")
     return 0
 
 

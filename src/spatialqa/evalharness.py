@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -233,17 +233,6 @@ def score_item(item: dict, response: str | None,
 # Reporting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Report:
-    overall: dict = field(default_factory=dict)
-    groups: dict[str, dict] = field(default_factory=dict)   # axis -> table
-    missing: int = 0
-
-    def to_dict(self) -> dict:
-        return {"overall": self.overall, "groups": self.groups,
-                "missing": self.missing}
-
-
 def _accuracy(records: list[EvalRecord]) -> dict:
     n = len(records)
     correct = sum(1 for r in records if r.correct)
@@ -252,29 +241,30 @@ def _accuracy(records: list[EvalRecord]) -> dict:
     return entry
 
 
-def report(records: list[EvalRecord]) -> Report:
-    """Accuracy per group; groups with n=0 are simply absent, and overall
-    accuracy is None (undefined marker) when no records exist."""
-    rep = Report()
-    rep.overall = _accuracy(records)
-    rep.missing = sum(1 for r in records if r.rule == "missing")
+def report(records: list[EvalRecord]) -> dict:
+    """``{"overall", "groups", "missing"}``: accuracy overall and per group
+    of each axis (``groups[axis][key]``); groups with n=0 are simply
+    absent, and overall accuracy is None (undefined marker) when no
+    records exist."""
+    groups = {}
     for axis in ("family", "level", "format", "rule"):
-        table: dict[str, dict] = {}
+        table: dict[str, list] = {}
         for rec in records:
             table.setdefault(str(getattr(rec, axis)), []).append(rec)
-        rep.groups[axis] = {k: _accuracy(v) for k, v in sorted(table.items())}
-    return rep
+        groups[axis] = {k: _accuracy(v) for k, v in sorted(table.items())}
+    return {"overall": _accuracy(records), "groups": groups,
+            "missing": sum(1 for r in records if r.rule == "missing")}
 
 
-def render_report(rep: Report) -> str:
+def render_report(rep: dict) -> str:
     lines = []
-    overall = rep.overall
-    acc = overall.get("accuracy")
+    overall = rep["overall"]
+    acc = overall["accuracy"]
     acc_text = f"{acc * 100:.2f}%" if acc is not None else "n/a (n=0)"
-    lines.append(f"overall  n={overall.get('n', 0)}  accuracy={acc_text}")
-    if rep.missing:
-        lines.append(f"missing responses: {rep.missing}")
-    for axis, table in rep.groups.items():
+    lines.append(f"overall  n={overall['n']}  accuracy={acc_text}")
+    if rep["missing"]:
+        lines.append(f"missing responses: {rep['missing']}")
+    for axis, table in rep["groups"].items():
         lines.append("")
         lines.append(f"by {axis}:")
         width = max((len(k) for k in table), default=0)

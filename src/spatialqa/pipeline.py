@@ -12,6 +12,12 @@ A part file ``parts/<image_id>.jsonl`` is one header line
 corpus lines, so resume reads only the header and assembly copies the
 rest of the file without parsing it.  Any exception other than
 ``SceneSkipped`` becomes a ``failed`` part carrying ``"<Type>: <message>"``.
+
+``run_generate`` returns the dict it writes to ``ledger.json``: each
+image's status (``skipped`` when the resume scan finds it done or beyond
+``--limit``, else its part header's, read during assembly), their counts,
+the items per family and the wall time.  ``run_evaluate`` likewise
+returns the dict it writes to ``report.json``.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ import json
 import shutil
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +36,7 @@ from .assignment import box_iou
 from .clients import Client, build_clients
 from .config import PipelineConfig
 from .dbscan import dbscan_largest_cluster, default_eps, default_min_pts
-from .evalharness import Report, judged, render_report, report, score_item
+from .evalharness import judged, render_report, report, score_item
 from .filters import heuristic_image_filter, tag_vote_filter
 from .geometry import (
     Box3D,
@@ -50,31 +56,6 @@ from .schema import TEXT, check, or_null, read_jsonl, text, unique
 
 class SceneSkipped(Exception):
     """Image filtered out or not processable; carries the reason."""
-
-
-@dataclass
-class RunLedger:
-    statuses: dict[str, dict] = field(default_factory=dict)
-    family_counts: dict[str, int] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-
-    def add(self, image_id: str, status: str, reason: str | None = None):
-        entry = {"status": status}
-        if reason:
-            entry["reason"] = reason
-        self.statuses[image_id] = entry
-
-    @property
-    def summary(self) -> dict:
-        counts: dict[str, int] = {}
-        for entry in self.statuses.values():
-            counts[entry["status"]] = counts.get(entry["status"], 0) + 1
-        return counts
-
-    def to_dict(self) -> dict:
-        return {"statuses": self.statuses, "summary": self.summary,
-                "family_counts": self.family_counts,
-                "wall_seconds": round(self.wall_seconds, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +139,12 @@ def build_scene(entry: ImageManifest, manifest_path: str | Path,
     pm = read_pointmap(resolve_path(manifest_path, entry.pointmap))
 
     objects: list[SceneObject] = []
-    boxes2d: dict[str, list] = {}
     for ann in entry.objects:
         obj = _estimate_object(entry, ann, pm, manifest_path)
         if obj is not None:
             objects.append(obj)
-            boxes2d[obj.object_id] = list(ann.box2d)
-
     captions = _verified_captions(entry, objects, clients.get("grounder"))
-    refs = assign_references(objects, entry.frame,
-                             verified_captions=captions, boxes2d=boxes2d)
+    refs = assign_references(objects, entry.frame, verified_captions=captions)
     return Scene(image_id=entry.image_id, objects=objects, refs=refs,
                  gf=entry.frame, pm=pm)
 
@@ -202,7 +179,7 @@ def _read_header(path: Path) -> dict:
 
 
 def _write_part(parts_dir: Path, image_id: str, status: str,
-                reason: str | None, items: list[QAItem]) -> dict:
+                reason: str | None, items: list[QAItem]) -> None:
     families: dict[str, int] = {}
     for item in items:
         families[item.family] = families.get(item.family, 0) + 1
@@ -213,31 +190,31 @@ def _write_part(parts_dir: Path, image_id: str, status: str,
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     tmp.replace(path)
-    return header
 
 
 def _process_entry_to_part(entry: ImageManifest, manifest_path: str,
                            config: PipelineConfig,
                            clients: dict[str, Client],
-                           parts_dir: Path) -> dict:
-    """Worker body: one image to one part file; returns the part header."""
+                           parts_dir: Path) -> None:
+    """Worker body: one image to one part file."""
     try:
         items = process_image(entry, manifest_path, config, clients)
     except SceneSkipped as e:
-        return _write_part(parts_dir, entry.image_id, "skipped", str(e), [])
+        _write_part(parts_dir, entry.image_id, "skipped", str(e), [])
     except Exception as e:  # noqa: BLE001 - one bad image never ends a run
-        return _write_part(parts_dir, entry.image_id, "failed",
-                           f"{type(e).__name__}: {e}", [])
-    return _write_part(parts_dir, entry.image_id, "done", None, items)
+        _write_part(parts_dir, entry.image_id, "failed",
+                    f"{type(e).__name__}: {e}", [])
+    else:
+        _write_part(parts_dir, entry.image_id, "done", None, items)
 
 
 def run_generate(manifest_path: str | Path, config: PipelineConfig,
                  out_dir: str | Path,
-                 limit: int | None = None) -> RunLedger:
+                 limit: int | None = None) -> dict:
     """Generate the corpus for a manifest; resumable and order-stable.
 
-    Returns the run ledger; writes corpus.jsonl, ledger.json and
-    parts/*.jsonl under out_dir.  A bad manifest record (see
+    Writes corpus.jsonl, ledger.json and parts/*.jsonl under out_dir and
+    returns the dict ledger.json holds.  A bad manifest record (see
     ``read_manifest``) or client spec raises before anything is written.
     """
     start = time.monotonic()
@@ -248,40 +225,36 @@ def run_generate(manifest_path: str | Path, config: PipelineConfig,
     out = Path(out_dir)
     parts_dir = out / "parts"
     parts_dir.mkdir(parents=True, exist_ok=True)
-    ledger = RunLedger()
-    n_selected = len(entries[:limit])
+    # the statuses this run decides; assembly reads the rest off the parts
+    statuses: dict[str, dict] = {}
     todo = []
     for i, entry in enumerate(entries):
         part_path = _part_path(parts_dir, entry.image_id)
         if part_path.exists() and _read_header(part_path)["status"] == "done":
             # assembled into the corpus below, within --limit or not
-            ledger.add(entry.image_id, "skipped", "already done")
-        elif i >= n_selected:
-            ledger.add(entry.image_id, "skipped", "beyond --limit")
+            statuses[entry.image_id] = {"status": "skipped",
+                                        "reason": "already done"}
+        elif limit is not None and i >= limit:
+            statuses[entry.image_id] = {"status": "skipped",
+                                        "reason": "beyond --limit"}
         else:
             todo.append(entry)
 
     if config.workers <= 1 or len(todo) <= 1:
-        results = [
+        for e in todo:
             _process_entry_to_part(e, manifest_path, config, clients,
                                    parts_dir)
-            for e in todo
-        ]
     else:
-        results = []
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = [
                 pool.submit(_process_entry_to_part, e, manifest_path, config,
                             clients, parts_dir)
                 for e in todo
             ]
-            for future in as_completed(futures):
-                results.append(future.result())
+            for future in futures:
+                future.result()  # a broken pool or part write raises here
 
-    for header in results:
-        ledger.add(header["image_id"], header["status"], header["reason"])
-
-    family_counts: dict[str, int] = {}
+    family_counts = Counter()
     with open(out / "corpus.jsonl", "wb") as corpus:
         for entry in entries:
             part_path = _part_path(parts_dir, entry.image_id)
@@ -289,17 +262,21 @@ def run_generate(manifest_path: str | Path, config: PipelineConfig,
                 continue
             with open(part_path, "rb") as part:
                 header = json.loads(part.readline())
+                statuses.setdefault(entry.image_id, {
+                    k: header[k] for k in ("status", "reason") if header[k]})
                 if header["status"] != "done":
                     continue
                 shutil.copyfileobj(part, corpus)
-            for family, count in header["families"].items():
-                family_counts[family] = family_counts.get(family, 0) + count
+            family_counts.update(header["families"])
 
-    ledger.family_counts = family_counts
-    ledger.wall_seconds = time.monotonic() - start
+    ledger = {
+        "statuses": statuses,
+        "summary": dict(Counter(s["status"] for s in statuses.values())),
+        "family_counts": dict(family_counts),
+        "wall_seconds": round(time.monotonic() - start, 3),
+    }
     (out / "ledger.json").write_text(
-        json.dumps(ledger.to_dict(), sort_keys=True, indent=1),
-        encoding="utf-8")
+        json.dumps(ledger, sort_keys=True, indent=1), encoding="utf-8")
     return ledger
 
 
@@ -330,9 +307,10 @@ def read_responses(path: str | Path) -> dict[str, str | None]:
 
 
 def run_evaluate(corpus_path: str | Path, responses_path: str | Path,
-                 config: PipelineConfig, out_dir: str | Path) -> Report:
-    """Join corpus with responses, score, and write report files; the
-    count of responses that name no corpus item goes to stderr."""
+                 config: PipelineConfig, out_dir: str | Path) -> dict:
+    """Join corpus with responses, score, and write report files; returns
+    the dict report.json holds.  The count of responses that name no
+    corpus item goes to stderr."""
     items = read_corpus(corpus_path)
     responses = read_responses(responses_path)
     unmatched = len(responses.keys() - {item["item_id"] for item in items})
@@ -358,7 +336,7 @@ def run_evaluate(corpus_path: str | Path, responses_path: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
-        json.dumps(rep.to_dict(), sort_keys=True, indent=1), encoding="utf-8")
+        json.dumps(rep, sort_keys=True, indent=1), encoding="utf-8")
     (out / "report.txt").write_text(render_report(rep), encoding="utf-8")
     with open(out / "records.jsonl", "w", encoding="utf-8") as f:
         for record in records:

@@ -57,7 +57,6 @@ class ObjectReference:
     text: str
     params: dict = field(default_factory=dict)
     color: str | None = None          # box-fallback only
-    pixel_box: list | None = None     # box-fallback only
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +80,14 @@ def fallback_color(palette_index: int) -> str:
     return f"{ordinal_word(cycle + 1)} {color}"
 
 
-def fallback_reference(object_id: str, category: str, palette_index: int,
-                       pixel_box: list | None = None) -> ObjectReference:
+def fallback_reference(object_id: str, category: str,
+                       palette_index: int) -> ObjectReference:
     color = fallback_color(palette_index)
     return ObjectReference(
         object_id=object_id, kind="box-fallback",
         text=f"the {category} (highlighted by {color} box)",
         params={"palette_index": palette_index},
-        color=color, pixel_box=pixel_box,
+        color=color,
     )
 
 
@@ -255,12 +254,10 @@ def select_reference(candidates: list[ObjectReference]) -> ObjectReference:
 
 
 def assign_references(objs: list[SceneObject], gf: GravityFrame,
-                      verified_captions: dict[str, str] | None = None,
-                      boxes2d: dict[str, list] | None = None
+                      verified_captions: dict[str, str] | None = None
                       ) -> dict[str, ObjectReference]:
     """One unique reference per object, picking the simplest passing kind."""
     verified_captions = verified_captions or {}
-    boxes2d = boxes2d or {}
     by_category: dict[str, list[SceneObject]] = {}
     for o in objs:
         by_category.setdefault(o.category, []).append(o)
@@ -296,8 +293,7 @@ def assign_references(objs: list[SceneObject], gf: GravityFrame,
             result[o.object_id] = select_reference(cands)
         else:
             result[o.object_id] = fallback_reference(
-                o.object_id, o.category, fallback_index,
-                pixel_box=boxes2d.get(o.object_id))
+                o.object_id, o.category, fallback_index)
             fallback_index += 1
     return result
 

@@ -15,7 +15,7 @@ names the file and line of the first bad one.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from typing import Any, Callable, Iterator
 
 
@@ -33,8 +33,9 @@ def integer(v) -> bool:
 
 
 def finite(v) -> bool:
+    """A number a float holds: not nan, inf or an int beyond its range."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and abs(v) <= sys.float_info.max)
 
 
 def numbers(n: int) -> Callable[[Any], bool]:

@@ -1,5 +1,7 @@
 """Fixtures shared by several test modules."""
 
+import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -8,6 +10,18 @@ from spatialqa.config import PipelineConfig
 from spatialqa.oracle.gen import generate_dataset
 from spatialqa.oracle.scene import ESTIMATION_SAMPLER
 from spatialqa.pipeline import run_generate
+
+
+@pytest.fixture
+def child_env() -> dict:
+    """The environment for a child Python: this one with the checkout's
+    ``src`` first on PYTHONPATH, so the child imports the package under
+    test without an install."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -442,7 +442,8 @@ class TestCriterion8Encoding:
 # ---------------------------------------------------------------------------
 
 class TestCriterion9Determinism:
-    def test_workers_network_and_resume(self, tmp_path, monkeypatch):
+    def test_workers_network_and_resume(self, tmp_path, monkeypatch,
+                                        child_env):
         result = generate_dataset(range(24), tmp_path / "ds", sigma=0.0,
                                   gt_boxes=True, problem_fixtures=True)
         config_path = tmp_path / "config.json"
@@ -455,7 +456,7 @@ class TestCriterion9Determinism:
         def cli(*args):
             proc = subprocess.run(
                 [sys.executable, "-m", "spatialqa.cli", *args],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=child_env)
             assert proc.returncode == 0, proc.stderr
             return proc
 

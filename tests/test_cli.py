@@ -350,7 +350,7 @@ class TestErrors:
 
 
 class TestImports:
-    def test_cli_does_not_load_scipy(self):
+    def test_cli_does_not_load_scipy(self, child_env):
         # scipy.spatial alone raises a process's peak RSS by tens of MiB,
         # on every run, clustering or not
         proc = subprocess.run(
@@ -358,6 +358,6 @@ class TestImports:
              "import sys, spatialqa.cli; "
              "print(sorted(m for m in sys.modules "
              "if m == 'scipy' or m.startswith('scipy.')))"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -156,6 +156,7 @@ class TestBuildClients:
         ("max_attempts", True, "max_attempts must be an integer >= 1"),
         ("timeout_s", 0, "timeout_s must be a finite number > 0"),
         ("timeout_s", -1.5, "timeout_s must be a finite number > 0"),
+        ("timeout_s", 10**400, "timeout_s must be a finite number > 0"),
         ("backoff_base_s", -0.1,
          "backoff_base_s must be a finite number >= 0"),
     ])
@@ -175,7 +176,7 @@ class TestBuildClients:
 # ROADMAP item 4's hostile values, each put in place of a whole reply or
 # of its one field
 HOSTILE = [None, "x", -1, 0, 1e308, float("nan"), [], {}, [1, 2],
-           "../../etc/passwd", True]
+           "../../etc/passwd", True, 10**400]
 REQUESTS = {
     "grounder": {"image_id": "i", "caption": "a red chair"},
     "judge": {"item_id": "1", "question": "q", "answer": "a",

@@ -2,7 +2,7 @@
 writes a line and where ``evaluate`` and ``oracle check`` read it."""
 
 import json
-import math
+import sys
 
 import pytest
 
@@ -12,7 +12,8 @@ from spatialqa.pipeline import read_corpus
 
 # The manifest sweep's hostile values (test_manifest.HOSTILE), less the
 # path, each put in place of one field of a corpus line
-HOSTILE = [None, "x", -1, 0, 1e308, float("nan"), [], {}, [1, 2], True]
+HOSTILE = [None, "x", -1, 0, 1e308, float("nan"), [], {}, [1, 2], True,
+           10**400]
 FIELDS = ["schema_version", "item_id", "image_id", "level", "family",
           "format", "prompt", "answer", "payload", "options", "provenance",
           "payload.kind", "payload.value"]
@@ -63,7 +64,8 @@ def _accepted(item: dict, field: str, value) -> bool:
         if kind == "label":
             return isinstance(value, str)
         if kind == "quantity":
-            return type(value) in (int, float) and 0 < value < math.inf
+            return (type(value) in (int, float)
+                    and 0 < value <= sys.float_info.max)
         if kind == "count":
             return type(value) is int and value >= 0
     return False

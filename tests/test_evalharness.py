@@ -235,23 +235,23 @@ class TestReport:
 
     def test_accuracy_per_group(self):
         rep = report(self._records())
-        assert rep.overall == {"n": 4, "correct": 2, "accuracy": 0.5}
-        assert rep.groups["family"]["f1"]["accuracy"] == 0.5
-        assert rep.missing == 1
+        assert rep["overall"] == {"n": 4, "correct": 2, "accuracy": 0.5}
+        assert rep["groups"]["family"]["f1"]["accuracy"] == 0.5
+        assert rep["missing"] == 1
         # group sizes partition the total
-        assert sum(e["n"] for e in rep.groups["family"].values()) == 4
+        assert sum(e["n"] for e in rep["groups"]["family"].values()) == 4
 
     def test_three_of_four_is_75_percent(self):
         records = self._records()[:3] + [
             EvalRecord("e", "x", "mcq", True, family="f1", level=1,
                        format="mcq")]
         rep = report(records)
-        assert rep.overall["accuracy"] == pytest.approx(0.75)
+        assert rep["overall"]["accuracy"] == pytest.approx(0.75)
         assert "75.00%" in render_report(rep)
 
     def test_empty_reports_undefined_marker(self):
         rep = report([])
-        assert rep.overall["accuracy"] is None
+        assert rep["overall"]["accuracy"] is None
         assert "n/a" in render_report(rep)
 
 

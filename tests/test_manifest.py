@@ -285,7 +285,7 @@ class TestResolvePath:
 # ROADMAP item 4's hostile values, each put in place of one field of
 # record 2 of a 3-record oracle manifest
 HOSTILE = [None, "x", -1, 0, 1e308, float("nan"), [], {}, [1, 2],
-           "../../etc/passwd", True]
+           "../../etc/passwd", True, 10**400]
 IMAGE_FIELDS = [
     "image_id", "width", "height", "pointmap", "gravity", "intrinsics",
     "intrinsics.fx", "intrinsics.fy", "intrinsics.cx", "intrinsics.cy",

@@ -13,7 +13,6 @@ from spatialqa.config import PipelineConfig
 from spatialqa.manifest import read_manifest, write_manifest
 from spatialqa.oracle.gen import generate_dataset
 from spatialqa.pipeline import (
-    RunLedger,
     SceneSkipped,
     build_scene,
     read_corpus,
@@ -108,15 +107,15 @@ class TestRunGenerate:
                                tmp_path / "full")
         ledger1 = run_generate(dataset.manifest_path, config,
                                tmp_path / "resumed", limit=3)
-        assert ledger1.summary.get("done") == 3
+        assert ledger1["summary"].get("done") == 3
         ledger2 = run_generate(dataset.manifest_path, config,
                                tmp_path / "resumed")
-        assert ledger2.summary.get("skipped") == 3
-        assert ledger2.summary.get("done") == 3
+        assert ledger2["summary"].get("skipped") == 3
+        assert ledger2["summary"].get("done") == 3
         full = (tmp_path / "full" / "corpus.jsonl").read_bytes()
         resumed = (tmp_path / "resumed" / "corpus.jsonl").read_bytes()
         assert full == resumed
-        assert ledger2.family_counts == ledger0.family_counts
+        assert ledger2["family_counts"] == ledger0["family_counts"]
 
     def test_duplicate_image_id_rejected_before_any_image_runs(
             self, dataset, tmp_path, capsys):
@@ -138,17 +137,17 @@ class TestRunGenerate:
         config = PipelineConfig(workers=1, seed=0)
         out = tmp_path / "o"
         first = run_generate(dataset.manifest_path, config, out, limit=3)
-        assert first.summary == {"done": 3, "skipped": 3}
+        assert first["summary"] == {"done": 3, "skipped": 3}
         corpus = (out / "corpus.jsonl").read_bytes()
         rerun = run_generate(dataset.manifest_path, config, out, limit=1)
         ids = [e.image_id for e in read_manifest(dataset.manifest_path)]
         # parts done earlier are assembled into the corpus, within the
         # limit or beyond it, and the ledger says so
-        assert [rerun.statuses[i].get("reason") for i in ids] == \
+        assert [rerun["statuses"][i].get("reason") for i in ids] == \
             ["already done"] * 3 + ["beyond --limit"] * 3
         assert (out / "corpus.jsonl").read_bytes() == corpus
-        assert rerun.family_counts == first.family_counts
-        assert sum(rerun.family_counts.values()) == \
+        assert rerun["family_counts"] == first["family_counts"]
+        assert sum(rerun["family_counts"].values()) == \
             len(read_corpus(out / "corpus.jsonl"))
 
     def test_ledger_partitions_manifest(self, dataset, tmp_path):
@@ -156,8 +155,8 @@ class TestRunGenerate:
         ledger = run_generate(dataset.manifest_path, config, tmp_path / "o",
                               limit=2)
         entries = read_manifest(dataset.manifest_path)
-        assert len(ledger.statuses) == len(entries)
-        total = sum(ledger.summary.values())
+        assert len(ledger["statuses"]) == len(entries)
+        total = sum(ledger["summary"].values())
         assert total == len(entries)
 
         # two objects at one center lose only the pairs they make, not the
@@ -191,16 +190,17 @@ class TestRunGenerate:
         config = PipelineConfig(workers=1, seed=0)
         ledger = run_generate(broken / "manifest.jsonl", config,
                               tmp_path / "out")
-        assert ledger.statuses[victim.image_id]["status"] == "failed"
-        assert "offset" in ledger.statuses[victim.image_id]["reason"]
-        done = [s for s in ledger.statuses.values() if s["status"] == "done"]
+        assert ledger["statuses"][victim.image_id]["status"] == "failed"
+        assert "offset" in ledger["statuses"][victim.image_id]["reason"]
+        done = [s for s in ledger["statuses"].values()
+                if s["status"] == "done"]
         assert len(done) == len(entries) - 1
 
     def test_ledger_counts_match_corpus(self, dataset, tmp_path):
         config = PipelineConfig(workers=1, seed=0)
         ledger = run_generate(dataset.manifest_path, config, tmp_path / "o2")
         items = read_corpus(tmp_path / "o2" / "corpus.jsonl")
-        assert sum(ledger.family_counts.values()) == len(items)
+        assert sum(ledger["family_counts"].values()) == len(items)
         # parts are a header line, then exactly the image's corpus lines
         parts = sorted((tmp_path / "o2" / "parts").iterdir())
         assert {p.suffix for p in parts} == {".jsonl"}
@@ -312,8 +312,8 @@ class TestRunEvaluate:
         responses = tmp_path / "responses.jsonl"
         items = self._respond(corpus, responses)
         rep = run_evaluate(corpus, responses, config, tmp_path / "r")
-        assert rep.overall["n"] == len(items)
-        assert rep.overall["accuracy"] == 1.0
+        assert rep["overall"]["n"] == len(items)
+        assert rep["overall"]["accuracy"] == 1.0
         assert (tmp_path / "r" / "report.json").exists()
         assert (tmp_path / "r" / "report.txt").exists()
 
@@ -326,8 +326,8 @@ class TestRunEvaluate:
         responses = tmp_path / "responses2.jsonl"
         self._respond(corpus, responses, skip=skip)
         rep = run_evaluate(corpus, responses, config, tmp_path / "r2")
-        assert rep.missing == 2
-        assert rep.overall["correct"] == len(items) - 2
+        assert rep["missing"] == 2
+        assert rep["overall"]["correct"] == len(items) - 2
 
     def test_judge_verdicts_cached_and_reused(self, dataset, tmp_path):
         # craft a judgement problem item manually
@@ -351,12 +351,12 @@ class TestRunEvaluate:
             clients={"judge": {"fixture_dir": str(fixtures)}},
             cache_dir=str(tmp_path / "cache"))
         rep1 = run_evaluate(corpus, responses, config, tmp_path / "rj")
-        assert rep1.overall["correct"] == 1
+        assert rep1["overall"]["correct"] == 1
         # remove the fixture: the cached verdict must still drive scoring
         for f in (fixtures / "judge").glob("*.json"):
             f.unlink()
         rep2 = run_evaluate(corpus, responses, config, tmp_path / "rj2")
-        assert rep2.overall["correct"] == 1
+        assert rep2["overall"]["correct"] == 1
 
     def test_bad_responses_schema_raises(self, dataset, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -369,11 +369,26 @@ class TestRunEvaluate:
 
 
 class TestLedger:
-    def test_summary(self):
-        ledger = RunLedger()
-        ledger.add("a", "done")
-        ledger.add("b", "failed", "boom")
-        ledger.add("c", "skipped", "already done")
-        assert ledger.summary == {"done": 1, "failed": 1, "skipped": 1}
-        d = ledger.to_dict()
-        assert d["statuses"]["b"]["reason"] == "boom"
+    def test_ledger_is_the_file_and_counts_the_statuses(self, dataset,
+                                                        tmp_path):
+        # image 1 fails, image 2 is filtered out, image 5 is beyond --limit
+        data = tmp_path / "data"
+        shutil.copytree(Path(dataset.manifest_path).parent, data)
+        entries = read_manifest(data / "manifest.jsonl")
+        pmap_path = data / entries[1].pointmap
+        pmap_path.write_bytes(pmap_path.read_bytes()[:40])
+        entries[2].pixel_stats = {"white": 0.5, "black": 0.0,
+                                  "invalid_depth": 0.0}
+        write_manifest(entries, data / "manifest.jsonl")
+        out = tmp_path / "out"
+        ledger = run_generate(data / "manifest.jsonl", PipelineConfig(),
+                              out, limit=5)
+        assert ledger == json.loads((out / "ledger.json").read_text())
+        assert ledger["summary"] == {"done": 3, "failed": 1, "skipped": 2}
+        statuses = ledger["statuses"]
+        assert set(statuses) == {e.image_id for e in entries}
+        for entry in statuses.values():
+            assert ("reason" in entry) == (entry["status"] != "done")
+        assert statuses[entries[2].image_id]["reason"].startswith(
+            "pure-pixel rule")
+        assert statuses[entries[5].image_id]["reason"] == "beyond --limit"

@@ -222,8 +222,7 @@ class TestSelectAndAssign:
         # two identical, coincident objects: every rank guard fails
         objs = [_obj("a", (0, 0, 3), category="sofa"),
                 _obj("b", (0.001, 0, 3), category="sofa")]
-        refs = assign_references(objs, GF, boxes2d={"a": [0, 0, 5, 5],
-                                                    "b": [5, 0, 10, 5]})
+        refs = assign_references(objs, GF)
         kinds = {refs["a"].kind, refs["b"].kind}
         assert kinds == {"box-fallback"}
         assert refs["a"].color != refs["b"].color
