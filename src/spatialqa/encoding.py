@@ -60,51 +60,50 @@ def sinusoidal_encode(pm: PointMap) -> np.ndarray:
     return out
 
 
-def pad_to_patch_multiple(grid: np.ndarray, patch: int = PATCH) -> np.ndarray:
-    """Zero-pad bottom/right to a multiple of the patch size.
+def pad_to_patch_multiple(grid: np.ndarray) -> np.ndarray:
+    """Zero-pad bottom/right to a multiple of the patch size ``PATCH``.
 
     Padded pixels read as zero coordinates with validity 0 (the last
     channel is already the zero fill).
     """
     h, w, c = grid.shape
-    ph = (-h) % patch
-    pw = (-w) % patch
+    ph = (-h) % PATCH
+    pw = (-w) % PATCH
     if ph == 0 and pw == 0:
         return grid
     return np.pad(grid, ((0, ph), (0, pw), (0, 0)))
 
 
-def patchify(encoded: np.ndarray, weights: np.ndarray,
-             patch: int = PATCH) -> np.ndarray:
+def patchify(encoded: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Non-overlapping patch flattening followed by a linear map.
 
-    encoded: (H, W, C); weights: (C * patch * patch, D).  Output
-    (H/patch, W/patch, D).  Flattening order is row-major over (patch
-    row, patch column, channel).
+    encoded: (H, W, C); weights: (C * PATCH * PATCH, D).  Output
+    (H/PATCH, W/PATCH, D), the grid padded up to whole patches first.
+    Flattening order is row-major over (patch row, patch column, channel).
     """
-    grid = pad_to_patch_multiple(encoded, patch)
+    grid = pad_to_patch_multiple(encoded)
     h, w, c = grid.shape
-    gh, gw = h // patch, w // patch
-    if weights.shape[0] != c * patch * patch:
+    gh, gw = h // PATCH, w // PATCH
+    if weights.shape[0] != c * PATCH * PATCH:
         raise ValueError(
             f"weights expect {weights.shape[0]} inputs, patches have "
-            f"{c * patch * patch}"
+            f"{c * PATCH * PATCH}"
         )
-    tiles = grid.reshape(gh, patch, gw, patch, c).transpose(0, 2, 1, 3, 4)
-    flat = tiles.reshape(gh, gw, patch * patch * c)
+    tiles = grid.reshape(gh, PATCH, gw, PATCH, c).transpose(0, 2, 1, 3, 4)
+    flat = tiles.reshape(gh, gw, PATCH * PATCH * c)
     return flat @ weights
 
 
-def patchify_reference(encoded: np.ndarray, weights: np.ndarray,
-                       patch: int = PATCH) -> np.ndarray:
+def patchify_reference(encoded: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
     """Explicit sliding-window implementation used as the test oracle."""
-    grid = pad_to_patch_multiple(encoded, patch)
+    grid = pad_to_patch_multiple(encoded)
     h, w, c = grid.shape
-    gh, gw = h // patch, w // patch
+    gh, gw = h // PATCH, w // PATCH
     out = np.zeros((gh, gw, weights.shape[1]))
     for i in range(gh):
         for j in range(gw):
-            tile = grid[i * patch:(i + 1) * patch, j * patch:(j + 1) * patch, :]
+            tile = grid[i * PATCH:(i + 1) * PATCH, j * PATCH:(j + 1) * PATCH, :]
             out[i, j] = tile.reshape(-1) @ weights
     return out
 

@@ -45,17 +45,14 @@ def heuristic_image_filter(white_frac: float, black_frac: float,
     return FilterDecision(keep=not reasons, reasons=tuple(reasons))
 
 
-def tag_vote_filter(retrieved_tags: Sequence[str], include_set: Iterable[str],
-                    exclude_set: Iterable[str]) -> FilterDecision:
+def tag_vote_filter(retrieved_tags: Sequence[str],
+                    include_set: Iterable[str]) -> FilterDecision:
     """Keep an image iff more than half of its 5 retrieved tags are includes.
 
-    Tags in neither set count as non-include votes.  Order of the tags is
-    irrelevant; only the multiset of memberships matters.
+    Every other tag is a non-include vote.  Order of the tags is
+    irrelevant; only how many of them are includes matters.
     """
     include = set(include_set)
-    exclude = set(exclude_set)
-    if include & exclude:
-        raise ValueError(f"include/exclude sets overlap: {include & exclude}")
     if len(retrieved_tags) != TAG_COUNT:
         raise ValueError(f"expected {TAG_COUNT} tags, got {len(retrieved_tags)}")
     votes = sum(1 for t in retrieved_tags if t in include)

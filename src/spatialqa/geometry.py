@@ -140,8 +140,7 @@ def box_local_axes(yaw_deg: float) -> np.ndarray:
 # Backprojection
 # ---------------------------------------------------------------------------
 
-def backproject(depth: np.ndarray, intrinsics: CameraIntrinsics,
-                valid: np.ndarray | None = None) -> PointMap:
+def backproject(depth: np.ndarray, intrinsics: CameraIntrinsics) -> PointMap:
     """Pinhole backprojection of a metric depth grid to a point map.
 
     For pixel (u, v) with depth z:  x = (u - cx) * z / fx,
@@ -157,10 +156,7 @@ def backproject(depth: np.ndarray, intrinsics: CameraIntrinsics,
     x = (uu - intrinsics.cx) * z / intrinsics.fx
     y = (vv - intrinsics.cy) * z / intrinsics.fy
     points = np.stack([x, y, z], axis=2)
-    ok = np.isfinite(z) & (z > 0)
-    if valid is not None:
-        ok = ok & np.asarray(valid, dtype=bool)
-    return make_pointmap(points, ok)
+    return make_pointmap(points, np.isfinite(z) & (z > 0))
 
 
 def project(points: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:

@@ -69,9 +69,8 @@ def _apply_filters(entry: ImageManifest, config: PipelineConfig) -> None:
             stats["white"], stats["black"], stats["invalid_depth"])
         if not decision.keep:
             raise SceneSkipped("; ".join(decision.reasons))
-    if entry.tags is not None and (config.tag_include or config.tag_exclude):
-        decision = tag_vote_filter(entry.tags, config.tag_include,
-                                   config.tag_exclude)
+    if entry.tags is not None and config.tag_include:
+        decision = tag_vote_filter(entry.tags, config.tag_include)
         if not decision.keep:
             raise SceneSkipped(decision.reasons[0])
 
@@ -245,7 +244,10 @@ def run_generate(manifest_path: str | Path, config: PipelineConfig,
             _process_entry_to_part(e, manifest_path, config, clients,
                                    parts_dir)
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # a fork pool starts all its workers at the first submit, so it
+        # gets no more of them than there are images
+        with ProcessPoolExecutor(
+                max_workers=min(config.workers, len(todo))) as pool:
             futures = [
                 pool.submit(_process_entry_to_part, e, manifest_path, config,
                             clients, parts_dir)

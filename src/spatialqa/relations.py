@@ -102,14 +102,6 @@ class SceneObject:
         return self.box.volume
 
 
-@dataclass(frozen=True)
-class ObserverPose:
-    """Explicit observer for observer-centric perspective taking."""
-
-    position: np.ndarray  # camera frame, meters
-    yaw_deg: float        # facing, same convention as SceneObject yaw
-
-
 @dataclass
 class DirectionResult:
     vector: np.ndarray            # unit vector, camera or anchor frame
@@ -306,34 +298,32 @@ def orientation_consistency(a: SceneObject, b: SceneObject) -> str | None:
 # Level 3
 # ---------------------------------------------------------------------------
 
-def _anchor_frame(anchor: SceneObject | ObserverPose, gf: GravityFrame
+def _anchor_frame(anchor: SceneObject, gf: GravityFrame
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(rotation rows right/down/forward in world coords, position world)."""
-    if isinstance(anchor, ObserverPose):
-        yaw = anchor.yaw_deg
-        pos_cam = np.asarray(anchor.position, dtype=float)
-    else:
-        if anchor.yaw_deg is None:
-            raise RelationError(
-                f"anchor {anchor.object_id!r} has no yaw for perspective taking"
-            )
-        yaw = anchor.yaw_deg
-        pos_cam = anchor.center.astype(float)
-    forward = facing_vector(yaw)
+    """(rotation rows right/down/forward in world coords, position world)
+    of an anchor facing along its yaw."""
+    if anchor.yaw_deg is None:
+        raise RelationError(
+            f"anchor {anchor.object_id!r} has no yaw for perspective taking"
+        )
+    forward = facing_vector(anchor.yaw_deg)
     down = np.array([0.0, 1.0, 0.0])
     right = np.cross(down, forward)
     rot = np.stack([right, down, forward])
-    return rot, gf.to_world(pos_cam)
+    return rot, gf.to_world(anchor.center.astype(float))
 
 
-def perspective_transform(anchor: SceneObject | ObserverPose,
-                          target: SceneObject, gf: GravityFrame
+def perspective_transform(anchor: SceneObject, target: SceneObject,
+                          gf: GravityFrame
                           ) -> tuple[DirectionResult, DistanceResult]:
     """Direction and distances of target in the anchor-centric frame.
 
     The anchor frame has forward along the anchor facing (projected
     horizontal), down along gravity, right completing the frame, so the
-    axis labels read as the anchor's left/right/front/behind.
+    axis labels read as the anchor's left/right/front/behind.  The anchor
+    is a scene object with a yaw; the camera as observer is the object at
+    the origin with yaw 180.  An anchor without a yaw raises
+    ``RelationError``.
     """
     rot, anchor_pos_w = _anchor_frame(anchor, gf)
     target_w = gf.to_world(target.center.astype(float))
@@ -345,11 +335,6 @@ def perspective_transform(anchor: SceneObject | ObserverPose,
     direction = DirectionResult(vector=unit, components=unit,
                                 labels=_label_components(unit))
     return direction, _distance_result(delta)
-
-
-def camera_pose() -> ObserverPose:
-    """The camera itself as an observer (origin, facing its forward axis)."""
-    return ObserverPose(position=np.zeros(3), yaw_deg=180.0)
 
 
 def spatial_count(objs: list[SceneObject], category: str,

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from spatialqa.cli import main
 from spatialqa.encoding import read_tensor
+from spatialqa.manifest import read_manifest, write_manifest
 from spatialqa.pipeline import read_corpus
 
 
@@ -188,6 +190,49 @@ class TestGenerateEvaluateCheck:
         assert rc == 2
         assert "responses.jsonl line 2: response 3 is neither null nor a " \
             "string" in capsys.readouterr().err
+
+
+class TestTagInclude:
+    INCLUDE = ["photo", "indoor"]
+    WIN = ["photo", "indoor", "photo", "chart", "text"]    # 3/5 include
+    LOSE = ["photo", "chart", "text", "code", "indoor"]    # 2/5 include
+
+    def _run(self, data, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return main(["generate", "--manifest", str(data / "manifest.jsonl"),
+                     "--config", str(path), "--out", str(tmp_path / "o")])
+
+    def test_ledger_skips_the_images_that_lose_the_vote(self, oracle_dir,
+                                                        tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(oracle_dir, data)
+        entries = read_manifest(data / "manifest.jsonl")
+        losers = {entries[0].image_id, entries[2].image_id}
+        for entry in entries:
+            entry.tags = self.LOSE if entry.image_id in losers else self.WIN
+        write_manifest(entries, data / "manifest.jsonl")
+        assert self._run(data, tmp_path, {"tag_include": self.INCLUDE}) == 0
+        statuses = json.loads(
+            (tmp_path / "o" / "ledger.json").read_text())["statuses"]
+        assert {i for i, s in statuses.items()
+                if s["status"] == "skipped"} == losers
+        for image_id in losers:
+            assert statuses[image_id]["reason"] == \
+                "tag vote: 2/5 include tags"
+        assert {i for i, s in statuses.items() if s["status"] == "done"} \
+            == {e.image_id for e in entries} - losers
+        corpus_ids = {item["image_id"] for item in
+                      read_corpus(tmp_path / "o" / "corpus.jsonl")}
+        assert corpus_ids and not corpus_ids & losers
+
+    def test_old_tag_filter_key_exits_2(self, oracle_dir, tmp_path, capsys):
+        rc = self._run(oracle_dir, tmp_path,
+                       {"tag_filter": {"include": self.INCLUDE}})
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown keys ['tag_filter']")
+        assert not (tmp_path / "o").exists()
 
 
 class TestEncodeDump:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from spatialqa.config import ConfigError, load_config
+from spatialqa.config import ConfigError, config_from_dict, load_config
 
 
 class TestLoadConfig:
@@ -22,7 +22,7 @@ class TestLoadConfig:
         path.write_text(json.dumps({
             "workers": 4, "seed": 11, "band": "wide",
             "clients": {"judge": {"fixture_dir": "/fx"}},
-            "tag_filter": {"include": ["photo"], "exclude": ["chart"]},
+            "tag_include": ["photo"],
         }))
         config = load_config(path)
         assert config.workers == 4
@@ -73,27 +73,24 @@ class TestLoadConfig:
         assert (config.workers, config.seed, config.band,
                 config.cache_dir) == (4, 11, "tight", None)
 
-    @pytest.mark.parametrize("tag_filter, match", [
-        ({"includes": ["photo"]}, "includes"),
-        ({"include": ["photo"], "exlude": ["chart"]}, "exlude"),
-        ({"exclude": ["chart"]}, "exclude needs"),
-        ({"include": [], "exclude": ["chart"]}, "exclude needs"),
-        ({"include": ["photo"], "exclude": ["photo"]}, "both.*photo"),
-        ({"include": "photo"}, "include must be a list"),
-        ({"include": ["photo"], "exclude": "chart"}, "exclude must be a list"),
-        ({"include": [1]}, "include must be a list"),
+    @pytest.mark.parametrize("tag_include", [
+        "photo", [1], {"include": ["photo"]},
     ])
-    def test_bad_tag_filter_rejected(self, tmp_path, tag_filter, match):
+    def test_bad_tag_include_rejected(self, tmp_path, tag_include):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"tag_filter": tag_filter}))
-        with pytest.raises(ConfigError, match=match):
+        path.write_text(json.dumps({"tag_include": tag_include}))
+        with pytest.raises(ConfigError,
+                           match="tag_include must be a list of strings"):
             load_config(path)
 
-    def test_include_only_tag_filter_accepted(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"tag_filter": {"include": ["photo"]}}))
-        config = load_config(path)
-        assert (config.tag_include, config.tag_exclude) == (["photo"], [])
+    def test_defaults_are_fresh_containers(self):
+        a, b = config_from_dict({}), config_from_dict({})
+        assert a.clients is not b.clients
+        assert a.tag_include is not b.tag_include
+        a.clients["judge"] = {"fixture_dir": "/fx"}
+        a.tag_include.append("photo")
+        assert (load_config(None).clients, load_config(None).tag_include) \
+            == ({}, [])
 
 
 def test_readme_configuration_example_loads(tmp_path):

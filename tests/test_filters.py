@@ -47,38 +47,33 @@ class TestHeuristicFilter:
 
 class TestTagVoteFilter:
     INCLUDE = {"photo", "outdoor", "indoor", "people", "street"}
-    EXCLUDE = {"chart", "screenshot", "text", "diagram", "code"}
 
     def test_three_of_five_keeps(self):
         tags = ["photo", "outdoor", "people", "chart", "text"]
-        assert tag_vote_filter(tags, self.INCLUDE, self.EXCLUDE).keep
+        assert tag_vote_filter(tags, self.INCLUDE).keep
 
     def test_two_of_five_discards(self):
         tags = ["photo", "outdoor", "chart", "text", "code"]
-        d = tag_vote_filter(tags, self.INCLUDE, self.EXCLUDE)
+        d = tag_vote_filter(tags, self.INCLUDE)
         assert not d.keep
         assert "2/5" in d.reasons[0]
 
     def test_unanimous_keeps(self):
         tags = ["photo", "outdoor", "people", "street", "indoor"]
-        assert tag_vote_filter(tags, self.INCLUDE, self.EXCLUDE).keep
+        assert tag_vote_filter(tags, self.INCLUDE).keep
 
     def test_unknown_tags_count_as_non_include(self):
         tags = ["photo", "outdoor", "mystery1", "mystery2", "mystery3"]
-        assert not tag_vote_filter(tags, self.INCLUDE, self.EXCLUDE).keep
+        assert not tag_vote_filter(tags, self.INCLUDE).keep
 
     def test_order_independent(self):
         tags = ["photo", "outdoor", "people", "chart", "text"]
         results = {
-            tag_vote_filter(perm, self.INCLUDE, self.EXCLUDE).keep
+            tag_vote_filter(perm, self.INCLUDE).keep
             for perm in itertools.permutations(tags)
         }
         assert results == {True}
 
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError):
-            tag_vote_filter(["a"] * 4, self.INCLUDE, self.EXCLUDE)
-
-    def test_overlapping_sets_rejected(self):
-        with pytest.raises(ValueError):
-            tag_vote_filter(["a"] * 5, {"x"}, {"x"})
+            tag_vote_filter(["a"] * 4, self.INCLUDE)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import shutil
 from pathlib import Path
 
@@ -49,7 +50,7 @@ class TestBuildScene:
         entries = read_manifest(dataset.manifest_path)
         entry = entries[0]
         entry.tags = ["chart", "chart", "chart", "photo", "photo"]
-        config = PipelineConfig(tag_include=["photo"], tag_exclude=["chart"])
+        config = PipelineConfig(tag_include=["photo"])
         with pytest.raises(SceneSkipped, match="tag vote"):
             build_scene(entry, dataset.manifest_path, config)
 
@@ -116,6 +117,27 @@ class TestRunGenerate:
         resumed = (tmp_path / "resumed" / "corpus.jsonl").read_bytes()
         assert full == resumed
         assert ledger2["family_counts"] == ledger0["family_counts"]
+
+    def test_pool_starts_no_more_processes_than_images(self, dataset,
+                                                       tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        shutil.copytree(Path(dataset.manifest_path).parent, data)
+        lines = (data / "manifest.jsonl").read_text().splitlines()[:3]
+        (data / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counted_start(process):
+            started.append(process)
+            return start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            counted_start)
+        ledger = run_generate(data / "manifest.jsonl",
+                              PipelineConfig(workers=4), tmp_path / "o",
+                              limit=2)
+        assert ledger["summary"] == {"done": 2, "skipped": 1}
+        assert len(started) == 2
 
     def test_duplicate_image_id_rejected_before_any_image_runs(
             self, dataset, tmp_path, capsys):

@@ -15,10 +15,8 @@ from spatialqa.pmap import make_pointmap
 from spatialqa.relations import (
     DIRECTION_COMPONENT,
     NoGeometryError,
-    ObserverPose,
     RelationError,
     SceneObject,
-    camera_pose,
     depth_order,
     orientation_consistency,
     orientation_label,
@@ -229,13 +227,15 @@ class TestPerspective:
     def test_camera_pose_reproduces_relative_ops(self):
         rng = np.random.default_rng(2)
         origin = _obj("cam", (0, 0, 0.0))
+        # the camera as observer: at the origin, facing its forward axis
+        camera = _obj("cam", (0, 0, 0.0), yaw=180.0)
         for _ in range(30):
             t = _obj("t", rng.uniform(-2, 2, 3) + [0, 0, 5])
             tilt = rng.uniform(-0.2, 0.2)
             gf = gravity_frame(np.array([0.0, math.cos(tilt), math.sin(tilt)]))
             rel = relative_direction(origin, t, gf)
             dist = relative_distance(origin, t, gf)
-            pdir, pdist = perspective_transform(camera_pose(), t, gf)
+            pdir, pdist = perspective_transform(camera, t, gf)
             assert pdir.labels == rel.labels
             np.testing.assert_allclose(pdir.components, rel.components, atol=1e-12)
             assert pdist.euclidean == pytest.approx(dist.euclidean, abs=1e-12)
@@ -244,7 +244,7 @@ class TestPerspective:
             assert pdist.depthwise == pytest.approx(dist.depthwise, abs=1e-12)
 
     def test_observer_pose(self):
-        pose = ObserverPose(position=np.array([0.0, 0.0, 5.0]), yaw_deg=0.0)
+        pose = _obj("observer", (0, 0, 5.0), yaw=0.0)
         target = _obj("t", (0, 0, 3.0))  # between camera and observer
         direction, distance = perspective_transform(pose, target, GF)
         assert direction.labels == {"z": "front"}  # observer faces the camera
