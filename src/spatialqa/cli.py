@@ -3,7 +3,7 @@
   spatialqa generate    --manifest M --out D [--config C] [--workers N]
                         [--seed S] [--limit K]
   spatialqa evaluate    --corpus Q --responses R --out D [--config C]
-  spatialqa oracle gen  --seeds A:B --out D [--sigma S] [--estimate]
+  spatialqa oracle gen  --seeds A:B --out D [--sigma S]
                         [--preset default|estimation] [--problem-fixtures]
   spatialqa oracle check --scenes S --corpus Q
   spatialqa validate    --manifest M
@@ -15,7 +15,8 @@ responses line that breaks its schema is an error (see ``read_corpus``);
 an item whose provenance the oracle cannot read counts as a mismatch.  A
 number outside its flag's range (``--limit``, the ``oracle gen`` seeds
 and the ``encode-dump`` seed >= 0, ``--workers`` and ``--channels``
->= 1, ``--sigma`` finite and >= 0) is a usage error.
+>= 1, ``--sigma`` finite and >= 0) or an empty seed range is a usage
+error.
 
 A run is set by its input files, its ``--config`` file (see ``config``)
 and these flags; no environment variable changes it.
@@ -39,16 +40,16 @@ from .pmap import PmapError
 
 
 def _seed_range(text: str) -> range:
-    """Seeds "A:B" or "A..B" (B exclusive), or the single seed "A"; no
-    seed is negative."""
+    """Seeds "A:B" or "A..B" (B exclusive, so B > A), or the single seed
+    "A"; no seed is negative."""
     lo, sep, hi = text.replace("..", ":").partition(":")
     try:
         seeds = range(int(lo), int(hi) if sep else int(lo) + 1)
     except ValueError:
         seeds = None
-    if seeds is None or min(seeds.start, seeds.stop) < 0:
+    if seeds is None or not 0 <= seeds.start < seeds.stop:
         raise argparse.ArgumentTypeError(
-            f"bad seed range {text!r}, expected A:B with A, B >= 0")
+            f"bad seed range {text!r}, expected A:B with 0 <= A < B")
     return seeds
 
 
@@ -93,11 +94,10 @@ def cmd_oracle_gen(args) -> int:
     from .oracle.gen import generate_dataset
     from .oracle.scene import ESTIMATION_SAMPLER, SceneSamplerConfig
 
-    sampler = ESTIMATION_SAMPLER if args.preset == "estimation" \
-        else SceneSamplerConfig()
+    estimation = args.preset == "estimation"
     result = generate_dataset(
-        args.seeds, args.out, sigma=args.sigma,
-        gt_boxes=not args.estimate, sampler=sampler,
+        args.seeds, args.out, sigma=args.sigma, gt_boxes=not estimation,
+        sampler=ESTIMATION_SAMPLER if estimation else SceneSamplerConfig(),
         problem_fixtures=args.problem_fixtures)
     print(f"oracle gen: {result.n_scenes} scenes, {result.n_objects} objects "
           f"-> {result.manifest_path}")
@@ -140,8 +140,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_encode_dump(args) -> int:
-    from .encoding import (ENCODED_CHANNELS, patchify, sinusoidal_encode,
-                           write_tensor)
+    from .encoding import (ENCODED_CHANNELS, PATCH, patchify,
+                           sinusoidal_encode, write_tensor)
     from .pmap import read_pointmap
 
     pm = read_pointmap(args.pointmap)
@@ -149,7 +149,7 @@ def cmd_encode_dump(args) -> int:
     if args.patchify:
         rng = np.random.default_rng(args.seed)
         weights = rng.normal(
-            0.0, 0.02, size=(ENCODED_CHANNELS * 14 * 14, args.channels))
+            0.0, 0.02, size=(ENCODED_CHANNELS * PATCH * PATCH, args.channels))
         out = patchify(encoded, weights)
     else:
         out = encoded
@@ -192,10 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--sigma", type=_at_least(float, 0), default=0.0,
                    help="render depth noise in meters")
-    p.add_argument("--estimate", action="store_true",
-                   help="omit ground-truth 3D boxes from the manifest")
     p.add_argument("--preset", choices=("default", "estimation"),
-                   default="default")
+                   default="default",
+                   help="estimation: the estimation scene sampler, and no "
+                        "ground-truth 3D boxes in the manifest")
     p.add_argument("--problem-fixtures", action="store_true",
                    help="record problem-generator fixtures for the scenes")
     p.set_defaults(func=cmd_oracle_gen)

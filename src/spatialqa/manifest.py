@@ -3,8 +3,9 @@
 One image per line, UTF-8.  ``_IMAGE_RULES`` and ``_OBJECT_RULES`` state
 the type and range of each field; beyond those:
 
-  image_id   names the image's part file, so it must be non-empty, hold
-             no '/', '\\' or NUL and not be '..'; unique in the manifest
+  image_id   names the image's part file, so it must be non-empty, at
+             most 245 bytes in UTF-8 (``ID_BYTES``), hold no '/', '\\' or
+             NUL and not be '..'; unique in the manifest
   pointmap   path to a PMAP file and ``mask`` to a .npy boolean array,
              relative to the manifest's directory unless absolute
   gravity    camera-frame unit vector, not parallel to the camera's
@@ -41,15 +42,28 @@ def _grounding(v) -> bool:
         for g in v)
 
 
+# a part file is written as "<image_id>.jsonl.tmp", and a file name holds
+# at most 255 bytes
+ID_BYTES = 255 - len(".jsonl.tmp")
+
+
+def _file_name(v) -> bool:
+    if not text(v) or v in ("", "..") or any(c in v for c in "/\\\0"):
+        return False
+    try:
+        return len(v.encode()) <= ID_BYTES
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
+        return False
+
+
 _DICT = (or_null(is_object), "is not an object")
 
 # (field, test, what a value that fails it is), read by ``schema.check``;
 # the image_id first, since a message about any other field names it
 _ID_RULES = (
-    ("image_id", lambda v: text(v) and v not in ("", "..") and not any(
-        c in v for c in "/\\\0"),
-     "cannot name a file: it must be a non-empty string with no '/', '\\' "
-     "or NUL, other than '..'"),
+    ("image_id", _file_name,
+     f"cannot name a file: it must be a non-empty string of at most "
+     f"{ID_BYTES} UTF-8 bytes with no '/', '\\' or NUL, other than '..'"),
 )
 _IMAGE_RULES = (
     ("width", *SIZE), ("height", *SIZE), ("pointmap", *TEXT),

@@ -10,6 +10,7 @@ agree byte-for-byte.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -24,6 +25,20 @@ def _digest_rng(digest: dict) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _numeric(candidates: list, rng: np.random.Generator, digest: dict,
+             check: dict, question: str,
+             floor: float = MIN_NUMERIC_VALUE) -> None:
+    """Append a numeric candidate stating ``check``'s value jittered by up
+    to 15 %, unless the value is below ``floor``; the jitter is drawn
+    only for a candidate that is appended."""
+    true = evaluate_check(check, digest)
+    if true >= floor:
+        jitter = float(rng.uniform(-0.15, 0.15))
+        candidates.append({"kind": "numeric", "question": question,
+                           "value": round(true * (1.0 + jitter), 4),
+                           "unit": "m", "check": check})
+
+
 def problem_fixture_response(digest: dict) -> dict:
     """Candidate list mimicking an external generator's output."""
     objects = digest["objects"]
@@ -32,37 +47,17 @@ def problem_fixture_response(digest: dict) -> dict:
 
     if len(objects) >= 2:
         a, b = objects[0], objects[1]
-        check = {"op": "distance", "a": a["id"], "b": b["id"]}
-        true = evaluate_check(check, digest)
-        if true >= MIN_NUMERIC_VALUE:
-            jitter = float(rng.uniform(-0.15, 0.15))
-            candidates.append({
-                "kind": "numeric",
-                "question": (
-                    f"Starting at {a['reference']}, how far would you have "
-                    f"to travel in a straight line to reach {b['reference']}?"
-                ),
-                "value": round(true * (1.0 + jitter), 4),
-                "unit": "m",
-                "check": check,
-            })
-        check = {"op": "add", "args": [
+        _numeric(candidates, rng, digest,
+                 {"op": "distance", "a": a["id"], "b": b["id"]},
+                 f"Starting at {a['reference']}, how far would you have "
+                 f"to travel in a straight line to reach {b['reference']}?")
+        stack = {"op": "add", "args": [
             {"op": "size", "object": a["id"], "dimension": "height"},
             {"op": "size", "object": b["id"], "dimension": "height"},
         ]}
-        true = evaluate_check(check, digest)
-        if true >= MIN_NUMERIC_VALUE:
-            jitter = float(rng.uniform(-0.15, 0.15))
-            candidates.append({
-                "kind": "numeric",
-                "question": (
-                    f"If {a['reference']} were stacked on top of "
-                    f"{b['reference']}, how tall would the stack be?"
-                ),
-                "value": round(true * (1.0 + jitter), 4),
-                "unit": "m",
-                "check": check,
-            })
+        _numeric(candidates, rng, digest, stack,
+                 f"If {a['reference']} were stacked on top of "
+                 f"{b['reference']}, how tall would the stack be?")
         check = {"op": "gt", "args": [
             {"op": "volume", "object": a["id"]},
             {"op": "volume", "object": b["id"]},
@@ -78,17 +73,9 @@ def problem_fixture_response(digest: dict) -> dict:
         })
     elif len(objects) == 1:
         a = objects[0]
-        check = {"op": "camera_distance", "object": a["id"]}
-        true = evaluate_check(check, digest)
-        jitter = float(rng.uniform(-0.15, 0.15))
-        candidates.append({
-            "kind": "numeric",
-            "question": (
-                f"A robot drives straight from the camera to "
-                f"{a['reference']}. How far does it travel?"
-            ),
-            "value": round(true * (1.0 + jitter), 4),
-            "unit": "m",
-            "check": check,
-        })
+        _numeric(candidates, rng, digest,
+                 {"op": "camera_distance", "object": a["id"]},
+                 f"A robot drives straight from the camera to "
+                 f"{a['reference']}. How far does it travel?",
+                 floor=-math.inf)
     return {"candidates": candidates}

@@ -26,29 +26,13 @@ MIN_OBJECT_PIXELS = 30
 MIN_VISIBLE_FRACTION = 0.85  # of an object's pixels when rendered alone
 
 
-@dataclass
-class DatasetPaths:
-    root: Path
-    manifest: Path
-    scenes: Path
-    fixtures: Path | None = None
-
-    @classmethod
-    def under(cls, out_dir: str | Path,
-              with_fixtures: bool = False) -> "DatasetPaths":
-        root = Path(out_dir)
-        return cls(root=root, manifest=root / "manifest.jsonl",
-                   scenes=root / "scenes.jsonl",
-                   fixtures=root / "fixtures" if with_fixtures else None)
-
-
 def _mask_box(mask: np.ndarray) -> list[float]:
     rows, cols = np.nonzero(mask)
     return [float(cols.min()), float(rows.min()),
             float(cols.max() + 1), float(rows.max() + 1)]
 
 
-def scene_to_files(scene: OracleScene, paths: DatasetPaths,
+def scene_to_files(scene: OracleScene, root: Path,
                    gt_boxes: bool, rng: np.random.Generator
                    ) -> tuple[ImageManifest, OracleScene]:
     """Render one scene and write its pmap + masks; returns the manifest
@@ -56,7 +40,7 @@ def scene_to_files(scene: OracleScene, paths: DatasetPaths,
     pm, masks, _depth = render_scene(scene, rng=rng,
                                      min_visible_fraction=MIN_VISIBLE_FRACTION)
     pmap_rel = f"pmaps/{scene.scene_id}.pmap"
-    pmap_path = paths.root / pmap_rel
+    pmap_path = root / pmap_rel
     pmap_path.parent.mkdir(parents=True, exist_ok=True)
     write_pointmap(pm, pmap_path)
 
@@ -68,7 +52,7 @@ def scene_to_files(scene: OracleScene, paths: DatasetPaths,
             continue
         visible.append(obj)
         mask_rel = f"masks/{scene.scene_id}-{obj.object_id}.npy"
-        mask_path = paths.root / mask_rel
+        mask_path = root / mask_rel
         mask_path.parent.mkdir(parents=True, exist_ok=True)
         np.save(mask_path, mask, allow_pickle=False)
         ann = ObjectAnnotation(
@@ -104,8 +88,8 @@ class GenerateResult:
     manifest_path: Path
     scenes_path: Path
     fixture_dir: Path | None
-    n_scenes: int = 0
-    n_objects: int = 0
+    n_scenes: int
+    n_objects: int
 
 
 def generate_dataset(seeds: range, out_dir: str | Path, sigma: float = 0.0,
@@ -113,30 +97,31 @@ def generate_dataset(seeds: range, out_dir: str | Path, sigma: float = 0.0,
                      sampler: SceneSamplerConfig | None = None,
                      problem_fixtures: bool = False) -> GenerateResult:
     """Sample, render and persist a batch of oracle scenes."""
-    paths = DatasetPaths.under(out_dir, with_fixtures=problem_fixtures)
-    paths.root.mkdir(parents=True, exist_ok=True)
+    root = Path(out_dir)
+    root.mkdir(parents=True, exist_ok=True)
     entries = []
     truths = []
     for seed in seeds:
         scene = sample_scene(seed, config=sampler, noise_sigma=sigma)
         render_rng = np.random.default_rng(seed + 1_000_003)
-        entry, truth = scene_to_files(scene, paths, gt_boxes, render_rng)
+        entry, truth = scene_to_files(scene, root, gt_boxes, render_rng)
         entries.append(entry)
         truths.append(truth)
-    write_manifest(entries, paths.manifest)
-    write_scenes(truths, paths.scenes)
-
-    if problem_fixtures:
-        _write_problem_fixtures(paths, entries)
-
-    return GenerateResult(
-        manifest_path=paths.manifest, scenes_path=paths.scenes,
-        fixture_dir=paths.fixtures, n_scenes=len(entries),
+    result = GenerateResult(
+        manifest_path=root / "manifest.jsonl",
+        scenes_path=root / "scenes.jsonl",
+        fixture_dir=root / "fixtures" if problem_fixtures else None,
+        n_scenes=len(entries),
         n_objects=sum(len(e.objects) for e in entries),
     )
+    write_manifest(entries, result.manifest_path)
+    write_scenes(truths, result.scenes_path)
+    if problem_fixtures:
+        _write_problem_fixtures(result, entries)
+    return result
 
 
-def _write_problem_fixtures(paths: DatasetPaths,
+def _write_problem_fixtures(result: GenerateResult,
                             entries: list[ImageManifest]) -> None:
     """Record generator responses for the digests the pipeline will build.
 
@@ -149,9 +134,9 @@ def _write_problem_fixtures(paths: DatasetPaths,
 
     config = PipelineConfig()
     for entry in entries:
-        scene = build_scene(entry, paths.manifest, config)
+        scene = build_scene(entry, result.manifest_path, config)
         if not scene.objects:
             continue
         digest = scene_digest(scene)
-        record_fixture(paths.fixtures, "problem-generator", digest,
+        record_fixture(result.fixture_dir, "problem-generator", digest,
                        problem_fixture_response(digest))

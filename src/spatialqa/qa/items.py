@@ -1,12 +1,10 @@
-"""QA item schema, task families and sampling configuration."""
+"""QA item schema, task families and their training-mix weights."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..schema import (OBJECT, POSITIVE, TEXT, ManifestError, check, integer,
                       numbers, only, strings)
@@ -31,7 +29,7 @@ FAMILIES: dict[str, int] = {
 FORMATS = ("free-form", "mcq", "true-false")
 
 # training-mix fractions per family (sum to 1)
-DEFAULT_WEIGHTS: dict[str, float] = {
+FAMILY_WEIGHTS: dict[str, float] = {
     "point_querying": 0.1051,
     "depth_ordering": 0.0269,
     "object_orientation": 0.0351,
@@ -99,10 +97,6 @@ def check_item(d: dict) -> dict:
     return d
 
 
-class QAError(Exception):
-    pass
-
-
 @dataclass
 class Payload:
     """Machine-checkable ground truth behind an answer."""
@@ -155,40 +149,6 @@ class QAItem:
 def canonical_json(obj) -> str:
     """Stable serialization: sorted keys, no whitespace."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-@dataclass
-class SamplingConfig:
-    """Per-family sampling weights plus the general-VQA mix ratio."""
-
-    weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
-    general_mix: tuple[int, int] = (1, 7)   # general : spatial
-
-    def __post_init__(self):
-        check({"weights": self.weights}, (only(FAMILIES, "weights"),), QAError)
-        if any(w < 0 for w in self.weights.values()):
-            raise QAError("weights must be nonnegative")
-        total = sum(self.weights.values())
-        if abs(total - 1.0) > 1e-9:
-            raise QAError(f"weights sum to {total!r}, expected 1")
-
-    @property
-    def families(self) -> list[str]:
-        return sorted(self.weights)
-
-    def sample_families(self, rng: np.random.Generator, n: int) -> list[str]:
-        """Draw n task families i.i.d. from the configured distribution."""
-        fams = self.families
-        probs = np.array([self.weights[f] for f in fams], dtype=float)
-        probs = probs / probs.sum()
-        idx = rng.choice(len(fams), size=n, p=probs)
-        return [fams[i] for i in idx]
-
-    def plan_mixture(self, n_total: int) -> tuple[int, int]:
-        """Split a corpus budget into (general, spatial) counts."""
-        g, s = self.general_mix
-        n_general = round(n_total * g / (g + s))
-        return n_general, n_total - n_general
 
 
 def derive_seed(base_seed: int, image_id: str) -> int:

@@ -56,7 +56,6 @@ class ObjectReference:
     #                 size-comparison | box-fallback
     text: str
     params: dict = field(default_factory=dict)
-    color: str | None = None          # box-fallback only
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +86,6 @@ def fallback_reference(object_id: str, category: str,
         object_id=object_id, kind="box-fallback",
         text=f"the {category} (highlighted by {color} box)",
         params={"palette_index": palette_index},
-        color=color,
     )
 
 

@@ -85,22 +85,6 @@ class SceneObject:
     def camera_distance(self) -> float:
         return float(np.linalg.norm(self.box.center))
 
-    @property
-    def width(self) -> float:
-        return float(self.box.size[0])
-
-    @property
-    def height(self) -> float:
-        return float(self.box.size[1])
-
-    @property
-    def depth(self) -> float:
-        return float(self.box.size[2])
-
-    @property
-    def volume(self) -> float:
-        return self.box.volume
-
 
 @dataclass
 class DirectionResult:
@@ -226,9 +210,9 @@ def _distance_result(delta: np.ndarray) -> DistanceResult:
 
 ATTRIBUTE_GETTERS = {
     "camera-distance": lambda o: o.camera_distance,
-    "width": lambda o: o.width,
-    "height": lambda o: o.height,
-    "volume": lambda o: o.volume,
+    "width": lambda o: float(o.size[0]),
+    "height": lambda o: float(o.size[1]),
+    "volume": lambda o: o.box.volume,
 }
 
 

@@ -1,5 +1,6 @@
 """Fixtures shared by several test modules."""
 
+import hashlib
 import os
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,6 +23,21 @@ def child_env() -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture(scope="session")
+def tree_digest():
+    """The digest of every file under a directory, with their count: sha256
+    over the sorted (relative path, file sha256) pairs."""
+    def digest_of(root: Path) -> tuple[str, int]:
+        digest = hashlib.sha256()
+        files = sorted(p.relative_to(root).as_posix()
+                       for p in root.rglob("*") if p.is_file())
+        for name in files:
+            digest.update(f"{name}\n".encode())
+            digest.update(hashlib.sha256((root / name).read_bytes()).digest())
+        return digest.hexdigest(), len(files)
+    return digest_of
 
 
 @pytest.fixture(scope="session")

@@ -57,7 +57,7 @@ from spatialqa.oracle.gen import generate_dataset
 from spatialqa.oracle.scene import ESTIMATION_SAMPLER, read_scenes
 from spatialqa.pipeline import process_image, read_corpus, run_generate
 from spatialqa.pmap import make_pointmap, read_pointmap, write_pointmap
-from spatialqa.qa.items import SamplingConfig
+from spatialqa.qa.items import FAMILY_WEIGHTS
 from spatialqa.quantity import (
     PRINT_RESOLUTION_M,
     format_quantity,
@@ -378,15 +378,14 @@ class TestCriterion6PcaRule:
 
 class TestCriterion7Sampling:
     def test_family_frequencies(self):
-        config = SamplingConfig()
         rng = np.random.default_rng(123)
-        fams = config.families
-        probs = np.array([config.weights[f] for f in fams])
+        fams = sorted(FAMILY_WEIGHTS)
+        probs = np.array([FAMILY_WEIGHTS[f] for f in fams])
         draws = rng.choice(len(fams), size=1_000_000, p=probs / probs.sum())
         counts = np.bincount(draws, minlength=len(fams))
         worst = 0.0
         for i, family in enumerate(fams):
-            dev = abs(counts[i] / 1_000_000 - config.weights[family])
+            dev = abs(counts[i] / 1_000_000 - FAMILY_WEIGHTS[family])
             worst = max(worst, dev)
         _report(7, worst <= 0.005,
                 f"1e6 sampled items match the task weights within "

@@ -28,16 +28,26 @@ class TestOracleGen:
         assert (oracle_dir / "scenes.jsonl").exists()
         assert (oracle_dir / "fixtures" / "problem-generator").is_dir()
 
-    def test_estimation_preset(self, tmp_path):
-        rc = main(["oracle", "gen", "--seeds", "0:1", "--out",
-                   str(tmp_path / "est"), "--estimate", "--preset",
-                   "estimation"])
+    def test_estimation_preset(self, tmp_path, capsys, tree_digest):
+        """The estimation preset writes no box3d: the bytes pinned by
+        ``TestGenOutputBytes.test_estimation_scenes``."""
+        rc = main(["oracle", "gen", "--seeds", "0:3", "--out",
+                   str(tmp_path / "est"), "--preset", "estimation",
+                   "--sigma", "0.01"])
         assert rc == 0
-        manifest = (tmp_path / "est" / "manifest.jsonl").read_text()
-        assert "box3d" not in manifest
+        assert "box3d" not in (tmp_path / "est" / "manifest.jsonl").read_text()
+        assert tree_digest(tmp_path / "est") == (
+            "4343807d566a5c112d606965418b266439cd73d001f6b71a653d3bbc46f3f0f7",
+            12)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "gen", "--seeds", "0:3", "--out",
+                  str(tmp_path / "old"), "--estimate"])
+        assert exc.value.code == 2
+        assert "--estimate" in capsys.readouterr().err
+        assert not (tmp_path / "old").exists()
 
     @pytest.mark.parametrize("seeds", ["x:3", "1:", "a..b", "x", "-1",
-                                       "-3:-1"])
+                                       "-3:-1", "5:3", "3:3"])
     def test_bad_seed_range_is_a_usage_error(self, tmp_path, capsys, seeds):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "gen", f"--seeds={seeds}", "--out",

@@ -201,6 +201,10 @@ class TestParseTimeSchema:
 
     @pytest.mark.parametrize("image_id", [
         "../escaped", "../../escaped", "", "a/b", "a\\b", "a\0b", "..",
+        # the part file "<id>.jsonl.tmp" would pass 255 bytes
+        pytest.param("a" * 246, id="246-ascii-bytes"),
+        pytest.param("\u00e9" * 123, id="246-utf8-bytes"),
+        pytest.param("a\udc80", id="lone-surrogate"),
     ])
     def test_unsafe_image_id_rejected(self, tmp_path, capsys, image_id):
         record = _entry(tmp_path).to_dict()
@@ -213,6 +217,15 @@ class TestParseTimeSchema:
         assert generate_err.startswith("error: ")
         # nothing at all, so nothing outside --out (tmp_path/run/out)
         assert written == []
+
+    def test_longest_image_id_generates(self, tmp_path, capsys):
+        record = _entry(tmp_path).to_dict()
+        record["image_id"] = "a" * 245
+        validate_rc, _, generate_rc, _, written = _run_both(
+            tmp_path, capsys, record)
+        assert (validate_rc, generate_rc) == (0, 0)
+        assert tmp_path / "run" / "out" / "parts" / f"{'a' * 245}.jsonl" \
+            in written
 
     @staticmethod
     def _set(record, field, value):
@@ -285,7 +298,7 @@ class TestResolvePath:
 # ROADMAP item 4's hostile values, each put in place of one field of
 # record 2 of a 3-record oracle manifest
 HOSTILE = [None, "x", -1, 0, 1e308, float("nan"), [], {}, [1, 2],
-           "../../etc/passwd", True, 10**400]
+           "../../etc/passwd", True, 10**400, "x" * 300]
 IMAGE_FIELDS = [
     "image_id", "width", "height", "pointmap", "gravity", "intrinsics",
     "intrinsics.fx", "intrinsics.fy", "intrinsics.cx", "intrinsics.cy",

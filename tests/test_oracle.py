@@ -289,41 +289,31 @@ class TestPruning:
 
 class TestGenOutputBytes:
     """Every file ``oracle gen`` writes, pinned by one digest per seed set
-    over the sorted (relative path, file sha256) pairs."""
+    over the sorted (relative path, file sha256) pairs (``tree_digest``)."""
 
-    @staticmethod
-    def _tree_digest(root) -> tuple[str, int]:
-        digest = hashlib.sha256()
-        files = sorted(p.relative_to(root).as_posix()
-                       for p in root.rglob("*") if p.is_file())
-        for name in files:
-            digest.update(f"{name}\n".encode())
-            digest.update(hashlib.sha256((root / name).read_bytes()).digest())
-        return digest.hexdigest(), len(files)
-
-    def test_gt_scenes_with_fixtures(self, tmp_path):
+    def test_gt_scenes_with_fixtures(self, tmp_path, tree_digest):
         generate_dataset(range(0, 20), tmp_path, problem_fixtures=True)
-        assert self._tree_digest(tmp_path) == (
+        assert tree_digest(tmp_path) == (
             "cd43b69edccf37cbb2d3a9d657bea03343dbe0eb363ff5ed284c0c3feda7d165",
             84)
 
-    def test_estimation_scenes(self, tmp_path):
+    def test_estimation_scenes(self, tmp_path, tree_digest):
         generate_dataset(range(0, 3), tmp_path, sigma=0.01, gt_boxes=False,
                          sampler=ESTIMATION_SAMPLER)
-        assert self._tree_digest(tmp_path) == (
+        assert tree_digest(tmp_path) == (
             "4343807d566a5c112d606965418b266439cd73d001f6b71a653d3bbc46f3f0f7",
             12)
 
-    def test_gt_scenes_0_200_with_fixtures(self, tmp_path):
+    def test_gt_scenes_0_200_with_fixtures(self, tmp_path, tree_digest):
         generate_dataset(range(0, 200), tmp_path, problem_fixtures=True)
-        assert self._tree_digest(tmp_path) == (
+        assert tree_digest(tmp_path) == (
             "bfb00ea556b7017aeaaa081cb76271987bbe595051041eff27d0d4bb6bcc6de0",
             829)
 
-    def test_estimation_scenes_0_30(self, tmp_path):
+    def test_estimation_scenes_0_30(self, tmp_path, tree_digest):
         generate_dataset(range(0, 30), tmp_path, sigma=0.01, gt_boxes=False,
                          sampler=ESTIMATION_SAMPLER)
-        assert self._tree_digest(tmp_path) == (
+        assert tree_digest(tmp_path) == (
             "b58f5bc53647cdc2a2c299047eb1362c405f4497ca28646404542d07c2b52ce3",
             94)
 

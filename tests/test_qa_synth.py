@@ -8,12 +8,10 @@ import pytest
 from spatialqa.geometry import Box3D, IDENTITY_GRAVITY, gravity_frame
 from spatialqa.manifest import ManifestError
 from spatialqa.qa.items import (
-    DEFAULT_WEIGHTS,
     FAMILIES,
+    FAMILY_WEIGHTS,
     Payload,
-    QAError,
     QAItem,
-    SamplingConfig,
     canonical_json,
     derive_seed,
 )
@@ -177,29 +175,13 @@ class TestTrueFalseBalance:
 
 
 class TestSamplingConfig:
+    """The training mix over the task families, ``FAMILY_WEIGHTS``."""
+
     def test_default_weights_sum_to_one(self):
-        config = SamplingConfig()
-        assert abs(sum(config.weights.values()) - 1.0) < 1e-9
-        assert config.weights["relative_direction"] == pytest.approx(0.2609)
-
-    def test_bad_weights_rejected(self):
-        with pytest.raises(QAError):
-            SamplingConfig(weights={"point_querying": 1.5})
-        with pytest.raises(QAError):
-            SamplingConfig(weights={**DEFAULT_WEIGHTS, "bogus_family": 0.0})
-
-    def test_sample_families_respects_weights(self):
-        config = SamplingConfig()
-        rng = np.random.default_rng(0)
-        draws = config.sample_families(rng, 200_000)
-        freq = {f: draws.count(f) / len(draws) for f in set(draws)}
-        for family, weight in config.weights.items():
-            assert abs(freq.get(family, 0.0) - weight) < 0.005
-
-    def test_mixture_plan(self):
-        config = SamplingConfig()
-        general, spatial = config.plan_mixture(800)
-        assert general == 100 and spatial == 700
+        assert FAMILY_WEIGHTS.keys() == FAMILIES.keys()
+        assert all(w >= 0 for w in FAMILY_WEIGHTS.values())
+        assert abs(sum(FAMILY_WEIGHTS.values()) - 1.0) < 1e-9
+        assert FAMILY_WEIGHTS["relative_direction"] == pytest.approx(0.2609)
 
     def test_canonical_json_stable(self):
         assert canonical_json({"b": 1, "a": [1.5, "x"]}) == \

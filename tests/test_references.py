@@ -46,7 +46,6 @@ class TestFallback:
     def test_index_0_is_red(self):
         ref = fallback_reference("o1", "chair", 0)
         assert ref.text == "the chair (highlighted by red box)"
-        assert ref.color == "red"
 
     def test_palette_unique_within_first_cycle(self):
         colors = [fallback_color(i) for i in range(len(FALLBACK_PALETTE))]
@@ -225,7 +224,7 @@ class TestSelectAndAssign:
         refs = assign_references(objs, GF)
         kinds = {refs["a"].kind, refs["b"].kind}
         assert kinds == {"box-fallback"}
-        assert refs["a"].color != refs["b"].color
+        assert refs["a"].text != refs["b"].text
 
     def test_assigned_references_unique_texts(self):
         rng = np.random.default_rng(3)
