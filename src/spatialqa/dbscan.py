@@ -61,7 +61,7 @@ import math
 
 import numpy as np
 
-from .geometry import EmptyObjectError, ObjectPointCloud
+from .geometry import EmptyObjectError
 
 NOISE = -1
 
@@ -412,24 +412,23 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     return out
 
 
-def dbscan_largest_cluster(pc: ObjectPointCloud, eps: float,
-                           min_pts: int) -> ObjectPointCloud:
-    """Return the cluster with the most points; noise never survives.
+def dbscan_largest_cluster(points: np.ndarray, eps: float,
+                           min_pts: int) -> np.ndarray:
+    """The (k, 3) points of the largest cluster of (n, 3) ``points``;
+    noise never survives.
 
     Size ties go to the cluster with the lexicographically smallest core
     point so the selection is independent of point order.
     """
-    labels = dbscan_labels(pc.points, eps, min_pts)
+    labels = dbscan_labels(points, eps, min_pts)
     valid = labels >= 0
     if not valid.any():
         raise EmptyObjectError(
-            f"object {pc.object_id!r}: all {len(pc)} points classified noise"
-        )
+            f"all {len(points)} points classified noise")
     counts = np.bincount(labels[valid])
     best = int(np.argmax(counts))  # argmax takes the lowest id on ties,
     # and ids are ordered by smallest core point
-    keep = labels == best
-    return ObjectPointCloud(object_id=pc.object_id, points=pc.points[keep])
+    return points[labels == best]
 
 
 # The pipeline's DBSCAN scale: eps as a fraction of the cloud's bounding

@@ -11,7 +11,7 @@ Rules, all boundaries inclusive:
   mcq             option letter or full option text after normalization
   true-false      True/False after normalization
   label-exact     normalized label match (the truth token must appear)
-  count-exact     integer equality
+  count-exact     exact integer match
   vector-relative relative Euclidean error of a 3D point <= 25%
 
 Parse failures and missing responses are incorrect but tracked separately
@@ -221,8 +221,12 @@ def score_item(item: dict, response: str | None,
         rec.rule = "count-exact"
         m = re.search(r"-?\d+", response)
         if m is not None:
-            rec.parsed = int(m.group(0))
-            rec.correct = rec.parsed == int(value)
+            try:
+                rec.parsed = int(m.group(0))
+            except ValueError:  # more digits than int() converts
+                rec.note = "parse-failure"
+            else:
+                rec.correct = rec.parsed == int(value)
     else:
         rec.rule = "label-exact"
         rec.correct = score_label(response, str(value))

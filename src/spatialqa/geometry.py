@@ -55,15 +55,6 @@ class CameraIntrinsics:
         return cls(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"])
 
 
-@dataclass
-class ObjectPointCloud:
-    object_id: str
-    points: np.ndarray  # (N, 3) float, camera frame meters
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 @dataclass(frozen=True)
 class GravityFrame:
     """Rotation between the camera frame and the gravity-aligned world frame.
@@ -81,41 +72,7 @@ class GravityFrame:
         return np.asarray(v, dtype=float) @ self.rotation
 
 
-@dataclass
-class Box3D:
-    """Gravity-aligned 3D box: height axis parallel to gravity.
-
-    ``center`` is in the camera frame; half_extents order is
-    (width, height, depth) where width spans the box local x axis and
-    depth the local z axis after rotating the world frame by ``yaw_deg``
-    about gravity.
-    """
-
-    center: np.ndarray        # (3,) camera frame, meters
-    half_extents: np.ndarray  # (3,) meters, all > 0
-    yaw_deg: float
-    quality: str = "min_area"  # "min_area" | "hinted" | "aabb"
-
-    @property
-    def size(self) -> np.ndarray:
-        """Full (width, height, depth) in meters."""
-        return 2.0 * self.half_extents
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.size))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Box3D":
-        return cls(
-            center=np.asarray(d["center"], dtype=float),
-            half_extents=np.asarray(d["size"], dtype=float) / 2.0,
-            yaw_deg=float(d["yaw_deg"]),
-            quality=d.get("quality", "min_area"),
-        )
-
-
-# Index of each named dimension in ``Box3D.size``.
+# Index of each named dimension in an object's (width, height, depth) size.
 DIM_INDEX = {"width": 0, "height": 1, "depth": 2}
 
 
@@ -171,9 +128,8 @@ def project(points: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
 # Object point extraction
 # ---------------------------------------------------------------------------
 
-def extract_object_points(pm: PointMap, mask: np.ndarray,
-                          object_id: str = "") -> ObjectPointCloud:
-    """Collect the camera-frame points of the masked, valid pixels."""
+def extract_object_points(pm: PointMap, mask: np.ndarray) -> np.ndarray:
+    """The (n, 3) camera-frame points of the masked, valid pixels."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (pm.height, pm.width):
         raise GeometryError(
@@ -182,11 +138,8 @@ def extract_object_points(pm: PointMap, mask: np.ndarray,
     take = mask & pm.valid
     if not take.any():
         raise EmptyObjectError(
-            f"object {object_id!r}: no valid pixels under mask "
-            f"({int(mask.sum())} masked)"
-        )
-    pts = pm.points[take].astype(np.float64)
-    return ObjectPointCloud(object_id=object_id, points=pts)
+            f"no valid pixels under mask ({int(mask.sum())} masked)")
+    return pm.points[take].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +271,24 @@ def _robust_inliers(world_pts: np.ndarray) -> np.ndarray:
     return keep
 
 
-def fit_box3d(pc: ObjectPointCloud, gf: GravityFrame,
-              yaw_hint_deg: float | None = None) -> Box3D:
-    """Fit a gravity-aligned 3D box to an object point cloud.
+def fit_box3d(points: np.ndarray, gf: GravityFrame,
+              yaw_hint_deg: float | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Fit a gravity-aligned 3D box to (n, 3) camera-frame points.
 
-    Vertical extent comes from the world-y span; the horizontal footprint
-    is oriented by ``yaw_hint_deg`` when given, otherwise by the
-    minimum-area rectangle of the horizontal projection.  From 20 points
-    on, a percentile+MAD gate drops far outliers (segmentation bleed that
-    survives clustering) before taking exact extents over the survivors.
+    Returns ``(center, size)``: the camera-frame center and the full
+    (width, height, depth) extents in meters, each at least
+    ``2 * _MIN_HALF_EXTENT``.  Height is the world-y span; width and
+    depth are measured along the axes of ``yaw_hint_deg`` when given,
+    otherwise along the sides of the minimum-area rectangle of the
+    horizontal projection.  Fewer than 3 points give the axis-aligned
+    extents.  From 20 points on, a percentile+MAD gate drops far
+    outliers (segmentation bleed that survives clustering) before taking
+    exact extents over the survivors.
     """
-    if len(pc) == 0:
-        raise EmptyObjectError(f"object {pc.object_id!r}: empty point cloud")
-    world = gf.to_world(pc.points)
+    if len(points) == 0:
+        raise EmptyObjectError("empty point cloud")
+    world = gf.to_world(points)
     if len(world) >= 20:
         keep = _robust_inliers(world)
         if keep.any():
@@ -339,28 +297,20 @@ def fit_box3d(pc: ObjectPointCloud, gf: GravityFrame,
     if len(world) < 3:
         lo = world.min(axis=0)
         hi = world.max(axis=0)
-        center_w = (lo + hi) / 2.0
-        ext = np.maximum(hi - lo, 2 * _MIN_HALF_EXTENT)
-        half = np.array([ext[0], ext[1], ext[2]]) / 2.0
-        return Box3D(center=gf.to_camera(center_w), half_extents=half,
-                     yaw_deg=0.0, quality="aabb")
+        return (gf.to_camera((lo + hi) / 2.0),
+                np.maximum(hi - lo, 2 * _MIN_HALF_EXTENT))
 
     ymin, ymax = world[:, 1].min(), world[:, 1].max()
     horiz = world[:, [0, 2]]  # world (x, z)
 
     if yaw_hint_deg is not None:
         # footprint measured along the hinted box axes (local x, local z)
-        yaw, width, depth, (cx, cz) = _rect_at_angle(horiz,
-                                                     float(yaw_hint_deg))
-        quality = "hinted"
+        _, width, depth, (cx, cz) = _rect_at_angle(horiz, float(yaw_hint_deg))
     else:
-        ang, width, depth, (cx, cz) = min_area_rect(horiz)
-        yaw = ang % 90.0
-        quality = "min_area"
+        _, width, depth, (cx, cz) = min_area_rect(horiz)
 
     center_w = np.array([cx, (ymin + ymax) / 2.0, cz])
     half = np.maximum(
         np.array([width, ymax - ymin, depth]) / 2.0, _MIN_HALF_EXTENT
     )
-    return Box3D(center=gf.to_camera(center_w), half_extents=half,
-                 yaw_deg=yaw, quality=quality)
+    return gf.to_camera(center_w), 2.0 * half

@@ -38,12 +38,7 @@ from .config import PipelineConfig
 from .dbscan import dbscan_largest_cluster, default_eps, default_min_pts
 from .evalharness import judged, render_report, report, score_item
 from .filters import heuristic_image_filter, tag_vote_filter
-from .geometry import (
-    Box3D,
-    EmptyObjectError,
-    extract_object_points,
-    fit_box3d,
-)
+from .geometry import EmptyObjectError, extract_object_points, fit_box3d
 from .manifest import ImageManifest, read_manifest, resolve_path
 from .pmap import read_pointmap
 from .qa.items import QAItem, canonical_json, check_item, derive_seed
@@ -77,27 +72,29 @@ def _apply_filters(entry: ImageManifest, config: PipelineConfig) -> None:
 
 def _estimate_object(entry: ImageManifest, ann, pm,
                      manifest_path) -> SceneObject | None:
+    yaw = ann.yaw_deg
     if ann.box3d is not None:
         # ground-truth annotation: the estimation pipeline is skipped
-        box = Box3D.from_dict(ann.box3d)
-        yaw = ann.yaw_deg if ann.yaw_deg is not None \
-            else float(ann.box3d["yaw_deg"])
-        return SceneObject(object_id=ann.object_id, category=ann.category,
-                           box=box, yaw_deg=yaw, pitch_deg=ann.pitch_deg)
-    if ann.mask is None:
+        center, size = ann.box3d["center"], ann.box3d["size"]
+        if yaw is None:
+            yaw = float(ann.box3d["yaw_deg"])
+    elif ann.mask is None:
         return None
-    mask = np.load(resolve_path(manifest_path, ann.mask),
-                   allow_pickle=False)
-    try:
-        cloud = extract_object_points(pm, mask, object_id=ann.object_id)
-        cloud = dbscan_largest_cluster(
-            cloud, eps=default_eps(cloud.points),
-            min_pts=default_min_pts(len(cloud)))
-        box = fit_box3d(cloud, entry.frame, yaw_hint_deg=ann.yaw_deg)
-    except EmptyObjectError:
-        return None
+    else:
+        mask = np.load(resolve_path(manifest_path, ann.mask),
+                       allow_pickle=False)
+        try:
+            points = extract_object_points(pm, mask)
+            points = dbscan_largest_cluster(
+                points, eps=default_eps(points),
+                min_pts=default_min_pts(len(points)))
+            center, size = fit_box3d(points, entry.frame, yaw_hint_deg=yaw)
+        except EmptyObjectError:
+            return None
     return SceneObject(object_id=ann.object_id, category=ann.category,
-                       box=box, yaw_deg=ann.yaw_deg, pitch_deg=ann.pitch_deg)
+                       center=np.asarray(center, dtype=float),
+                       size=np.asarray(size, dtype=float), yaw_deg=yaw,
+                       pitch_deg=ann.pitch_deg)
 
 
 def _verified_captions(entry: ImageManifest, objects: list[SceneObject],

@@ -25,12 +25,16 @@ _UNIT_TO_METERS = {
     "in": 0.0254, "inch": 0.0254, "inches": 0.0254,
 }
 
-_NUMBER = r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+# (?<!\d) changes no match; it keeps a failed match linear in a digit run
+_NUMBER = r"(?<!\d)[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
 _UNIT = r"(?:km|mm|cm|m|metres?|meters?|centimetres?|centimeters?|" \
         r"millimetres?|millimeters?|ft|foot|feet|in|inch|inches)"
 _QUANTITY_RE = re.compile(
     rf"({_NUMBER})\s*({_UNIT})\b", re.IGNORECASE)
 _BARE_NUMBER_RE = re.compile(_NUMBER)
+# A parsed value beyond this is unusable: scoring divides it by a truth or
+# squares it, and either may overflow to a non-finite float.
+MAX_MAGNITUDE = 1e100
 
 
 def format_quantity(value_m: float) -> str:
@@ -44,18 +48,21 @@ def format_quantity(value_m: float) -> str:
 
 
 def parse_quantity(text: str) -> float | None:
-    """Final metric quantity in the text, in meters; None when absent.
+    """Final metric quantity in the text, in meters; None when absent or
+    beyond ``MAX_MAGNITUDE`` (which takes in every non-finite value).
 
     A trailing bare number with no unit is read as meters.
     """
     matches = list(_QUANTITY_RE.finditer(text))
     if matches:
         m = matches[-1]
-        return float(m.group(1)) * _UNIT_TO_METERS[m.group(2).lower()]
-    bare = list(_BARE_NUMBER_RE.finditer(text))
-    if bare:
-        return float(bare[-1].group(0))
-    return None
+        value = float(m.group(1)) * _UNIT_TO_METERS[m.group(2).lower()]
+    else:
+        bare = list(_BARE_NUMBER_RE.finditer(text))
+        if not bare:
+            return None
+        value = float(bare[-1].group(0))
+    return value if abs(value) <= MAX_MAGNITUDE else None
 
 
 def format_point(p) -> str:
@@ -75,9 +82,10 @@ _TRIPLE_RE = re.compile(
 
 
 def parse_triple(text: str) -> tuple[float, float, float] | None:
-    """Final "(x, y, z)" triple in the text, if any."""
+    """Final "(x, y, z)" triple in the text; None when absent or when a
+    component is beyond ``MAX_MAGNITUDE``."""
     matches = list(_TRIPLE_RE.finditer(text))
     if not matches:
         return None
-    m = matches[-1]
-    return tuple(float(m.group(i)) for i in (1, 2, 3))
+    triple = tuple(float(matches[-1].group(i)) for i in (1, 2, 3))
+    return triple if max(map(abs, triple)) <= MAX_MAGNITUDE else None

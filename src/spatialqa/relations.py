@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box3D, GravityFrame, facing_vector
+from .geometry import GravityFrame, facing_vector
 from .pmap import PointMap
 
 
@@ -60,30 +60,22 @@ ORIENTATION_LABELS = ("front", "right", "back", "left")  # yaw 0/90/180/270
 
 @dataclass
 class SceneObject:
-    """One object with its gravity-aligned box and optional facing yaw.
-
-    ``yaw_deg`` is the semantic facing direction (mod 360) supplied by an
-    annotation or an orientation estimator; the box's own fitted yaw is a
-    mod-90 footprint orientation and never stands in for it.
+    """One object: the camera-frame ``center`` and the full (width,
+    height, depth) ``size`` in meters of its gravity-aligned box, and the
+    semantic facing ``yaw_deg`` (mod 360) that an annotation or an
+    orientation estimator supplies, else None; no box fit stands in for it.
     """
 
     object_id: str
     category: str
-    box: Box3D
+    center: np.ndarray
+    size: np.ndarray
     yaw_deg: float | None = None
     pitch_deg: float | None = None
 
     @property
-    def center(self) -> np.ndarray:
-        return self.box.center
-
-    @property
-    def size(self) -> np.ndarray:
-        return self.box.size
-
-    @property
     def camera_distance(self) -> float:
-        return float(np.linalg.norm(self.box.center))
+        return float(np.linalg.norm(self.center))
 
 
 @dataclass
@@ -212,7 +204,7 @@ ATTRIBUTE_GETTERS = {
     "camera-distance": lambda o: o.camera_distance,
     "width": lambda o: float(o.size[0]),
     "height": lambda o: float(o.size[1]),
-    "volume": lambda o: o.box.volume,
+    "volume": lambda o: float(np.prod(o.size)),
 }
 
 

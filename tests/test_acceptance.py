@@ -50,7 +50,7 @@ from spatialqa.evalharness import (
     score_ratio,
     score_tf,
 )
-from spatialqa.geometry import Box3D, IDENTITY_GRAVITY, gravity_frame
+from spatialqa.geometry import IDENTITY_GRAVITY, gravity_frame
 from spatialqa.manifest import read_manifest
 from spatialqa.oracle.answers import answers_match, oracle_answer
 from spatialqa.oracle.gen import generate_dataset
@@ -323,9 +323,9 @@ class TestCriterion5Dbscan:
 def _objs_at(centers, category="chair"):
     out = []
     for i, c in enumerate(centers):
-        box = Box3D(center=np.asarray(c, dtype=float),
-                    half_extents=np.array([0.2, 0.2, 0.2]), yaw_deg=0.0)
-        out.append(SceneObject(object_id=f"o{i}", category=category, box=box))
+        out.append(SceneObject(object_id=f"o{i}", category=category,
+                               center=np.asarray(c, dtype=float),
+                               size=np.array([0.4, 0.4, 0.4])))
     return out
 
 

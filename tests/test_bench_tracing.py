@@ -12,6 +12,7 @@ import pytest
 
 from spatialqa.config import PipelineConfig
 from spatialqa.oracle.gen import generate_dataset
+from spatialqa.oracle.scene import ESTIMATION_SAMPLER
 from spatialqa.pipeline import read_corpus, run_evaluate, run_generate
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -47,3 +48,18 @@ def test_traced_generate_and_evaluate(tracing, tmp_path):
     assert {"pipeline.read_corpus", "evalharness.score",
             "evalharness.report",
             "evalharness.records_encode"} <= {s.name for s in tracer.spans}
+
+
+def test_traced_estimation(tracing, tmp_path):
+    """Boxes estimated from point maps: the extraction, clustering and
+    box-fit spans appear, and each clustering keeps some of its points."""
+    data = generate_dataset(range(0, 2), tmp_path / "ds", sigma=0.01,
+                            gt_boxes=False, sampler=ESTIMATION_SAMPLER)
+    with tracing.installed(tracing.Tracer(), "generate") as tracer:
+        run_generate(data.manifest_path, PipelineConfig(), tmp_path / "g")
+    assert {"dbscan", "geometry.extract", "geometry.box_fit"} <= {
+        s.name for s in tracer.spans}
+    clusterings = [s.counts for s in tracer.spans if s.name == "dbscan"]
+    assert clusterings
+    for counts in clusterings:
+        assert 0 < counts["kept"] <= counts["points_in"]

@@ -14,11 +14,7 @@ from spatialqa.dbscan import (
     default_eps,
     default_min_pts,
 )
-from spatialqa.geometry import (
-    EmptyObjectError,
-    ObjectPointCloud,
-    extract_object_points,
-)
+from spatialqa.geometry import EmptyObjectError, extract_object_points
 from spatialqa.oracle.render import render_scene
 from spatialqa.oracle.scene import ESTIMATION_SAMPLER, sample_scene
 
@@ -118,37 +114,33 @@ class TestLargestCluster:
         eps = 0.3
         big = rng.normal(0, 0.05, size=(100, 3))
         small = rng.normal(0, 0.05, size=(40, 3)) + 10 * eps
-        pc = ObjectPointCloud("o", np.vstack([big, small]))
-        out = dbscan_largest_cluster(pc, eps=eps, min_pts=3)
-        assert len(out) == 100
-        assert np.abs(out.points).max() < 1.0
+        out = dbscan_largest_cluster(np.vstack([big, small]), eps=eps,
+                                     min_pts=3)
+        assert out.shape == (100, 3)
+        assert np.abs(out).max() < 1.0
 
     def test_single_blob_survives_whole(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(0, 0.05, size=(80, 3))
-        pc = ObjectPointCloud("o", pts)
-        out = dbscan_largest_cluster(pc, eps=0.5, min_pts=3)
-        assert len(out) == 80
+        out = dbscan_largest_cluster(pts, eps=0.5, min_pts=3)
+        assert out.shape == (80, 3)
 
     def test_all_noise_raises(self):
         pts = np.arange(30, dtype=float).reshape(10, 3) * 100.0
-        pc = ObjectPointCloud("o", pts)
         with pytest.raises(EmptyObjectError):
-            dbscan_largest_cluster(pc, eps=0.01, min_pts=3)
+            dbscan_largest_cluster(pts, eps=0.01, min_pts=3)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
         a = rng.normal(0, 0.1, size=(60, 3))
         b = rng.normal(0, 0.1, size=(50, 3)) + 4.0
         pts = np.vstack([a, b])
-        pc = ObjectPointCloud("o", pts)
-        ref = dbscan_largest_cluster(pc, eps=0.5, min_pts=3)
-        ref_sorted = np.array(sorted(map(tuple, ref.points)))
+        ref = dbscan_largest_cluster(pts, eps=0.5, min_pts=3)
+        ref_sorted = np.array(sorted(map(tuple, ref)))
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(len(pts))
-            out = dbscan_largest_cluster(
-                ObjectPointCloud("o", pts[perm]), eps=0.5, min_pts=3)
-            out_sorted = np.array(sorted(map(tuple, out.points)))
+            out = dbscan_largest_cluster(pts[perm], eps=0.5, min_pts=3)
+            out_sorted = np.array(sorted(map(tuple, out)))
             np.testing.assert_array_equal(out_sorted, ref_sorted)
 
 
@@ -412,7 +404,7 @@ def _estimation_object_cloud() -> np.ndarray:
     pm, masks, _ = render_scene(scene,
                                 rng=np.random.default_rng(seed + 1_000_003),
                                 min_visible_fraction=0.85)
-    return extract_object_points(pm, masks["obj-1"]).points
+    return extract_object_points(pm, masks["obj-1"])
 
 
 class TestPinnedLabels:
@@ -429,7 +421,7 @@ class TestPinnedLabels:
                 scene, rng=np.random.default_rng(seed + 1_000_003),
                 min_visible_fraction=0.85)
             for object_id in sorted(masks):
-                pts = extract_object_points(pm, masks[object_id]).points
+                pts = extract_object_points(pm, masks[object_id])
                 labels = dbscan_labels(pts, default_eps(pts),
                                        default_min_pts(len(pts)))
                 digest.update(labels.astype("<i8").tobytes())

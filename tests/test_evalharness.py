@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -20,6 +21,7 @@ from spatialqa.evalharness import (
     )
 from spatialqa.cli import main
 from spatialqa.manifest import ManifestError
+from spatialqa.pipeline import read_corpus
 from spatialqa.qa.items import check_item
 from spatialqa.quantity import parse_quantity
 
@@ -258,3 +260,61 @@ class TestReport:
 class TestNormalize:
     def test_articles_and_case(self):
         assert normalize_text("The  Chair!") == "chair"
+
+
+# Responses that come from outside the program and break naive parsing:
+# integers int() refuses, numbers float() reads as infinite, and finite
+# values whose scoring arithmetic would overflow.
+HOSTILE_RESPONSES = [
+    "9" * 5000, "there are -" + "9" * 4301, "1" + "0" * 400,
+    "1e999 meters", "-1e999 m", "1e308 km", "1.7e308 meters",
+    "1e200 cm", "1e-400 meters", "0 meters",
+    "(1e999, 0, 0)", "(0, -1e999, 1e999)", "(1e200, 1e200, 1e200)",
+    "(1e155, 0, 0)", "(0, 0, 0)", "(1, 2)", "", "   ", "A" * 10_000,
+]
+
+
+def test_hostile_responses_score_as_strict_json(reference, tmp_path):
+    """One line of each (family, format, payload kind) of the reference
+    corpus, answered with every hostile response: ``evaluate`` exits 0
+    with no warning, and every ``records.jsonl`` line is strict JSON (no
+    ``Infinity`` or ``NaN``)."""
+    picked = {}
+    for item in read_corpus(reference.gt):
+        key = (item["family"], item["format"], item["payload"]["kind"])
+        picked.setdefault(key, item)
+    assert {kind for _, _, kind in picked} >= {
+        "quantity", "unit-vector", "vector3", "count", "label"}
+    corpus, responses = [], []
+    for item in picked.values():
+        for k, response in enumerate(HOSTILE_RESPONSES):
+            item_id = f"{item['item_id']}#{k}"
+            corpus.append(dict(item, item_id=item_id))
+            responses.append({"item_id": item_id, "response": response})
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text("".join(json.dumps(c) + "\n" for c in corpus))
+    responses_path = tmp_path / "responses.jsonl"
+    responses_path.write_text(
+        "".join(json.dumps(r) + "\n" for r in responses))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evaluate", "--corpus", str(corpus_path),
+                     "--responses", str(responses_path),
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    lines = (tmp_path / "out" / "records.jsonl").read_text().splitlines()
+    assert len(lines) == len(corpus)
+    records = [json.loads(line, parse_constant=refuse) for line in lines]
+    unparsed = {(r["rule"], r["raw_response"]) for r in records
+                if r.get("note") == "parse-failure" and not r["correct"]}
+    for rule in ("ratio-tight", "direction-30deg", "vector-relative",
+                 "count-exact"):
+        assert (rule, "9" * 5000) in unparsed
+    assert ("ratio-tight", "1e999 meters") in unparsed
+    assert ("ratio-tight", "1.7e308 meters") in unparsed
+    for rule in ("direction-30deg", "vector-relative"):
+        assert (rule, "(1e999, 0, 0)") in unparsed
+        assert (rule, "(1e200, 1e200, 1e200)") in unparsed

@@ -147,6 +147,26 @@ class TestValidation:
         write_manifest([entry], path)
         assert any("pixel_stats" in p for p in validate_manifest(path))
 
+    @pytest.mark.parametrize("field", ["pointmap", "mask"])
+    def test_over_long_path_does_not_resolve(self, tmp_path, capsys, field):
+        """A path longer than the file system allows is reported like any
+        other path that names no file, and the lines after it are still
+        checked."""
+        record = _entry(tmp_path).to_dict()
+        if field == "mask":
+            record["objects"][0]["mask"] = "x" * 300
+        else:
+            record["pointmap"] = "x" * 300
+        second = _entry(tmp_path, "img-1").to_dict()
+        second["pointmap"] = "nope.pmap"
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps(second) + "\n")
+        assert main(["validate", "--manifest", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{'x' * 300!r} does not resolve" in err
+        assert f"{path} line 2: image 'img-1': pointmap 'nope.pmap' " \
+            "does not resolve" in err
+
     @pytest.mark.parametrize("field, value, message", [
         ("box2d", [1, 2, 3], "is not [x0, y0, x1, y1]"),
         ("pixel_stats", "oops", "pixel_stats 'oops' is not an object"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spatialqa.geometry import Box3D, IDENTITY_GRAVITY, gravity_frame
+from spatialqa.geometry import IDENTITY_GRAVITY, gravity_frame
 from spatialqa.qa.problem import (
     ProblemValidationError,
     evaluate_check,
@@ -17,14 +17,10 @@ from spatialqa.relations import SceneObject
 
 def _scene():
     objs = [
-        SceneObject("a", "table",
-                    Box3D(center=np.array([0.0, 0.5, 3.0]),
-                          half_extents=np.array([0.9, 0.4, 0.5]),
-                          yaw_deg=0.0), yaw_deg=0.0),
-        SceneObject("b", "table",
-                    Box3D(center=np.array([2.0, 0.5, 3.0]),
-                          half_extents=np.array([0.5, 0.35, 0.5]),
-                          yaw_deg=0.0), yaw_deg=90.0),
+        SceneObject("a", "table", np.array([0.0, 0.5, 3.0]),
+                    np.array([1.8, 0.8, 1.0]), yaw_deg=0.0),
+        SceneObject("b", "table", np.array([2.0, 0.5, 3.0]),
+                    np.array([1.0, 0.7, 1.0]), yaw_deg=90.0),
     ]
     gf = gravity_frame(IDENTITY_GRAVITY)
     refs = assign_references(objs, gf)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spatialqa.geometry import Box3D, IDENTITY_GRAVITY, gravity_frame
+from spatialqa.geometry import IDENTITY_GRAVITY, gravity_frame
 from spatialqa.manifest import ManifestError
 from spatialqa.qa.items import (
     FAMILIES,
@@ -21,9 +21,9 @@ from spatialqa.relations import SceneObject
 
 
 def _obj(oid, center, size=(1.0, 1.0, 1.0), yaw=None, category="chair"):
-    box = Box3D(center=np.asarray(center, dtype=float),
-                half_extents=np.asarray(size, dtype=float) / 2.0, yaw_deg=0.0)
-    return SceneObject(object_id=oid, category=category, box=box, yaw_deg=yaw)
+    return SceneObject(object_id=oid, category=category,
+                       center=np.asarray(center, dtype=float),
+                       size=np.asarray(size, dtype=float), yaw_deg=yaw)
 
 
 def _scene(objects, image_id="img-0"):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spatialqa.geometry import Box3D, IDENTITY_GRAVITY, gravity_frame
+from spatialqa.geometry import IDENTITY_GRAVITY, gravity_frame
 from spatialqa.references import (
     FALLBACK_PALETTE,
     ObjectReference,
@@ -23,9 +23,9 @@ GF = gravity_frame(IDENTITY_GRAVITY)
 
 
 def _obj(oid, center, size=(1.0, 1.0, 1.0), category="chair"):
-    box = Box3D(center=np.asarray(center, dtype=float),
-                half_extents=np.asarray(size, dtype=float) / 2.0, yaw_deg=0.0)
-    return SceneObject(object_id=oid, category=category, box=box)
+    return SceneObject(object_id=oid, category=category,
+                       center=np.asarray(center, dtype=float),
+                       size=np.asarray(size, dtype=float))
 
 
 class TestVerifyTextual:

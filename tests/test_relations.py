@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spatialqa.geometry import (
-    Box3D,
-    IDENTITY_GRAVITY,
-    box_local_axes,
-    gravity_frame,
-)
+from spatialqa.geometry import IDENTITY_GRAVITY, box_local_axes, gravity_frame
 from spatialqa.pmap import make_pointmap
 from spatialqa.relations import (
     DIRECTION_COMPONENT,
@@ -32,10 +27,9 @@ GF = gravity_frame(IDENTITY_GRAVITY)
 
 
 def _obj(oid, center, size=(1.0, 1.0, 1.0), yaw=None, category="chair"):
-    box = Box3D(center=np.asarray(center, dtype=float),
-                half_extents=np.asarray(size, dtype=float) / 2.0,
-                yaw_deg=0.0)
-    return SceneObject(object_id=oid, category=category, box=box, yaw_deg=yaw)
+    return SceneObject(object_id=oid, category=category,
+                       center=np.asarray(center, dtype=float),
+                       size=np.asarray(size, dtype=float), yaw_deg=yaw)
 
 
 def _pm_plane(depth=3.0, size=16):
