@@ -18,10 +18,13 @@ multiset (order-independent):
 The implementation bins points into grid cells of side eps/sqrt(dim), so
 every pair inside one cell is within eps, and every pair within eps lies
 in two cells whose offset is one of a fixed set.  Cells are kept
-CSR-style (points sorted by cell), with one table of the neighbor cell
-of every cell at every offset, nearest offset first.  Each pass below
-handles all cells at once in numpy, gathering tiles of that table of at
-most ``_BATCH_PAIRS`` entries and expanding the (point, member of the
+CSR-style (points sorted by cell, keys computed one coordinate column at
+a time), with one table of the neighbor cell of every cell at every
+offset, nearest offset first.  The table is read from a dense index over
+the cell keys when they are compact and found by a sorted search over
+the occupied keys otherwise.  Each pass below handles all cells at
+once in numpy, gathering tiles of that table of at most
+``_BATCH_PAIRS`` entries and expanding the (point, member of the
 neighbor cell) pairs in batches of at most ``_BATCH_PAIRS``, so memory
 stays flat however dense or noisy the cloud is:
 
@@ -38,10 +41,12 @@ stays flat however dense or noisy the cloud is:
      would exceed ``_BATCH_PAIRS``, and once (points left) x (offsets
      left) is at most ``_BATCH_PAIRS``, all remaining offsets in one
      sweep;
-  2. connectivity: over all offsets d > 0 at once, the core cell pairs
-     (c, c + d) not yet in one component are tested for a core pair
-     within eps (first cores, then all), and those that pass are merged
-     by hook-and-compress on a parent array over cells;
+  2. connectivity: over the offsets d > 0, the core cell pairs (c, c + d)
+     not yet in one component are tested for a core pair within eps
+     (first cores, then all), and those that pass are merged by
+     hook-and-compress on a parent array over cells.  The unit offsets
+     go in a first round and the farther ones in a second, by when most
+     of their pairs are already in one component and need no test;
   3. numbering: clusters are numbered in the order of their
      lexicographically smallest core point, looked for only among the
      cores at the smallest x of their component;
@@ -57,6 +62,7 @@ it.  Tests verify the labels against an O(n^2) brute-force reference.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -108,9 +114,16 @@ class _CellGrid:
     ``order`` sorts the points by cell; in that sorted order the members
     of cell c are the positions ``start[c]:start[c + 1]`` and ``half``
     numbers each point's half-cell within its cell.  Cells are numbered
-    by packed key.  ``neighbors[k, c]`` is the cell at ``c + deltas[k]``,
-    or -1; ``halves[k]`` is the half-cell matrix of the leading unit
+    by packed key.  ``axes`` holds the coordinates in that order, one
+    contiguous array per axis.  ``neighbors[k, c]`` is the cell at
+    ``c + deltas[k]``, or -1; ``halves[k]`` is the half-cell matrix of
+    the leading unit offsets, so rows below ``len(halves)`` are the unit
     offsets.  Offsets that link no two occupied cells are left out.
+
+    The table is gathered from a dense array indexed by key when the
+    keys it can reach span at most 8 times its entries, and found by a
+    sorted search per offset otherwise (a far outlier can spread the
+    keys over ~10^17 cells).
     """
 
     def __init__(self, pts: np.ndarray, eps: float):
@@ -126,22 +139,31 @@ class _CellGrid:
         cell = eps / math.sqrt(dim) * (1.0 - 1e-9)
         offsets, matrices = _offsets(dim)
         reach = int(offsets.max())  # the largest offset on any axis
-        scaled = pts / cell
-        index = np.floor(scaled)
-        # x / (cell / 2) is exactly 2 (x / cell) in binary floating point,
-        # so this is floor(x / (cell / 2)) - 2 floor(x / cell), in {0, 1}
-        half_index = np.floor(2.0 * scaled) - 2.0 * index
-        low = index.min(axis=0)
+        # one contiguous column per axis: every step below runs on
+        # unit-stride arrays
+        cols = np.ascontiguousarray(pts.T)
+        scaled = [x / cell for x in cols]
+        index = [np.floor(x) for x in scaled]
+        low = [i.min() for i in index]
         # mixed-radix keys with a margin of `reach` cells on every axis, so
         # that key + offset never carries into another axis
-        widths = index.max(axis=0) - low + 2 * reach + 1
+        widths = [i.max() - lo + 2 * reach + 1 for i, lo in zip(index, low)]
         if not np.isfinite(widths).all() \
                 or math.prod(int(w) for w in widths) >= 1 << 62:
             raise ValueError("point spread too large for the cell grid")
         strides = np.ones(dim, dtype=np.int64)
         for axis in range(dim - 2, -1, -1):
             strides[axis] = strides[axis + 1] * int(widths[axis + 1])
-        packed = (index - low + reach).astype(np.int64) @ strides
+        packed = np.zeros(len(pts), dtype=np.int64)
+        half = np.zeros(len(pts), dtype=np.int64)
+        for axis in range(dim):
+            packed += (index[axis] - low[axis] + reach).astype(np.int64) \
+                * strides[axis]
+            # x / (cell / 2) is exactly 2 (x / cell) in binary floating
+            # point, so this is floor(x / (cell / 2)) - 2 floor(x / cell),
+            # in {0, 1}
+            half_index = np.floor(2.0 * scaled[axis]) - 2.0 * index[axis]
+            half += half_index.astype(np.int64) << (dim - 1 - axis)
         self.order = np.argsort(packed, kind="stable")
         packed = packed[self.order]
         first = np.concatenate(([True], packed[1:] != packed[:-1]))
@@ -149,28 +171,44 @@ class _CellGrid:
         self.start = np.append(np.flatnonzero(first), len(packed))
         self.counts = np.diff(self.start)
         self.cell_of = np.cumsum(first) - 1
-        self.half = (half_index[self.order].astype(np.int64)
-                     @ (1 << np.arange(dim - 1, -1, -1)))
+        self.half = half[self.order]
+        self.axes = [x[self.order] for x in cols]
 
-        # filled row by row; int32 halves the table
+        # int32 halves the table
         deltas = offsets @ strides
         table = np.empty((len(offsets), len(cell_keys)), dtype=np.int32)
-        occupied = np.zeros(len(offsets), dtype=bool)
-        last = len(cell_keys) - 1
-        prev = None
-        for k in np.argsort(deltas).tolist():
-            target = cell_keys + deltas[k]
-            if deltas[k] - 1 == prev:
-                # targets one key on: step past the keys just found
-                pos = np.minimum(pos + found, last)
-            else:
-                pos = np.minimum(np.searchsorted(cell_keys, target), last)
-            found = cell_keys[pos] == target
-            prev = deltas[k]
-            row = table[k]
-            row[:] = pos
-            row[~found] = -1
-            occupied[k] = found.any()
+        span = int(cell_keys[-1] + deltas.max()) + 1
+        if span <= 8 * table.size:
+            # a dense index over every key a lookup can reach: each row
+            # is one gather, filled in tiles of at most _BATCH_PAIRS
+            dense = np.full(span, -1, dtype=np.int32)
+            dense[cell_keys] = np.arange(len(cell_keys), dtype=np.int32)
+            occupied = np.empty(len(offsets), dtype=bool)
+            height = max(1, _BATCH_PAIRS // len(cell_keys))
+            for top in range(0, len(offsets), height):
+                rows = slice(top, top + height)
+                np.take(dense, cell_keys + deltas[rows, None],
+                        out=table[rows])
+                occupied[rows] = (table[rows] >= 0).any(axis=1)
+        else:
+            # sparse keys: a sorted search per row
+            occupied = np.zeros(len(offsets), dtype=bool)
+            last = len(cell_keys) - 1
+            prev = None
+            for k in np.argsort(deltas).tolist():
+                target = cell_keys + deltas[k]
+                if deltas[k] - 1 == prev:
+                    # targets one key on: step past the keys just found
+                    pos = np.minimum(pos + found, last)
+                else:
+                    pos = np.minimum(np.searchsorted(cell_keys, target),
+                                     last)
+                found = cell_keys[pos] == target
+                prev = deltas[k]
+                row = table[k]
+                row[:] = pos
+                row[~found] = -1
+                occupied[k] = found.any()
         kept = np.nonzero(occupied)[0]
         for j, k in enumerate(kept.tolist()):  # close the gaps, in place
             if j < k:
@@ -331,7 +369,7 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     cell_of, table = grid.cell_of, grid.neighbors
     eps2 = eps * eps
     sq_norm = (pts ** 2).sum(axis=1)[grid.order]
-    axes = [np.ascontiguousarray(x) for x in pts[grid.order].T]
+    axes = grid.axes
 
     def dist2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         dot = axes[0][p] * axes[0][q]
@@ -348,10 +386,15 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     core_start = np.concatenate(([0], np.cumsum(core_counts)))
 
     # pass 2: connectivity over cells; the forward offsets link the core
-    # cell pairs (a, a + delta) that hold a core pair within eps
+    # cell pairs (a, a + delta) that hold a core pair within eps.  The unit
+    # offsets go first: once they have merged most cells, nearly every
+    # pair of the farther offsets is already in one component and skipped
     parent = np.arange(len(grid.counts))
     core_cells = np.nonzero(core_counts)[0]
-    for k, b in _gather(table, np.nonzero(grid.deltas > 0)[0], core_cells):
+    forward = np.nonzero(grid.deltas > 0)[0]
+    unit = forward < len(grid.halves)
+    for k, b in itertools.chain(_gather(table, forward[unit], core_cells),
+                                _gather(table, forward[~unit], core_cells)):
         a = core_cells[k]
         keep = (core_counts[b] > 0) & (parent[a] != parent[b])
         a, b = a[keep], b[keep]

@@ -8,10 +8,11 @@ Rules, all boundaries inclusive:
   problem-25pct   numeric problem answers within 25% (the same ratio band
                   as ratio-tight); judgement answers by judge verdict when
                   cached, else normalized exact match
-  mcq             option letter or full option text after normalization
+  mcq             option letter, or the option's text as whole tokens
+                  after normalization and no other option's
   true-false      True/False after normalization
   label-exact     normalized label match (the truth token must appear)
-  count-exact     exact integer match
+  count-exact     the final number, an integer, matches exactly
   vector-relative relative Euclidean error of a 3D point <= 25%
 
 Parse failures and missing responses are incorrect but tracked separately
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantity import parse_quantity, parse_triple
+from .quantity import _BARE_NUMBER_RE, parse_quantity, parse_triple
 
 TIGHT_BAND = (0.75, 1.25)
 WIDE_BAND = (0.5, 2.0)
@@ -125,10 +126,10 @@ def score_mcq(response: str, gt_letter: str,
     if options:
         norm = normalize_text(response)
         correct_text = normalize_text(options["ABCD".index(gt_letter)])
-        if correct_text and (norm == correct_text or correct_text in norm):
+        if correct_text and _holds(norm, correct_text):
             others = [normalize_text(o) for i, o in enumerate(options)
                       if "ABCD"[i] != gt_letter]
-            if not any(o in norm for o in others if o):
+            if not any(_holds(norm, o) for o in others if o):
                 return True
     return False
 
@@ -142,12 +143,16 @@ def score_tf(response: str, gt: str) -> bool:
     return truthy if gt == "True" else falsy
 
 
+def _holds(norm: str, phrase: str) -> bool:
+    """Does normalized text ``norm`` hold ``phrase`` as whole tokens?
+    Tokens end at a space, a sentence's closing period or the end of the
+    text: "1" is in "it is 1." but not in "10", "1.5" or "1e999"."""
+    return bool(re.search(rf"(?:^|\s){re.escape(phrase)}\.?(?:$|\s)",
+                          norm))
+
+
 def score_label(response: str, gt: str) -> bool:
-    norm = normalize_text(response)
-    gt_norm = normalize_text(gt)
-    if norm == gt_norm:
-        return True
-    return bool(re.search(rf"(?:^|\s){re.escape(gt_norm)}(?:$|\s)", norm))
+    return _holds(normalize_text(response), normalize_text(gt))
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +224,15 @@ def score_item(item: dict, response: str | None,
             rec.correct = rec.error <= VECTOR_TOLERANCE
     elif kind == "count":
         rec.rule = "count-exact"
-        m = re.search(r"-?\d+", response)
-        if m is not None:
-            try:
-                rec.parsed = int(m.group(0))
-            except ValueError:  # more digits than int() converts
-                rec.note = "parse-failure"
-            else:
-                rec.correct = rec.parsed == int(value)
+        numbers = _BARE_NUMBER_RE.findall(response)
+        try:
+            # the final number, as for quantities; int() refuses "2.5",
+            # "1e999" and more digits than it converts
+            rec.parsed = int(numbers[-1])
+        except (IndexError, ValueError):
+            rec.note = "parse-failure"
+        else:
+            rec.correct = rec.parsed == int(value)
     else:
         rec.rule = "label-exact"
         rec.correct = score_label(response, str(value))

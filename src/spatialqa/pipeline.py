@@ -27,7 +27,6 @@ import shutil
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +240,9 @@ def run_generate(manifest_path: str | Path, config: PipelineConfig,
             _process_entry_to_part(e, manifest_path, config, clients,
                                    parts_dir)
     else:
+        # imported here: multiprocessing costs every other command's start
+        from concurrent.futures import ProcessPoolExecutor
+
         # a fork pool starts all its workers at the first submit, so it
         # gets no more of them than there are images
         with ProcessPoolExecutor(

@@ -405,14 +405,27 @@ class TestErrors:
 
 
 class TestImports:
+    @staticmethod
+    def loaded(child_env, condition: str) -> str:
+        """The sorted names ``m`` in ``sys.modules`` that meet
+        ``condition`` after ``import spatialqa.cli`` in a fresh
+        interpreter."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, spatialqa.cli; "
+             f"print(sorted(m for m in sys.modules if {condition}))"],
+            capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
     def test_cli_does_not_load_scipy(self, child_env):
         # scipy.spatial alone raises a process's peak RSS by tens of MiB,
         # on every run, clustering or not
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, spatialqa.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))"],
-            capture_output=True, text=True, env=child_env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert self.loaded(
+            child_env, "m == 'scipy' or m.startswith('scipy.')") == "[]"
+
+    def test_cli_does_not_load_multiprocessing(self, child_env):
+        # only `generate --workers 2+` starts a process pool; importing it
+        # costs every other command ~19 ms of start-up
+        assert self.loaded(
+            child_env, "m.split('.')[0] == 'multiprocessing' "
+            "or m == 'concurrent.futures.process'") == "[]"

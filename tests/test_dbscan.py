@@ -312,6 +312,47 @@ class TestExactLabels:
             np.testing.assert_array_equal(dbscan_labels(*args), labels)
 
 
+class TestGridPaths:
+    """The neighbour table comes from a dense key index when the keys
+    are compact and from a sorted search when they are sparse; pass 2
+    links the unit offsets first, then the farther ones."""
+
+    def test_dense_and_keyed_tables_agree(self):
+        rng = np.random.default_rng(14)
+        for trial in range(10):
+            n = int(rng.integers(50, 400))
+            centers = rng.uniform(0, 2, size=(3, 3))
+            pts = centers[rng.integers(0, 3, size=n)] + rng.normal(
+                0, 0.2, size=(n, 3))
+            eps, min_pts = float(rng.uniform(0.1, 0.4)), int(
+                rng.integers(2, 12))
+            compact = dbscan_labels(pts, eps, min_pts)
+            # one point 10^6 eps away spreads the keys over ~10^9 cells
+            # for a few hundred occupied ones: the sparse-key search
+            far = np.vstack([pts, [[2 + 1e6 * eps, 1.0, 1.0]]])
+            spread = dbscan_labels(far, eps, min_pts)
+            np.testing.assert_array_equal(spread[:n], compact)
+            assert spread[n] == -1
+            TestExactLabels.assert_exact(pts, eps, min_pts)
+            TestExactLabels.assert_exact(far, eps, min_pts)
+
+    @pytest.mark.parametrize("min_pts", [2, 3])
+    def test_chain_linked_across_two_cells(self, min_pts):
+        # cells are eps / sqrt(3) wide, so points 0.9 eps apart on a line
+        # sit ~1.56 cells apart: many consecutive cores are two cells
+        # apart, a pair only pass 2's second round of offsets links
+        eps = 0.3
+        x = 0.05 + 0.9 * eps * np.arange(40)
+        cells = np.floor(x / (eps / math.sqrt(3)))
+        assert (np.diff(cells) == 2).sum() > 10
+        for axis in range(3):
+            pts = np.zeros((len(x), 3))
+            pts[:, axis] = x
+            labels = dbscan_labels(pts, eps, min_pts)
+            np.testing.assert_array_equal(labels, 0)
+            TestExactLabels.assert_exact(pts, eps, min_pts)
+
+
 def _face_lattices():
     """Lattice sets of multiples of 0.25 whose cell and half-cell faces
     fall on lattice points: eps is the diagonal of a 0.5-wide cell after

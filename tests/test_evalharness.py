@@ -114,6 +114,17 @@ class TestScoreMcqTf:
         options = ["1.00 meters", "2.00 meters", "3.00 meters", "5.00 meters"]
         assert score_mcq("2.00 meters", "B", options)
         assert not score_mcq("2.00 meters and 3.00 meters", "B", options)
+        assert score_mcq("It is 2.00 meters.", "B", options)
+
+    def test_option_text_matches_whole_tokens(self):
+        # option B is "1": neither "10" nor "1e999" holds it, and "1.5"
+        # is a number of its own
+        options = ["3", "1", "2", "4"]
+        for response in ("10", "1e999 meters", "1.5", "21 or 12"):
+            assert not score_mcq(response, "B", options), response
+        assert score_mcq("1", "B", options)
+        assert score_mcq("I count 1.", "B", options)
+        assert not score_mcq("1 or 3", "B", options)
 
     def test_empty_incorrect(self):
         assert not score_mcq("", "A")
@@ -133,6 +144,8 @@ class TestScoreLabel:
         assert score_label("right", "right")
         assert score_label("it is to the right", "right")
         assert not score_label("downright wrong", "right")
+        assert score_label("It is the chair.", "chair")
+        assert not score_label("chair.s", "chair")
 
 
 class TestScoreItem:
@@ -212,14 +225,34 @@ class TestScoreItem:
         assert score_item(item, "(0.9, 0.1, 0.0)").correct
         assert not score_item(item, "(0.0, 1.0, 0.0)").correct
 
+    COUNT = {
+        "item_id": "x:4", "family": "spatial_counting", "level": 3,
+        "format": "free-form", "prompt": "?", "answer": "3",
+        "payload": {"kind": "count", "value": 3}, "provenance": {},
+    }
+
     def test_count_exact(self):
-        item = {
-            "item_id": "x:4", "family": "spatial_counting", "level": 3,
-            "format": "free-form", "prompt": "?", "answer": "3",
-            "payload": {"kind": "count", "value": 3}, "provenance": {},
-        }
-        assert score_item(item, "there are 3").correct
-        assert not score_item(item, "4").correct
+        assert score_item(self.COUNT, "there are 3").correct
+        assert not score_item(self.COUNT, "4").correct
+
+    @pytest.mark.parametrize("response, parsed", [
+        ("I see 2 shelves and 3 chairs", 3),   # the final number
+        ("3 chairs, no: 4", 4),
+        ("(3e999, 0, 0)", 0),
+        ("+3", 3),
+    ])
+    def test_count_reads_the_final_number(self, response, parsed):
+        rec = score_item(self.COUNT, response)
+        assert (rec.parsed, rec.correct, rec.note) == (parsed, parsed == 3,
+                                                       None)
+
+    @pytest.mark.parametrize("response", [
+        "none", "", "3e999 meters", "1e999 meters", "3e0", "3.0",
+        "about 2.5", "9" * 5000])
+    def test_count_without_an_integer_is_a_parse_failure(self, response):
+        rec = score_item(self.COUNT, response)
+        assert not rec.correct
+        assert rec.parsed is None and rec.note == "parse-failure"
 
 
 class TestReport:
