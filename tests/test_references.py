@@ -1,5 +1,8 @@
 """Object reference generation, verification and resolution."""
 
+import hashlib
+import json
+
 import numpy as np
 
 from spatialqa.geometry import IDENTITY_GRAVITY, gravity_frame
@@ -17,6 +20,8 @@ from spatialqa.references import (
     size_reference,
     verify_textual_reference,
 )
+from spatialqa.qa.problem import scene_digest
+from spatialqa.qa.synth import Scene
 from spatialqa.relations import SceneObject
 
 GF = gravity_frame(IDENTITY_GRAVITY)
@@ -245,3 +250,87 @@ class TestOrdinals:
         assert ordinal_word(3) == "third"
         assert ordinal_word(10) == "tenth"
         assert ordinal_word(11) == "11th"
+
+
+# ---------------------------------------------------------------------------
+# Pinned texts over seeded random scenes
+# ---------------------------------------------------------------------------
+
+_CATEGORIES = ("chair", "table", "lamp", "sofa", "shelf")
+_LAYOUTS = ("collinear", "ray", "clustered", "stacked", "spread")
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _group_centers(rng, layout, n):
+    """Camera-frame centers of one same-category group."""
+    base = rng.uniform((-2.0, -1.0, 2.5), (2.0, 1.0, 6.0))
+    if layout == "collinear":  # jittered line: linear order, or its guard
+        axis = np.eye(3)[rng.integers(3)] if rng.random() < 0.7 else \
+            _unit(rng.normal(size=3))
+        steps = np.arange(n) * rng.uniform(0.3, 1.5)
+        return base + np.outer(steps, axis) + rng.normal(0, 0.03, (n, 3))
+    if layout == "ray":  # along a camera ray: camera distance beats z
+        ray = _unit(base + rng.normal(0, 0.01, 3))
+        dists = 2.5 * np.cumprod(rng.uniform(1.08, 1.14, n))
+        return np.outer(dists, ray)
+    if layout in ("clustered", "stacked"):  # every position guard fails
+        return base + rng.uniform(-0.01, 0.01, (n, 3))
+    return base + rng.uniform(-2.0, 2.0, (n, 3))
+
+
+# upright, and three tilts of gravity towards the camera's x and z
+_FRAMES = [GF] + [gravity_frame(_unit((a, 1.0, b)))
+                  for a, b in ((0.2, 0.0), (-0.1, 0.25), (0.3, -0.2))]
+
+
+def _random_scene(rng):
+    """Objects, gravity frame and verified captions of one scene."""
+    gf = _FRAMES[rng.integers(len(_FRAMES))]
+    objs = []
+    n_groups = int(rng.integers(1, 3))
+    for category in rng.choice(_CATEGORIES, n_groups, replace=False):
+        layout = _LAYOUTS[rng.integers(len(_LAYOUTS))]
+        n = int(rng.integers(1, 6))
+        centers = _group_centers(rng, layout, n)
+        if layout == "clustered":  # equal sizes: every size guard fails too
+            sizes = np.tile(rng.uniform(0.3, 1.5, 3), (n, 1)) \
+                * rng.uniform(0.99, 1.01, (n, 3))
+        else:
+            sizes = rng.uniform(0.2, 2.0, (n, 3))
+        for c, s in zip(centers, sizes):
+            objs.append(_obj(f"o{len(objs)}", c, size=s, category=str(category)))
+    captions = {o.object_id: f"the caption of {o.object_id}"
+                for o in objs if rng.random() < 0.15}
+    captions["ghost"] = "an object that is not in the scene"
+    return objs, gf, captions
+
+
+class TestPinnedTexts:
+    """The text of every object of 2,000 seeded random scenes, as the
+    problem generator's digest reads it, pinned by its sha256."""
+
+    SHA256 = "961c267bb05094d5b6299f066c5c94a0bab3e053e0e96fa15811e0def325e8d5"
+
+    def test_texts_are_pinned(self):
+        rng = np.random.default_rng(2024)
+        scenes = []
+        for i in range(2000):
+            objs, gf, captions = _random_scene(rng)
+            refs = assign_references(objs, gf, verified_captions=captions)
+            digest = scene_digest(Scene(image_id=f"s{i}", objects=objs,
+                                        refs=refs, gf=gf))
+            scenes.append([[o["id"], o["reference"]]
+                           for o in digest["objects"]])
+        texts = [t for scene in scenes for _, t in scene]
+        # every path of the rule shows up in the corpus
+        for marker in ("caption", "the first ", "leftmost", "highest",
+                       "frontmost", "closer", "closest", "widest",
+                       "tallest", "largest", "highlighted by red",
+                       "highlighted by second"):
+            assert any(marker in t for t in texts), marker
+        blob = json.dumps(scenes, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.SHA256
