@@ -163,7 +163,7 @@ class Client:
         ``request`` must be ``request``."""
         try:
             stored = json.loads(path.read_bytes())
-        except ValueError as e:  # invalid UTF-8 or JSON
+        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON
             raise ClientError(self.config.role,
                               f"{path}: invalid JSON: {e}") from None
         if not is_object(stored) or stored.get("request") != request:

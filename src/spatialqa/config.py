@@ -74,6 +74,6 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON
             raise ConfigError(f"{path}: {e}") from e
     return config_from_dict(raw)

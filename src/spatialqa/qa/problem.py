@@ -43,10 +43,9 @@ def scene_digest(scene) -> dict:
     """Serializable object table handed to the problem generator."""
     objects = []
     for obj in sorted(scene.objects, key=lambda o: o.object_id):
-        ref = scene.refs[obj.object_id]
         entry = {
             "id": obj.object_id,
-            "reference": ref.text,
+            "reference": scene.refs[obj.object_id],
             "category": obj.category,
             "center_m": [round(float(c), 4) for c in obj.center],
             "size_m": [round(float(s), 4) for s in obj.size],

@@ -16,7 +16,6 @@ import numpy as np
 from ..geometry import DIM_INDEX, GravityFrame
 from ..pmap import PointMap
 from ..quantity import format_point, format_quantity, format_unit_vector
-from ..references import ObjectReference
 from ..relations import (
     DEPTH_TIE_MARGIN_M,
     DISTANCE_FLOOR_M,
@@ -50,12 +49,9 @@ class Scene:
 
     image_id: str
     objects: list[SceneObject]
-    refs: dict[str, ObjectReference]
+    refs: dict[str, str]          # object id -> reference text
     gf: GravityFrame
     pm: PointMap | None = None
-
-    def ref_text(self, object_id: str) -> str:
-        return self.refs[object_id].text
 
 
 # Candidate caps per scene.
@@ -290,7 +286,7 @@ class _SceneSynthesizer:
     def level1(self) -> None:
         gf = self.scene.gf
         for obj in self.objects:
-            ref = self.scene.ref_text(obj.object_id)
+            ref = self.scene.refs[obj.object_id]
             self._emit(
                 "object_localization", "object_localization", {"ref": ref},
                 Payload(kind="vector3",
@@ -327,7 +323,7 @@ class _SceneSynthesizer:
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         for i, j in self._sample(pairs, MAX_PAIRS):
             a, b = self.objects[i], self.objects[j]
-            ta, tb = self.scene.ref_text(a.object_id), self.scene.ref_text(b.object_id)
+            ta, tb = self.scene.refs[a.object_id], self.scene.refs[b.object_id]
             try:
                 rel = relative_direction(a, b, gf)
             except RelationError:  # coincident centers: no direction
@@ -370,11 +366,11 @@ class _SceneSynthesizer:
                 if result is not None:
                     candidates.append(result)
         for result in self._sample(candidates, MAX_COMPARISONS):
-            ordered_texts = [self.scene.ref_text(oid) for oid in result.ordering]
+            ordered_texts = [self.scene.refs[oid] for oid in result.ordering]
             listing_order = self.rng.permutation(len(ordered_texts))
             listing = _listing([ordered_texts[k] for k in listing_order])
             ids = result.ordering
-            texts = {oid: self.scene.ref_text(oid) for oid in ids}
+            texts = {oid: self.scene.refs[oid] for oid in ids}
             if result.mode == "full-order":
                 answer = ", ".join(ordered_texts)
                 low, high = _ORDER_WORDS[result.attribute]
@@ -388,7 +384,7 @@ class _SceneSynthesizer:
                 )
             else:
                 superl = _SUPERLATIVE[(result.attribute, result.mode)]
-                selected_text = self.scene.ref_text(result.selected)
+                selected_text = self.scene.refs[result.selected]
                 self._emit(
                     "relational_comparison", "relational_comparison",
                     {"listing": listing, "superlative": superl},
@@ -418,8 +414,8 @@ class _SceneSynthesizer:
         for a, b, rel in self._sample(candidates, MAX_CONSISTENCY):
             self._emit(
                 "relational_comparison", "orientation_consistency",
-                {"a": self.scene.ref_text(a.object_id),
-                 "b": self.scene.ref_text(b.object_id)},
+                {"a": self.scene.refs[a.object_id],
+                 "b": self.scene.refs[b.object_id]},
                 Payload(kind="label", value=rel),
                 {"a": a.object_id, "b": b.object_id,
                  "attribute": "orientation"},
@@ -457,8 +453,8 @@ class _SceneSynthesizer:
                     anchor, target, self.scene.gf)
             except RelationError:  # target at the anchor: no direction
                 continue
-            ta = self.scene.ref_text(anchor.object_id)
-            tt = self.scene.ref_text(target.object_id)
+            ta = self.scene.refs[anchor.object_id]
+            tt = self.scene.refs[target.object_id]
             self._emit_direction(
                 "perspective_taking", direction, _AXIS_CHOICE_ANCHOR,
                 _ANCHOR_PHRASE, {"anchor": ta, "target": tt},
@@ -497,7 +493,7 @@ class _SceneSynthesizer:
                 "spatial_counting", "spatial_counting",
                 {"category": category,
                  "relation_phrase": _RELATION_PHRASE[label],
-                 "anchor": self.scene.ref_text(anchor.object_id)},
+                 "anchor": self.scene.refs[anchor.object_id]},
                 Payload(kind="count", value=count),
                 {"category": category, "anchor": anchor.object_id,
                  "label": label},

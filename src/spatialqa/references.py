@@ -1,25 +1,22 @@
 """Unique natural-language references for scene objects.
 
-Reference kinds, in selection priority order:
+``assign_references`` gives each object one text.  A caption that passed
+grounding verification (exactly one grounder box, IoU > 0.7) is the
+object's text.  Otherwise its same-category group takes the first rule
+that names every member apart:
 
-  textual          externally generated caption that passed grounding
-                   verification (exactly one grounder box, IoU > 0.7)
-  category         "the sofa" - sole instance of its category
-  linear-order     "the second chair from the left" - same-category centers
-                   in a near-linear arrangement (PCA ratio test)
-  positional       "the leftmost bowl", "the second closest table to the
-                   camera" - rank along a world axis or camera distance
-  size-comparison  "the widest sofa", "the tallest door"
-  box-fallback     "the chair (highlighted by red box)" plus a pixel box
+  "the sofa"                        sole instance of its category
+  "the second chair from the left"  linear order: centers in a near-linear
+                                    arrangement (PCA ratio test)
+  "the leftmost bowl", "the second  the first ranking of ``RANKINGS``
+  closest table to the camera",     whose adjacent ranked values all clear
+  "the widest sofa"                 the 10% guard
 
-Every emitted reference resolves back to exactly one object under
-``resolve_reference``; rank-based references are only produced when
-adjacent ranked values clear a 10% guard.
+Objects that no rule names get "the chair (highlighted by red box)", the
+palette counted over the scene's objects in order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,19 +40,12 @@ _ORDINALS = ("first", "second", "third", "fourth", "fifth", "sixth",
 
 
 def ordinal_word(n: int) -> str:
-    """1 -> "first", 2 -> "second", ...; falls back to "11th" style."""
+    """1 -> "first", ..., 10 -> "tenth"; then "11th", "21st", "22nd"."""
     if 1 <= n <= len(_ORDINALS):
         return _ORDINALS[n - 1]
-    return f"{n}th"
-
-
-@dataclass
-class ObjectReference:
-    object_id: str
-    kind: str       # textual | category | linear-order | positional |
-    #                 size-comparison | box-fallback
-    text: str
-    params: dict = field(default_factory=dict)
+    if n % 100 in (11, 12, 13) or n % 10 not in (1, 2, 3):
+        return f"{n}th"
+    return f"{n}{('st', 'nd', 'rd')[n % 10 - 1]}"
 
 
 # ---------------------------------------------------------------------------
@@ -79,27 +69,21 @@ def fallback_color(palette_index: int) -> str:
     return f"{ordinal_word(cycle + 1)} {color}"
 
 
-def fallback_reference(object_id: str, category: str,
-                       palette_index: int) -> ObjectReference:
+def fallback_reference(category: str, palette_index: int) -> str:
     color = fallback_color(palette_index)
-    return ObjectReference(
-        object_id=object_id, kind="box-fallback",
-        text=f"the {category} (highlighted by {color} box)",
-        params={"palette_index": palette_index},
-    )
+    return f"the {category} (highlighted by {color} box)"
 
 
 # ---------------------------------------------------------------------------
 # Linear ordering (PCA)
 # ---------------------------------------------------------------------------
 
-_AXIS_SIDE = {0: ("left", "left-right"), 1: ("top", "top-bottom"),
-              2: ("front", "front-back")}
+_AXIS_SIDE = ("left", "top", "front")
 
 
 def linear_order_reference(objs: list[SceneObject], gf: GravityFrame
-                           ) -> list[ObjectReference] | None:
-    """Ordinal references along the dominant axis of a near-linear group.
+                           ) -> dict[str, str] | None:
+    """Ordinal texts along the dominant axis of a near-linear group.
 
     Principal components come from the SVD of the centered world-frame
     centers; the group is linear when the second singular value is below
@@ -126,25 +110,23 @@ def linear_order_reference(objs: list[SceneObject], gf: GravityFrame
     axis = int(order[0])
     if pc1[axis] < 0:
         pc1 = -pc1
-    side, axis_name = _AXIS_SIDE[axis]
+    side = _AXIS_SIDE[axis]
 
-    proj = centered @ pc1
-    ranking = np.argsort(proj, kind="stable")
+    ranking = np.argsort(centered @ pc1, kind="stable")
     category = objs[0].category
-    refs = []
-    for rank, idx in enumerate(ranking):
-        obj = objs[int(idx)]
-        refs.append(ObjectReference(
-            object_id=obj.object_id, kind="linear-order",
-            text=f"the {ordinal_word(rank + 1)} {category} from the {side}",
-            params={"axis": axis_name, "rank": rank, "side": side},
-        ))
-    return refs
+    return {objs[int(i)].object_id:
+            f"the {ordinal_word(rank + 1)} {category} from the {side}"
+            for rank, i in enumerate(ranking)}
 
 
 # ---------------------------------------------------------------------------
 # Positional and size ranks
 # ---------------------------------------------------------------------------
+
+# The rankings a group tries after linear order, in order: world x, y and
+# z, camera distance, then size.
+RANKINGS = ("x", "y", "z", "camera-distance", "width", "height", "volume")
+_SIZE_DIMENSIONS = ("width", "height", "volume")
 
 # metric -> (lowest text, highest text, middle pattern), ranked by
 # ascending value; size ranks count middle ranks from the top ("the second
@@ -167,7 +149,6 @@ _RANK_SURFACE = {
 }
 # (lowest, highest) texts of a two-object group, where they differ
 _PAIR_SURFACE = {"camera-distance": ("the closer {cat}", "the farther {cat}")}
-_SIZE_DIMENSIONS = ("width", "height", "volume")
 
 
 def _coordinate_gaps_ok(values: list[float]) -> bool:
@@ -179,170 +160,80 @@ def _coordinate_gaps_ok(values: list[float]) -> bool:
     return True
 
 
-def _rank_references(objs: list[SceneObject], metric: str, value, gaps_ok,
-                     out: dict[str, list[ObjectReference]]) -> None:
-    """Append a rank reference per object along ``metric`` to ``out``,
-    unless some pair of adjacent ranked values fails ``gaps_ok``."""
-    ranked = sorted(objs, key=value)
-    if not gaps_ok([value(o) for o in ranked]):
-        return
-    n = len(ranked)
+def rank_reference(objs: list[SceneObject], metric: str, gf: GravityFrame
+                   ) -> dict[str, str] | None:
+    """Rank texts of a same-category group of two or more along ``metric``.
+
+    Returns None unless every pair of adjacent ranked values clears its
+    guard: camera distance and sizes use the 10% ratio guard; signed world
+    coordinates additionally require an absolute gap floor.
+    """
+    if metric in ("x", "y", "z"):
+        axis = "xyz".index(metric)
+        values = [float(gf.to_world(o.center.astype(float))[axis])
+                  for o in objs]
+        gaps_ok = _coordinate_gaps_ok
+    else:
+        values = [ATTRIBUTE_GETTERS[metric](o) for o in objs]
+        gaps_ok = ratio_gaps_ok
+    order = sorted(range(len(objs)), key=values.__getitem__)
+    if not gaps_ok([values[i] for i in order]):
+        return None
+    n = len(objs)
     low, high, mid = _RANK_SURFACE[metric]
     if n == 2:
         low, high = _PAIR_SURFACE.get(metric, (low, high))
-    size = metric in _SIZE_DIMENSIONS
-    for rank, obj in enumerate(ranked):
+    from_top = metric in _SIZE_DIMENSIONS
+    texts = {}
+    for rank, i in enumerate(order):
         pattern = low if rank == 0 else high if rank == n - 1 else mid
-        text = pattern.format(cat=objs[0].category,
-                              ord=ordinal_word(n - rank if size else rank + 1))
-        out[obj.object_id].append(ObjectReference(
-            object_id=obj.object_id,
-            kind="size-comparison" if size else "positional", text=text,
-            params={"dimension" if size else "metric": metric, "rank": rank},
-        ))
-
-
-def positional_reference(objs: list[SceneObject], gf: GravityFrame
-                         ) -> dict[str, list[ObjectReference]]:
-    """Rank-based positional references for a same-category group.
-
-    Returns candidates per object id; empty lists where no metric clears
-    its guard.  Camera distance uses the 10% ratio guard; signed world
-    coordinates additionally require an absolute gap floor.
-    """
-    out: dict[str, list[ObjectReference]] = {o.object_id: [] for o in objs}
-    if len(objs) < 2:
-        return out
-    centers = {o.object_id: gf.to_world(o.center.astype(float)) for o in objs}
-    for axis_i, axis in enumerate(("x", "y", "z")):
-        _rank_references(
-            objs, axis, lambda o: float(centers[o.object_id][axis_i]),
-            _coordinate_gaps_ok, out)
-    _rank_references(objs, "camera-distance",
-                     ATTRIBUTE_GETTERS["camera-distance"], ratio_gaps_ok, out)
-    return out
-
-
-def size_reference(objs: list[SceneObject], dimension: str
-                   ) -> dict[str, list[ObjectReference]]:
-    """Size-rank references ("the widest sofa") for a same-category group."""
-    if dimension not in _SIZE_DIMENSIONS:
-        raise ValueError(f"unknown size dimension {dimension!r}")
-    out: dict[str, list[ObjectReference]] = {o.object_id: [] for o in objs}
-    if len(objs) >= 2:
-        _rank_references(objs, dimension, ATTRIBUTE_GETTERS[dimension],
-                         ratio_gaps_ok, out)
-    return out
+        texts[objs[i].object_id] = pattern.format(
+            cat=objs[0].category,
+            ord=ordinal_word(n - rank if from_top else rank + 1))
+    return texts
 
 
 # ---------------------------------------------------------------------------
-# Selection and resolution
+# Assignment
 # ---------------------------------------------------------------------------
 
-_KIND_PRIORITY = {"textual": 0, "category": 1, "linear-order": 2,
-                  "positional": 3, "size-comparison": 4, "box-fallback": 5}
-
-
-def select_reference(candidates: list[ObjectReference]) -> ObjectReference:
-    """First candidate of the simplest kind that was produced."""
-    if not candidates:
-        raise ValueError("no reference candidates to select from")
-    return min(enumerate(candidates),
-               key=lambda t: (_KIND_PRIORITY[t[1].kind], t[0]))[1]
+def _group_texts(group: list[SceneObject], gf: GravityFrame
+                 ) -> dict[str, str]:
+    """The texts of the first rule that names every member of a
+    same-category group apart; empty when none does."""
+    if len(group) == 1:
+        return {group[0].object_id: f"the {group[0].category}"}
+    linear = linear_order_reference(group, gf)
+    if linear:
+        return linear
+    for metric in RANKINGS:
+        ranked = rank_reference(group, metric, gf)
+        if ranked:
+            return ranked
+    return {}
 
 
 def assign_references(objs: list[SceneObject], gf: GravityFrame,
                       verified_captions: dict[str, str] | None = None
-                      ) -> dict[str, ObjectReference]:
-    """One unique reference per object, picking the simplest passing kind."""
+                      ) -> dict[str, str]:
+    """One unique text per object id, in the order of ``objs``."""
     verified_captions = verified_captions or {}
-    by_category: dict[str, list[SceneObject]] = {}
+    groups: dict[str, list[SceneObject]] = {}
     for o in objs:
-        by_category.setdefault(o.category, []).append(o)
+        groups.setdefault(o.category, []).append(o)
+    named: dict[str, str] = {}
+    for group in groups.values():
+        named.update(_group_texts(group, gf))
 
-    candidates: dict[str, list[ObjectReference]] = {o.object_id: [] for o in objs}
-    for oid, caption in verified_captions.items():
-        if oid in candidates:
-            candidates[oid].append(ObjectReference(
-                object_id=oid, kind="textual", text=caption))
-
-    for category, group in by_category.items():
-        if len(group) == 1:
-            obj = group[0]
-            candidates[obj.object_id].append(ObjectReference(
-                object_id=obj.object_id, kind="category",
-                text=f"the {category}"))
-            continue
-        linear = linear_order_reference(group, gf)
-        if linear:
-            for ref in linear:
-                candidates[ref.object_id].append(ref)
-        for oid, refs in positional_reference(group, gf).items():
-            candidates[oid].extend(refs)
-        for dimension in _SIZE_DIMENSIONS:
-            for oid, refs in size_reference(group, dimension).items():
-                candidates[oid].extend(refs)
-
-    result: dict[str, ObjectReference] = {}
+    texts: dict[str, str] = {}
     fallback_index = 0
     for o in objs:
-        cands = candidates[o.object_id]
-        if cands:
-            result[o.object_id] = select_reference(cands)
+        oid = o.object_id
+        if oid in verified_captions:
+            texts[oid] = verified_captions[oid]
+        elif oid in named:
+            texts[oid] = named[oid]
         else:
-            result[o.object_id] = fallback_reference(
-                o.object_id, o.category, fallback_index)
+            texts[oid] = fallback_reference(o.category, fallback_index)
             fallback_index += 1
-    return result
-
-
-def resolve_reference(ref: ObjectReference, objs: list[SceneObject],
-                      gf: GravityFrame) -> SceneObject | None:
-    """Re-resolve a non-textual reference against the scene.
-
-    Returns the unique matching object, or None when the reference no
-    longer resolves (used by tests to prove uniqueness).
-    """
-    if ref.kind == "textual":
-        return None  # resolution lives in the external grounder
-    if ref.kind == "box-fallback":
-        matches = [o for o in objs if o.object_id == ref.object_id]
-        return matches[0] if len(matches) == 1 else None
-
-    category = _category_of(ref, objs)
-    group = [o for o in objs if o.category == category]
-    if ref.kind == "category":
-        return group[0] if len(group) == 1 else None
-    if ref.kind == "linear-order":
-        refs = linear_order_reference(group, gf)
-        if not refs:
-            return None
-        for r in refs:
-            if r.params["rank"] == ref.params["rank"] and r.text == ref.text:
-                return _by_id(r.object_id, objs)
-        return None
-    if ref.kind == "positional":
-        table = positional_reference(group, gf)
-    elif ref.kind == "size-comparison":
-        table = size_reference(group, ref.params["dimension"])
-    else:
-        raise ValueError(f"unknown reference kind {ref.kind!r}")
-    for oid, refs in table.items():
-        for r in refs:
-            if r.params == ref.params and r.text == ref.text:
-                return _by_id(oid, objs)
-    return None
-
-
-def _category_of(ref: ObjectReference, objs: list[SceneObject]) -> str:
-    for o in objs:
-        if o.object_id == ref.object_id:
-            return o.category
-    raise ValueError(f"reference object {ref.object_id!r} not in scene")
-
-
-def _by_id(oid: str, objs: list[SceneObject]) -> SceneObject | None:
-    for o in objs:
-        if o.object_id == oid:
-            return o
-    return None
+    return texts

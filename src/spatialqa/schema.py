@@ -111,7 +111,8 @@ def records(path, parse: Callable[[Any], Any]) -> Iterator[tuple[int, Any]]:
                 continue
             try:
                 record = parse(json.loads(line.decode("utf-8")))
-            except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            except (json.JSONDecodeError, UnicodeDecodeError,
+                    RecursionError) as e:
                 record = ManifestError(f"{path} line {lineno}: invalid "
                                        f"JSON: {e}")
             except ManifestError as e:

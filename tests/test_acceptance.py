@@ -63,7 +63,7 @@ from spatialqa.quantity import (
     format_quantity,
     parse_quantity,
 )
-from spatialqa.references import linear_order_reference
+from spatialqa.references import linear_order_reference, ordinal_word
 from spatialqa.relations import SceneObject
 
 from test_dbscan import brute_force_dbscan, same_clustering
@@ -359,8 +359,9 @@ class TestCriterion6PcaRule:
             if refs is None:
                 ordered_ok = False
                 break
-            ranks = {r.object_id: r.params["rank"] for r in refs}
-            if [ranks[f"o{i}"] for i in range(n)] != list(range(n)):
+            if [refs[f"o{i}"] for i in range(n)] != [
+                    f"the {ordinal_word(i + 1)} chair from the left"
+                    for i in range(n)]:
                 ordered_ok = False
                 break
         checks.append(("5% jitter keeps order", ordered_ok))

@@ -237,11 +237,13 @@ class TestReplies:
     @pytest.mark.parametrize("body, match", [
         (b'{"request": ', "invalid JSON"),
         (b"\xff\xfe{}", "invalid JSON"),
+        (b"[" * 100_000, "invalid JSON"),
         (b"[1, 2]", "not a stored reply to this request"),
         (json.dumps({"request": {"item_id": "2"},
                      "response": {"verdict": "match"}}).encode(),
          "not a stored reply to this request"),
-    ], ids=["truncated", "not-utf8", "not-object", "other-request"])
+    ], ids=["truncated", "not-utf8", "nested-too-deep", "not-object",
+            "other-request"])
     def test_bad_stored_file(self, tmp_path, body, match):
         client, path, _ = _stored_client(tmp_path, "judge", "fixture",
                                          {"verdict": "match"})

@@ -50,6 +50,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="sed.*worker"):
             load_config(path)
 
+    @pytest.mark.parametrize("body", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_invalid_json_rejected(self, tmp_path, body):
+        path = tmp_path / "config.json"
+        path.write_bytes(body)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+            load_config(path)
+
     @pytest.mark.parametrize("workers", [-3, 0, 2.7, True, "2"])
     def test_bad_workers_in_file_rejected(self, tmp_path, workers):
         path = tmp_path / "config.json"

@@ -147,6 +147,21 @@ class TestHostileLines:
             f"error: {corpus} line 1: {message}")
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("bad", ["corpus", "responses"])
+    def test_nested_too_deep_exits_2(self, reference, tmp_path, capsys, bad):
+        paths = {name: tmp_path / f"{name}.jsonl"
+                 for name in ("corpus", "responses")}
+        paths["corpus"].write_text(
+            reference.gt.read_text().splitlines()[0] + "\n")
+        paths["responses"].write_text("")
+        paths[bad].write_text("[" * 100_000 + "\n")
+        assert main(["evaluate", "--corpus", str(paths["corpus"]),
+                     "--responses", str(paths["responses"]),
+                     "--out", str(tmp_path / "report")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {paths[bad]} line 1: invalid JSON: ")
+        assert not (tmp_path / "report").exists()
+
     @pytest.mark.parametrize("line", ["[1, 2]", "7", '"text"'])
     def test_line_not_an_object_exits_2(self, reference, tmp_path, capsys,
                                         line):

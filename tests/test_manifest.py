@@ -403,6 +403,16 @@ class TestHostileRecords:
                                   f"exits {generate_rc}")
         assert not faults, f"{len(faults)} faults:\n" + "\n".join(faults)
 
+    def test_nested_too_deep_is_invalid_json(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("[" * 100_000 + "\n")
+        prefix = f"{manifest} line 1: invalid JSON: "
+        assert main(["validate", "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err.startswith(f"violation: {prefix}")
+        assert main(["generate", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {prefix}")
+
     @pytest.mark.parametrize("field, value, message", [
         ("box2d", "1234", "box2d '1234' is not [x0, y0, x1, y1]"),
         ("captions", "a red chair",

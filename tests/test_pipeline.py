@@ -65,8 +65,7 @@ class TestBuildScene:
         ]
         # no grounder client configured: records alone drive verification
         scene = build_scene(entry, dataset.manifest_path, PipelineConfig())
-        assert scene.refs[ann.object_id].kind == "textual"
-        assert scene.refs[ann.object_id].text == "a very specific thing"
+        assert scene.refs[ann.object_id] == "a very specific thing"
 
     def test_grounder_verification_flow(self, dataset, tmp_path):
         entries = read_manifest(dataset.manifest_path)
@@ -87,8 +86,7 @@ class TestBuildScene:
         from spatialqa.clients import build_clients
         scene = build_scene(entry, dataset.manifest_path, config,
                             build_clients(config.clients))
-        assert scene.refs[ann.object_id].kind == "textual"
-        assert scene.refs[ann.object_id].text == "a very specific thing"
+        assert scene.refs[ann.object_id] == "a very specific thing"
 
 
 class TestRunGenerate:

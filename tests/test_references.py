@@ -1,4 +1,5 @@
-"""Object reference generation, verification and resolution."""
+"""Object reference texts: verification, the rules of each kind, and
+the texts of seeded random scenes pinned by their hash."""
 
 import hashlib
 import json
@@ -6,22 +7,19 @@ import json
 import numpy as np
 
 from spatialqa.geometry import IDENTITY_GRAVITY, gravity_frame
+from spatialqa.qa.problem import scene_digest
+from spatialqa.qa.synth import Scene
 from spatialqa.references import (
     FALLBACK_PALETTE,
-    ObjectReference,
+    RANKINGS,
     assign_references,
     fallback_color,
     fallback_reference,
     linear_order_reference,
     ordinal_word,
-    positional_reference,
-    resolve_reference,
-    select_reference,
-    size_reference,
+    rank_reference,
     verify_textual_reference,
 )
-from spatialqa.qa.problem import scene_digest
-from spatialqa.qa.synth import Scene
 from spatialqa.relations import SceneObject
 
 GF = gravity_frame(IDENTITY_GRAVITY)
@@ -49,8 +47,8 @@ class TestVerifyTextual:
 
 class TestFallback:
     def test_index_0_is_red(self):
-        ref = fallback_reference("o1", "chair", 0)
-        assert ref.text == "the chair (highlighted by red box)"
+        assert fallback_reference("chair", 0) == \
+            "the chair (highlighted by red box)"
 
     def test_palette_unique_within_first_cycle(self):
         colors = [fallback_color(i) for i in range(len(FALLBACK_PALETTE))]
@@ -60,14 +58,14 @@ class TestFallback:
         assert fallback_color(8) == "second red"
         assert fallback_color(9) == "second green"
         assert fallback_color(17) == "third green"
+        assert fallback_color(160) == "21st red"
 
 
 class TestLinearOrder:
     def test_exactly_collinear(self):
         objs = [_obj(f"c{i}", (i * 1.0, 0.2, 3.0)) for i in range(4)]
-        refs = linear_order_reference(objs, GF)
-        assert refs is not None
-        texts = {r.object_id: r.text for r in refs}
+        texts = linear_order_reference(objs, GF)
+        assert texts is not None
         assert texts["c0"] == "the first chair from the left"
         assert texts["c3"] == "the fourth chair from the left"
 
@@ -85,18 +83,19 @@ class TestLinearOrder:
             jitter = rng.uniform(-0.05, 0.05, size=2) * length * 0.5
             objs.append(_obj(f"c{i}", (x, 0.5 + jitter[0], 4.0 + jitter[1])))
         shuffled = [objs[i] for i in rng.permutation(5)]
-        refs = linear_order_reference(shuffled, GF)
-        assert refs is not None
-        rank = {r.object_id: r.params["rank"] for r in refs}
-        assert [rank[f"c{i}"] for i in range(5)] == [0, 1, 2, 3, 4]
+        texts = linear_order_reference(shuffled, GF)
+        assert texts is not None
+        assert [texts[f"c{i}"] for i in range(5)] == [
+            f"the {ordinal_word(i + 1)} chair from the left" for i in range(5)]
 
     def test_depth_axis_ordering(self):
         objs = [_obj(f"c{i}", (0.3, 0.2, 2.0 + i)) for i in range(3)]
-        refs = linear_order_reference(objs, GF)
-        assert refs is not None
-        assert all("from the front" in r.text for r in refs)
-        rank = {r.object_id: r.params["rank"] for r in refs}
-        assert rank["c0"] == 0  # nearest is first from the front
+        texts = linear_order_reference(objs, GF)
+        assert texts is not None
+        # nearest is first from the front
+        assert texts == {"c0": "the first chair from the front",
+                         "c1": "the second chair from the front",
+                         "c2": "the third chair from the front"}
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
@@ -104,11 +103,8 @@ class TestLinearOrder:
         objs1 = [_obj(f"c{i}", c) for i, c in enumerate(base)]
         objs2 = [_obj(f"c{i}", tuple(10 * v for v in c))
                  for i, c in enumerate(base)]
-        r1 = linear_order_reference(objs1, GF)
-        r2 = linear_order_reference(objs2, GF)
-        assert (r1 is None) == (r2 is None)
-        if r1:
-            assert [r.object_id for r in r1] == [r.object_id for r in r2]
+        assert linear_order_reference(objs1, GF) == \
+            linear_order_reference(objs2, GF)
 
     def test_under_three_objects_none(self):
         assert linear_order_reference([_obj("a", (0, 0, 3))], GF) is None
@@ -123,113 +119,133 @@ class TestPositional:
     def test_two_sofas_closer_farther(self):
         objs = [_obj("s1", (0, 0, 2), category="sofa"),
                 _obj("s2", (0, 0, 4), category="sofa")]
-        table = positional_reference(objs, GF)
-        texts = {r.text for refs in table.values() for r in refs}
-        assert "the closer sofa" in texts
-        assert "the farther sofa" in texts
+        assert rank_reference(objs, "camera-distance", GF) == {
+            "s1": "the closer sofa", "s2": "the farther sofa"}
 
     def test_close_depths_suppressed(self):
         objs = [_obj("s1", (0, 0, 2.0), category="sofa"),
                 _obj("s2", (0, 0, 2.1), category="sofa")]
-        table = positional_reference(objs, GF)
-        assert all(
-            r.params["metric"] != "camera-distance"
-            for refs in table.values() for r in refs
-        )
+        assert rank_reference(objs, "camera-distance", GF) is None
 
     def test_three_ranks_camera_distance(self):
         objs = [_obj("a", (0, 0, 2), category="table"),
                 _obj("b", (0, 0, 3), category="table"),
                 _obj("c", (0, 0, 5), category="table")]
-        table = positional_reference(objs, GF)
-        texts = {r.text for refs in table.values() for r in refs}
-        assert "the closest table to the camera" in texts
-        assert "the second closest table to the camera" in texts
-        assert "the farthest table from the camera" in texts
+        assert rank_reference(objs, "camera-distance", GF) == {
+            "a": "the closest table to the camera",
+            "b": "the second closest table to the camera",
+            "c": "the farthest table from the camera"}
 
-    def test_every_emitted_reference_resolves_uniquely(self):
+    def test_every_ranking_names_each_member_apart(self):
         rng = np.random.default_rng(2)
+        passed = 0
         for _ in range(20):
             n = int(rng.integers(2, 6))
-            objs = [
-                _obj(f"o{i}", rng.uniform(-3, 3, 3) + [0, 0, 6], category="box")
-                for i in range(n)
-            ]
-            table = positional_reference(objs, GF)
-            for oid, refs in table.items():
-                for ref in refs:
-                    resolved = resolve_reference(ref, objs, GF)
-                    assert resolved is not None and resolved.object_id == oid
+            objs = [_obj(f"o{i}", rng.uniform(-3, 3, 3) + [0, 0, 6],
+                         size=rng.uniform(0.3, 2.0, 3), category="box")
+                    for i in range(n)]
+            for metric in RANKINGS:
+                texts = rank_reference(objs, metric, GF)
+                if texts is not None:
+                    passed += 1
+                    assert sorted(texts) == sorted(o.object_id for o in objs)
+                    assert len(set(texts.values())) == n
+        assert passed
+
+    def test_x_beats_camera_distance(self):
+        objs = [_obj("a", (-1, 0, 3)), _obj("b", (1, 0, 3.5))]
+        assert rank_reference(objs, "camera-distance", GF) is not None
+        assert assign_references(objs, GF) == {
+            "a": "the leftmost chair", "b": "the rightmost chair"}
 
 
 class TestSizeReference:
     def test_taller_of_two(self):
         objs = [_obj("a", (0, 0, 3), size=(1, 0.5, 1), category="door"),
                 _obj("b", (2, 0, 3), size=(1, 1.2, 1), category="door")]
-        table = size_reference(objs, "height")
-        texts = {r.object_id: r.text for refs in table.values() for r in refs}
-        assert texts["b"] == "the tallest door"
-        assert texts["a"] == "the shortest door"
+        assert rank_reference(objs, "height", GF) == {
+            "a": "the shortest door", "b": "the tallest door"}
 
     def test_close_sizes_suppressed(self):
         objs = [_obj("a", (0, 0, 3), size=(1.0, 1.0, 1), category="door"),
                 _obj("b", (2, 0, 3), size=(1.0, 1.05, 1), category="door")]
-        assert all(not refs for refs in size_reference(objs, "height").values())
+        assert rank_reference(objs, "height", GF) is None
 
-    def test_resolution(self):
+    def test_size_when_every_position_fails(self):
         objs = [_obj("a", (0, 0, 3), size=(0.5, 1, 1), category="sofa"),
-                _obj("b", (2, 0, 3), size=(1.0, 1, 1), category="sofa"),
-                _obj("c", (4, 0, 3), size=(2.0, 1, 1), category="sofa")]
-        table = size_reference(objs, "width")
-        for oid, refs in table.items():
-            for ref in refs:
-                resolved = resolve_reference(ref, objs, GF)
-                assert resolved is not None and resolved.object_id == oid
+                _obj("b", (0.01, 0, 3), size=(1.0, 1, 1), category="sofa"),
+                _obj("c", (0, 0.01, 3), size=(2.0, 1, 1), category="sofa")]
+        for metric in ("x", "y", "z", "camera-distance"):
+            assert rank_reference(objs, metric, GF) is None
+        assert assign_references(objs, GF) == {
+            "a": "the narrowest sofa", "b": "the second widest sofa",
+            "c": "the widest sofa"}
 
     def test_second_widest_wording(self):
         objs = [_obj("a", (0, 0, 3), size=(0.5, 1, 1), category="sofa"),
                 _obj("b", (2, 0, 3), size=(1.0, 1, 1), category="sofa"),
                 _obj("c", (4, 0, 3), size=(2.0, 1, 1), category="sofa")]
-        table = size_reference(objs, "width")
-        assert table["b"][0].text == "the second widest sofa"
+        assert rank_reference(objs, "width", GF)["b"] == \
+            "the second widest sofa"
 
 
 class TestSelectAndAssign:
-    def test_priority_textual_first(self):
-        cands = [
-            ObjectReference("o", "positional", "the leftmost chair"),
-            ObjectReference("o", "textual", "the red office chair"),
-        ]
-        assert select_reference(cands).kind == "textual"
+    def test_caption_overrides_one_object(self):
+        objs = [_obj("a", (-1, 0, 3)), _obj("b", (1, 0, 3))]
+        refs = assign_references(objs, GF, verified_captions={
+            "a": "the red office chair", "ghost": "not in the scene"})
+        assert refs == {"a": "the red office chair",
+                        "b": "the rightmost chair"}
 
     def test_category_unique_beats_positional(self):
-        cands = [
-            ObjectReference("o", "positional", "the leftmost chair"),
-            ObjectReference("o", "category", "the chair"),
-        ]
-        assert select_reference(cands).kind == "category"
+        objs = [_obj("c1", (-1, 0, 3)), _obj("s", (0, 0, 3), category="sofa"),
+                _obj("c2", (1, 0, 3))]
+        assert assign_references(objs, GF) == {
+            "c1": "the leftmost chair", "s": "the sofa",
+            "c2": "the rightmost chair"}
+
+    def test_linear_order_beats_positional(self):
+        objs = [_obj(f"c{i}", (i * 1.0, 0.2, 3.0)) for i in range(3)]
+        assert rank_reference(objs, "x", GF) is not None
+        assert assign_references(objs, GF) == {
+            "c0": "the first chair from the left",
+            "c1": "the second chair from the left",
+            "c2": "the third chair from the left"}
 
     def test_assign_single_instance_gets_category(self):
         objs = [_obj("a", (0, 0, 3), category="sofa"),
                 _obj("b", (1, 0, 3), category="table")]
         refs = assign_references(objs, GF)
-        assert refs["a"].text == "the sofa"
-        assert refs["b"].text == "the table"
+        assert refs["a"] == "the sofa"
+        assert refs["b"] == "the table"
 
     def test_assign_verified_caption_wins(self):
         objs = [_obj("a", (0, 0, 3), category="sofa")]
         refs = assign_references(objs, GF,
                                  verified_captions={"a": "the red velvet sofa"})
-        assert refs["a"].kind == "textual"
+        assert refs["a"] == "the red velvet sofa"
 
     def test_fallback_when_nothing_passes(self):
         # two identical, coincident objects: every rank guard fails
         objs = [_obj("a", (0, 0, 3), category="sofa"),
                 _obj("b", (0.001, 0, 3), category="sofa")]
-        refs = assign_references(objs, GF)
-        kinds = {refs["a"].kind, refs["b"].kind}
-        assert kinds == {"box-fallback"}
-        assert refs["a"].text != refs["b"].text
+        assert assign_references(objs, GF) == {
+            "a": "the sofa (highlighted by red box)",
+            "b": "the sofa (highlighted by green box)"}
+
+    def test_fallback_palette_counts_across_groups(self):
+        objs = [_obj("s1", (0, 0, 3), category="sofa"),
+                _obj("c1", (2, 0, 3)),
+                _obj("s2", (0.001, 0, 3), category="sofa"),
+                _obj("c2", (2.001, 0, 3)),
+                _obj("c3", (2, 0.001, 3))]
+        refs = assign_references(objs, GF,
+                                 verified_captions={"c2": "the old chair"})
+        assert refs == {"s1": "the sofa (highlighted by red box)",
+                        "c1": "the chair (highlighted by green box)",
+                        "s2": "the sofa (highlighted by blue box)",
+                        "c2": "the old chair",
+                        "c3": "the chair (highlighted by yellow box)"}
 
     def test_assigned_references_unique_texts(self):
         rng = np.random.default_rng(3)
@@ -239,8 +255,7 @@ class TestSelectAndAssign:
                 cat = rng.choice(["chair", "table", "lamp"])
                 objs.append(_obj(f"o{i}", rng.uniform(-3, 3, 3) + [0, 0, 6],
                                  size=rng.uniform(0.3, 2.0, 3), category=str(cat)))
-            refs = assign_references(objs, GF)
-            texts = [r.text for r in refs.values()]
+            texts = list(assign_references(objs, GF).values())
             assert len(set(texts)) == len(texts)
 
 
@@ -250,6 +265,11 @@ class TestOrdinals:
         assert ordinal_word(3) == "third"
         assert ordinal_word(10) == "tenth"
         assert ordinal_word(11) == "11th"
+
+    def test_suffixes(self):
+        assert [ordinal_word(n) for n in (11, 12, 13, 21, 22, 23, 101, 111)] \
+            == ["11th", "12th", "13th", "21st", "22nd", "23rd", "101st",
+                "111th"]
 
 
 # ---------------------------------------------------------------------------
