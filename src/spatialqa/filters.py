@@ -1,12 +1,13 @@
 """Image-level keep/discard decisions applied during corpus ingestion.
 
-Both filters are pure decision functions: the pixel statistics and the
-retrieved tags are computed upstream and carried in the manifest.
+Both filters are pure decision functions that return why they discard
+an image: nothing to say (an empty list, or None) keeps it.  The pixel
+statistics and the retrieved tags are computed upstream and carried in
+the manifest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 PURE_PIXEL_LIMIT = 0.35    # summed pure-white + pure-black fraction
@@ -14,15 +15,10 @@ INVALID_DEPTH_LIMIT = 0.50
 TAG_COUNT = 5
 
 
-@dataclass(frozen=True)
-class FilterDecision:
-    keep: bool
-    reasons: tuple[str, ...] = ()
-
-
 def heuristic_image_filter(white_frac: float, black_frac: float,
-                           invalid_depth_frac: float) -> FilterDecision:
-    """Discard images dominated by pure pixels or by invalid depth.
+                           invalid_depth_frac: float) -> list[str]:
+    """Why an image dominated by pure pixels or by invalid depth is
+    discarded; an empty list keeps the image.
 
     Discards when white+black fraction exceeds 0.35 or the invalid-depth
     fraction exceeds 0.50 (strict >).  The white/black rule is applied to
@@ -42,12 +38,13 @@ def heuristic_image_filter(white_frac: float, black_frac: float,
         reasons.append(
             f"invalid-depth rule: {invalid_depth_frac:.3f} > {INVALID_DEPTH_LIMIT}"
         )
-    return FilterDecision(keep=not reasons, reasons=tuple(reasons))
+    return reasons
 
 
 def tag_vote_filter(retrieved_tags: Sequence[str],
-                    include_set: Iterable[str]) -> FilterDecision:
-    """Keep an image iff more than half of its 5 retrieved tags are includes.
+                    include_set: Iterable[str]) -> str | None:
+    """Keep an image (None) iff more than half of its 5 retrieved tags are
+    includes; otherwise the reason it is discarded.
 
     Every other tag is a non-include vote.  Order of the tags is
     irrelevant; only how many of them are includes matters.
@@ -57,7 +54,5 @@ def tag_vote_filter(retrieved_tags: Sequence[str],
         raise ValueError(f"expected {TAG_COUNT} tags, got {len(retrieved_tags)}")
     votes = sum(1 for t in retrieved_tags if t in include)
     if votes > TAG_COUNT // 2:
-        return FilterDecision(keep=True)
-    return FilterDecision(
-        keep=False, reasons=(f"tag vote: {votes}/{TAG_COUNT} include tags",)
-    )
+        return None
+    return f"tag vote: {votes}/{TAG_COUNT} include tags"

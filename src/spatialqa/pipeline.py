@@ -59,14 +59,14 @@ class SceneSkipped(Exception):
 def _apply_filters(entry: ImageManifest, config: PipelineConfig) -> None:
     stats = entry.pixel_stats
     if stats is not None:
-        decision = heuristic_image_filter(
+        reasons = heuristic_image_filter(
             stats["white"], stats["black"], stats["invalid_depth"])
-        if not decision.keep:
-            raise SceneSkipped("; ".join(decision.reasons))
+        if reasons:
+            raise SceneSkipped("; ".join(reasons))
     if entry.tags is not None and config.tag_include:
-        decision = tag_vote_filter(entry.tags, config.tag_include)
-        if not decision.keep:
-            raise SceneSkipped(decision.reasons[0])
+        reason = tag_vote_filter(entry.tags, config.tag_include)
+        if reason is not None:
+            raise SceneSkipped(reason)
 
 
 def _estimate_object(entry: ImageManifest, ann, pm,

@@ -98,21 +98,6 @@ def check_item(d: dict) -> dict:
 
 
 @dataclass
-class Payload:
-    """Machine-checkable ground truth behind an answer."""
-
-    kind: str
-    value: float | int | str | list
-    unit: str | None = None
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "value": self.value}
-        if self.unit:
-            d["unit"] = self.unit
-        return d
-
-
-@dataclass
 class QAItem:
     item_id: str
     image_id: str
@@ -120,7 +105,7 @@ class QAItem:
     format: str
     prompt: str
     answer_text: str
-    payload: Payload
+    payload: dict      # machine-checkable truth: {"kind", "value", "unit"?}
     options: list[str] | None = None       # mcq only, exactly 4
     provenance: dict = field(default_factory=dict)
 
@@ -134,7 +119,7 @@ class QAItem:
             "format": self.format,
             "prompt": self.prompt,
             "answer": self.answer_text,
-            "payload": self.payload.to_dict(),
+            "payload": self.payload,
             "provenance": self.provenance,
         }
         if self.options is not None:

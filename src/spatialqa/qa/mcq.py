@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..quantity import format_quantity
-from .items import Payload
 
 NUMERIC_MULTIPLIERS = (0.5, 1.5, 2.5)
 LETTERS = ("A", "B", "C", "D")
@@ -43,21 +42,22 @@ def label_options(value: str, pool: list[str]) -> list[str] | None:
     return [value] + distractors[:3]
 
 
-def make_mcq(payload: Payload, rng: np.random.Generator,
+def make_mcq(payload: dict, rng: np.random.Generator,
              label_pool: list[str] | None = None
              ) -> tuple[list[str], str] | None:
     """Four shuffled options and the correct letter; None when the payload
     kind cannot support a well-formed MCQ."""
-    if payload.kind == "quantity":
-        raw = quantity_options(float(payload.value))
-    elif payload.kind == "count":
-        raw = count_options(int(payload.value))
-    elif payload.kind == "label":
+    kind, value = payload["kind"], payload["value"]
+    if kind == "quantity":
+        raw = quantity_options(float(value))
+    elif kind == "count":
+        raw = count_options(int(value))
+    elif kind == "label":
         if not label_pool:
             return None
         shuffled_pool = [label_pool[i]
                          for i in rng.permutation(len(label_pool))]
-        raw = label_options(str(payload.value), shuffled_pool)
+        raw = label_options(str(value), shuffled_pool)
         if raw is None:
             return None
     else:

@@ -27,11 +27,10 @@ from ..relations import (
     orientation_label,
     perspective_transform,
     relational_comparison,
-    relative_direction,
-    relative_distance,
+    relative_position,
     spatial_count,
 )
-from .items import Payload, QAItem
+from .items import QAItem
 from .mcq import (
     DIRECTION_LABELS,
     FACING_LABELS,
@@ -138,28 +137,29 @@ class _SceneSynthesizer:
 
     # -- emission machinery -------------------------------------------------
 
-    def _corrupt(self, payload: Payload, label_pool: list[str] | None):
+    def _corrupt(self, payload: dict, label_pool: list[str] | None):
         """A clearly-false stated value for a negative True/False item."""
         rng = self.rng
-        if payload.kind in ("quantity", "vector3"):
+        kind, value = payload["kind"], payload["value"]
+        if kind in ("quantity", "vector3"):
             k = int(rng.integers(0, len(NUMERIC_MULTIPLIERS)))
-            if payload.kind == "quantity":
-                return float(payload.value) * NUMERIC_MULTIPLIERS[k]
-            return [float(v) * NUMERIC_MULTIPLIERS[k] for v in payload.value]
-        if payload.kind == "count":
-            truth = int(payload.value)
+            if kind == "quantity":
+                return float(value) * NUMERIC_MULTIPLIERS[k]
+            return [float(v) * NUMERIC_MULTIPLIERS[k] for v in value]
+        if kind == "count":
+            truth = int(value)
             delta = int(rng.integers(1, 3))
             return truth + delta if truth == 0 or rng.random() < 0.5 \
                 else max(0, truth - delta)
-        if payload.kind == "label":
-            pool = [p for p in (label_pool or []) if p != payload.value]
+        if kind == "label":
+            pool = [p for p in (label_pool or []) if p != value]
             if not pool:
                 return None
             return pool[int(rng.integers(0, len(pool)))]
         return None
 
     def _emit(self, family: str, template_key: str, fmt_args: dict,
-              payload: Payload, params: dict,
+              payload: dict, params: dict,
               label_pool: list[str] | None = None,
               tf_pool: list[str] | None = None,
               stated_phrase=None) -> None:
@@ -170,12 +170,12 @@ class _SceneSynthesizer:
         unambiguously wrong; ``stated_phrase`` maps a stated label to its
         in-sentence phrasing.
         """
+        kind, value = payload["kind"], payload["value"]
         available = ["free-form"]
-        if ("true-false" in TEMPLATES[template_key]
-                and payload.kind != "unit-vector"):
+        if "true-false" in TEMPLATES[template_key] and kind != "unit-vector":
             available.append("true-false")
         mcq = None
-        if payload.kind in ("quantity", "count", "label"):
+        if kind in ("quantity", "count", "label"):
             mcq = make_mcq(payload, self.rng, label_pool=label_pool)
             if mcq is not None:
                 available.append("mcq")
@@ -189,11 +189,11 @@ class _SceneSynthesizer:
             stated = None if truth else self._corrupt(
                 payload, tf_pool if tf_pool is not None else label_pool)
             if stated is None:
-                truth, stated = True, payload.value
-            if payload.kind == "label" and stated_phrase is not None:
+                truth, stated = True, value
+            if kind == "label" and stated_phrase is not None:
                 stated_text = stated_phrase(str(stated))
             else:
-                stated_text = _text(payload.kind, stated)
+                stated_text = _text(kind, stated)
             prompt = pick_template(self.rng, template_key, "true-false")
             prompt = prompt.format(stated=stated_text, **fmt_args)
             prompt += TF_SUFFIX
@@ -206,30 +206,31 @@ class _SceneSynthesizer:
                 options, answer = mcq
                 prompt += f"\n{render_options(options)}\n{MCQ_INSTRUCTION}"
             else:
-                answer = _text(payload.kind, payload.value)
+                answer = _text(kind, value)
         self.items.append(QAItem(
             item_id=f"{self.scene.image_id}:{family}:{self._seq:04d}",
             image_id=self.scene.image_id, family=family, format=fmt,
             prompt=prompt, answer_text=answer, payload=payload,
             options=options, provenance=provenance))
 
-    def _emit_direction(self, family: str, rel, choices: dict,
-                        phrases: dict, fmt_args: dict, params: dict) -> None:
+    def _emit_direction(self, family: str, labels: dict[str, str],
+                        choices: dict, phrases: dict, fmt_args: dict,
+                        params: dict) -> None:
         """One single-axis direction label, on an axis drawn from those that
         cleared the guard.  MCQ distractors exclude the labels of the other
         cleared axes (they are also true); False statements state only the
         opposites of cleared labels, which are unambiguously wrong."""
-        axes = sorted(rel.labels)
+        axes = sorted(labels)
         if not axes:
             return
         axis = axes[int(self.rng.integers(0, len(axes)))]
-        banned = {rel.labels[a] for a in axes if a != axis}
+        banned = {labels[a] for a in axes if a != axis}
         self._emit(
             family, family, {**fmt_args, "choice": choices[axis]},
-            Payload(kind="label", value=rel.labels[axis]),
+            {"kind": "label", "value": labels[axis]},
             {**params, "axis": axis},
             label_pool=[lab for lab in DIRECTION_LABELS if lab not in banned],
-            tf_pool=[OPPOSITE_LABEL[rel.labels[a]] for a in axes],
+            tf_pool=[OPPOSITE_LABEL[labels[a]] for a in axes],
             stated_phrase=phrases.get,
         )
 
@@ -254,7 +255,7 @@ class _SceneSynthesizer:
             point = [float(c) for c in pm.point_at(u, v)]
             self._emit(
                 "point_querying", "point_querying", {"u": u, "v": v},
-                Payload(kind="vector3", value=point, unit="m"),
+                {"kind": "vector3", "value": point, "unit": "m"},
                 {"u": u, "v": v},
             )
 
@@ -275,7 +276,7 @@ class _SceneSynthesizer:
             self._emit(
                 "depth_ordering", "depth_ordering",
                 {"u1": p1[0], "v1": p1[1], "u2": p2[0], "v2": p2[1]},
-                Payload(kind="label", value=order),
+                {"kind": "label", "value": order},
                 {"p1": list(p1), "p2": list(p2),
                  "margin_m": DEPTH_TIE_MARGIN_M},
                 label_pool=["first", "second"],
@@ -289,20 +290,20 @@ class _SceneSynthesizer:
             ref = self.scene.refs[obj.object_id]
             self._emit(
                 "object_localization", "object_localization", {"ref": ref},
-                Payload(kind="vector3",
-                        value=[float(c) for c in obj.center], unit="m"),
+                {"kind": "vector3", "value": [float(c) for c in obj.center],
+                 "unit": "m"},
                 {"object": obj.object_id, "aspect": "center"},
             )
             self._emit(
                 "object_localization", "object_camera_distance", {"ref": ref},
-                Payload(kind="quantity", value=obj.camera_distance, unit="m"),
+                {"kind": "quantity", "value": obj.camera_distance, "unit": "m"},
                 {"object": obj.object_id, "aspect": "camera-distance"},
             )
             for dim in SIZE_DIMENSIONS:
                 self._emit(
                     "object_size", "object_size", {"ref": ref, "dimension": dim},
-                    Payload(kind="quantity",
-                            value=float(obj.size[DIM_INDEX[dim]]), unit="m"),
+                    {"kind": "quantity",
+                     "value": float(obj.size[DIM_INDEX[dim]]), "unit": "m"},
                     {"object": obj.object_id, "dimension": dim},
                 )
             if obj.yaw_deg is not None:
@@ -310,7 +311,7 @@ class _SceneSynthesizer:
                 if label is not None:
                     self._emit(
                         "object_orientation", "object_orientation", {"ref": ref},
-                        Payload(kind="label", value=label),
+                        {"kind": "label", "value": label},
                         {"object": obj.object_id},
                         label_pool=list(FACING_LABELS),
                     )
@@ -325,32 +326,28 @@ class _SceneSynthesizer:
             a, b = self.objects[i], self.objects[j]
             ta, tb = self.scene.refs[a.object_id], self.scene.refs[b.object_id]
             try:
-                rel = relative_direction(a, b, gf)
+                vector, labels, distances = relative_position(a, b, gf)
             except RelationError:  # coincident centers: no direction
                 continue
             self._emit_direction(
-                "relative_direction", rel, _AXIS_CHOICE_CAMERA,
+                "relative_direction", labels, _AXIS_CHOICE_CAMERA,
                 _RELATION_PHRASE, {"a": ta, "b": tb},
                 {"a": a.object_id, "b": b.object_id})
             self._emit(
                 "relative_direction", "relative_direction_precise",
                 {"a": ta, "b": tb},
-                Payload(kind="unit-vector",
-                        value=[float(v) for v in rel.vector]),
+                {"kind": "unit-vector", "value": [float(v) for v in vector]},
                 {"a": a.object_id, "b": b.object_id, "precise": True},
             )
-            dist = relative_distance(a, b, gf)
-            components = [c for c in ("euclidean", "vertical", "horizontal",
-                                      "depthwise")
-                          if dist.component(c) >= DISTANCE_FLOOR_M]
+            components = [c for c, d in distances.items()
+                          if d >= DISTANCE_FLOOR_M]
             if components:
                 comp = components[int(self.rng.integers(0, len(components)))]
                 self._emit(
                     "relative_distance", "relative_distance",
                     {"a": ta, "b": tb,
                      "component_phrase": _COMPONENT_PHRASE[comp]},
-                    Payload(kind="quantity", value=dist.component(comp),
-                            unit="m"),
+                    {"kind": "quantity", "value": distances[comp], "unit": "m"},
                     {"a": a.object_id, "b": b.object_id, "component": comp},
                 )
 
@@ -362,36 +359,31 @@ class _SceneSynthesizer:
         candidates = []
         for attribute in ("camera-distance", "width", "height", "volume"):
             for mode in ("extreme-min", "extreme-max", "full-order"):
-                result = relational_comparison(self.objects, attribute, mode)
-                if result is not None:
-                    candidates.append(result)
-        for result in self._sample(candidates, MAX_COMPARISONS):
-            ordered_texts = [self.scene.refs[oid] for oid in result.ordering]
+                ids = relational_comparison(self.objects, attribute, mode)
+                if ids is not None:
+                    candidates.append((attribute, mode, ids))
+        for attribute, mode, ids in self._sample(candidates, MAX_COMPARISONS):
+            ordered_texts = [self.scene.refs[oid] for oid in ids]
             listing_order = self.rng.permutation(len(ordered_texts))
             listing = _listing([ordered_texts[k] for k in listing_order])
-            ids = result.ordering
-            texts = {oid: self.scene.refs[oid] for oid in ids}
-            if result.mode == "full-order":
-                answer = ", ".join(ordered_texts)
-                low, high = _ORDER_WORDS[result.attribute]
+            params = {"objects": ids, "attribute": attribute, "mode": mode,
+                      "texts": dict(zip(ids, ordered_texts))}
+            if mode == "full-order":
+                low, high = _ORDER_WORDS[attribute]
                 self._emit(
                     "relational_comparison", "relational_order",
                     {"listing": listing, "low": low, "high": high},
-                    Payload(kind="label", value=answer),
-                    {"objects": ids, "attribute": result.attribute,
-                     "mode": result.mode, "texts": texts},
-                    label_pool=self._order_pool(ordered_texts),
+                    {"kind": "label", "value": ", ".join(ordered_texts)},
+                    params, label_pool=self._order_pool(ordered_texts),
                 )
             else:
-                superl = _SUPERLATIVE[(result.attribute, result.mode)]
-                selected_text = self.scene.refs[result.selected]
+                selected = ids[0] if mode == "extreme-min" else ids[-1]
                 self._emit(
                     "relational_comparison", "relational_comparison",
-                    {"listing": listing, "superlative": superl},
-                    Payload(kind="label", value=selected_text),
-                    {"objects": ids, "attribute": result.attribute,
-                     "mode": result.mode, "texts": texts},
-                    label_pool=ordered_texts,
+                    {"listing": listing,
+                     "superlative": _SUPERLATIVE[(attribute, mode)]},
+                    {"kind": "label", "value": self.scene.refs[selected]},
+                    params, label_pool=ordered_texts,
                 )
 
     def _order_pool(self, ordered_texts: list[str]) -> list[str]:
@@ -416,7 +408,7 @@ class _SceneSynthesizer:
                 "relational_comparison", "orientation_consistency",
                 {"a": self.scene.refs[a.object_id],
                  "b": self.scene.refs[b.object_id]},
-                Payload(kind="label", value=rel),
+                {"kind": "label", "value": rel},
                 {"a": a.object_id, "b": b.object_id,
                  "attribute": "orientation"},
                 label_pool=["similar", "orthogonal", "opposite"],
@@ -431,15 +423,16 @@ class _SceneSynthesizer:
             self._seq += 1
             item_id = f"{self.scene.image_id}:problem_solving:{self._seq:04d}"
             if problem.kind == "numeric":
-                payload = Payload(kind="quantity",
-                                  value=float(problem.answer_value), unit="m")
+                payload = {"kind": "quantity",
+                           "value": float(problem.answer_value), "unit": "m"}
             else:
-                payload = Payload(kind="label", value=str(problem.answer_value))
+                payload = {"kind": "label",
+                           "value": str(problem.answer_value)}
             self.items.append(QAItem(
                 item_id=item_id, image_id=self.scene.image_id,
                 family="problem_solving", format="free-form",
                 prompt=problem.question, payload=payload,
-                answer_text=_text(payload.kind, payload.value),
+                answer_text=_text(payload["kind"], payload["value"]),
                 provenance={"check": problem.check, "kind": problem.kind},
             ))
 
@@ -449,22 +442,22 @@ class _SceneSynthesizer:
                   if t.object_id != a.object_id]
         for anchor, target in self._sample(combos, MAX_PERSPECTIVE):
             try:
-                direction, distance = perspective_transform(
+                labels, distances = perspective_transform(
                     anchor, target, self.scene.gf)
             except RelationError:  # target at the anchor: no direction
                 continue
             ta = self.scene.refs[anchor.object_id]
             tt = self.scene.refs[target.object_id]
             self._emit_direction(
-                "perspective_taking", direction, _AXIS_CHOICE_ANCHOR,
+                "perspective_taking", labels, _AXIS_CHOICE_ANCHOR,
                 _ANCHOR_PHRASE, {"anchor": ta, "target": tt},
                 {"anchor": anchor.object_id, "target": target.object_id})
-            if distance.euclidean >= DISTANCE_FLOOR_M:
+            if distances["euclidean"] >= DISTANCE_FLOOR_M:
                 self._emit(
                     "perspective_taking", "perspective_distance",
                     {"anchor": ta, "target": tt},
-                    Payload(kind="quantity", value=distance.euclidean,
-                            unit="m"),
+                    {"kind": "quantity", "value": distances["euclidean"],
+                     "unit": "m"},
                     {"anchor": anchor.object_id,
                      "target": target.object_id, "aspect": "distance"},
                 )
@@ -494,7 +487,7 @@ class _SceneSynthesizer:
                 {"category": category,
                  "relation_phrase": _RELATION_PHRASE[label],
                  "anchor": self.scene.refs[anchor.object_id]},
-                Payload(kind="count", value=count),
+                {"kind": "count", "value": count},
                 {"category": category, "anchor": anchor.object_id,
                  "label": label},
             )

@@ -18,7 +18,7 @@ facing direction (the camera's forward axis for camera-frame questions),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,24 +76,6 @@ class SceneObject:
     @property
     def camera_distance(self) -> float:
         return float(np.linalg.norm(self.center))
-
-
-@dataclass
-class DirectionResult:
-    vector: np.ndarray            # unit vector, camera or anchor frame
-    components: np.ndarray        # unit vector in the labeling frame
-    labels: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class DistanceResult:
-    euclidean: float
-    vertical: float
-    horizontal: float      # single left-right world component
-    depthwise: float
-
-    def component(self, name: str) -> float:
-        return getattr(self, name)
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +146,14 @@ def _label_components(unit: np.ndarray) -> dict[str, str]:
     return labels
 
 
-def relative_direction(a: SceneObject, b: SceneObject,
-                       gf: GravityFrame) -> DirectionResult:
-    """Direction from a to b: camera-frame unit vector plus per-axis labels.
+def relative_position(a: SceneObject, b: SceneObject, gf: GravityFrame
+                      ) -> tuple[np.ndarray, dict[str, str], dict[str, float]]:
+    """Where b is from a: the camera-frame unit vector, the per-axis labels
+    and the distances (see ``_distances``).
 
     Labels are evaluated on the gravity-aligned world components and only
-    emitted for axes where the component clears the guard band.
+    emitted for axes where the component clears the guard band; the
+    distances decompose b - a in the same world frame.
     """
     delta = b.center.astype(float) - a.center.astype(float)
     norm = float(np.linalg.norm(delta))
@@ -177,27 +161,19 @@ def relative_direction(a: SceneObject, b: SceneObject,
         raise RelationError(
             f"objects {a.object_id!r} and {b.object_id!r} have coincident centers"
         )
-    vec_cam = delta / norm
-    comp = gf.to_world(delta) / norm
-    return DirectionResult(vector=vec_cam, components=comp,
-                           labels=_label_components(comp))
+    world = gf.to_world(delta)
+    return delta / norm, _label_components(world / norm), _distances(world)
 
 
-def relative_distance(a: SceneObject, b: SceneObject,
-                      gf: GravityFrame) -> DistanceResult:
-    """Distance decomposition of b - a in the gravity-aligned world frame."""
-    return _distance_result(
-        gf.to_world(b.center.astype(float) - a.center.astype(float)))
-
-
-def _distance_result(delta: np.ndarray) -> DistanceResult:
-    """Decomposition of a (right, down, forward) frame delta vector."""
-    return DistanceResult(
-        euclidean=float(np.linalg.norm(delta)),
-        vertical=abs(float(delta[1])),
-        horizontal=abs(float(delta[0])),
-        depthwise=abs(float(delta[2])),
-    )
+def _distances(delta: np.ndarray) -> dict[str, float]:
+    """Euclidean, vertical, horizontal (left-right) and depth-wise
+    distances of a (right, down, forward) frame delta vector."""
+    return {
+        "euclidean": float(np.linalg.norm(delta)),
+        "vertical": abs(float(delta[1])),
+        "horizontal": abs(float(delta[0])),
+        "depthwise": abs(float(delta[2])),
+    }
 
 
 ATTRIBUTE_GETTERS = {
@@ -208,14 +184,6 @@ ATTRIBUTE_GETTERS = {
 }
 
 
-@dataclass
-class ComparisonResult:
-    attribute: str
-    mode: str                      # "extreme-min" | "extreme-max" | "full-order"
-    ordering: list[str]            # object ids, ascending attribute value
-    selected: str | None = None    # for extreme modes
-
-
 def ratio_gaps_ok(values: list[float]) -> bool:
     """The 10% rule: each of the ascending ``values`` exceeds the one
     before it by at least ``COMPARISON_RATIO`` of it."""
@@ -224,8 +192,10 @@ def ratio_gaps_ok(values: list[float]) -> bool:
 
 
 def relational_comparison(objs: list[SceneObject], attribute: str,
-                          mode: str) -> ComparisonResult | None:
-    """Order or select objects by an attribute; None when the guard fails.
+                          mode: str) -> list[str] | None:
+    """Object ids in ascending order of an attribute; None when the guard
+    fails.  The selected object of "extreme-min" is the first id, that of
+    "extreme-max" the last.
 
     Extreme modes require the 10% gap only next to the selected extreme;
     a full order requires every consecutive gap, making the emitted order
@@ -240,20 +210,11 @@ def relational_comparison(objs: list[SceneObject], attribute: str,
     getter = ATTRIBUTE_GETTERS[attribute]
     pairs = sorted(((getter(o), o.object_id) for o in objs))
     values = [p[0] for p in pairs]
-
-    if mode == "full-order":
-        guarded, selected = values, None
-    elif mode == "extreme-min":
-        guarded, selected = values[:2], pairs[0][1]
-    else:
-        guarded, selected = values[-2:], pairs[-1][1]
+    guarded = {"full-order": values, "extreme-min": values[:2],
+               "extreme-max": values[-2:]}[mode]
     if not ratio_gaps_ok(guarded):
         return None
-    return ComparisonResult(
-        attribute=attribute, mode=mode,
-        ordering=[p[1] for p in pairs],
-        selected=selected,
-    )
+    return [p[1] for p in pairs]
 
 
 def orientation_consistency(a: SceneObject, b: SceneObject) -> str | None:
@@ -291,8 +252,8 @@ def _anchor_frame(anchor: SceneObject, gf: GravityFrame
 
 def perspective_transform(anchor: SceneObject, target: SceneObject,
                           gf: GravityFrame
-                          ) -> tuple[DirectionResult, DistanceResult]:
-    """Direction and distances of target in the anchor-centric frame.
+                          ) -> tuple[dict[str, str], dict[str, float]]:
+    """Direction labels and distances of target in the anchor-centric frame.
 
     The anchor frame has forward along the anchor facing (projected
     horizontal), down along gravity, right completing the frame, so the
@@ -307,10 +268,7 @@ def perspective_transform(anchor: SceneObject, target: SceneObject,
     norm = float(np.linalg.norm(delta))
     if norm < 1e-9:
         raise RelationError("target coincides with the anchor")
-    unit = delta / norm
-    direction = DirectionResult(vector=unit, components=unit,
-                                labels=_label_components(unit))
-    return direction, _distance_result(delta)
+    return _label_components(delta / norm), _distances(delta)
 
 
 def spatial_count(objs: list[SceneObject], category: str,
@@ -329,9 +287,9 @@ def spatial_count(objs: list[SceneObject], category: str,
                if o.category == category and o.object_id != anchor.object_id]
     count = 0
     for member in members:
-        rel = relative_direction(anchor, member, gf)
-        if axis not in rel.labels:
+        _, labels, _ = relative_position(anchor, member, gf)
+        if axis not in labels:
             return None
-        if rel.labels[axis] == label:
+        if labels[axis] == label:
             count += 1
     return count

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from spatialqa.qa.items import Payload
 from spatialqa.qa.mcq import (
     count_options,
     label_options,
@@ -42,7 +41,7 @@ class TestLabelOptions:
 class TestMakeMcq:
     def test_quantity_mcq_shuffled_with_correct_letter(self):
         rng = np.random.default_rng(0)
-        out = make_mcq(Payload(kind="quantity", value=2.0, unit="m"), rng)
+        out = make_mcq({"kind": "quantity", "value": 2.0, "unit": "m"}, rng)
         assert out is not None
         options, letter = out
         assert len(options) == 4 and len(set(options)) == 4
@@ -50,7 +49,7 @@ class TestMakeMcq:
 
     def test_label_mcq(self):
         rng = np.random.default_rng(1)
-        out = make_mcq(Payload(kind="label", value="left"), rng,
+        out = make_mcq({"kind": "label", "value": "left"}, rng,
                        label_pool=["left", "right", "front", "behind",
                                    "above", "below"])
         options, letter = out
@@ -58,18 +57,18 @@ class TestMakeMcq:
 
     def test_vector_payload_unsupported(self):
         rng = np.random.default_rng(2)
-        assert make_mcq(Payload(kind="vector3", value=[1, 2, 3]), rng) is None
+        assert make_mcq({"kind": "vector3", "value": [1, 2, 3]}, rng) is None
 
     def test_tiny_quantity_collision_refused(self):
         # centimeter rounding can collide for sub-centimeter values
         rng = np.random.default_rng(3)
-        out = make_mcq(Payload(kind="quantity", value=0.001, unit="m"), rng)
+        out = make_mcq({"kind": "quantity", "value": 0.001, "unit": "m"}, rng)
         assert out is None
 
     def test_seeded_order(self):
-        a = make_mcq(Payload(kind="quantity", value=2.0, unit="m"),
+        a = make_mcq({"kind": "quantity", "value": 2.0, "unit": "m"},
                      np.random.default_rng(5))
-        b = make_mcq(Payload(kind="quantity", value=2.0, unit="m"),
+        b = make_mcq({"kind": "quantity", "value": 2.0, "unit": "m"},
                      np.random.default_rng(5))
         assert a == b
 

@@ -10,7 +10,6 @@ from spatialqa.manifest import ManifestError
 from spatialqa.qa.items import (
     FAMILIES,
     FAMILY_WEIGHTS,
-    Payload,
     QAItem,
     canonical_json,
     derive_seed,
@@ -136,21 +135,21 @@ class TestPayloads:
     def test_quantity_answers_formatted(self, rich_scene):
         items = synthesize_scene_qa(rich_scene, seed=3)
         for item in items:
-            if item.format == "free-form" and item.payload.kind == "quantity":
+            if item.format == "free-form" and item.payload["kind"] == "quantity":
                 assert "meters" in item.answer_text or \
                     "centimeters" in item.answer_text
 
     def test_counts_are_ints(self, rich_scene):
         items = synthesize_scene_qa(rich_scene, seed=3)
         for item in items:
-            if item.payload.kind == "count":
-                assert isinstance(item.payload.value, int)
+            if item.payload["kind"] == "count":
+                assert isinstance(item.payload["value"], int)
 
     def test_bad_payload_kind_rejected(self):
         item = QAItem(item_id="img:object_size:0001", image_id="img",
                       family="object_size", format="free-form", prompt="?",
                       answer_text="1",
-                      payload=Payload(kind="tensor", value=1.0))
+                      payload={"kind": "tensor", "value": 1.0})
         with pytest.raises(ManifestError, match="payload.kind 'tensor'"):
             item.to_json()
 

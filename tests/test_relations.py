@@ -18,8 +18,7 @@ from spatialqa.relations import (
     perspective_transform,
     query_point,
     relational_comparison,
-    relative_direction,
-    relative_distance,
+    relative_position,
     spatial_count,
 )
 
@@ -102,14 +101,14 @@ class TestLevel1:
 class TestRelativeDirection:
     def test_directly_right(self):
         a, b = _obj("a", (0, 0, 3)), _obj("b", (1, 0, 3))
-        rel = relative_direction(a, b, GF)
-        np.testing.assert_allclose(rel.vector, [1, 0, 0], atol=1e-12)
-        assert rel.labels == {"x": "right"}
+        vector, labels, _ = relative_position(a, b, GF)
+        np.testing.assert_allclose(vector, [1, 0, 0], atol=1e-12)
+        assert labels == {"x": "right"}
 
     def test_guard_band_suppresses_tiny_component(self):
         a, b = _obj("a", (0, 0, 3)), _obj("b", (0.01, 0, 4))
-        rel = relative_direction(a, b, GF)
-        assert rel.labels == {"z": "front"}
+        _, labels, _ = relative_position(a, b, GF)
+        assert labels == {"z": "front"}
 
     def test_antisymmetry_exact(self):
         rng = np.random.default_rng(0)
@@ -118,37 +117,41 @@ class TestRelativeDirection:
             b = _obj("b", rng.uniform(-2, 2, 3) + [0, 0, 5])
             if np.allclose(a.center, b.center):
                 continue
-            ab = relative_direction(a, b, GF)
-            ba = relative_direction(b, a, GF)
-            np.testing.assert_array_equal(ab.vector, -ba.vector)
-            for axis, lab in ab.labels.items():
+            ab_vector, ab_labels, _ = relative_position(a, b, GF)
+            ba_vector, ba_labels, _ = relative_position(b, a, GF)
+            np.testing.assert_array_equal(ab_vector, -ba_vector)
+            for axis, lab in ab_labels.items():
                 from spatialqa.relations import OPPOSITE_LABEL
-                assert ba.labels.get(axis) == OPPOSITE_LABEL[lab]
+                assert ba_labels.get(axis) == OPPOSITE_LABEL[lab]
 
     def test_above_below_with_y_down(self):
         low = _obj("low", (0, 1.0, 3))    # +y is down
         high = _obj("high", (0, -1.0, 3))
-        rel = relative_direction(low, high, GF)
-        assert rel.labels == {"y": "above"}
+        _, labels, _ = relative_position(low, high, GF)
+        assert labels == {"y": "above"}
 
     def test_coincident_centers_raise(self):
         with pytest.raises(RelationError):
-            relative_direction(_obj("a", (0, 0, 3)), _obj("b", (0, 0, 3)), GF)
+            relative_position(_obj("a", (0, 0, 3)), _obj("b", (0, 0, 3)), GF)
+
+
+def _distances(a, b, gf=GF):
+    return relative_position(a, b, gf)[2]
 
 
 class TestRelativeDistance:
     def test_pure_vertical(self):
-        d = relative_distance(_obj("a", (0, 0, 3)), _obj("b", (0, 2, 3)), GF)
-        assert d.vertical == pytest.approx(2.0)
-        assert d.horizontal == 0.0 and d.depthwise == 0.0
-        assert d.euclidean == pytest.approx(2.0)
+        d = _distances(_obj("a", (0, 0, 3)), _obj("b", (0, 2, 3)))
+        assert d["vertical"] == pytest.approx(2.0)
+        assert d["horizontal"] == 0.0 and d["depthwise"] == 0.0
+        assert d["euclidean"] == pytest.approx(2.0)
 
     def test_1_2_2_triple(self):
-        d = relative_distance(_obj("a", (0, 0, 3)), _obj("b", (1, 2, 5)), GF)
-        assert d.euclidean == pytest.approx(3.0)
-        assert d.horizontal == pytest.approx(1.0)
-        assert d.vertical == pytest.approx(2.0)
-        assert d.depthwise == pytest.approx(2.0)
+        d = _distances(_obj("a", (0, 0, 3)), _obj("b", (1, 2, 5)))
+        assert d["euclidean"] == pytest.approx(3.0)
+        assert d["horizontal"] == pytest.approx(1.0)
+        assert d["vertical"] == pytest.approx(2.0)
+        assert d["depthwise"] == pytest.approx(2.0)
 
     def test_pythagorean_identity(self):
         rng = np.random.default_rng(1)
@@ -158,17 +161,17 @@ class TestRelativeDistance:
             tilt = rng.uniform(-0.3, 0.3)
             g = np.array([math.sin(tilt), math.cos(tilt), 0.0])
             gf = gravity_frame(g)
-            d = relative_distance(a, b, gf)
-            assert d.euclidean**2 == pytest.approx(
-                d.vertical**2 + d.horizontal**2 + d.depthwise**2, abs=1e-9)
+            d = _distances(a, b, gf)
+            assert d["euclidean"]**2 == pytest.approx(
+                d["vertical"]**2 + d["horizontal"]**2 + d["depthwise"]**2,
+                abs=1e-9)
 
 
 class TestRelationalComparison:
     def test_extreme_min_camera_distance(self):
         objs = [_obj("a", (0, 0, 2)), _obj("b", (0, 0, 3)), _obj("c", (0, 0, 5))]
-        r = relational_comparison(objs, "camera-distance", "extreme-min")
-        assert r.selected == "a"
-        assert r.ordering == ["a", "b", "c"]
+        ids = relational_comparison(objs, "camera-distance", "extreme-min")
+        assert ids == ["a", "b", "c"]  # the selected minimum comes first
 
     def test_guard_suppresses_close_heights(self):
         objs = [_obj("a", (0, 0, 2), size=(1, 1.0, 1)),
@@ -179,8 +182,8 @@ class TestRelationalComparison:
         objs = [_obj("a", (0, 0, 2)), _obj("b", (0, 0, 2.15)), _obj("c", (0, 0, 5))]
         # a-b gap is only 7.5%
         assert relational_comparison(objs, "camera-distance", "full-order") is None
-        r = relational_comparison(objs, "camera-distance", "extreme-max")
-        assert r is not None and r.selected == "c"
+        ids = relational_comparison(objs, "camera-distance", "extreme-max")
+        assert ids is not None and ids[-1] == "c"
 
     def test_needs_two_objects(self):
         with pytest.raises(RelationError):
@@ -205,18 +208,18 @@ class TestPerspective:
     def test_target_along_facing_is_front(self):
         anchor = _obj("a", (0, 0, 3), yaw=90.0)  # facing world +x
         target = _obj("t", (2, 0, 3))
-        direction, distance = perspective_transform(anchor, target, GF)
-        assert direction.labels == {"z": "front"}
-        assert distance.euclidean == pytest.approx(2.0)
+        labels, distances = perspective_transform(anchor, target, GF)
+        assert labels == {"z": "front"}
+        assert distances["euclidean"] == pytest.approx(2.0)
 
     def test_180_rotation_flips_left_right(self):
         target = _obj("t", (1, 0, 5))
         a0 = _obj("a", (0, 0, 5), yaw=0.0)
         a180 = _obj("a", (0, 0, 5), yaw=180.0)
-        d0, _ = perspective_transform(a0, target, GF)
-        d180, _ = perspective_transform(a180, target, GF)
-        assert d0.labels == {"x": "left"}
-        assert d180.labels == {"x": "right"}
+        labels0, _ = perspective_transform(a0, target, GF)
+        labels180, _ = perspective_transform(a180, target, GF)
+        assert labels0 == {"x": "left"}
+        assert labels180 == {"x": "right"}
 
     def test_camera_pose_reproduces_relative_ops(self):
         rng = np.random.default_rng(2)
@@ -227,22 +230,18 @@ class TestPerspective:
             t = _obj("t", rng.uniform(-2, 2, 3) + [0, 0, 5])
             tilt = rng.uniform(-0.2, 0.2)
             gf = gravity_frame(np.array([0.0, math.cos(tilt), math.sin(tilt)]))
-            rel = relative_direction(origin, t, gf)
-            dist = relative_distance(origin, t, gf)
-            pdir, pdist = perspective_transform(camera, t, gf)
-            assert pdir.labels == rel.labels
-            np.testing.assert_allclose(pdir.components, rel.components, atol=1e-12)
-            assert pdist.euclidean == pytest.approx(dist.euclidean, abs=1e-12)
-            assert pdist.vertical == pytest.approx(dist.vertical, abs=1e-12)
-            assert pdist.horizontal == pytest.approx(dist.horizontal, abs=1e-12)
-            assert pdist.depthwise == pytest.approx(dist.depthwise, abs=1e-12)
+            _, labels, dist = relative_position(origin, t, gf)
+            plabels, pdist = perspective_transform(camera, t, gf)
+            assert plabels == labels
+            for name in ("euclidean", "vertical", "horizontal", "depthwise"):
+                assert pdist[name] == pytest.approx(dist[name], abs=1e-12)
 
     def test_observer_pose(self):
         pose = _obj("observer", (0, 0, 5.0), yaw=0.0)
         target = _obj("t", (0, 0, 3.0))  # between camera and observer
-        direction, distance = perspective_transform(pose, target, GF)
-        assert direction.labels == {"z": "front"}  # observer faces the camera
-        assert distance.euclidean == pytest.approx(2.0)
+        labels, distances = perspective_transform(pose, target, GF)
+        assert labels == {"z": "front"}  # observer faces the camera
+        assert distances["euclidean"] == pytest.approx(2.0)
 
     def test_anchor_without_yaw_raises(self):
         with pytest.raises(RelationError):
@@ -287,16 +286,18 @@ class TestGuardConfig:
         for _ in range(20):
             a = _obj("a", rng.uniform(-2, 2, 3) + [0, 0, 5], yaw=40.0)
             b = _obj("b", rng.uniform(-2, 2, 3) + [0, 0, 5], yaw=160.0)
-            d0 = relative_distance(a, b, GF)
+            d0 = _distances(a, b)
             pd0, pdist0 = perspective_transform(a, b, GF)
             phi = float(rng.uniform(0, 360))
             R = box_local_axes(phi).T
             a2 = _obj("a", R @ a.center, yaw=a.yaw_deg + phi)
             b2 = _obj("b", R @ b.center, yaw=b.yaw_deg + phi)
-            d1 = relative_distance(a2, b2, GF)
+            d1 = _distances(a2, b2)
             pd1, pdist1 = perspective_transform(a2, b2, GF)
-            assert d1.euclidean == pytest.approx(d0.euclidean, abs=1e-9)
-            assert d1.vertical == pytest.approx(d0.vertical, abs=1e-9)
-            assert pd1.labels == pd0.labels
-            assert pdist1.euclidean == pytest.approx(pdist0.euclidean, abs=1e-9)
-            assert pdist1.horizontal == pytest.approx(pdist0.horizontal, abs=1e-9)
+            assert d1["euclidean"] == pytest.approx(d0["euclidean"], abs=1e-9)
+            assert d1["vertical"] == pytest.approx(d0["vertical"], abs=1e-9)
+            assert pd1 == pd0
+            assert pdist1["euclidean"] == pytest.approx(pdist0["euclidean"],
+                                                        abs=1e-9)
+            assert pdist1["horizontal"] == pytest.approx(
+                pdist0["horizontal"], abs=1e-9)
