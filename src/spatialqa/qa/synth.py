@@ -39,7 +39,13 @@ from .mcq import (
     render_options,
 )
 from .problem import ValidatedProblem
-from .templates import MCQ_INSTRUCTION, TEMPLATES, TF_SUFFIX, pick_template
+from .templates import (
+    MCQ_INSTRUCTION,
+    TEMPLATES,
+    TF_SUFFIX,
+    pick_template,
+    plural,
+)
 
 
 @dataclass
@@ -65,9 +71,9 @@ SIZE_DIMENSIONS = ("width", "height", "depth")
 
 
 _AXIS_CHOICE_CAMERA = {
-    "x": "to the left or to the right of",
+    "x": "to the left or to the right",
     "y": "above or below",
-    "z": "in front of (farther along the viewing direction) or behind",
+    "z": "in front (farther along the viewing direction) or behind",
 }
 _AXIS_CHOICE_ANCHOR = {
     "x": "to your left or to your right",
@@ -207,6 +213,7 @@ class _SceneSynthesizer:
                 prompt += f"\n{render_options(options)}\n{MCQ_INSTRUCTION}"
             else:
                 answer = _text(kind, value)
+        prompt = prompt[0].upper() + prompt[1:]
         self.items.append(QAItem(
             item_id=f"{self.scene.image_id}:{family}:{self._seq:04d}",
             image_id=self.scene.image_id, family=family, format=fmt,
@@ -484,7 +491,7 @@ class _SceneSynthesizer:
                 candidates, MAX_COUNTING):
             self._emit(
                 "spatial_counting", "spatial_counting",
-                {"category": category,
+                {"categories": plural(category),
                  "relation_phrase": _RELATION_PHRASE[label],
                  "anchor": self.scene.refs[anchor.object_id]},
                 {"kind": "count", "value": count},

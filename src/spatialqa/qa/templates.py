@@ -18,11 +18,12 @@ import numpy as np
 #   object_orientation  ref, stated (tf)
 #   object_size         ref, dimension, stated (tf)
 #   object_localization ref, stated (tf)
-#   relative_direction  a, b, choice ("left or right" etc.), stated (tf)
+#   relative_direction  a, b, choice ("above or below" etc.), stated (tf)
 #   relative_distance   a, b, component_phrase, stated (tf)
 #   relational_comparison  listing, superlative / low, high, stated (tf)
 #   perspective_taking  anchor, target, choice, stated (tf)
-#   spatial_counting    category, relation_phrase, anchor, stated (tf)
+#   spatial_counting    categories (see plural), relation_phrase, anchor,
+#                       stated (tf)
 TEMPLATES: dict[str, dict[str, list[str]]] = {
     "point_querying": {
         "free-form": [
@@ -83,7 +84,7 @@ TEMPLATES: dict[str, dict[str, list[str]]] = {
     },
     "relative_direction": {
         "free-form": [
-            "Is {b} {choice} of {a}?",
+            "Compared with {a}, is {b} {choice}?",
             "Relative to {a}, is {b} {choice}?",
         ],
         "true-false": [
@@ -149,17 +150,29 @@ TEMPLATES: dict[str, dict[str, list[str]]] = {
     },
     "spatial_counting": {
         "free-form": [
-            "How many {category}s are {relation_phrase} {anchor}?",
-            "Count the {category}s that are {relation_phrase} {anchor}.",
+            "How many {categories} are {relation_phrase} {anchor}?",
+            "Count the {categories} that are {relation_phrase} {anchor}.",
         ],
         "true-false": [
-            "There are {stated} {category}s {relation_phrase} {anchor}.",
+            "The number of {categories} {relation_phrase} {anchor} is {stated}.",
         ],
     },
 }
 
 TF_SUFFIX = " True or False?"
 MCQ_INSTRUCTION = "Answer with the letter of the correct option."
+
+
+def plural(noun: str) -> str:
+    """English plural of a category name: "bench" -> "benches",
+    "library" -> "libraries", "shelf" -> "shelves", "chair" -> "chairs"."""
+    if noun.endswith(("s", "x", "z", "ch", "sh")):
+        return noun + "es"
+    if len(noun) > 1 and noun[-1] == "y" and noun[-2] not in "aeiou":
+        return noun[:-1] + "ies"
+    if noun.endswith("lf"):
+        return noun[:-1] + "ves"
+    return noun + "s"
 
 
 def pick_template(rng: np.random.Generator, key: str, fmt: str) -> str:

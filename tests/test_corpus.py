@@ -2,6 +2,7 @@
 writes a line and where ``evaluate`` and ``oracle check`` read it."""
 
 import json
+import re
 import sys
 
 import pytest
@@ -78,6 +79,17 @@ class TestReferenceCorpora:
             assert lines
             assert read_corpus(corpus) == [json.loads(line)
                                            for line in lines]
+
+    # phrasings that the template fields once produced: a doubled or a
+    # dangling "of", "of" after a bare preposition, a count agreeing with
+    # a plural noun, a lowercase reference text opening the sentence
+    BROKEN = re.compile(r"\bof of\b|\b(above|below|behind) of\b|\bof\?"
+                        r"|There are 1 |^[a-z]")
+
+    def test_prompts_read_as_english(self, reference):
+        broken = [item["prompt"] for item in read_corpus(reference.gt)
+                  if self.BROKEN.search(item["prompt"])]
+        assert broken == []
 
 
 class TestHostileLines:

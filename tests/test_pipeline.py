@@ -242,11 +242,11 @@ class TestReferenceCorpusBytes:
 
     def test_gt_box_corpus(self, reference):
         assert self._sha256(reference.gt) == \
-            "6437c869484e7ca81f59425c7c8d4932af038c1756a5c1cf1f6c90b3192d96ae"
+            "9d77e88f0b6111c2921b4d062ced3f42279b099fbaf25fe99c75974dd323202a"
 
     def test_estimation_corpus(self, reference):
         assert self._sha256(reference.estimation) == \
-            "17d7158e1f3171dfbd880ce4e70457c18d49fa6f7b7a1b5193147c9bfbedfda6"
+            "11ac728109646726f55249ab6821027ee1f1e9a38ec668cfbe4442b57fe3013f"
 
     @staticmethod
     def _wrong(item: dict) -> str:

@@ -14,7 +14,9 @@ from spatialqa.qa.items import (
     canonical_json,
     derive_seed,
 )
+from spatialqa.oracle.scene import CATEGORY_POOL
 from spatialqa.qa.synth import Scene, synthesize_scene_qa
+from spatialqa.qa.templates import plural
 from spatialqa.references import assign_references
 from spatialqa.relations import SceneObject
 
@@ -185,3 +187,24 @@ class TestSamplingConfig:
     def test_canonical_json_stable(self):
         assert canonical_json({"b": 1, "a": [1.5, "x"]}) == \
             '{"a":[1.5,"x"],"b":1}'
+
+
+class TestPlural:
+    def test_every_oracle_category(self):
+        expected = {
+            "chair": "chairs", "table": "tables", "sofa": "sofas",
+            "lamp": "lamps", "bed": "beds", "desk": "desks",
+            "shelf": "shelves", "cabinet": "cabinets",
+            "television": "televisions", "plant": "plants",
+            "pillow": "pillows", "rug": "rugs", "mirror": "mirrors",
+            "stool": "stools", "bench": "benches", "dresser": "dressers",
+            "ottoman": "ottomans", "bookcase": "bookcases",
+            "nightstand": "nightstands", "armchair": "armchairs",
+        }
+        assert {c: plural(c) for c in CATEGORY_POOL} == expected
+
+    def test_rules(self):
+        assert [plural(n) for n in ("box", "glass", "dish", "library",
+                                    "tray", "half", "y")] == [
+            "boxes", "glasses", "dishes", "libraries", "trays", "halves",
+            "ys"]
