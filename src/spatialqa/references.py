@@ -2,8 +2,9 @@
 
 ``assign_references`` gives each object one text.  A caption that passed
 grounding verification (exactly one grounder box, IoU > 0.7) is the
-object's text.  Otherwise its same-category group takes the first rule
-that names every member apart:
+object's text, unless it is blank or also another object's text.
+Otherwise its same-category group takes the first rule that names every
+member apart:
 
   "the sofa"                        sole instance of its category
   "the second chair from the left"  linear order: centers in a near-linear
@@ -17,6 +18,8 @@ palette counted over the scene's objects in order.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -216,21 +219,39 @@ def _group_texts(group: list[SceneObject], gf: GravityFrame
 def assign_references(objs: list[SceneObject], gf: GravityFrame,
                       verified_captions: dict[str, str] | None = None
                       ) -> dict[str, str]:
-    """One unique text per object id, in the order of ``objs``."""
-    verified_captions = verified_captions or {}
+    """One unique text per object id, in the order of ``objs``.
+
+    A verified caption that is blank, or that is also another object's
+    text, is not used: its object takes the text it would get without one.
+    """
     groups: dict[str, list[SceneObject]] = {}
     for o in objs:
         groups.setdefault(o.category, []).append(o)
     named: dict[str, str] = {}
     for group in groups.values():
         named.update(_group_texts(group, gf))
+    verified_captions = verified_captions or {}
+    captions = {o.object_id: verified_captions[o.object_id] for o in objs
+                if verified_captions.get(o.object_id, "").strip()}
+    while True:
+        texts = _texts(objs, named, captions)
+        shared = Counter(texts.values())
+        clashing = [oid for oid in captions if shared[texts[oid]] > 1]
+        if not clashing:
+            return texts
+        for oid in clashing:
+            del captions[oid]
 
+
+def _texts(objs: list[SceneObject], named: dict[str, str],
+           captions: dict[str, str]) -> dict[str, str]:
+    """Caption, else group text, else the box fallback of each object."""
     texts: dict[str, str] = {}
     fallback_index = 0
     for o in objs:
         oid = o.object_id
-        if oid in verified_captions:
-            texts[oid] = verified_captions[oid]
+        if oid in captions:
+            texts[oid] = captions[oid]
         elif oid in named:
             texts[oid] = named[oid]
         else:

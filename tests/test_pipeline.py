@@ -67,6 +67,19 @@ class TestBuildScene:
         scene = build_scene(entry, dataset.manifest_path, PipelineConfig())
         assert scene.refs[ann.object_id] == "a very specific thing"
 
+    def test_blank_or_shared_caption_not_used(self, dataset):
+        entry = next(e for e in read_manifest(dataset.manifest_path)
+                     if len(e.objects) >= 3)
+        plain = build_scene(entry, dataset.manifest_path, PipelineConfig())
+        anns = entry.objects[:3]
+        # each grounding record matches its own object's box exactly
+        for ann, caption in zip(anns, ("the chair", "the chair", "")):
+            ann.captions = [caption]
+            ann.grounding = [{"boxes": [list(ann.box2d)]}]
+        scene = build_scene(entry, dataset.manifest_path, PipelineConfig())
+        assert scene.refs == plain.refs
+        assert len(set(scene.refs.values())) == len(scene.refs)
+
     def test_grounder_verification_flow(self, dataset, tmp_path):
         entries = read_manifest(dataset.manifest_path)
         entry = entries[0]

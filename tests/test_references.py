@@ -197,6 +197,15 @@ class TestSelectAndAssign:
         assert refs == {"a": "the red office chair",
                         "b": "the rightmost chair"}
 
+    def test_blank_or_shared_caption_not_used(self):
+        objs = [_obj("a", (-1, 0, 3)), _obj("b", (1, 0, 3)),
+                _obj("s", (0, 0, 3), category="sofa"),
+                _obj("t", (0, 1, 3), category="table")]
+        refs = assign_references(objs, GF, verified_captions={
+            "a": "the chair", "b": "the chair", "s": " ", "t": "the sofa"})
+        assert refs == {"a": "the leftmost chair", "b": "the rightmost chair",
+                        "s": "the sofa", "t": "the table"}
+
     def test_category_unique_beats_positional(self):
         objs = [_obj("c1", (-1, 0, 3)), _obj("s", (0, 0, 3), category="sofa"),
                 _obj("c2", (1, 0, 3))]
