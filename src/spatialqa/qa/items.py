@@ -1,4 +1,4 @@
-"""QA item schema, task families and their training-mix weights."""
+"""QA item schema and task families."""
 
 from __future__ import annotations
 
@@ -27,21 +27,6 @@ FAMILIES: dict[str, int] = {
 }
 
 FORMATS = ("free-form", "mcq", "true-false")
-
-# training-mix fractions per family (sum to 1)
-FAMILY_WEIGHTS: dict[str, float] = {
-    "point_querying": 0.1051,
-    "depth_ordering": 0.0269,
-    "object_orientation": 0.0351,
-    "object_size": 0.1156,
-    "object_localization": 0.0831,
-    "relative_direction": 0.2609,
-    "relative_distance": 0.1349,
-    "relational_comparison": 0.1153,
-    "perspective_taking": 0.0422,
-    "spatial_counting": 0.0752,
-    "problem_solving": 0.0057,
-}
 
 PAYLOAD_KINDS = ("quantity", "vector3", "unit-vector", "label", "count")
 

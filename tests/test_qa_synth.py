@@ -9,7 +9,6 @@ from spatialqa.geometry import IDENTITY_GRAVITY, gravity_frame
 from spatialqa.manifest import ManifestError
 from spatialqa.qa.items import (
     FAMILIES,
-    FAMILY_WEIGHTS,
     QAItem,
     canonical_json,
     derive_seed,
@@ -176,13 +175,7 @@ class TestTrueFalseBalance:
 
 
 class TestSamplingConfig:
-    """The training mix over the task families, ``FAMILY_WEIGHTS``."""
-
-    def test_default_weights_sum_to_one(self):
-        assert FAMILY_WEIGHTS.keys() == FAMILIES.keys()
-        assert all(w >= 0 for w in FAMILY_WEIGHTS.values())
-        assert abs(sum(FAMILY_WEIGHTS.values()) - 1.0) < 1e-9
-        assert FAMILY_WEIGHTS["relative_direction"] == pytest.approx(0.2609)
+    """Corpus line serialization."""
 
     def test_canonical_json_stable(self):
         assert canonical_json({"b": 1, "a": [1.5, "x"]}) == \
