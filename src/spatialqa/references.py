@@ -234,27 +234,20 @@ def assign_references(objs: list[SceneObject], gf: GravityFrame,
     captions = {o.object_id: verified_captions[o.object_id] for o in objs
                 if verified_captions.get(o.object_id, "").strip()}
     while True:
-        texts = _texts(objs, named, captions)
+        texts: dict[str, str] = {}
+        fallback_index = 0
+        for o in objs:
+            oid = o.object_id
+            if oid in captions:
+                texts[oid] = captions[oid]
+            elif oid in named:
+                texts[oid] = named[oid]
+            else:
+                texts[oid] = fallback_reference(o.category, fallback_index)
+                fallback_index += 1
         shared = Counter(texts.values())
         clashing = [oid for oid in captions if shared[texts[oid]] > 1]
         if not clashing:
             return texts
         for oid in clashing:
             del captions[oid]
-
-
-def _texts(objs: list[SceneObject], named: dict[str, str],
-           captions: dict[str, str]) -> dict[str, str]:
-    """Caption, else group text, else the box fallback of each object."""
-    texts: dict[str, str] = {}
-    fallback_index = 0
-    for o in objs:
-        oid = o.object_id
-        if oid in captions:
-            texts[oid] = captions[oid]
-        elif oid in named:
-            texts[oid] = named[oid]
-        else:
-            texts[oid] = fallback_reference(o.category, fallback_index)
-            fallback_index += 1
-    return texts
