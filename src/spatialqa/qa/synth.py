@@ -96,15 +96,18 @@ _COMPONENT_PHRASE = {
     "horizontal": "horizontal (left-right) distance",
     "depthwise": "depth-wise distance",
 }
+# (two listed objects, three or more): "taller" / "the tallest"
 _SUPERLATIVE = {
-    ("camera-distance", "extreme-min"): "closest to the camera",
-    ("camera-distance", "extreme-max"): "farthest from the camera",
-    ("width", "extreme-min"): "the narrowest",
-    ("width", "extreme-max"): "the widest",
-    ("height", "extreme-min"): "the shortest",
-    ("height", "extreme-max"): "the tallest",
-    ("volume", "extreme-min"): "the smallest",
-    ("volume", "extreme-max"): "the largest",
+    ("camera-distance", "extreme-min"): ("closer to the camera",
+                                         "closest to the camera"),
+    ("camera-distance", "extreme-max"): ("farther from the camera",
+                                         "farthest from the camera"),
+    ("width", "extreme-min"): ("narrower", "the narrowest"),
+    ("width", "extreme-max"): ("wider", "the widest"),
+    ("height", "extreme-min"): ("shorter", "the shortest"),
+    ("height", "extreme-max"): ("taller", "the tallest"),
+    ("volume", "extreme-min"): ("smaller", "the smallest"),
+    ("volume", "extreme-max"): ("larger", "the largest"),
 }
 _ORDER_WORDS = {
     "camera-distance": ("nearest", "farthest"),
@@ -388,7 +391,8 @@ class _SceneSynthesizer:
                 self._emit(
                     "relational_comparison", "relational_comparison",
                     {"listing": listing,
-                     "superlative": _SUPERLATIVE[(attribute, mode)]},
+                     "superlative":
+                         _SUPERLATIVE[(attribute, mode)][len(ids) > 2]},
                     {"kind": "label", "value": self.scene.refs[selected]},
                     params, label_pool=ordered_texts,
                 )

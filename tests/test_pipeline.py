@@ -255,11 +255,11 @@ class TestReferenceCorpusBytes:
 
     def test_gt_box_corpus(self, reference):
         assert self._sha256(reference.gt) == \
-            "9d77e88f0b6111c2921b4d062ced3f42279b099fbaf25fe99c75974dd323202a"
+            "6a740b5a27e156155be0479c8b099c36ef562f076386b410745724342e47dfcd"
 
     def test_estimation_corpus(self, reference):
         assert self._sha256(reference.estimation) == \
-            "11ac728109646726f55249ab6821027ee1f1e9a38ec668cfbe4442b57fe3013f"
+            "6f670bc50bb0539da8c23c9804174c03240408803c823b999d1f235f38164a73"
 
     @staticmethod
     def _wrong(item: dict) -> str:

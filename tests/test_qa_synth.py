@@ -1,6 +1,7 @@
 """Scene QA synthesis: determinism, format invariants, family coverage."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,50 @@ class TestPayloads:
                       payload={"kind": "tensor", "value": 1.0})
         with pytest.raises(ManifestError, match="payload.kind 'tensor'"):
             item.to_json()
+
+
+class TestComparatives:
+    """An extreme-mode comparison over two objects asks "which one is
+    taller?", over three or more "which one is the tallest?"."""
+
+    SUPERLATIVE = re.compile(r"\b(closest|farthest|narrowest|widest|"
+                             r"shortest|tallest|smallest|largest)\b")
+    COMPARATIVE = re.compile(r"\b(closer|farther|narrower|wider|shorter|"
+                             r"taller|smaller|larger)\b")
+
+    @staticmethod
+    def _phrases(scene) -> list[str]:
+        """The extreme-mode comparison prompts of 30 seeds, with the
+        reference texts (which may be superlatives) cut out."""
+        phrases = []
+        for seed in range(30):
+            for item in synthesize_scene_qa(scene, seed=seed):
+                if item.provenance.get("mode") in ("extreme-min",
+                                                   "extreme-max"):
+                    prompt = item.prompt
+                    for text in item.provenance["texts"].values():
+                        prompt = prompt.replace(text, "")
+                    phrases.append(prompt)
+        return phrases
+
+    def test_two_objects_take_the_comparative(self):
+        scene = _scene([
+            _obj("a", (-1.5, 0.3, 3.0), size=(0.5, 0.4, 0.5)),
+            _obj("b", (1.5, 0.1, 5.0), size=(1.0, 0.9, 1.2),
+                 category="table"),
+        ])
+        phrases = self._phrases(scene)
+        assert phrases
+        for phrase in phrases:
+            assert self.COMPARATIVE.search(phrase), phrase
+            assert not self.SUPERLATIVE.search(phrase), phrase
+
+    def test_three_objects_take_the_superlative(self, rich_scene):
+        phrases = self._phrases(rich_scene)
+        assert phrases
+        for phrase in phrases:
+            assert self.SUPERLATIVE.search(phrase), phrase
+            assert not self.COMPARATIVE.search(phrase), phrase
 
 
 class TestTrueFalseBalance:
