@@ -85,7 +85,6 @@ _OBJECT_RULES = (
     ("box2d", numbers(4), "is not [x0, y0, x1, y1]"),
     ("mask", or_null(text), "is not a string"),
     ("yaw_deg", or_null(finite), "is neither null nor a finite number"),
-    ("pitch_deg", or_null(finite), "is neither null nor a finite number"),
     ("captions", or_null(strings), "is not a list of strings"),
     ("grounding", or_null(_grounding),
      'is not a list of {"boxes": [[x0, y0, x1, y1], ...]}'),
@@ -104,7 +103,6 @@ class ObjectAnnotation:
     box2d: list[float]
     mask: str | None = None
     yaw_deg: float | None = None
-    pitch_deg: float | None = None
     captions: list[str] = field(default_factory=list)
     grounding: list[dict] | None = None
     box3d: dict | None = None
@@ -116,8 +114,6 @@ class ObjectAnnotation:
             d["mask"] = self.mask
         if self.yaw_deg is not None:
             d["yaw_deg"] = float(self.yaw_deg)
-        if self.pitch_deg is not None:
-            d["pitch_deg"] = float(self.pitch_deg)
         if self.captions:
             d["captions"] = list(self.captions)
         if self.grounding is not None:
@@ -137,8 +133,7 @@ class ObjectAnnotation:
             raise error(f"box2d {o['box2d']!r} outside image bounds")
         return cls(object_id=o["object_id"], category=o["category"],
                    box2d=[float(v) for v in o["box2d"]], mask=o.get("mask"),
-                   yaw_deg=o.get("yaw_deg"), pitch_deg=o.get("pitch_deg"),
-                   captions=o.get("captions") or [],
+                   yaw_deg=o.get("yaw_deg"), captions=o.get("captions") or [],
                    grounding=o.get("grounding"), box3d=o.get("box3d"))
 
 

@@ -92,8 +92,7 @@ def _estimate_object(entry: ImageManifest, ann, pm,
             return None
     return SceneObject(object_id=ann.object_id, category=ann.category,
                        center=np.asarray(center, dtype=float),
-                       size=np.asarray(size, dtype=float), yaw_deg=yaw,
-                       pitch_deg=ann.pitch_deg)
+                       size=np.asarray(size, dtype=float), yaw_deg=yaw)
 
 
 def _verified_captions(entry: ImageManifest, objects: list[SceneObject],

@@ -20,6 +20,7 @@ from ..relations import (
     DEPTH_TIE_MARGIN_M,
     DISTANCE_FLOOR_M,
     OPPOSITE_LABEL,
+    ORIENTATION_LABELS,
     RelationError,
     SceneObject,
     depth_order,
@@ -31,13 +32,7 @@ from ..relations import (
     spatial_count,
 )
 from .items import QAItem
-from .mcq import (
-    DIRECTION_LABELS,
-    FACING_LABELS,
-    NUMERIC_MULTIPLIERS,
-    make_mcq,
-    render_options,
-)
+from .mcq import make_mcq, render_options
 from .problem import ValidatedProblem
 from .templates import (
     MCQ_INSTRUCTION,
@@ -68,6 +63,10 @@ MAX_CONSISTENCY = 2
 MAX_PERSPECTIVE = 4
 MAX_COUNTING = 3
 SIZE_DIMENSIONS = ("width", "height", "depth")
+
+# The stated value of a False numeric statement is the truth times one of
+# these: one below it and one above it
+NUMERIC_MULTIPLIERS = (0.5, 1.5, 2.5)
 
 
 _AXIS_CHOICE_CAMERA = {
@@ -174,9 +173,11 @@ class _SceneSynthesizer:
               stated_phrase=None) -> None:
         """Emit one item, choosing the format and paraphrase by seeded rng.
 
-        ``label_pool`` feeds MCQ distractors; ``tf_pool`` (defaulting to
-        the label pool) restricts False statements to labels that are
-        unambiguously wrong; ``stated_phrase`` maps a stated label to its
+        ``label_pool`` holds every label that the question admits as an
+        answer; it gives the options of an MCQ and, unless ``tf_pool`` is
+        given, the stated labels of False statements.  ``tf_pool`` holds
+        stated labels that are unambiguously wrong, for a question that
+        takes no MCQ.  ``stated_phrase`` maps a stated label to its
         in-sentence phrasing.
         """
         kind, value = payload["kind"], payload["value"]
@@ -184,8 +185,8 @@ class _SceneSynthesizer:
         if "true-false" in TEMPLATES[template_key] and kind != "unit-vector":
             available.append("true-false")
         mcq = None
-        if kind in ("quantity", "count", "label"):
-            mcq = make_mcq(payload, self.rng, label_pool=label_pool)
+        if label_pool is not None:
+            mcq = make_mcq(str(value), label_pool, self.rng)
             if mcq is not None:
                 available.append("mcq")
         fmt = available[int(self.rng.integers(0, len(available)))]
@@ -227,19 +228,17 @@ class _SceneSynthesizer:
                         choices: dict, phrases: dict, fmt_args: dict,
                         params: dict) -> None:
         """One single-axis direction label, on an axis drawn from those that
-        cleared the guard.  MCQ distractors exclude the labels of the other
-        cleared axes (they are also true); False statements state only the
-        opposites of cleared labels, which are unambiguously wrong."""
+        cleared the guard.  The question admits two labels, so it takes no
+        MCQ; False statements state only the opposites of cleared labels,
+        which are unambiguously wrong."""
         axes = sorted(labels)
         if not axes:
             return
         axis = axes[int(self.rng.integers(0, len(axes)))]
-        banned = {labels[a] for a in axes if a != axis}
         self._emit(
             family, family, {**fmt_args, "choice": choices[axis]},
             {"kind": "label", "value": labels[axis]},
             {**params, "axis": axis},
-            label_pool=[lab for lab in DIRECTION_LABELS if lab not in banned],
             tf_pool=[OPPOSITE_LABEL[labels[a]] for a in axes],
             stated_phrase=phrases.get,
         )
@@ -295,7 +294,6 @@ class _SceneSynthesizer:
     # -- level 1 -------------------------------------------------------------
 
     def level1(self) -> None:
-        gf = self.scene.gf
         for obj in self.objects:
             ref = self.scene.refs[obj.object_id]
             self._emit(
@@ -317,13 +315,13 @@ class _SceneSynthesizer:
                     {"object": obj.object_id, "dimension": dim},
                 )
             if obj.yaw_deg is not None:
-                label = orientation_label(obj, gf)
+                label = orientation_label(obj)
                 if label is not None:
                     self._emit(
                         "object_orientation", "object_orientation", {"ref": ref},
                         {"kind": "label", "value": label},
                         {"object": obj.object_id},
-                        label_pool=list(FACING_LABELS),
+                        label_pool=list(ORIENTATION_LABELS),
                     )
 
     # -- level 2 -------------------------------------------------------------
@@ -384,7 +382,7 @@ class _SceneSynthesizer:
                     "relational_comparison", "relational_order",
                     {"listing": listing, "low": low, "high": high},
                     {"kind": "label", "value": ", ".join(ordered_texts)},
-                    params, label_pool=self._order_pool(ordered_texts),
+                    params, tf_pool=self._order_pool(ordered_texts),
                 )
             else:
                 selected = ids[0] if mode == "extreme-min" else ids[-1]

@@ -71,7 +71,6 @@ class SceneObject:
     center: np.ndarray
     size: np.ndarray
     yaw_deg: float | None = None
-    pitch_deg: float | None = None
 
     @property
     def camera_distance(self) -> float:
@@ -105,21 +104,14 @@ def depth_order(pm: PointMap, p1: tuple[int, int],
 # Level 1
 # ---------------------------------------------------------------------------
 
-def orientation_label(obj: SceneObject, gf: GravityFrame) -> str | None:
-    """Canonical facing label from yaw (and optional pitch), guard-banded.
+def orientation_label(obj: SceneObject) -> str | None:
+    """Canonical facing label from yaw, guard-banded.
 
     Returns None when the facing is not within the guard band of any
     canonical direction.  Raises when the object has no yaw.
     """
     if obj.yaw_deg is None:
         raise RelationError(f"object {obj.object_id!r} has no yaw")
-    pitch = obj.pitch_deg
-    vertical = None
-    if pitch is not None and abs(pitch) >= ORIENTATION_GUARD_DEG:
-        if abs(pitch) > 90.0 - ORIENTATION_GUARD_DEG:
-            return "up" if pitch > 0 else "down"
-        vertical = "up" if pitch > 0 else "down"
-
     yaw = obj.yaw_deg % 360.0
     best_i, best_d = None, 360.0
     for i, canonical in enumerate((0.0, 90.0, 180.0, 270.0)):
@@ -128,8 +120,7 @@ def orientation_label(obj: SceneObject, gf: GravityFrame) -> str | None:
             best_i, best_d = i, d
     if best_d > ORIENTATION_GUARD_DEG:
         return None
-    label = ORIENTATION_LABELS[best_i]
-    return f"{label}-{vertical}" if vertical else label
+    return ORIENTATION_LABELS[best_i]
 
 
 # ---------------------------------------------------------------------------

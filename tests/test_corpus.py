@@ -23,11 +23,19 @@ ABSENT = object()
 
 @pytest.fixture(scope="module")
 def samples(reference) -> list[dict]:
-    """The first GT line of each format x payload kind x problem or not."""
+    """The first GT line of each format x payload kind x problem or not,
+    and an MCQ line with a quantity and one with a count payload: the
+    corpus holds none, but one of an earlier version does, so each is
+    built from the first free-form line of its kind."""
     first: dict[tuple, dict] = {}
     for item in read_corpus(reference.gt):
         first.setdefault((item["format"], item["payload"]["kind"],
                           item["family"] == "problem_solving"), item)
+    for kind in ("quantity", "count"):
+        item = first[("free-form", kind, False)]
+        first.setdefault(("mcq", kind, False), dict(
+            item, format="mcq", answer="B",
+            options=["w", item["answer"], "y", "z"]))
     return list(first.values())
 
 

@@ -1,74 +1,57 @@
 """MCQ option construction rules."""
 
+from collections import Counter
+
 import numpy as np
 
-from spatialqa.qa.mcq import (
-    count_options,
-    label_options,
-    make_mcq,
-    quantity_options,
-    render_options,
-)
-
-
-class TestQuantityOptions:
-    def test_multipliers(self):
-        opts = quantity_options(2.0)
-        assert opts == ["2.00 meters", "1.00 meters", "3.00 meters",
-                        "5.00 meters"]
-
-    def test_no_distractor_inside_scoring_band(self):
-        # distractors at x0.5 / x1.5 / x2.5 never fall in [0.75, 1.25]
-        for multiplier in (0.5, 1.5, 2.5):
-            assert not 0.75 <= multiplier <= 1.25
-
-
-class TestCountOptions:
-    def test_zero(self):
-        assert count_options(0) == ["0", "1", "2", "3"]
-
-    def test_positive(self):
-        assert count_options(3) == ["3", "2", "4", "5"]
+from spatialqa.qa.mcq import make_mcq, render_options
+from spatialqa.relations import ORIENTATION_LABELS
 
 
 class TestLabelOptions:
     def test_needs_three_distractors(self):
-        assert label_options("left", ["left", "right"]) is None
-        opts = label_options("left", ["right", "front", "behind", "above"])
-        assert opts[0] == "left" and len(opts) == 4
+        rng = np.random.default_rng(0)
+        assert make_mcq("left", ["left", "right"], rng) is None
+        assert make_mcq("first", ["first", "second"], rng) is None
+        assert make_mcq("similar", ["similar", "orthogonal", "opposite"],
+                        rng) is None
+        options, _ = make_mcq("left", ["right", "front", "behind"], rng)
+        assert sorted(options) == ["behind", "front", "left", "right"]
 
 
 class TestMakeMcq:
-    def test_quantity_mcq_shuffled_with_correct_letter(self):
-        rng = np.random.default_rng(0)
-        out = make_mcq({"kind": "quantity", "value": 2.0, "unit": "m"}, rng)
-        assert out is not None
-        options, letter = out
-        assert len(options) == 4 and len(set(options)) == 4
-        assert options["ABCD".index(letter)] == "2.00 meters"
-
     def test_label_mcq(self):
         rng = np.random.default_rng(1)
-        out = make_mcq({"kind": "label", "value": "left"}, rng,
-                       label_pool=["left", "right", "front", "behind",
-                                   "above", "below"])
-        options, letter = out
+        options, letter = make_mcq("left", list(ORIENTATION_LABELS), rng)
         assert options["ABCD".index(letter)] == "left"
+        assert sorted(options) == sorted(ORIENTATION_LABELS)
 
-    def test_vector_payload_unsupported(self):
-        rng = np.random.default_rng(2)
-        assert make_mcq({"kind": "vector3", "value": [1, 2, 3]}, rng) is None
+    def test_options_come_from_the_pool(self):
+        pool = ["the chair", "the table", "the lamp", "the sofa", "the bed"]
+        drawn = Counter()
+        for seed in range(400):
+            options, letter = make_mcq("the lamp", pool,
+                                       np.random.default_rng(seed))
+            assert len(set(options)) == 4 and set(options) <= set(pool)
+            assert options["ABCD".index(letter)] == "the lamp"
+            drawn.update(options)
+        # each of the 4 other labels is one of 3 distractors: 300 of 400
+        assert drawn["the lamp"] == 400
+        assert all(250 < drawn[label] < 350
+                   for label in pool if label != "the lamp")
 
-    def test_tiny_quantity_collision_refused(self):
-        # centimeter rounding can collide for sub-centimeter values
-        rng = np.random.default_rng(3)
-        out = make_mcq({"kind": "quantity", "value": 0.001, "unit": "m"}, rng)
-        assert out is None
+    def test_truth_letter_uniform(self):
+        letters = Counter(
+            make_mcq("back", list(ORIENTATION_LABELS),
+                     np.random.default_rng(seed))[1]
+            for seed in range(800))
+        assert set(letters) == set("ABCD")
+        assert all(150 < n < 250 for n in letters.values())
 
     def test_seeded_order(self):
-        a = make_mcq({"kind": "quantity", "value": 2.0, "unit": "m"},
+        a = make_mcq("left", list(ORIENTATION_LABELS),
                      np.random.default_rng(5))
-        b = make_mcq({"kind": "quantity", "value": 2.0, "unit": "m"},
+        b = make_mcq("left", list(ORIENTATION_LABELS),
                      np.random.default_rng(5))
         assert a == b
 

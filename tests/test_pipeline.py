@@ -255,11 +255,11 @@ class TestReferenceCorpusBytes:
 
     def test_gt_box_corpus(self, reference):
         assert self._sha256(reference.gt) == \
-            "6a740b5a27e156155be0479c8b099c36ef562f076386b410745724342e47dfcd"
+            "8f778cd195a200903739995a49f5c8e1c20adbf9bce4b7a342af34cacffbbba7"
 
     def test_estimation_corpus(self, reference):
         assert self._sha256(reference.estimation) == \
-            "6f670bc50bb0539da8c23c9804174c03240408803c823b999d1f235f38164a73"
+            "daaef34ed2d504725392c269649164d09322ff3ff5b60d85a5d5085170d7f5e7"
 
     @staticmethod
     def _wrong(item: dict) -> str:
@@ -283,11 +283,11 @@ class TestReferenceCorpusBytes:
     # a judge, label problem items are scored by recorded verdicts.
     @pytest.mark.parametrize("band, judged, records_sha, report_sha", [
         ("tight", True,
-         "ba3be72757fbd3a4be8f5a9d287505fb52375970a6c1054679da961ffb3b597b",
-         "b62c326cff67cb2dd3a5a58169b3bb417813716d2de293c178d1943e7158dec8"),
+         "8a8af931a5ef757fa5f27dc1c42e4a0ef2343cb990bfac13e3dce0c5d08d4c9c",
+         "fbc0ecc2c727c5e7e76ffacfa0ca484c1c2fdc2c42f2b5493e34b4a1453a66e6"),
         ("wide", False,
-         "58730972ab958f19fc22a0baff8dabf2b7468e18d38515d85cdf0dcf8ffaba0b",
-         "1bbc397be9d65466e1c92ec0b43129da3ddc5e172a62817d53d87a50b27ff4d3"),
+         "ae9d3be0cfb89c1fb9921363c2ae35a6f3dfbe9de82c794b291fa6b07398bba2",
+         "d43cc8d80fc6abbfa49488e35f112c356580b128801873b9dee211a832ea5c12"),
     ], ids=("tight-judge", "wide-no-judge"))
     def test_evaluate_outputs(self, tmp_path, band, judged, records_sha,
                               report_sha):

@@ -76,26 +76,17 @@ class TestLevel1:
         assert _obj("a", (3, 0, 4)).camera_distance == pytest.approx(5.0)
 
     def test_orientation_canonical_front(self):
-        assert orientation_label(_obj("a", (0, 0, 2), yaw=0.0), GF) == "front"
-        assert orientation_label(_obj("a", (0, 0, 2), yaw=90.0), GF) == "right"
-        assert orientation_label(_obj("a", (0, 0, 2), yaw=-90.0), GF) == "left"
-        assert orientation_label(_obj("a", (0, 0, 2), yaw=185.0), GF) == "back"
+        assert orientation_label(_obj("a", (0, 0, 2), yaw=0.0)) == "front"
+        assert orientation_label(_obj("a", (0, 0, 2), yaw=90.0)) == "right"
+        assert orientation_label(_obj("a", (0, 0, 2), yaw=-90.0)) == "left"
+        assert orientation_label(_obj("a", (0, 0, 2), yaw=185.0)) == "back"
 
     def test_orientation_guard_suppresses_45deg(self):
-        assert orientation_label(_obj("a", (0, 0, 2), yaw=45.0), GF) is None
+        assert orientation_label(_obj("a", (0, 0, 2), yaw=45.0)) is None
 
     def test_orientation_no_yaw_raises(self):
         with pytest.raises(RelationError):
-            orientation_label(_obj("a", (0, 0, 2)), GF)
-
-    def test_orientation_with_pitch(self):
-        o = _obj("a", (0, 0, 2), yaw=0.0)
-        o.pitch_deg = 45.0
-        assert orientation_label(o, GF) == "front-up"
-        o.pitch_deg = -80.0
-        assert orientation_label(o, GF) == "down"
-        o.pitch_deg = 10.0
-        assert orientation_label(o, GF) == "front"
+            orientation_label(_obj("a", (0, 0, 2)))
 
 
 class TestRelativeDirection:
