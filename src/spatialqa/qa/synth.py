@@ -65,8 +65,9 @@ MAX_COUNTING = 3
 SIZE_DIMENSIONS = ("width", "height", "depth")
 
 # The stated value of a False numeric statement is the truth times one of
-# these: one below it and one above it
-NUMERIC_MULTIPLIERS = (0.5, 1.5, 2.5)
+# these, one below it and one above it, both outside [0.6, 1.67]: an
+# estimate off by up to a sixth still leaves the statement out of band
+NUMERIC_MULTIPLIERS = (0.55, 1.8)
 
 
 _AXIS_CHOICE_CAMERA = {

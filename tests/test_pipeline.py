@@ -255,11 +255,11 @@ class TestReferenceCorpusBytes:
 
     def test_gt_box_corpus(self, reference):
         assert self._sha256(reference.gt) == \
-            "8f778cd195a200903739995a49f5c8e1c20adbf9bce4b7a342af34cacffbbba7"
+            "b911e7910c9193b6b2c686295f76358d0877cc08606e38e68de91666a7d71702"
 
     def test_estimation_corpus(self, reference):
         assert self._sha256(reference.estimation) == \
-            "daaef34ed2d504725392c269649164d09322ff3ff5b60d85a5d5085170d7f5e7"
+            "48560ffea774f5580077274c21b0c9584a08743b4af36f5e2b7a997b58aa7543"
 
     @staticmethod
     def _wrong(item: dict) -> str:
