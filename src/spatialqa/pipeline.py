@@ -5,12 +5,12 @@ persists one part file per image via write-then-rename, and assembles
 the corpus in manifest order at the end.  Per-image seeds derive from
 (corpus seed, image id), so the corpus bytes are independent of worker
 count, scheduling, and interruption; a rerun skips images whose part
-files already record them as done.
+files already record them as done under its corpus seed.
 
 A part file ``parts/<image_id>.jsonl`` is one header line
-``{"families", "image_id", "reason", "status"}`` followed by the image's
-corpus lines, so resume reads only the header and assembly copies the
-rest of the file without parsing it.  Any exception other than
+``{"families", "image_id", "reason", "seed", "status"}`` followed by the
+image's corpus lines, so resume reads only the header and assembly copies
+the rest of the file without parsing it.  Any exception other than
 ``SceneSkipped`` becomes a ``failed`` part carrying ``"<Type>: <message>"``.
 
 ``run_generate`` returns the dict it writes to ``ledger.json``: each
@@ -172,13 +172,18 @@ def _read_header(path: Path) -> dict:
         return json.loads(f.readline())
 
 
-def _write_part(parts_dir: Path, image_id: str, status: str,
+def _done(header: dict, seed: int) -> bool:
+    """Whether a part header records its image as done under ``seed``."""
+    return header["status"] == "done" and header.get("seed") == seed
+
+
+def _write_part(parts_dir: Path, image_id: str, seed: int, status: str,
                 reason: str | None, items: list[QAItem]) -> None:
     families: dict[str, int] = {}
     for item in items:
         families[item.family] = families.get(item.family, 0) + 1
-    header = {"image_id": image_id, "status": status, "reason": reason,
-              "families": families}
+    header = {"image_id": image_id, "seed": seed, "status": status,
+              "reason": reason, "families": families}
     lines = [canonical_json(header)] + [item.to_json() for item in items]
     path = _part_path(parts_dir, image_id)
     tmp = path.with_name(path.name + ".tmp")
@@ -191,15 +196,15 @@ def _process_entry_to_part(entry: ImageManifest, manifest_path: str,
                            clients: dict[str, Client],
                            parts_dir: Path) -> None:
     """Worker body: one image to one part file."""
+    part = (parts_dir, entry.image_id, config.seed)
     try:
         items = process_image(entry, manifest_path, config, clients)
     except SceneSkipped as e:
-        _write_part(parts_dir, entry.image_id, "skipped", str(e), [])
+        _write_part(*part, "skipped", str(e), [])
     except Exception as e:  # noqa: BLE001 - one bad image never ends a run
-        _write_part(parts_dir, entry.image_id, "failed",
-                    f"{type(e).__name__}: {e}", [])
+        _write_part(*part, "failed", f"{type(e).__name__}: {e}", [])
     else:
-        _write_part(parts_dir, entry.image_id, "done", None, items)
+        _write_part(*part, "done", None, items)
 
 
 def run_generate(manifest_path: str | Path, config: PipelineConfig,
@@ -224,7 +229,7 @@ def run_generate(manifest_path: str | Path, config: PipelineConfig,
     todo = []
     for i, entry in enumerate(entries):
         part_path = _part_path(parts_dir, entry.image_id)
-        if part_path.exists() and _read_header(part_path)["status"] == "done":
+        if part_path.exists() and _done(_read_header(part_path), config.seed):
             # assembled into the corpus below, within --limit or not
             statuses[entry.image_id] = {"status": "skipped",
                                         "reason": "already done"}
@@ -264,7 +269,7 @@ def run_generate(manifest_path: str | Path, config: PipelineConfig,
                 header = json.loads(part.readline())
                 statuses.setdefault(entry.image_id, {
                     k: header[k] for k in ("status", "reason") if header[k]})
-                if header["status"] != "done":
+                if not _done(header, config.seed):
                     continue
                 shutil.copyfileobj(part, corpus)
             family_counts.update(header["families"])

@@ -129,6 +129,24 @@ class TestRunGenerate:
         assert full == resumed
         assert ledger2["family_counts"] == ledger0["family_counts"]
 
+    def test_resume_keeps_only_parts_of_its_own_seed(self, dataset,
+                                                     tmp_path):
+        """A rerun under another seed into the same --out redoes the parts
+        of the first seed, and assembles none of them past --limit."""
+        manifest = dataset.manifest_path
+        seed0, seed1 = (PipelineConfig(workers=1, seed=s) for s in (0, 1))
+        run_generate(manifest, seed1, tmp_path / "fresh")
+        run_generate(manifest, seed1, tmp_path / "fresh-3", limit=3)
+        run_generate(manifest, seed0, tmp_path / "mixed", limit=5)
+        ledger = run_generate(manifest, seed1, tmp_path / "mixed", limit=3)
+        assert ledger["summary"] == {"done": 3, "skipped": 3}
+        assert (tmp_path / "mixed" / "corpus.jsonl").read_bytes() == \
+            (tmp_path / "fresh-3" / "corpus.jsonl").read_bytes()
+        ledger = run_generate(manifest, seed1, tmp_path / "mixed")
+        assert ledger["summary"] == {"done": 3, "skipped": 3}
+        assert (tmp_path / "mixed" / "corpus.jsonl").read_bytes() == \
+            (tmp_path / "fresh" / "corpus.jsonl").read_bytes()
+
     def test_pool_starts_no_more_processes_than_images(self, dataset,
                                                        tmp_path, monkeypatch):
         data = tmp_path / "data"
