@@ -275,6 +275,8 @@ class TestParseTimeSchema:
         ("box3d", [0, 0, 3], "box3d [0, 0, 3] is not an object"),
         ("yaw_deg", "north",
          "yaw_deg 'north' is neither null nor a finite number"),
+        ("yaw_deg", float("inf"),
+         "yaw_deg inf is neither null nor a finite number"),
         ("yaw_deg", True, "yaw_deg True is neither null nor a finite"),
         ("box3d.size", [0, 1, 1],
          "box3d.size [0, 1, 1] is not 3 finite positive numbers"),
