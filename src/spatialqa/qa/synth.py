@@ -64,9 +64,9 @@ MAX_PERSPECTIVE = 4
 MAX_COUNTING = 3
 SIZE_DIMENSIONS = ("width", "height", "depth")
 
-# The stated value of a False numeric statement is the truth times one of
-# these, one below it and one above it, both outside [0.6, 1.67]: an
-# estimate off by up to a sixth still leaves the statement out of band
+# A False numeric statement states the truth times one of these, one below
+# and one above it.  Both lie outside [0.6, 1.67] (0.75/1.25, 1.25/0.75), so
+# scaling an estimate in the tight band never states a value in the band.
 NUMERIC_MULTIPLIERS = (0.55, 1.8)
 
 
