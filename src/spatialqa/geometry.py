@@ -104,15 +104,15 @@ def backproject(depth: np.ndarray, intrinsics: CameraIntrinsics) -> PointMap:
     y = (v - cy) * z / fy.  Pixels with nonpositive or nonfinite depth are
     marked invalid.
     """
-    depth = np.asarray(depth, dtype=np.float64)
-    h, w = depth.shape
-    us = np.arange(w, dtype=np.float64)
-    vs = np.arange(h, dtype=np.float64)
-    uu, vv = np.meshgrid(us, vs)
-    z = depth
-    x = (uu - intrinsics.cx) * z / intrinsics.fx
-    y = (vv - intrinsics.cy) * z / intrinsics.fy
-    points = np.stack([x, y, z], axis=2)
+    z = np.asarray(depth, dtype=np.float64)
+    h, w = z.shape
+    us = np.arange(w, dtype=np.float64) - intrinsics.cx
+    vs = np.arange(h, dtype=np.float64)[:, None] - intrinsics.cy
+    # computed in float64, rounded once on assignment into float32
+    points = np.empty((h, w, 3), dtype=np.float32)
+    points[:, :, 0] = us * z / intrinsics.fx
+    points[:, :, 1] = vs * z / intrinsics.fy
+    points[:, :, 2] = z
     return make_pointmap(points, np.isfinite(z) & (z > 0))
 
 

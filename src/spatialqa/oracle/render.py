@@ -6,19 +6,22 @@ corners cover, padded by one pixel, or the whole image when the box
 reaches behind the near plane.  Rays outside the window miss the box,
 so their depth is +inf, as the slab test would give.  The nearest hit
 owns the pixel.  Too-occluded boxes are pruned from those same hit
-depths before the depth grid and masks are built.  The depth grid,
-optionally perturbed by Gaussian noise, is backprojected through the
-scene intrinsics, which mirrors how an upstream geometry estimator would
-deliver a point map.
+depths before the depth grid and masks are built; the owner, the prune
+and the masks look at each box's window alone, since its depth is +inf
+everywhere else.  The depth grid, optionally perturbed by Gaussian
+noise, is backprojected through the scene intrinsics, which mirrors how
+an upstream geometry estimator would deliver a point map.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from ..geometry import backproject, box_local_axes, gravity_frame, project
+from ..geometry import (CameraIntrinsics, backproject, box_local_axes,
+                        gravity_frame, project)
 from ..pmap import PointMap
 from .scene import OracleScene, box_corners_camera
 
@@ -27,13 +30,19 @@ Z_NEAR = 0.2
 
 def _ray_grid(scene: OracleScene) -> np.ndarray:
     """(H, W, 3) pixel ray directions; z is 1, so the ray parameter
-    equals depth."""
-    k = scene.intrinsics
-    d = np.empty((scene.height, scene.width, 3))
-    d[:, :, 0] = (np.arange(scene.width, dtype=np.float64) - k.cx) / k.fx
-    d[:, :, 1] = ((np.arange(scene.height, dtype=np.float64) - k.cy)
+    equals depth.  Read-only: scenes with the same camera share it."""
+    return _camera_rays(scene.height, scene.width, scene.intrinsics)
+
+
+@functools.lru_cache(maxsize=4)   # a run renders one or two cameras
+def _camera_rays(height: int, width: int,
+                 k: CameraIntrinsics) -> np.ndarray:
+    d = np.empty((height, width, 3))
+    d[:, :, 0] = (np.arange(width, dtype=np.float64) - k.cx) / k.fx
+    d[:, :, 1] = ((np.arange(height, dtype=np.float64) - k.cy)
                   / k.fy)[:, None]
     d[:, :, 2] = 1.0
+    d.flags.writeable = False
     return d
 
 
@@ -84,16 +93,18 @@ def _window(scene: OracleScene, gf, obj) -> tuple[slice, slice]:
                   max(math.ceil(u.max()) + 2, 0)))
 
 
-def _nearest(depths: np.ndarray, shape: tuple[int, int]
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Per pixel, the index of the nearest hit (the first of equal ones,
-    as ``argmin`` would pick, but without its strided reduction) and its
-    depth; +inf where no box is hit."""
-    owner = np.zeros(shape, dtype=np.intp)
+def _nearest(kept: list[int], windows: list, hits: list[np.ndarray],
+             shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per pixel, the index of the kept box with the nearest hit (the
+    first of equal ones, as ``argmin`` would pick) and its depth; -1 and
+    +inf where no kept box is hit.  Each box is compared on its window
+    only, since its hits are +inf outside it."""
+    owner = np.full(shape, -1, dtype=np.intp)
     best = np.full(shape, np.inf)
-    for k, d in enumerate(depths):
-        owner[d < best] = k
-        best = np.minimum(best, d)
+    for i in kept:
+        near = best[windows[i]]
+        owner[windows[i]][hits[i] < near] = i
+        np.minimum(near, hits[i], out=near)
     return owner, best
 
 
@@ -120,34 +131,28 @@ def render_scene(scene: OracleScene, rng: np.random.Generator | None = None,
 
     # a window's depths equal the full frame's bit for bit
     # (tests/test_oracle.py::TestRenderWindow)
-    depths = np.full((len(scene.objects), h, w), np.inf)
-    for i, obj in enumerate(scene.objects):
-        rows, cols = _window(scene, gf, obj)
-        depths[i, rows, cols] = _box_hit_depths(scene, gf, obj,
-                                                rays[rows, cols])
-    alone = (depths < background).sum(axis=(1, 2))
+    windows = [_window(scene, gf, obj) for obj in scene.objects]
+    hits = [_box_hit_depths(scene, gf, obj, rays[win])
+            for obj, win in zip(scene.objects, windows)]
+    covers = [d < background for d in hits]
+    alone = [np.count_nonzero(c) for c in covers]
 
-    # depths[k] is the hit depth of object kept[k]
     kept = list(range(len(scene.objects)))
-    owner, best = _nearest(depths, (h, w))
-    while kept:
-        fractions = [
-            ((owner == k) & (depths[k] < background)).sum() / alone[i]
-            if alone[i] else 0.0
-            for k, i in enumerate(kept)
-        ]
-        worst = int(np.argmin(fractions))
-        if fractions[worst] >= min_visible_fraction:
+    while True:
+        owner, best = _nearest(kept, windows, hits, (h, w))
+        visible = [(owner[windows[i]] == i) & covers[i] for i in kept]
+        fractions = [np.count_nonzero(v) / alone[i] if alone[i] else 0.0
+                     for i, v in zip(kept, visible)]
+        if not kept or min(fractions) >= min_visible_fraction:
             break
-        del kept[worst]
-        depths = np.delete(depths, worst, axis=0)
-        owner, best = _nearest(depths, (h, w))
+        del kept[int(np.argmin(fractions))]
 
     depth = np.where(best < background, best, background)
-    masks = {
-        scene.objects[i].object_id: (owner == k) & (depths[k] < background)
-        for k, i in enumerate(kept)
-    }
+    masks = {}
+    for i, v in zip(kept, visible):
+        mask = np.zeros((h, w), dtype=bool)
+        mask[windows[i]] = v
+        masks[scene.objects[i].object_id] = mask
 
     noisy = depth
     if scene.noise_sigma > 0:

@@ -11,7 +11,10 @@ gravity-aligned world frame, against the frustum and the boxes already
 placed; only an accepted one becomes an ``OracleObject``.  Every
 candidate takes the same rng draws whatever the outcome, so a seed's
 scene depends only on the accept/reject decisions, which tests pin by
-digest.
+digest.  Uniforms are drawn as ``lo + (hi - lo) * random()``, numpy's
+own ``uniform`` formula, with consecutive draws batched as ``random(n)``:
+the same stream and the same values at a third of the call cost
+(tests/test_oracle.py::TestDrawIdentity).
 """
 
 from __future__ import annotations
@@ -177,14 +180,6 @@ def _placements_disjoint(a: _Placement, b: _Placement, gap: float) -> bool:
     return False
 
 
-def _boxes_disjoint(a: OracleObject, b: OracleObject, gf, gap: float) -> bool:
-    """True when two objects keep ``gap`` apart (see _placements_disjoint)."""
-    def placed(o: OracleObject) -> _Placement:
-        return _placement(gf.to_world(o.center).tolist(), o.size.tolist(),
-                          o.yaw_deg)
-    return _placements_disjoint(placed(a), placed(b), gap)
-
-
 def _in_frustum(box: _Placement, rotation: list[list[float]],
                 intrinsics: CameraIntrinsics, width: int, height: int) -> bool:
     """All eight corners in front of z = 0.3 and projected at least
@@ -209,6 +204,11 @@ def _in_frustum(box: _Placement, rotation: list[list[float]],
 _CANONICAL_YAWS = (0.0, 90.0, 180.0, 270.0)
 
 
+def _uniform(lo: float, hi: float, r: float) -> float:
+    """``rng.uniform(lo, hi)`` from the ``rng.random()`` it would draw."""
+    return lo + (hi - lo) * r
+
+
 def sample_scene(seed: int, config: SceneSamplerConfig | None = None,
                  noise_sigma: float = 0.0) -> OracleScene:
     """Rejection-sample a non-overlapping scene; deterministic per seed."""
@@ -222,8 +222,8 @@ def sample_scene(seed: int, config: SceneSamplerConfig | None = None,
     if rng.random() < 0.5:
         gravity = np.array([0.0, 1.0, 0.0])
     else:
-        tilt = math.radians(float(rng.uniform(-MAX_TILT_DEG, MAX_TILT_DEG)))
-        roll = math.radians(float(rng.uniform(-MAX_TILT_DEG, MAX_TILT_DEG)))
+        tilt, roll = (math.radians(_uniform(-MAX_TILT_DEG, MAX_TILT_DEG, r))
+                      for r in rng.random(2).tolist())
         gravity = np.array([math.sin(roll),
                             math.cos(roll) * math.cos(tilt),
                             math.cos(roll) * math.sin(tilt)])
@@ -246,26 +246,29 @@ def sample_scene(seed: int, config: SceneSamplerConfig | None = None,
             category = present[int(rng.integers(0, len(present)))]
         else:
             category = CATEGORY_POOL[int(rng.integers(0, len(CATEGORY_POOL)))]
-        size = rng.uniform(*config.size_range, size=3)
-        if rng.random() < CANONICAL_YAW_FRACTION:
+        # three size draws, then the canonical-yaw coin
+        *r_size, r_coin = rng.random(4).tolist()
+        size = [_uniform(*config.size_range, r) for r in r_size]
+        canonical = r_coin < CANONICAL_YAW_FRACTION
+        if canonical:
             # the draw of rng.choice over four values, without its overhead
-            yaw = float(_CANONICAL_YAWS[int(rng.integers(0, 4))]
-                        + rng.uniform(-10, 10))
-        else:
-            yaw = float(rng.uniform(0, 360))
+            base = _CANONICAL_YAWS[int(rng.integers(0, 4))]
+        r_yaw, r_z, r_x, r_y = rng.random(4).tolist()
+        yaw = (base + _uniform(-10, 10, r_yaw) if canonical
+               else _uniform(0, 360, r_yaw))
 
         # world-frame sampling: tilt is small, so world z tracks camera depth
-        z_w = float(rng.uniform(*config.depth_range))
+        z_w = _uniform(*config.depth_range, r_z)
         lateral = 0.6 * z_w * (res / 2.0) / intrinsics.fx
-        x_w = float(rng.uniform(-lateral, lateral))
+        x_w = _uniform(-lateral, lateral, r_x)
         # camera (world y = 0) stays above the box top by the clearance
         clearance = max(config.top_clearance,
                         config.top_clearance_fraction * z_w)
         y_low = clearance + size[1] / 2.0
         y_high = y_low + 0.25 * z_w
-        y_w = float(rng.uniform(y_low, y_high))
+        y_w = _uniform(y_low, y_high, r_y)
 
-        box = _placement((x_w, y_w, z_w), size.tolist(), yaw)
+        box = _placement((x_w, y_w, z_w), size, yaw)
         if not _in_frustum(box, rotation, intrinsics, res, res):
             continue
         if all(_placements_disjoint(box, other, config.min_gap)
@@ -273,7 +276,8 @@ def sample_scene(seed: int, config: SceneSamplerConfig | None = None,
             placed.append(box)
             scene.objects.append(OracleObject(
                 object_id=f"obj-{len(scene.objects)}", category=category,
-                center=gf.to_camera(np.array([x_w, y_w, z_w])), size=size,
+                center=gf.to_camera(np.array([x_w, y_w, z_w])),
+                size=np.array(size),
                 yaw_deg=yaw,
             ))
     return scene

@@ -150,6 +150,7 @@ def write_pointmap(pm: PointMap, path: str | Path) -> None:
     """Write a PMAP file; inverse of read_pointmap for valid maps."""
     grid = np.empty((pm.height, pm.width, 4), dtype="<f4")
     grid[:, :, :3] = pm.points
-    grid[:, :, 3] = pm.valid.astype("<f4")
-    payload = MAGIC + struct.pack("<II", pm.width, pm.height) + grid.tobytes()
-    Path(path).write_bytes(payload)
+    grid[:, :, 3] = pm.valid
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<II", pm.width, pm.height))
+        f.write(grid)   # the array's own buffer, not a bytes copy of it

@@ -22,6 +22,9 @@ from spatialqa.oracle.scene import (
     ESTIMATION_SAMPLER,
     OracleObject,
     OracleScene,
+    _placement,
+    _placements_disjoint,
+    _uniform,
     box_corners_camera,
     read_scenes,
     sample_scene,
@@ -106,10 +109,61 @@ class TestSampling:
             "474f28b2986496955c672c60d407d559a2f9b5bfa4bca4a22c3b7f291e740a2b")
 
 
+class TestDrawIdentity:
+    """``sample_scene`` draws ``rng.uniform(lo, hi)`` as ``_uniform(lo, hi,
+    rng.random())`` and runs of consecutive draws as one ``rng.random(n)``.
+    Both must give numpy's own values and leave the stream where numpy's
+    calls leave it, with ``integers`` calls in between as the sampler
+    makes them; the scene digests rest on this."""
+
+    BOUNDS = [(0.4, 1.4), (-10, 10), (0, 360), (2.5, 6.5), (0.55, 1.3),
+              (-1.0371, 1.0371), (0.7, 1.55), (-8.0, 8.0), (1e-3, 1e3)]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_uniform_from_random(self, seed):
+        numpy_rng = np.random.default_rng(seed)
+        ours = np.random.default_rng(seed)
+        for step in range(3000):
+            n = 1 + step % 20
+            assert numpy_rng.integers(0, n) == ours.integers(0, n)
+            lo, hi = self.BOUNDS[step % len(self.BOUNDS)]
+            assert numpy_rng.uniform(lo, hi) == _uniform(lo, hi, ours.random())
+        assert numpy_rng.random() == ours.random()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_random_batch_is_consecutive_draws(self, seed):
+        one_by_one = np.random.default_rng(seed)
+        batched = np.random.default_rng(seed)
+        for step in range(2000):
+            # a candidate's draws: category coin and index, sizes and yaw
+            # coin, canonical-yaw index, then yaw, z, x and y
+            assert one_by_one.random() == batched.random()
+            n = 1 + step % 20
+            assert one_by_one.integers(0, n) == batched.integers(0, n)
+            singles = [one_by_one.random() for _ in range(4)]
+            assert batched.random(4).tolist() == singles
+            if step % 3:
+                assert one_by_one.integers(0, 4) == batched.integers(0, 4)
+            singles = [one_by_one.random() for _ in range(4)]
+            assert batched.random(4).tolist() == singles
+        assert one_by_one.random() == batched.random()
+
+    def test_uniform_array_from_random_batch(self):
+        numpy_rng = np.random.default_rng(5)
+        ours = np.random.default_rng(5)
+        for lo, hi in self.BOUNDS:
+            expected = numpy_rng.uniform(lo, hi, size=3).tolist()
+            assert expected == [_uniform(lo, hi, r)
+                                for r in ours.random(3).tolist()]
+
+
 def _separated(a, b, gf, gap=1e-9):
-    """Brute-force separation check: corner sampling + SAT on world axes."""
-    from spatialqa.oracle.scene import _boxes_disjoint
-    return _boxes_disjoint(a, b, gf, gap)
+    """True when two objects keep ``gap`` apart: the sampler's own
+    height-interval and footprint SAT test, on the stored objects."""
+    def placed(o):
+        return _placement(gf.to_world(o.center).tolist(), o.size.tolist(),
+                          o.yaw_deg)
+    return _placements_disjoint(placed(a), placed(b), gap)
 
 
 class TestRender:
@@ -218,6 +272,35 @@ class TestRenderWindow:
         # each border box is cut by its own image edge
         assert masks["left"][:, 0].any() and masks["right"][:, -1].any()
         assert masks["top"][0].any() and masks["bottom"][-1].any()
+
+    @pytest.mark.parametrize("tilted", [False, True])
+    def test_pruning_beside_full_frame_window(self, tilted):
+        # "near" has the whole image as its window; "hidden" sits behind
+        # it and the 0.85 prune drops it
+        scene = self._border_scene(self.TILTED if tilted
+                                   else np.array([0.0, 1.0, 0.0]))
+        scene = dataclasses.replace(scene, objects=scene.objects + [
+            _box("hidden", (0.5, 0.4, 3.0), size=(0.5, 0.3, 0.4))])
+        assert render_scene(scene)[1]["hidden"].any()
+        pm, masks, depth = render_scene(scene, min_visible_fraction=0.85)
+        assert "near" in masks and "hidden" not in masks
+        kept = dataclasses.replace(
+            scene, objects=[o for o in scene.objects if o.object_id in masks])
+        kept_pm, kept_masks, kept_depth = render_scene(kept)
+        ref_depth, ref_masks = _full_frame_render(kept)
+        assert np.array_equal(pm.points, kept_pm.points)
+        assert np.array_equal(depth, kept_depth)
+        assert np.array_equal(depth, ref_depth)
+        assert list(masks) == list(kept_masks) == list(ref_masks)
+        for object_id, mask in masks.items():
+            assert np.array_equal(mask, kept_masks[object_id]), object_id
+            assert np.array_equal(mask, ref_masks[object_id]), object_id
+
+    def test_ray_grid_shared_and_read_only(self):
+        rays = _ray_grid(_manual_scene([]))
+        assert _ray_grid(self._border_scene(self.TILTED)) is rays
+        with pytest.raises(ValueError):
+            rays[0, 0, 0] = 0.0
 
     @pytest.mark.parametrize("seed, sampler", [
         (0, None), (3, None), (2, ESTIMATION_SAMPLER),
