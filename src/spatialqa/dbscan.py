@@ -17,16 +17,16 @@ multiset (order-independent):
 
 The implementation bins points into grid cells of side eps/sqrt(dim), so
 every pair inside one cell is within eps, and every pair within eps lies
-in two cells whose offset is one of a fixed set.  Cells are kept
-CSR-style (points sorted by cell, keys computed one coordinate column at
-a time), with one table of the neighbor cell of every cell at every
-offset, nearest offset first.  The table is read from a dense index over
-the cell keys when they are compact and found by a sorted search over
-the occupied keys otherwise.  Each pass below handles all cells at
-once in numpy, gathering tiles of that table of at most
-``_BATCH_PAIRS`` entries and expanding the (point, member of the
-neighbor cell) pairs in batches of at most ``_BATCH_PAIRS``, so memory
-stays flat however dense or noisy the cloud is:
+in two cells whose offset is one of a fixed set, visited nearest offset
+first.  Cells are kept CSR-style (points sorted by cell, keys computed
+one coordinate column at a time), and one dense index over the keys of
+the whole grid, of at most ``MAX_CELLS`` cells, gives the neighbor of a
+cell at an offset: the pipeline's grids hold at most 26^3 (``_CellGrid``
+says why).  Each pass below handles all cells at once in numpy,
+looking neighbors up in tiles of at most ``_BATCH_PAIRS`` keys and
+expanding the (point, member of the neighbor cell) pairs in batches of
+at most ``_BATCH_PAIRS``, so memory stays flat however dense or noisy
+the cloud is:
 
   1. cores: each cell is split into 2^dim half-cells.  A point is a
      core with no distance test when the half-cells wholly within eps of
@@ -71,11 +71,13 @@ from .geometry import EmptyObjectError
 
 NOISE = -1
 
-_BATCH_PAIRS = 1 << 15  # pairs or table entries at once; bounds peak memory
+_BATCH_PAIRS = 1 << 15  # pairs or lookups at once; bounds peak memory
 
 # the grid visits (3 + 2 floor(sqrt(dim)))^dim cell offsets: 125 in 3-D,
 # 16,807 at 5, 5.8M at 8 (~370 MB as int64 coordinates)
 MAX_DIM = 5
+
+MAX_CELLS = 1 << 21  # the grid's key index holds an int32 per cell: 8 MiB
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,16 +116,19 @@ class _CellGrid:
     ``order`` sorts the points by cell; in that sorted order the members
     of cell c are the positions ``start[c]:start[c + 1]`` and ``half``
     numbers each point's half-cell within its cell.  Cells are numbered
-    by packed key.  ``axes`` holds the coordinates in that order, one
-    contiguous array per axis.  ``neighbors[k, c]`` is the cell at
-    ``c + deltas[k]``, or -1; ``halves[k]`` is the half-cell matrix of
-    the leading unit offsets, so rows below ``len(halves)`` are the unit
-    offsets.  Offsets that link no two occupied cells are left out.
+    by packed key: ``keys[c]`` is the key of cell c, and ``index`` maps
+    every key of the margin-padded grid to its cell, or to -1 where the
+    cell is empty, so the neighbor of cell c at offset k, nearest offset
+    first, is ``index[keys[c] + deltas[k]]``.  ``axes`` holds the
+    coordinates in that order, one contiguous array per axis.
+    ``halves[k]`` is the half-cell matrix of the leading unit offsets,
+    so offsets below ``len(halves)`` are the unit offsets.
 
-    The table is gathered from a dense array indexed by key when the
-    keys it can reach span at most 8 times its entries, and found by a
-    sorted search per offset otherwise (a far outlier can spread the
-    keys over ~10^17 cells).
+    The index spans the whole padded grid, so more than ``MAX_CELLS``
+    cells raise ValueError.  At ``default_eps`` an axis of extent e
+    under a bounding diagonal d spans at most floor(20 sqrt(3) e / d) + 1
+    cells plus 2 reach of margin, and the product is largest at equal
+    extents: 26^3 = 17,576 cells in 3-D.
     """
 
     def __init__(self, pts: np.ndarray, eps: float):
@@ -137,19 +142,20 @@ class _CellGrid:
         # by a few ulps of |p|^2, ~1e-14 m^2 at |p|^2 ~ 20 m^2, so it would
         # accept every such pair, and none of them needs testing.
         cell = eps / math.sqrt(dim) * (1.0 - 1e-9)
-        offsets, matrices = _offsets(dim)
+        offsets, self.halves = _offsets(dim)
         reach = int(offsets.max())  # the largest offset on any axis
         # one contiguous column per axis: every step below runs on
         # unit-stride arrays
         cols = np.ascontiguousarray(pts.T)
         scaled = [x / cell for x in cols]
-        index = [np.floor(x) for x in scaled]
-        low = [i.min() for i in index]
+        floors = [np.floor(x) for x in scaled]
+        low = [f.min() for f in floors]
         # mixed-radix keys with a margin of `reach` cells on every axis, so
         # that key + offset never carries into another axis
-        widths = [i.max() - lo + 2 * reach + 1 for i, lo in zip(index, low)]
-        if not np.isfinite(widths).all() \
-                or math.prod(int(w) for w in widths) >= 1 << 62:
+        widths = [float(f.max() - lo) + 2 * reach + 1
+                  for f, lo in zip(floors, low)]
+        n_cells = math.prod(widths)  # inf or nan where x / cell overflows
+        if not n_cells <= MAX_CELLS:
             raise ValueError("point spread too large for the cell grid")
         strides = np.ones(dim, dtype=np.int64)
         for axis in range(dim - 2, -1, -1):
@@ -157,65 +163,25 @@ class _CellGrid:
         packed = np.zeros(len(pts), dtype=np.int64)
         half = np.zeros(len(pts), dtype=np.int64)
         for axis in range(dim):
-            packed += (index[axis] - low[axis] + reach).astype(np.int64) \
+            packed += (floors[axis] - low[axis] + reach).astype(np.int64) \
                 * strides[axis]
             # x / (cell / 2) is exactly 2 (x / cell) in binary floating
             # point, so this is floor(x / (cell / 2)) - 2 floor(x / cell),
             # in {0, 1}
-            half_index = np.floor(2.0 * scaled[axis]) - 2.0 * index[axis]
+            half_index = np.floor(2.0 * scaled[axis]) - 2.0 * floors[axis]
             half += half_index.astype(np.int64) << (dim - 1 - axis)
         self.order = np.argsort(packed, kind="stable")
         packed = packed[self.order]
         first = np.concatenate(([True], packed[1:] != packed[:-1]))
-        cell_keys = packed[first]
+        self.keys = packed[first]
         self.start = np.append(np.flatnonzero(first), len(packed))
         self.counts = np.diff(self.start)
         self.cell_of = np.cumsum(first) - 1
         self.half = half[self.order]
         self.axes = [x[self.order] for x in cols]
-
-        # int32 halves the table
-        deltas = offsets @ strides
-        table = np.empty((len(offsets), len(cell_keys)), dtype=np.int32)
-        span = int(cell_keys[-1] + deltas.max()) + 1
-        if span <= 8 * table.size:
-            # a dense index over every key a lookup can reach: each row
-            # is one gather, filled in tiles of at most _BATCH_PAIRS
-            dense = np.full(span, -1, dtype=np.int32)
-            dense[cell_keys] = np.arange(len(cell_keys), dtype=np.int32)
-            occupied = np.empty(len(offsets), dtype=bool)
-            height = max(1, _BATCH_PAIRS // len(cell_keys))
-            for top in range(0, len(offsets), height):
-                rows = slice(top, top + height)
-                np.take(dense, cell_keys + deltas[rows, None],
-                        out=table[rows])
-                occupied[rows] = (table[rows] >= 0).any(axis=1)
-        else:
-            # sparse keys: a sorted search per row
-            occupied = np.zeros(len(offsets), dtype=bool)
-            last = len(cell_keys) - 1
-            prev = None
-            for k in np.argsort(deltas).tolist():
-                target = cell_keys + deltas[k]
-                if deltas[k] - 1 == prev:
-                    # targets one key on: step past the keys just found
-                    pos = np.minimum(pos + found, last)
-                else:
-                    pos = np.minimum(np.searchsorted(cell_keys, target),
-                                     last)
-                found = cell_keys[pos] == target
-                prev = deltas[k]
-                row = table[k]
-                row[:] = pos
-                row[~found] = -1
-                occupied[k] = found.any()
-        kept = np.nonzero(occupied)[0]
-        for j, k in enumerate(kept.tolist()):  # close the gaps, in place
-            if j < k:
-                table[j] = table[k]
-        self.neighbors = table[:len(kept)]
-        self.deltas = deltas[kept]
-        self.halves = [matrices[k] for k in kept.tolist() if k < len(matrices)]
+        self.deltas = offsets @ strides
+        self.index = np.full(int(n_cells), -1, dtype=np.int32)
+        self.index[self.keys] = np.arange(len(self.keys), dtype=np.int32)
 
 
 def _certified(grid: _CellGrid, min_pts: int) -> np.ndarray:
@@ -224,13 +190,13 @@ def _certified(grid: _CellGrid, min_pts: int) -> np.ndarray:
     every point of the half-cell, so its points are cores.
     """
     n_half = len(grid.halves[0])
-    # one trailing row of zeros, which the -1 entries of the table pick
+    # one trailing row of zeros, which the -1 entries of the index pick
     inside = np.bincount(grid.cell_of * n_half + grid.half,
                          minlength=(len(grid.counts) + 1) * n_half)
     inside = inside.reshape(-1, n_half).astype(float)
     near = np.zeros_like(inside[:-1])
-    for shifted, matrix in zip(grid.neighbors, grid.halves):
-        near += inside[shifted] @ matrix.T
+    for delta, matrix in zip(grid.deltas, grid.halves):
+        near += inside[grid.index[grid.keys + delta]] @ matrix.T
     return near[grid.cell_of, grid.half] >= min_pts
 
 
@@ -252,15 +218,17 @@ def _batches(starts: np.ndarray, lengths: np.ndarray):
         yield i, at
 
 
-def _gather(table: np.ndarray, rows: np.ndarray, cells: np.ndarray):
-    """Yield ``(k, nb)`` for every entry ``nb = table[r, cells[k]] >= 0``
-    with ``r`` in ``rows``, gathered in tiles of at most ``_BATCH_PAIRS``
-    table entries."""
-    height = max(1, min(len(rows), _BATCH_PAIRS))
+def _gather(grid: _CellGrid, offsets: np.ndarray, cells: np.ndarray):
+    """Yield ``(k, nb)`` for every occupied neighbor ``nb`` of cell
+    ``cells[k]`` at the offsets numbered ``offsets``, looked up in tiles
+    of at most ``_BATCH_PAIRS`` keys."""
+    height = max(1, min(len(offsets), _BATCH_PAIRS))
     width = max(1, _BATCH_PAIRS // height)
-    for top in range(0, len(rows), height):
+    keys = grid.keys[cells]
+    for top in range(0, len(offsets), height):
+        deltas = grid.deltas[offsets[top:top + height], None]
         for lo in range(0, len(cells), width):
-            nb = table[np.ix_(rows[top:top + height], cells[lo:lo + width])]
+            nb = grid.index[keys[lo:lo + width] + deltas]
             k = np.flatnonzero(nb >= 0)
             nb = nb.ravel()[k]
             k %= min(width, len(cells) - lo)  # the tile's width
@@ -322,13 +290,13 @@ def _cores(grid: _CellGrid, min_pts: int, dist2, eps2: float) -> np.ndarray:
     certified = _certified(grid, min_pts)
     counts = grid.counts[grid.cell_of]
     short = np.nonzero((counts < min_pts) & ~certified)[0]
-    table = grid.neighbors
-    r = 1  # row 0 is the zero offset: each point's own cell
-    while len(short) and r < len(table):
-        step = len(table) - r
+    n_offsets = len(grid.deltas)
+    r = 1  # offset 0 is the zero offset: each point's own cell
+    while len(short) and r < n_offsets:
+        step = n_offsets - r
         if len(short) * step > _BATCH_PAIRS:
             step = min(r, max(1, _BATCH_PAIRS // len(short)))
-        for k, cells in _gather(table, np.arange(r, r + step),
+        for k, cells in _gather(grid, np.arange(r, r + step),
                                 grid.cell_of[short]):
             for i, at in _batches(grid.start[cells], grid.counts[cells]):
                 hit = dist2(short[k[i]], at) <= eps2
@@ -366,7 +334,7 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 
     grid = _CellGrid(pts, eps)
     # from here on points are numbered in cell order
-    cell_of, table = grid.cell_of, grid.neighbors
+    cell_of = grid.cell_of
     eps2 = eps * eps
     sq_norm = (pts ** 2).sum(axis=1)[grid.order]
     axes = grid.axes
@@ -393,8 +361,8 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     core_cells = np.nonzero(core_counts)[0]
     forward = np.nonzero(grid.deltas > 0)[0]
     unit = forward < len(grid.halves)
-    for k, b in itertools.chain(_gather(table, forward[unit], core_cells),
-                                _gather(table, forward[~unit], core_cells)):
+    for k, b in itertools.chain(_gather(grid, forward[unit], core_cells),
+                                _gather(grid, forward[~unit], core_cells)):
         a = core_cells[k]
         keep = (core_counts[b] > 0) & (parent[a] != parent[b])
         a, b = a[keep], b[keep]
@@ -433,7 +401,8 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     best = np.full(len(outside), -1)
     best_d2 = np.full(len(outside), np.inf)
     found, n_found = [], 0
-    for k, cells in _gather(table, np.arange(len(table)), cell_of[outside]):
+    for k, cells in _gather(grid, np.arange(len(grid.deltas)),
+                            cell_of[outside]):
         has = core_counts[cells] > 0
         k, cells = k[has], cells[has]
         for i, at in _batches(core_start[cells], core_counts[cells]):

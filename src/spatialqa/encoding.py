@@ -94,20 +94,6 @@ def patchify(encoded: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return flat @ weights
 
 
-def patchify_reference(encoded: np.ndarray,
-                       weights: np.ndarray) -> np.ndarray:
-    """Explicit sliding-window implementation used as the test oracle."""
-    grid = pad_to_patch_multiple(encoded)
-    h, w, c = grid.shape
-    gh, gw = h // PATCH, w // PATCH
-    out = np.zeros((gh, gw, weights.shape[1]))
-    for i in range(gh):
-        for j in range(gw):
-            tile = grid[i * PATCH:(i + 1) * PATCH, j * PATCH:(j + 1) * PATCH, :]
-            out[i, j] = tile.reshape(-1) @ weights
-    return out
-
-
 def fuse(rgb_features: np.ndarray, pm_features: np.ndarray,
          w_rgb: np.ndarray, w_pm: np.ndarray) -> np.ndarray:
     """Block linear projector over concatenated patch features.

@@ -27,9 +27,10 @@ MIN_VISIBLE_FRACTION = 0.85  # of an object's pixels when rendered alone
 
 
 def _mask_box(mask: np.ndarray) -> list[float]:
-    rows, cols = np.nonzero(mask)
-    return [float(cols.min()), float(rows.min()),
-            float(cols.max() + 1), float(rows.max() + 1)]
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    return [float(cols[0]), float(rows[0]),
+            float(cols[-1] + 1), float(rows[-1] + 1)]
 
 
 def scene_to_files(scene: OracleScene, root: Path,

@@ -41,7 +41,6 @@ from spatialqa.encoding import (
     PATCH,
     fuse,
     patchify,
-    patchify_reference,
     sinusoidal_encode,
 )
 from spatialqa.evalharness import (
@@ -66,6 +65,7 @@ from spatialqa.references import linear_order_reference, ordinal_word
 from spatialqa.relations import SceneObject
 
 from test_dbscan import brute_force_dbscan, same_clustering
+from test_encoding import patchify_reference
 
 
 def _report(n: int, passed: bool, detail: str) -> None:

@@ -126,9 +126,10 @@ class TestLargestCluster:
         assert out.shape == (80, 3)
 
     def test_all_noise_raises(self):
-        pts = np.arange(30, dtype=float).reshape(10, 3) * 100.0
+        # ten points ~5.2 apart on a line: none has a neighbour at eps 1
+        pts = np.arange(30, dtype=float).reshape(10, 3)
         with pytest.raises(EmptyObjectError):
-            dbscan_largest_cluster(pts, eps=0.01, min_pts=3)
+            dbscan_largest_cluster(pts, eps=1.0, min_pts=3)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
@@ -225,8 +226,20 @@ class TestExactLabels:
             dim = (1, 2, 4, 5)[trial % 4]
             n = int(rng.integers(5, 150))
             pts = rng.uniform(0, 3, size=(n, dim))
-            self.assert_exact(pts, float(rng.uniform(0.2, 1.2)),
+            # in 5-D a span of 3 fits the cell bound from eps ~0.61 up
+            low = 0.65 if dim == 5 else 0.2
+            self.assert_exact(pts, float(rng.uniform(low, 1.2)),
                               int(rng.integers(1, 8)))
+
+    def test_other_dimensions_over_the_cell_bound_raise(self):
+        # a span of 3 with its margins: 40^5 cells in 5-D at eps 0.2,
+        # 47^4 in 4-D at eps 0.15
+        rng = np.random.default_rng(8)
+        for dim, eps in ((5, 0.2), (4, 0.15)):
+            pts = rng.uniform(0, 3, size=(100, dim))
+            pts[:2] = [[0.0] * dim, [3.0] * dim]
+            with pytest.raises(ValueError, match="too large"):
+                dbscan_labels(pts, eps, 3)
 
     def test_border_point_equidistant_to_two_clusters(self):
         eps, min_pts = 1.0, 4
@@ -312,29 +325,69 @@ class TestExactLabels:
             np.testing.assert_array_equal(dbscan_labels(*args), labels)
 
 
-class TestGridPaths:
-    """The neighbour table comes from a dense key index when the keys
-    are compact and from a sorted search when they are sparse; pass 2
-    links the unit offsets first, then the farther ones."""
+def _blobs_with_a_far_outlier(rng, eps):
+    """Three blobs of a few hundred points and one point 10^6 eps away."""
+    n = int(rng.integers(50, 400))
+    centers = rng.uniform(0, 2, size=(3, 3))
+    pts = centers[rng.integers(0, 3, size=n)] + rng.normal(
+        0, 0.2, size=(n, 3))
+    return np.vstack([pts, [[2 + 1e6 * eps, 1.0, 1.0]]])
 
-    def test_dense_and_keyed_tables_agree(self):
+
+def _pipeline_clouds():
+    """Clouds of every shape the pipeline can be handed: blobs, cubes,
+    far outliers, lines, flat sheets, points that coincide."""
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        n = int(rng.integers(20, 400))
+        yield rng.normal(0, 1, size=(n, 3)) * rng.uniform(1e-7, 10, size=3)
+        yield rng.uniform(-1, 1, size=(n, 3)) * rng.uniform(1e-3, 10)
+        far = rng.normal(0, 0.1, size=(n, 3))
+        far[0] = rng.normal(0, 1, size=3) * 10.0 ** rng.uniform(0, 12)
+        yield far
+        line = np.outer(rng.uniform(0, 5, size=n), rng.normal(size=3))
+        yield line + rng.normal(0, 1e-6, size=(n, 3))
+        sheet = rng.uniform(0, 3, size=(n, 3))
+        sheet[:, rng.integers(0, 3)] = 1.5
+        yield sheet
+    yield np.zeros((5, 3))
+    yield np.full((3, 3), 1e9)
+
+
+class TestGridPaths:
+    """Neighbour cells come from one dense key index over the
+    margin-padded grid, whose cell count is bounded; pass 2 links the
+    unit offsets first, then the farther ones."""
+
+    def test_far_outlier_at_small_eps_raises(self):
+        # one point 10^6 eps away spreads the grid over ~10^9 cells
         rng = np.random.default_rng(14)
         for trial in range(10):
-            n = int(rng.integers(50, 400))
-            centers = rng.uniform(0, 2, size=(3, 3))
-            pts = centers[rng.integers(0, 3, size=n)] + rng.normal(
-                0, 0.2, size=(n, 3))
-            eps, min_pts = float(rng.uniform(0.1, 0.4)), int(
-                rng.integers(2, 12))
-            compact = dbscan_labels(pts, eps, min_pts)
-            # one point 10^6 eps away spreads the keys over ~10^9 cells
-            # for a few hundred occupied ones: the sparse-key search
-            far = np.vstack([pts, [[2 + 1e6 * eps, 1.0, 1.0]]])
-            spread = dbscan_labels(far, eps, min_pts)
-            np.testing.assert_array_equal(spread[:n], compact)
-            assert spread[n] == -1
-            TestExactLabels.assert_exact(pts, eps, min_pts)
+            eps = float(rng.uniform(0.1, 0.4))
+            far = _blobs_with_a_far_outlier(rng, eps)
+            with pytest.raises(ValueError, match="too large"):
+                dbscan_labels(far, eps, int(rng.integers(2, 12)))
+
+    def test_far_outlier_at_default_eps_is_noise(self):
+        rng = np.random.default_rng(14)
+        for trial in range(10):
+            far = _blobs_with_a_far_outlier(rng, float(rng.uniform(0.1, 0.4)))
+            eps, min_pts = default_eps(far), int(rng.integers(2, 12))
+            labels = dbscan_labels(far, eps, min_pts)
+            assert labels[-1] == -1
+            np.testing.assert_array_equal(labels[:-1], 0)
             TestExactLabels.assert_exact(far, eps, min_pts)
+
+    def test_default_eps_keeps_the_grid_within_26_cubed_cells(self):
+        # eps is 5 % of the bounding diagonal, so an axis spans at most
+        # 20 sqrt(3) of its share of the diagonal in cells; with 2 cells
+        # of margin a side, equal extents give the most: 26^3
+        largest = 0
+        for pts in _pipeline_clouds():
+            grid = spatialqa.dbscan._CellGrid(pts, default_eps(pts))
+            largest = max(largest, len(grid.index))
+        assert largest <= 26 ** 3 <= spatialqa.dbscan.MAX_CELLS
+        assert largest >= 25 ** 3  # the cubes come near the bound
 
     @pytest.mark.parametrize("min_pts", [2, 3])
     def test_chain_linked_across_two_cells(self, min_pts):
@@ -499,4 +552,4 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+        assert peak < 6 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
