@@ -56,10 +56,6 @@ class ClientError(Exception):
         super().__init__(f"client {role!r}: {message}")
 
 
-class FixtureMissError(ClientError):
-    pass
-
-
 def request_key(role: str, request: dict) -> str:
     blob = role + "\n" + json.dumps(request, sort_keys=True,
                                     separators=(",", ":"))
@@ -146,7 +142,7 @@ class Client:
         if self.config.fixture_dir is not None:
             fixture = _stored_path(self.config.fixture_dir, role, key)
             if not fixture.exists():
-                raise FixtureMissError(
+                raise ClientError(
                     role, f"no fixture for request key {key} "
                     f"(request={json.dumps(request, sort_keys=True)[:200]})")
             response = self._read(fixture, request)

@@ -1,7 +1,7 @@
 """Density-based clustering used to clean up segmented object point clouds.
 
-Semantics are pinned so that results are a pure function of the point
-multiset (order-independent):
+Points are 3-D, an (n, 3) array.  Semantics are pinned so that results
+are a pure function of the point multiset (order-independent):
 
   * a point's eps-neighborhood includes the point itself, radius inclusive;
     q is within eps of p when, in float64,
@@ -15,7 +15,7 @@ multiset (order-independent):
     ties broken by the core point's lexicographically smallest coordinates);
   * everything else is noise.
 
-The implementation bins points into grid cells of side eps/sqrt(dim), so
+The implementation bins points into grid cells of side eps/sqrt(3), so
 every pair inside one cell is within eps, and every pair within eps lies
 in two cells whose offset is one of a fixed set, visited nearest offset
 first.  Cells are kept CSR-style (points sorted by cell, keys computed
@@ -28,13 +28,12 @@ expanding the (point, member of the neighbor cell) pairs in batches of
 at most ``_BATCH_PAIRS``, so memory stays flat however dense or noisy
 the cloud is:
 
-  1. cores: each cell is split into 2^dim half-cells.  A point is a
+  1. cores: each cell is split into 2^3 half-cells.  A point is a
      core with no distance test when the half-cells wholly within eps of
      its own (every point of one within eps of every point of the other)
-     hold at least ``min_pts`` points; in 3-D these are the 3^3 block
-     around it and the 6 half-cells two halves away along one axis.  The
-     counts come from per-cell half-cell counts and one 0/1 matrix per
-     unit offset.
+     hold at least ``min_pts`` points: the 3^3 block around it and the 6
+     half-cells two halves away along one axis.  The counts come from
+     per-cell half-cell counts and one 0/1 matrix per unit offset.
      Every other point counts its own cell in full, then visits further
      offsets only while it is still below ``min_pts``: in steps of 1,
      2, 4, ... offsets, fewer where (points left) x (offsets taken)
@@ -72,10 +71,6 @@ from .geometry import EmptyObjectError
 NOISE = -1
 
 _BATCH_PAIRS = 1 << 15  # pairs or lookups at once; bounds peak memory
-
-# the grid visits (3 + 2 floor(sqrt(dim)))^dim cell offsets: 125 in 3-D,
-# 16,807 at 5, 5.8M at 8 (~370 MB as int64 coordinates)
-MAX_DIM = 5
 
 MAX_CELLS = 1 << 21  # the grid's key index holds an int32 per cell: 8 MiB
 
@@ -308,23 +303,22 @@ def _cores(grid: _CellGrid, min_pts: int, dist2, eps2: float) -> np.ndarray:
 
 
 def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
-    """Cluster labels per point; -1 marks noise.
+    """Cluster labels of (n, 3) ``points``; -1 marks noise.
 
     Label numbering follows each cluster's lexicographically smallest
-    core point so the labeling itself is order-independent.
+    core point so the labeling itself is order-independent.  An eps that
+    is not positive or whose square, which decides every distance, is not
+    a normal float raises ValueError before the grid divides by it.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (eps > 0 and eps * eps >= np.finfo(float).smallest_normal):
+        raise ValueError("eps must be positive with a normal float square, "
+                         f"got {eps!r}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] == 0:
-        raise ValueError("points must be a 2-D array of shape (n, dim) "
-                         f"with dim >= 1, got shape {pts.shape}")
-    if pts.shape[1] > MAX_DIM:
-        raise ValueError(f"points have dimension {pts.shape[1]}, over the "
-                         f"supported {MAX_DIM}: the cell offsets grow as "
-                         "(3 + 2 floor(sqrt(dim)))^dim")
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("points must be a 2-D array of shape (n, 3), "
+                         f"got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite, got a NaN or infinite "
                          "coordinate")
@@ -336,8 +330,9 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     # from here on points are numbered in cell order
     cell_of = grid.cell_of
     eps2 = eps * eps
-    sq_norm = (pts ** 2).sum(axis=1)[grid.order]
     axes = grid.axes
+    x, y, z = axes
+    sq_norm = x * x + y * y + z * z
 
     def dist2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         dot = axes[0][p] * axes[0][q]
@@ -452,8 +447,9 @@ MIN_PTS_CAP = 40
 
 def default_eps(points: np.ndarray) -> float:
     """Scale-free default: ``EPS_FRACTION`` of the bounding diagonal."""
-    pts = np.asarray(points, dtype=float)
-    diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    # per axis on a contiguous copy: unit-stride reductions
+    cols = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    diag = float(np.linalg.norm([x.max() - x.min() for x in cols]))
     return max(EPS_FRACTION * diag, 1e-6)
 
 

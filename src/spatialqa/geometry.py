@@ -32,10 +32,6 @@ class EmptyObjectError(GeometryError):
     """Raised when an object has no usable 3D points."""
 
 
-class DegenerateGravityError(GeometryError):
-    """Raised when gravity is parallel to the camera forward axis."""
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     fx: float
@@ -154,7 +150,8 @@ def gravity_frame(gravity_dir: np.ndarray) -> GravityFrame:
 
     world-y = gravity; world-z = camera forward projected orthogonal to
     gravity; world-x completes the right-handed frame.  Raises
-    DegenerateGravityError when gravity is (anti)parallel to camera forward.
+    GeometryError when gravity is not a unit vector or is (anti)parallel
+    to camera forward.
     """
     g = np.asarray(gravity_dir, dtype=float)
     norm = np.linalg.norm(g)
@@ -164,9 +161,8 @@ def gravity_frame(gravity_dir: np.ndarray) -> GravityFrame:
     fwd = _FORWARD - np.dot(_FORWARD, g) * g
     fwd_norm = np.linalg.norm(fwd)
     if fwd_norm < 1e-6:
-        raise DegenerateGravityError(
-            "gravity parallel to camera forward; horizontal frame undefined"
-        )
+        raise GeometryError("gravity parallel to camera forward; "
+                            "horizontal frame undefined")
     z_axis = fwd / fwd_norm
     y_axis = g
     x_axis = np.cross(y_axis, z_axis)

@@ -47,30 +47,28 @@ def _camera_rays(height: int, width: int,
 
 
 def _box_hit_depths(scene: OracleScene, gf, obj, rays: np.ndarray) -> np.ndarray:
-    """Per-pixel hit depth for one box; +inf where the ray misses."""
+    """Per-pixel hit depth for one box; +inf where the ray misses.
+
+    An IEEE slab test (Williams et al., JGT 2005): a zero direction
+    component gives the slab (-inf, inf) from inside it and a miss from
+    outside, and a ray in a face plane 0/0 = NaN, which ``minimum`` and
+    ``maximum`` keep and ``fmax`` and ``fmin`` then ignore."""
     axes_world = box_local_axes(obj.yaw_deg)
     axes_cam = axes_world @ gf.rotation            # rows: box axes in camera frame
     origin_local = -(axes_cam @ obj.center)        # camera origin in box frame
     d_local = rays @ axes_cam.T                    # (H, W, 3)
     half = obj.size / 2.0
 
-    tmin = np.full(rays.shape[:2], -np.inf)
-    tmax = np.full(rays.shape[:2], np.inf)
-    miss = np.zeros(rays.shape[:2], dtype=bool)
-    for i in range(3):
-        di = d_local[:, :, i]
-        oi = origin_local[i]
-        parallel = np.abs(di) < 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (-half[i] - oi) / di
-            t2 = (half[i] - oi) / di
-        lo = np.minimum(t1, t2)
-        hi = np.maximum(t1, t2)
-        tmin = np.where(parallel, tmin, np.maximum(tmin, lo))
-        tmax = np.where(parallel, tmax, np.minimum(tmax, hi))
-        miss |= parallel & (np.abs(oi) > half[i])
+    tmin, tmax = -np.inf, np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(3):
+            di = d_local[:, :, i]
+            t1 = (-half[i] - origin_local[i]) / di
+            t2 = (half[i] - origin_local[i]) / di
+            tmin = np.fmax(tmin, np.minimum(t1, t2))
+            tmax = np.fmin(tmax, np.maximum(t1, t2))
 
-    hit = (~miss) & (tmax >= tmin) & (tmax > Z_NEAR)
+    hit = (tmax >= tmin) & (tmax > Z_NEAR)
     t = np.where(tmin > Z_NEAR, tmin, tmax)
     return np.where(hit, t, np.inf)
 

@@ -31,23 +31,12 @@ COORD_LIMIT = 250.0
 
 
 class PmapError(Exception):
-    """Base error for point-map IO; carries the offending byte offset."""
+    """A point-map file that cannot be read; carries the offending byte
+    offset."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-class MalformedHeaderError(PmapError):
-    pass
-
-
-class TruncatedPayloadError(PmapError):
-    pass
-
-
-class DimensionMismatchError(PmapError):
-    pass
 
 
 @dataclass
@@ -118,29 +107,25 @@ def make_pointmap(points: np.ndarray, valid: np.ndarray) -> PointMap:
 def read_pointmap(path: str | Path) -> PointMap:
     """Load a PMAP file, validating header, dimensions and payload length.
 
-    Raises MalformedHeaderError / DimensionMismatchError /
-    TruncatedPayloadError with the byte offset of the problem.
+    Raises PmapError, with the byte offset of the problem, for a
+    malformed header, degenerate dimensions, a truncated payload or
+    trailing bytes.
     """
     data = Path(path).read_bytes()
     if len(data) < HEADER_SIZE:
-        raise MalformedHeaderError("file shorter than header", offset=len(data))
+        raise PmapError("file shorter than header", offset=len(data))
     if data[:4] != MAGIC:
-        raise MalformedHeaderError(f"bad magic {data[:4]!r}", offset=0)
+        raise PmapError(f"bad magic {data[:4]!r}", offset=0)
     width, height = struct.unpack_from("<II", data, 4)
     if width == 0 or height == 0:
-        raise DimensionMismatchError(
-            f"degenerate dimensions {width}x{height}", offset=4
-        )
+        raise PmapError(f"degenerate dimensions {width}x{height}", offset=4)
     expected = HEADER_SIZE + width * height * RECORD_SIZE
     if len(data) < expected:
-        raise TruncatedPayloadError(
-            f"payload ends early, expected {expected} bytes total", offset=len(data)
-        )
+        raise PmapError(f"payload ends early, expected {expected} bytes "
+                        "total", offset=len(data))
     if len(data) > expected:
-        raise DimensionMismatchError(
-            f"{len(data) - expected} trailing bytes beyond {width}x{height} grid",
-            offset=expected,
-        )
+        raise PmapError(f"{len(data) - expected} trailing bytes beyond "
+                        f"{width}x{height} grid", offset=expected)
     raw = np.frombuffer(data, dtype="<f4", offset=HEADER_SIZE)
     grid = raw.reshape(height, width, 4)
     return make_pointmap(grid[:, :, :3], grid[:, :, 3] != 0.0)

@@ -30,10 +30,6 @@ class RelationError(Exception):
     pass
 
 
-class NoGeometryError(RelationError):
-    """Pixel query on an invalid or out-of-bounds pixel."""
-
-
 # Margins a qualitative answer must clear before a QA item is emitted.
 ORIENTATION_GUARD_DEG = 30.0     # yaw distance to a canonical facing
 DIRECTION_GUARD_DEG = 30.0       # min angle from axis plane boundary
@@ -82,11 +78,12 @@ class SceneObject:
 # ---------------------------------------------------------------------------
 
 def query_point(pm: PointMap, u: int, v: int) -> np.ndarray:
-    """Stored camera-frame point at pixel (u, v); raises on invalid pixels."""
+    """Stored camera-frame point at pixel (u, v); RelationError on an
+    invalid or out-of-bounds pixel."""
     if not (0 <= u < pm.width and 0 <= v < pm.height):
-        raise NoGeometryError(f"pixel ({u},{v}) outside {pm.width}x{pm.height}")
+        raise RelationError(f"pixel ({u},{v}) outside {pm.width}x{pm.height}")
     if not pm.is_valid(u, v):
-        raise NoGeometryError(f"pixel ({u},{v}) has no valid geometry")
+        raise RelationError(f"pixel ({u},{v}) has no valid geometry")
     return pm.point_at(u, v).astype(float)
 
 

@@ -11,7 +11,6 @@ from spatialqa.clients import (
     Client,
     ClientConfig,
     ClientError,
-    FixtureMissError,
     build_clients,
     record_fixture,
     request_key,
@@ -38,7 +37,7 @@ class TestFixtureMode:
     def test_fixture_miss_is_error(self, tmp_path):
         client = Client(ClientConfig(role="grounder",
                                      fixture_dir=str(tmp_path)))
-        with pytest.raises(FixtureMissError):
+        with pytest.raises(ClientError, match="no fixture for request key"):
             client.call({"image_id": "unknown", "caption": "x"})
 
     def test_no_network_in_fixture_mode(self, tmp_path, monkeypatch):

@@ -169,12 +169,20 @@ class TestDefaults:
         with pytest.raises(ValueError, match="2-D"):
             dbscan_labels(np.zeros((2, 2, 3)), eps=1.0, min_pts=1)
 
-    def test_dimension_above_five_rejected_at_once(self):
-        # checked before any grid work: 7^8 cell offsets would take
-        # ~370 MB to enumerate at d = 8
+    def test_points_that_are_not_3d_rejected(self):
         for n in (0, 10):
-            with pytest.raises(ValueError, match="dimension 8"):
-                dbscan_labels(np.zeros((n, 8)), eps=1.0, min_pts=3)
+            for dim in (0, 1, 2, 4, 8):
+                with pytest.raises(ValueError, match=r"\(n, 3\)"):
+                    dbscan_labels(np.zeros((n, dim)), eps=1.0, min_pts=3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps", [1e-320, 5e-324])
+    def test_eps_with_a_subnormal_square_rejected(self, eps):
+        # rejected before the grid divides by a cell that small, which
+        # would overflow and blame the point spread
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(ValueError, match="eps must be .* normal float"):
+            dbscan_labels(pts, eps=eps, min_pts=1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
@@ -219,27 +227,6 @@ class TestExactLabels:
                                    np.full(n, 1.5)])
             self.assert_exact(pts, float(rng.uniform(0.1, 0.6)),
                               int(rng.integers(2, 10)))
-
-    def test_other_dimensions(self):
-        rng = np.random.default_rng(8)
-        for trial in range(60):
-            dim = (1, 2, 4, 5)[trial % 4]
-            n = int(rng.integers(5, 150))
-            pts = rng.uniform(0, 3, size=(n, dim))
-            # in 5-D a span of 3 fits the cell bound from eps ~0.61 up
-            low = 0.65 if dim == 5 else 0.2
-            self.assert_exact(pts, float(rng.uniform(low, 1.2)),
-                              int(rng.integers(1, 8)))
-
-    def test_other_dimensions_over_the_cell_bound_raise(self):
-        # a span of 3 with its margins: 40^5 cells in 5-D at eps 0.2,
-        # 47^4 in 4-D at eps 0.15
-        rng = np.random.default_rng(8)
-        for dim, eps in ((5, 0.2), (4, 0.15)):
-            pts = rng.uniform(0, 3, size=(100, dim))
-            pts[:2] = [[0.0] * dim, [3.0] * dim]
-            with pytest.raises(ValueError, match="too large"):
-                dbscan_labels(pts, eps, 3)
 
     def test_border_point_equidistant_to_two_clusters(self):
         eps, min_pts = 1.0, 4
@@ -413,15 +400,14 @@ def _face_lattices():
     some of the divisions by the cell land exactly on a face.  No pair
     sits at exactly eps (squared distances are multiples of 1/16)."""
     rng = np.random.default_rng(10)
-    for dim in (2, 3):
-        face_eps = 0.5 * math.sqrt(dim) / (1.0 - 1e-9)
-        for ulps in range(-3, 4):
-            eps = face_eps * (1.0 + ulps * 2.0 ** -52)
-            for _ in range(4):
-                n = int(rng.integers(20, 300))
-                side = int(rng.integers(3, 9))
-                pts = rng.integers(-side, side, size=(n, dim)) * 0.25
-                yield pts, eps, int(rng.integers(2, 14))
+    face_eps = 0.5 * math.sqrt(3) / (1.0 - 1e-9)
+    for ulps in range(-3, 4):
+        eps = face_eps * (1.0 + ulps * 2.0 ** -52)
+        for _ in range(8):
+            n = int(rng.integers(20, 300))
+            side = int(rng.integers(3, 9))
+            pts = rng.integers(-side, side, size=(n, 3)) * 0.25
+            yield pts, eps, int(rng.integers(2, 14))
 
 
 def _pairs_at_eps():

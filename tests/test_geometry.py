@@ -11,7 +11,6 @@ from spatialqa.dbscan import (dbscan_largest_cluster, default_eps,
 
 from spatialqa.geometry import (
     CameraIntrinsics,
-    DegenerateGravityError,
     EmptyObjectError,
     GeometryError,
     GravityFrame,
@@ -125,7 +124,7 @@ class TestGravityFrame:
             np.testing.assert_allclose(gf.to_world(g), [0, 1, 0], atol=1e-10)
 
     def test_parallel_to_forward_degenerate(self):
-        with pytest.raises(DegenerateGravityError):
+        with pytest.raises(GeometryError, match="parallel to camera forward"):
             gravity_frame(np.array([0.0, 0.0, 1.0]))
 
     def test_non_unit_rejected(self):

@@ -2,12 +2,13 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from spatialqa.geometry import gravity_frame
+from spatialqa.geometry import box_local_axes, gravity_frame
 from spatialqa.oracle.answers import answers_match, oracle_answer
 from spatialqa.oracle.fixtures import problem_fixture_response
 from spatialqa.oracle.gen import generate_dataset
@@ -312,6 +313,101 @@ class TestRenderWindow:
         assert np.array_equal(depth, ref_depth)
         for object_id, mask in masks.items():
             assert np.array_equal(mask, ref_masks[object_id]), object_id
+
+
+def _branching_box_hit_depths(scene, gf, obj, rays, parallel_below=1e-12):
+    """The slab test with an explicit branch for rays parallel to a slab
+    (a component below ``parallel_below`` in size), as the renderer
+    computed it, at 1e-12, before it relied on IEEE infinities."""
+    axes_world = box_local_axes(obj.yaw_deg)
+    axes_cam = axes_world @ gf.rotation
+    origin_local = -(axes_cam @ obj.center)
+    d_local = rays @ axes_cam.T
+    half = obj.size / 2.0
+
+    tmin = np.full(rays.shape[:2], -np.inf)
+    tmax = np.full(rays.shape[:2], np.inf)
+    miss = np.zeros(rays.shape[:2], dtype=bool)
+    for i in range(3):
+        di = d_local[:, :, i]
+        oi = origin_local[i]
+        parallel = np.abs(di) < parallel_below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (-half[i] - oi) / di
+            t2 = (half[i] - oi) / di
+        lo = np.minimum(t1, t2)
+        hi = np.maximum(t1, t2)
+        tmin = np.where(parallel, tmin, np.maximum(tmin, lo))
+        tmax = np.where(parallel, tmax, np.minimum(tmax, hi))
+        miss |= parallel & (np.abs(oi) > half[i])
+
+    hit = (~miss) & (tmax >= tmin) & (tmax > Z_NEAR)
+    t = np.where(tmin > Z_NEAR, tmin, tmax)
+    return np.where(hit, t, np.inf)
+
+
+class TestParallelAndGrazingRays:
+    """The IEEE slab test against the branching reference, on a lattice of
+    rays whose components are 0, -0, +-1e-13, +-0.5 and +-1 (one of them
+    at least 0.5 in size, as for every pixel ray), and boxes whose faces
+    lie on the camera's planes, cut by them or clear of them."""
+
+    COMPONENTS = (-1.0, -0.5, -1e-13, -0.0, 0.0, 1e-13, 0.5, 1.0)
+    SIZE = np.array([1.0, 0.5, 2.0])
+    ORIENTATIONS = [(0.0, False), (0.0, True), (30.0, False), (-120.0, True)]
+
+    @classmethod
+    def _cases(cls, yaw, tilted):
+        """(scene, frame, rays, boxes); per axis the camera plane is a face
+        (center +-half), cuts the box (center 0) or misses it (+-3 half),
+        before the yaw turns the box about gravity."""
+        scene = _manual_scene([])
+        if tilted:
+            scene = dataclasses.replace(scene,
+                                        gravity=TestRenderWindow.TILTED)
+        rays = np.array(list(itertools.product(cls.COMPONENTS, repeat=3)))
+        rays = rays[np.abs(rays).max(axis=1) >= 0.5][:, None, :]
+        boxes = [_box("o", c, size=cls.SIZE, yaw=yaw)
+                 for c in itertools.product(*[(-3 * h, -h, 0.0, h, 3 * h)
+                                              for h in cls.SIZE / 2.0])]
+        return scene, gravity_frame(scene.gravity), rays, boxes
+
+    @pytest.mark.parametrize("yaw, tilted", ORIENTATIONS)
+    def test_equal_where_only_zero_components_branch(self, yaw, tilted):
+        # a zero component gives +-inf, and 0/0 = NaN in a face plane,
+        # which fmax and fmin ignore: the branch for exact zeros, bit for bit
+        scene, gf, rays, boxes = self._cases(yaw, tilted)
+        in_face_plane = 0
+        for obj in boxes:
+            ours = _box_hit_depths(scene, gf, obj, rays)
+            ref = _branching_box_hit_depths(scene, gf, obj, rays,
+                                            parallel_below=5e-324)
+            assert np.array_equal(ours, ref)
+            axes_cam = box_local_axes(yaw) @ gf.rotation
+            on_face = np.abs(axes_cam @ obj.center) == obj.size / 2.0
+            in_face_plane += np.count_nonzero(
+                (rays @ axes_cam.T)[:, 0][:, on_face] == 0)
+        # the camera lies on face planes, and rays in them, without tilt
+        assert (in_face_plane > 0) == (not tilted)
+
+    @pytest.mark.parametrize("yaw, tilted", ORIENTATIONS)
+    def test_equal_to_the_1e_12_branch_off_face_planes(self, yaw, tilted):
+        # below 1e-12 the branch took a ray as parallel; the slab test
+        # differs from it only where such a ray grazes a face plane within
+        # 1e-9 of the camera, and there it follows the ray exactly
+        scene, gf, rays, boxes = self._cases(yaw, tilted)
+        differ = 0
+        for obj in boxes:
+            ours = _box_hit_depths(scene, gf, obj, rays)
+            ref = _branching_box_hit_depths(scene, gf, obj, rays)
+            axes_cam = box_local_axes(yaw) @ gf.rotation
+            gap = np.abs(np.abs(axes_cam @ obj.center) - obj.size / 2.0)
+            d = (rays @ axes_cam.T)[:, 0]
+            grazing = ((d != 0) & (np.abs(d) < 1e-12)
+                       & (gap < 1e-9)).any(axis=1)
+            assert np.array_equal(ours[~grazing], ref[~grazing])
+            differ += np.count_nonzero(ours != ref)
+        assert (differ > 0) == (not tilted)
 
 
 class TestAnalyticPoint:

@@ -10,9 +10,7 @@ from spatialqa.pmap import (
     HEADER_SIZE,
     MAGIC,
     RECORD_SIZE,
-    DimensionMismatchError,
-    MalformedHeaderError,
-    TruncatedPayloadError,
+    PmapError,
     make_pointmap,
     read_pointmap,
     write_pointmap,
@@ -123,14 +121,14 @@ class TestErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.pmap"
         path.write_bytes(b"NOPE" + struct.pack("<II", 1, 1) + b"\x00" * 16)
-        with pytest.raises(MalformedHeaderError) as e:
+        with pytest.raises(PmapError, match="bad magic") as e:
             read_pointmap(path)
         assert e.value.offset == 0
 
     def test_short_header(self, tmp_path):
         path = tmp_path / "x.pmap"
         path.write_bytes(b"PMAP\x01")
-        with pytest.raises(MalformedHeaderError) as e:
+        with pytest.raises(PmapError, match="shorter than header") as e:
             read_pointmap(path)
         assert e.value.offset == 5
 
@@ -139,7 +137,7 @@ class TestErrors:
         # header claims 2x2 but only 1.5 records follow
         payload = MAGIC + struct.pack("<II", 2, 2) + b"\x00" * 24
         path.write_bytes(payload)
-        with pytest.raises(TruncatedPayloadError) as e:
+        with pytest.raises(PmapError, match="payload ends early") as e:
             read_pointmap(path)
         assert e.value.offset == len(payload)
 
@@ -147,12 +145,12 @@ class TestErrors:
         path = tmp_path / "x.pmap"
         good = MAGIC + struct.pack("<II", 1, 1) + b"\x00" * RECORD_SIZE
         path.write_bytes(good + b"junk")
-        with pytest.raises(DimensionMismatchError) as e:
+        with pytest.raises(PmapError, match="4 trailing bytes") as e:
             read_pointmap(path)
         assert e.value.offset == HEADER_SIZE + RECORD_SIZE
 
     def test_zero_dimension(self, tmp_path):
         path = tmp_path / "x.pmap"
         path.write_bytes(MAGIC + struct.pack("<II", 0, 4))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(PmapError, match="degenerate dimensions 0x4"):
             read_pointmap(path)

@@ -9,7 +9,6 @@ from spatialqa.geometry import IDENTITY_GRAVITY, box_local_axes, gravity_frame
 from spatialqa.pmap import make_pointmap
 from spatialqa.relations import (
     DIRECTION_COMPONENT,
-    NoGeometryError,
     RelationError,
     SceneObject,
     depth_order,
@@ -49,9 +48,9 @@ class TestLevel0:
     def test_query_invalid_pixel_raises(self):
         pts = np.zeros((2, 2, 3), dtype=np.float32)
         pm = make_pointmap(pts, np.array([[True, False], [True, True]]))
-        with pytest.raises(NoGeometryError):
+        with pytest.raises(RelationError, match="no valid geometry"):
             query_point(pm, 1, 0)
-        with pytest.raises(NoGeometryError):
+        with pytest.raises(RelationError, match="outside 2x2"):
             query_point(pm, 5, 0)
 
     def test_depth_order_strict(self):
