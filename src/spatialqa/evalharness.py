@@ -134,13 +134,19 @@ def score_mcq(response: str, gt_letter: str,
     return False
 
 
+_TF_WORD = re.compile(r"\b(not )?(true|yes|correct|false|no|incorrect)\b")
+
+
 def score_tf(response: str, gt: str) -> bool:
+    """Correct when every True/False word of the response reads one way:
+    "not" turns the word after it ("not true" is False, "not incorrect"
+    True), and a response that reads both ways is incorrect."""
     norm = normalize_text(response)
-    truthy = bool(re.search(r"\b(?:true|yes|correct)\b", norm)) or norm == "t"
-    falsy = bool(re.search(r"\b(?:false|no|incorrect)\b", norm)) or norm == "f"
-    if truthy == falsy:
-        return False
-    return truthy if gt == "True" else falsy
+    readings = {(word in ("true", "yes", "correct")) != bool(negated)
+                for negated, word in _TF_WORD.findall(norm)}
+    if norm in ("t", "f"):
+        readings.add(norm == "t")
+    return readings == {gt == "True"}
 
 
 def _holds(norm: str, phrase: str) -> bool:

@@ -17,21 +17,22 @@ the type and range of each field; beyond those:
 
 Optional fields may be null.  ``ImageManifest.from_dict`` enforces each
 rule one record can break, raising ManifestError with the field, its
-value and what was wanted.  ``read_manifest`` also rejects a repeated
-image_id; ``validate_manifest`` reports every bad line, and paths that
-do not resolve, as ``<file> line <n>: ...``.
+value and what was wanted; an object stays the record as written, and no
+code reads a key the rules do not name.  ``read_manifest`` also rejects
+a repeated image_id; ``validate_manifest`` reports every bad line, and
+paths that do not resolve, as ``<file> line <n>: ...``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .filters import TAG_COUNT
-from .geometry import (IDENTITY_GRAVITY, CameraIntrinsics, GeometryError,
-                       GravityFrame, gravity_frame)
+from .geometry import (IDENTITY_GRAVITY, GeometryError, GravityFrame,
+                       gravity_frame)
 from .schema import (FINITE, FRACTION, POSITIVE, SIZE, TEXT, ManifestError,
                      boxes, check, finite, is_object, numbers, or_null,
                      read_jsonl, records, strings, text, unique)
@@ -96,78 +97,27 @@ _OBJECT_RULES = (
 )
 
 
-@dataclass
-class ObjectAnnotation:
-    object_id: str
-    category: str
-    box2d: list[float]
-    mask: str | None = None
-    yaw_deg: float | None = None
-    captions: list[str] = field(default_factory=list)
-    grounding: list[dict] | None = None
-    box3d: dict | None = None
+def _object(o: dict, width: int, height: int) -> dict:
+    """The object record ``o`` of a ``width`` x ``height`` image, checked."""
+    def error(message: str) -> ManifestError:
+        return ManifestError(f"object {o.get('object_id')!r}: {message}")
 
-    def to_dict(self) -> dict:
-        d = {"object_id": self.object_id, "category": self.category,
-             "box2d": [float(v) for v in self.box2d]}
-        if self.mask is not None:
-            d["mask"] = self.mask
-        if self.yaw_deg is not None:
-            d["yaw_deg"] = float(self.yaw_deg)
-        if self.captions:
-            d["captions"] = list(self.captions)
-        if self.grounding is not None:
-            d["grounding"] = self.grounding
-        if self.box3d is not None:
-            d["box3d"] = self.box3d
-        return d
-
-    @classmethod
-    def from_dict(cls, o: dict, width: int, height: int) -> "ObjectAnnotation":
-        """The annotation ``o`` of a ``width`` x ``height`` image."""
-        def error(message: str) -> ManifestError:
-            return ManifestError(f"object {o.get('object_id')!r}: {message}")
-
-        x0, y0, x1, y1 = check(o, _OBJECT_RULES, error)["box2d"]
-        if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
-            raise error(f"box2d {o['box2d']!r} outside image bounds")
-        return cls(object_id=o["object_id"], category=o["category"],
-                   box2d=[float(v) for v in o["box2d"]], mask=o.get("mask"),
-                   yaw_deg=o.get("yaw_deg"), captions=o.get("captions") or [],
-                   grounding=o.get("grounding"), box3d=o.get("box3d"))
+    x0, y0, x1, y1 = check(o, _OBJECT_RULES, error)["box2d"]
+    if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
+        raise error(f"box2d {o['box2d']!r} outside image bounds")
+    return o
 
 
 @dataclass
 class ImageManifest:
+    """What the pipeline reads of an image record; ``objects`` are its
+    object records as written, and ``frame`` is derived from gravity."""
     image_id: str
-    width: int
-    height: int
     pointmap: str
-    gravity: list[float] | None = None
-    intrinsics: CameraIntrinsics | None = None
-    pixel_stats: dict | None = None
-    tags: list[str] | None = None
-    objects: list[ObjectAnnotation] = field(default_factory=list)
-    # derived from gravity, the identity frame when it is null
-    frame: GravityFrame = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.frame = gravity_frame(
-            IDENTITY_GRAVITY if self.gravity is None else self.gravity)
-
-    def to_dict(self) -> dict:
-        d = {"image_id": self.image_id, "width": self.width,
-             "height": self.height, "pointmap": self.pointmap}
-        if self.gravity is not None:
-            d["gravity"] = [float(v) for v in self.gravity]
-        if self.intrinsics is not None:
-            d["intrinsics"] = self.intrinsics.to_dict()
-        if self.pixel_stats is not None:
-            d["pixel_stats"] = self.pixel_stats
-        if self.tags is not None:
-            d["tags"] = list(self.tags)
-        d["objects"] = [o.to_dict() for o in self.objects]
-        return d
+    frame: GravityFrame
+    objects: list[dict]
+    pixel_stats: dict | None
+    tags: list[str] | None
 
     @classmethod
     def from_dict(cls, d: dict) -> "ImageManifest":
@@ -175,25 +125,22 @@ class ImageManifest:
         image_id = check(d, _ID_RULES)["image_id"]
         try:
             check(d, _IMAGE_RULES)
-            width, height, gravity = d["width"], d["height"], d.get("gravity")
-            objects = [ObjectAnnotation.from_dict(o, width, height)
+            objects = [_object(o, d["width"], d["height"])
                        for o in d.get("objects") or []]
-            ids = [o.object_id for o in objects]
+            ids = [o["object_id"] for o in objects]
             if len(set(ids)) < len(ids):
                 raise ManifestError(f"object_ids {ids!r} are not unique")
+            gravity = d.get("gravity")
+            frame = gravity_frame(
+                IDENTITY_GRAVITY if gravity is None else gravity)
         except ManifestError as e:
             raise ManifestError(f"image {image_id!r}: {e}") from None
-        intrinsics = (d.get("intrinsics")
-                      and CameraIntrinsics.from_dict(d["intrinsics"]))
-        try:
-            return cls(
-                image_id=image_id, width=width, height=height,
-                pointmap=d["pointmap"], gravity=gravity, intrinsics=intrinsics,
-                pixel_stats=d.get("pixel_stats"), tags=d.get("tags"),
-                objects=objects)
         except GeometryError as e:  # from the frame of gravity
             raise ManifestError(
                 f"image {image_id!r}: gravity {gravity!r}: {e}") from None
+        return cls(image_id=image_id, pointmap=d["pointmap"], frame=frame,
+                   objects=objects, pixel_stats=d.get("pixel_stats"),
+                   tags=d.get("tags"))
 
 
 def read_manifest(path: str | Path) -> list[ImageManifest]:
@@ -201,10 +148,10 @@ def read_manifest(path: str | Path) -> list[ImageManifest]:
     return read_jsonl(path, unique("image_id", ImageManifest.from_dict))
 
 
-def write_manifest(entries: list[ImageManifest], path: str | Path) -> None:
+def write_manifest(records: list[dict], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for entry in entries:
-            f.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+        for record in records:
+            f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def resolve_path(manifest_path: str | Path, ref: str) -> Path:
@@ -225,8 +172,8 @@ def validate_manifest(path: str | Path) -> list[str]:
             problems.append(str(entry))
             continue
         refs = [("pointmap", entry.pointmap)] + [
-            (f"object {o.object_id!r}: mask", o.mask)
-            for o in entry.objects if o.mask is not None]
+            (f"object {o['object_id']!r}: mask", o["mask"])
+            for o in entry.objects if o.get("mask") is not None]
         problems += [
             f"{path} line {lineno}: image {entry.image_id!r}: {what} "
             f"{ref!r} does not resolve"

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..clients import record_fixture
-from ..manifest import ImageManifest, ObjectAnnotation, write_manifest
+from ..manifest import ImageManifest, write_manifest
 from ..pmap import write_pointmap
 from .fixtures import problem_fixture_response
 from .render import render_scene
@@ -35,9 +35,9 @@ def _mask_box(mask: np.ndarray) -> list[float]:
 
 def scene_to_files(scene: OracleScene, root: Path,
                    gt_boxes: bool, rng: np.random.Generator
-                   ) -> tuple[ImageManifest, OracleScene]:
+                   ) -> tuple[dict, OracleScene]:
     """Render one scene and write its pmap + masks; returns the manifest
-    entry and the visibility-filtered ground truth."""
+    record and the visibility-filtered ground truth."""
     pm, masks, _depth = render_scene(scene, rng=rng,
                                      min_visible_fraction=MIN_VISIBLE_FRACTION)
     pmap_rel = f"pmaps/{scene.scene_id}.pmap"
@@ -56,32 +56,32 @@ def scene_to_files(scene: OracleScene, root: Path,
         mask_path = root / mask_rel
         mask_path.parent.mkdir(parents=True, exist_ok=True)
         np.save(mask_path, mask, allow_pickle=False)
-        ann = ObjectAnnotation(
-            object_id=obj.object_id, category=obj.category,
-            box2d=_mask_box(mask), mask=mask_rel, yaw_deg=obj.yaw_deg,
-        )
+        ann = {"object_id": obj.object_id, "category": obj.category,
+               "box2d": _mask_box(mask), "mask": mask_rel,
+               "yaw_deg": float(obj.yaw_deg)}
         if gt_boxes:
-            ann.box3d = {
+            ann["box3d"] = {
                 "center": [float(c) for c in obj.center],
                 "size": [float(s) for s in obj.size],
                 "yaw_deg": float(obj.yaw_deg),
             }
         annotations.append(ann)
 
-    entry = ImageManifest(
-        image_id=scene.scene_id, width=scene.width, height=scene.height,
-        pointmap=pmap_rel, gravity=[float(g) for g in scene.gravity],
-        intrinsics=scene.intrinsics,
-        pixel_stats={"white": 0.0, "black": 0.0, "invalid_depth": 0.0},
-        objects=annotations,
-    )
+    record = {
+        "image_id": scene.scene_id, "width": scene.width,
+        "height": scene.height, "pointmap": pmap_rel,
+        "gravity": [float(g) for g in scene.gravity],
+        "intrinsics": scene.intrinsics.to_dict(),
+        "pixel_stats": {"white": 0.0, "black": 0.0, "invalid_depth": 0.0},
+        "objects": annotations,
+    }
     filtered = OracleScene(
         scene_id=scene.scene_id, width=scene.width, height=scene.height,
         intrinsics=scene.intrinsics, gravity=scene.gravity,
         objects=visible, noise_sigma=scene.noise_sigma,
         background_depth=scene.background_depth,
     )
-    return entry, filtered
+    return record, filtered
 
 
 @dataclass
@@ -100,42 +100,44 @@ def generate_dataset(seeds: range, out_dir: str | Path, sigma: float = 0.0,
     """Sample, render and persist a batch of oracle scenes."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    entries = []
+    records = []
     truths = []
     for seed in seeds:
         scene = sample_scene(seed, config=sampler, noise_sigma=sigma)
         render_rng = np.random.default_rng(seed + 1_000_003)
-        entry, truth = scene_to_files(scene, root, gt_boxes, render_rng)
-        entries.append(entry)
+        record, truth = scene_to_files(scene, root, gt_boxes, render_rng)
+        records.append(record)
         truths.append(truth)
     result = GenerateResult(
         manifest_path=root / "manifest.jsonl",
         scenes_path=root / "scenes.jsonl",
         fixture_dir=root / "fixtures" if problem_fixtures else None,
-        n_scenes=len(entries),
-        n_objects=sum(len(e.objects) for e in entries),
+        n_scenes=len(records),
+        n_objects=sum(len(r["objects"]) for r in records),
     )
-    write_manifest(entries, result.manifest_path)
+    write_manifest(records, result.manifest_path)
     write_scenes(truths, result.scenes_path)
     if problem_fixtures:
-        _write_problem_fixtures(result, entries)
+        _write_problem_fixtures(result, records)
     return result
 
 
 def _write_problem_fixtures(result: GenerateResult,
-                            entries: list[ImageManifest]) -> None:
+                            records: list[dict]) -> None:
     """Record generator responses for the digests the pipeline will build.
 
-    Runs the pipeline's own scene assembly (ground-truth boxes mode) so
-    the recorded request keys match the later replay exactly.
+    Parses each record and runs the pipeline's own scene assembly
+    (ground-truth boxes mode), as ``generate`` does, so the recorded
+    request keys match the later replay exactly.
     """
     from ..config import PipelineConfig
     from ..pipeline import build_scene
     from ..qa.problem import scene_digest
 
     config = PipelineConfig()
-    for entry in entries:
-        scene = build_scene(entry, result.manifest_path, config)
+    for record in records:
+        scene = build_scene(ImageManifest.from_dict(record),
+                            result.manifest_path, config)
         if not scene.objects:
             continue
         digest = scene_digest(scene)

@@ -69,18 +69,18 @@ def _apply_filters(entry: ImageManifest, config: PipelineConfig) -> None:
             raise SceneSkipped(reason)
 
 
-def _estimate_object(entry: ImageManifest, ann, pm,
+def _estimate_object(entry: ImageManifest, ann: dict, pm,
                      manifest_path) -> SceneObject | None:
-    yaw = ann.yaw_deg
-    if ann.box3d is not None:
+    yaw, box3d = ann.get("yaw_deg"), ann.get("box3d")
+    if box3d is not None:
         # ground-truth annotation: the estimation pipeline is skipped
-        center, size = ann.box3d["center"], ann.box3d["size"]
+        center, size = box3d["center"], box3d["size"]
         if yaw is None:
-            yaw = float(ann.box3d["yaw_deg"])
-    elif ann.mask is None:
+            yaw = float(box3d["yaw_deg"])
+    elif ann.get("mask") is None:
         return None
     else:
-        mask = np.load(resolve_path(manifest_path, ann.mask),
+        mask = np.load(resolve_path(manifest_path, ann["mask"]),
                        allow_pickle=False)
         try:
             points = extract_object_points(pm, mask)
@@ -90,7 +90,7 @@ def _estimate_object(entry: ImageManifest, ann, pm,
             center, size = fit_box3d(points, entry.frame, yaw_hint_deg=yaw)
         except EmptyObjectError:
             return None
-    return SceneObject(object_id=ann.object_id, category=ann.category,
+    return SceneObject(object_id=ann["object_id"], category=ann["category"],
                        center=np.asarray(center, dtype=float),
                        size=np.asarray(size, dtype=float), yaw_deg=yaw)
 
@@ -103,21 +103,22 @@ def _verified_captions(entry: ImageManifest, objects: list[SceneObject],
     present, otherwise from the grounder client; objects with neither are
     left for the spatial/fallback reference kinds.
     """
-    by_id = {ann.object_id: ann for ann in entry.objects}
+    by_id = {ann["object_id"]: ann for ann in entry.objects}
     verified: dict[str, str] = {}
     for obj in objects:
         ann = by_id[obj.object_id]
-        for i, caption in enumerate(ann.captions):
-            if ann.grounding is not None:
-                if i >= len(ann.grounding):
+        grounding = ann.get("grounding")
+        for i, caption in enumerate(ann.get("captions") or []):
+            if grounding is not None:
+                if i >= len(grounding):
                     break
-                boxes = ann.grounding[i]["boxes"]
+                boxes = grounding[i]["boxes"]
             elif grounder is not None:
                 boxes = grounder.call(
                     {"image_id": entry.image_id, "caption": caption})["boxes"]
             else:
                 break
-            iou = box_iou(boxes[0], ann.box2d) if len(boxes) == 1 else 0.0
+            iou = box_iou(boxes[0], ann["box2d"]) if len(boxes) == 1 else 0.0
             if verify_textual_reference(boxes, iou):
                 verified[obj.object_id] = caption
                 break

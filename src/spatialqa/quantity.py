@@ -27,8 +27,9 @@ _UNIT_TO_METERS = {
 
 # (?<!\d) changes no match; it keeps a failed match linear in a digit run
 _NUMBER = r"(?<!\d)[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+# "in" is inches only when no word follows it: "2 in the scene" is a count
 _UNIT = r"(?:km|mm|cm|m|metres?|meters?|centimetres?|centimeters?|" \
-        r"millimetres?|millimeters?|ft|foot|feet|in|inch|inches)"
+        r"millimetres?|millimeters?|ft|foot|feet|in(?!\s*[a-z])|inch|inches)"
 _QUANTITY_RE = re.compile(
     rf"({_NUMBER})\s*({_UNIT})\b", re.IGNORECASE)
 _BARE_NUMBER_RE = re.compile(_NUMBER)
@@ -51,7 +52,8 @@ def parse_quantity(text: str) -> float | None:
     """Final metric quantity in the text, in meters; None when absent or
     beyond ``MAX_MAGNITUDE`` (which takes in every non-finite value).
 
-    A trailing bare number with no unit is read as meters.
+    A trailing bare number with no unit is read as meters, and "in" is
+    inches only when no word follows it ("3 in front" is a bare 3).
     """
     matches = list(_QUANTITY_RE.finditer(text))
     if matches:

@@ -9,7 +9,7 @@ import pytest
 
 from spatialqa.cli import main
 from spatialqa.encoding import read_tensor
-from spatialqa.manifest import read_manifest, write_manifest
+from spatialqa.manifest import read_jsonl, read_manifest, write_manifest
 from spatialqa.pipeline import read_corpus
 
 
@@ -217,11 +217,12 @@ class TestTagInclude:
                                                         tmp_path):
         data = tmp_path / "data"
         shutil.copytree(oracle_dir, data)
-        entries = read_manifest(data / "manifest.jsonl")
-        losers = {entries[0].image_id, entries[2].image_id}
-        for entry in entries:
-            entry.tags = self.LOSE if entry.image_id in losers else self.WIN
-        write_manifest(entries, data / "manifest.jsonl")
+        records = read_jsonl(data / "manifest.jsonl", dict)
+        losers = {records[0]["image_id"], records[2]["image_id"]}
+        for record in records:
+            record["tags"] = self.LOSE if record["image_id"] in losers \
+                else self.WIN
+        write_manifest(records, data / "manifest.jsonl")
         assert self._run(data, tmp_path, {"tag_include": self.INCLUDE}) == 0
         statuses = json.loads(
             (tmp_path / "o" / "ledger.json").read_text())["statuses"]
@@ -231,7 +232,7 @@ class TestTagInclude:
             assert statuses[image_id]["reason"] == \
                 "tag vote: 2/5 include tags"
         assert {i for i, s in statuses.items() if s["status"] == "done"} \
-            == {e.image_id for e in entries} - losers
+            == {r["image_id"] for r in records} - losers
         corpus_ids = {item["image_id"] for item in
                       read_corpus(tmp_path / "o" / "corpus.jsonl")}
         assert corpus_ids and not corpus_ids & losers
@@ -247,7 +248,6 @@ class TestTagInclude:
 
 class TestEncodeDump:
     def test_dump_and_patchify(self, oracle_dir, tmp_path):
-        from spatialqa.manifest import read_manifest
         entries = read_manifest(oracle_dir / "manifest.jsonl")
         pmap_path = oracle_dir / entries[0].pointmap
         out = tmp_path / "enc.bin"

@@ -137,6 +137,18 @@ class TestScoreMcqTf:
         assert not score_tf("true or false", "True")
         assert score_tf("yes", "True")
         assert not score_tf("no", "True")
+        # "not" turns the word after it; both readings at once score
+        # incorrect against either truth
+        assert score_tf("That is not true.", "False")
+        assert not score_tf("That is not true.", "True")
+        assert score_tf("not correct", "False")
+        assert score_tf("not false", "True")
+        assert score_tf("It is not incorrect.", "True")
+        assert not score_tf("not incorrect", "False")
+        assert score_tf("No, that is not true.", "False")
+        for both in ("not true, it is true", "true, not false, not true"):
+            assert not score_tf(both, "True")
+            assert not score_tf(both, "False")
 
 
 class TestScoreLabel:

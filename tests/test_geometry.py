@@ -162,7 +162,7 @@ class TestMinAreaRect:
         for entry in read_manifest(manifest):
             pm = read_pointmap(resolve_path(manifest, entry.pointmap))
             for ann in entry.objects:
-                mask = np.load(resolve_path(manifest, ann.mask))
+                mask = np.load(resolve_path(manifest, ann["mask"]))
                 cloud = extract_object_points(pm, mask)
                 cloud = dbscan_largest_cluster(
                     cloud, eps=default_eps(cloud),

@@ -7,13 +7,10 @@ import numpy as np
 import pytest
 
 from spatialqa.cli import main
-from spatialqa.geometry import CameraIntrinsics
 from spatialqa.oracle.gen import generate_dataset
 from spatialqa.oracle.scene import ESTIMATION_SAMPLER
 from spatialqa.manifest import (
-    ImageManifest,
     ManifestError,
-    ObjectAnnotation,
     read_jsonl,
     read_manifest,
     resolve_path,
@@ -23,25 +20,22 @@ from spatialqa.manifest import (
 from spatialqa.pmap import make_pointmap, write_pointmap
 
 
-def _entry(tmp_path, image_id="img-0", with_mask=True):
+def _entry(tmp_path, image_id="img-0"):
+    """A one-object record, with its point map and mask written."""
     pm = make_pointmap(np.ones((4, 4, 3), dtype=np.float32),
                        np.ones((4, 4), dtype=bool))
     write_pointmap(pm, tmp_path / f"{image_id}.pmap")
-    mask_name = None
-    if with_mask:
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[1:3, 1:3] = True
-        mask_name = f"{image_id}-obj0.npy"
-        np.save(tmp_path / mask_name, mask)
-    return ImageManifest(
-        image_id=image_id, width=4, height=4, pointmap=f"{image_id}.pmap",
-        gravity=[0.0, 1.0, 0.0],
-        intrinsics=CameraIntrinsics(fx=4.0, fy=4.0, cx=2.0, cy=2.0),
-        pixel_stats={"white": 0.0, "black": 0.0, "invalid_depth": 0.0},
-        objects=[ObjectAnnotation(object_id="obj0", category="chair",
-                                  box2d=[1, 1, 3, 3], mask=mask_name,
-                                  yaw_deg=90.0)],
-    )
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[1:3, 1:3] = True
+    np.save(tmp_path / f"{image_id}-obj0.npy", mask)
+    return {"image_id": image_id, "width": 4, "height": 4,
+            "pointmap": f"{image_id}.pmap", "gravity": [0.0, 1.0, 0.0],
+            "intrinsics": {"fx": 4.0, "fy": 4.0, "cx": 2.0, "cy": 2.0},
+            "pixel_stats": {"white": 0.0, "black": 0.0,
+                            "invalid_depth": 0.0},
+            "objects": [{"object_id": "obj0", "category": "chair",
+                         "box2d": [1.0, 1.0, 3.0, 3.0],
+                         "mask": f"{image_id}-obj0.npy", "yaw_deg": 90.0}]}
 
 
 class TestRoundTrip:
@@ -52,8 +46,8 @@ class TestRoundTrip:
         back = read_manifest(path)
         assert len(back) == 3
         assert back[0].image_id == "img-0"
-        assert back[0].objects[0].yaw_deg == 90.0
-        assert back[0].intrinsics.fx == 4.0
+        assert back[0].objects[0]["yaw_deg"] == 90.0
+        assert back[0].objects == entries[0]["objects"]
 
     def test_blank_lines_ignored(self, tmp_path):
         entries = [_entry(tmp_path)]
@@ -85,7 +79,7 @@ class TestReadJsonl:
 
     def test_invalid_utf8_names_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "manifest.jsonl"
-        path.write_bytes(json.dumps(_entry(tmp_path).to_dict()).encode()
+        path.write_bytes(json.dumps(_entry(tmp_path)).encode()
                          + b'\n{"image_id": "caf\xe9"}\n')
         with pytest.raises(ManifestError, match=r"manifest\.jsonl line 2: "
                            r"invalid JSON: 'utf-8' codec can't decode"):
@@ -98,7 +92,7 @@ class TestReadJsonl:
     @pytest.mark.parametrize("line", ['{"b": 1}', "[1, 2]", "7", '"text"'])
     def test_rejected_record_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "manifest.jsonl"
-        path.write_text(json.dumps(_entry(tmp_path).to_dict()) + "\n"
+        path.write_text(json.dumps(_entry(tmp_path)) + "\n"
                         + line + "\n")
         with pytest.raises(ManifestError, match=r"manifest\.jsonl line 2: "
                            r"(bad record|image_id None cannot name a file)"):
@@ -113,7 +107,7 @@ class TestValidation:
 
     def test_missing_pointmap_flagged(self, tmp_path):
         entry = _entry(tmp_path)
-        entry.pointmap = "nope.pmap"
+        entry["pointmap"] = "nope.pmap"
         path = tmp_path / "manifest.jsonl"
         write_manifest([entry], path)
         problems = validate_manifest(path)
@@ -121,14 +115,14 @@ class TestValidation:
 
     def test_box_outside_bounds_flagged(self, tmp_path):
         entry = _entry(tmp_path)
-        entry.objects[0].box2d = [0, 0, 10, 10]
+        entry["objects"][0]["box2d"] = [0, 0, 10, 10]
         path = tmp_path / "manifest.jsonl"
         write_manifest([entry], path)
         assert any("outside image bounds" in p for p in validate_manifest(path))
 
     def test_non_unit_gravity_flagged(self, tmp_path):
         entry = _entry(tmp_path)
-        entry.gravity = [0.0, 2.0, 0.0]
+        entry["gravity"] = [0.0, 2.0, 0.0]
         path = tmp_path / "manifest.jsonl"
         write_manifest([entry], path)
         assert any("gravity norm" in p for p in validate_manifest(path))
@@ -142,7 +136,8 @@ class TestValidation:
 
     def test_bad_pixel_stats_flagged(self, tmp_path):
         entry = _entry(tmp_path)
-        entry.pixel_stats = {"white": 1.5, "black": 0.0, "invalid_depth": 0.0}
+        entry["pixel_stats"] = {"white": 1.5, "black": 0.0,
+                                "invalid_depth": 0.0}
         path = tmp_path / "manifest.jsonl"
         write_manifest([entry], path)
         assert any("pixel_stats" in p for p in validate_manifest(path))
@@ -152,12 +147,12 @@ class TestValidation:
         """A path longer than the file system allows is reported like any
         other path that names no file, and the lines after it are still
         checked."""
-        record = _entry(tmp_path).to_dict()
+        record = _entry(tmp_path)
         if field == "mask":
             record["objects"][0]["mask"] = "x" * 300
         else:
             record["pointmap"] = "x" * 300
-        second = _entry(tmp_path, "img-1").to_dict()
+        second = _entry(tmp_path, "img-1")
         second["pointmap"] = "nope.pmap"
         path = tmp_path / "manifest.jsonl"
         path.write_text(json.dumps(record) + "\n" + json.dumps(second) + "\n")
@@ -180,7 +175,7 @@ class TestValidation:
     ])
     def test_hostile_field_is_a_violation(self, tmp_path, capsys, field,
                                           value, message):
-        record = _entry(tmp_path).to_dict()
+        record = _entry(tmp_path)
         if field in ("box2d", "mask"):
             record["objects"][0][field] = value
         else:
@@ -227,7 +222,7 @@ class TestParseTimeSchema:
         pytest.param("a\udc80", id="lone-surrogate"),
     ])
     def test_unsafe_image_id_rejected(self, tmp_path, capsys, image_id):
-        record = _entry(tmp_path).to_dict()
+        record = _entry(tmp_path)
         record["image_id"] = image_id
         validate_rc, validate_err, generate_rc, generate_err, written = \
             _run_both(tmp_path, capsys, record)
@@ -239,7 +234,7 @@ class TestParseTimeSchema:
         assert written == []
 
     def test_longest_image_id_generates(self, tmp_path, capsys):
-        record = _entry(tmp_path).to_dict()
+        record = _entry(tmp_path)
         record["image_id"] = "a" * 245
         validate_rc, _, generate_rc, _, written = _run_both(
             tmp_path, capsys, record)
@@ -285,7 +280,7 @@ class TestParseTimeSchema:
     ])
     def test_bad_field_rejected(self, tmp_path, capsys, field, value,
                                 message):
-        record = _entry(tmp_path).to_dict()
+        record = _entry(tmp_path)
         self._set(record, field, value)
         with pytest.raises(ManifestError, match="line 1: image 'img-0'"):
             _parse(tmp_path, record)
@@ -298,11 +293,11 @@ class TestParseTimeSchema:
         assert written == []
 
     def test_null_yaw_and_good_box3d_accepted(self, tmp_path):
-        record = _entry(tmp_path).to_dict()
+        record = _entry(tmp_path)
         self._set(record, "box3d.yaw_deg", 15)
         record["objects"][0]["yaw_deg"] = None
         record["objects"][0]["pitch_deg"] = -5
-        assert _parse(tmp_path, record)[0].objects[0].box3d
+        assert _parse(tmp_path, record)[0].objects[0]["box3d"]
 
 
 class TestResolvePath:
@@ -420,7 +415,7 @@ class TestHostileRecords:
     ])
     def test_string_for_a_list_is_a_violation(self, tmp_path, field, value,
                                               message):
-        record = _mutated(_entry(tmp_path).to_dict(), field, value)
+        record = _mutated(_entry(tmp_path), field, value)
         path = tmp_path / "manifest.jsonl"
         path.write_text(json.dumps(record) + "\n")
         assert [p.split(": ", 1)[1] for p in validate_manifest(path)] == [

@@ -11,7 +11,7 @@ import pytest
 from spatialqa.cli import main
 from spatialqa.clients import record_fixture
 from spatialqa.config import PipelineConfig
-from spatialqa.manifest import read_manifest, write_manifest
+from spatialqa.manifest import read_jsonl, read_manifest, write_manifest
 from spatialqa.oracle.gen import generate_dataset
 from spatialqa.pipeline import (
     SceneSkipped,
@@ -58,14 +58,14 @@ class TestBuildScene:
         entries = read_manifest(dataset.manifest_path)
         entry = entries[0]
         ann = entry.objects[0]
-        ann.captions = ["an ambiguous thing", "a very specific thing"]
-        ann.grounding = [
+        ann["captions"] = ["an ambiguous thing", "a very specific thing"]
+        ann["grounding"] = [
             {"boxes": [[0, 0, 5, 5], [5, 5, 9, 9]]},   # ambiguous
-            {"boxes": [list(ann.box2d)]},               # exact match
+            {"boxes": [list(ann["box2d"])]},            # exact match
         ]
         # no grounder client configured: records alone drive verification
         scene = build_scene(entry, dataset.manifest_path, PipelineConfig())
-        assert scene.refs[ann.object_id] == "a very specific thing"
+        assert scene.refs[ann["object_id"]] == "a very specific thing"
 
     def test_blank_or_shared_caption_not_used(self, dataset):
         entry = next(e for e in read_manifest(dataset.manifest_path)
@@ -74,8 +74,8 @@ class TestBuildScene:
         anns = entry.objects[:3]
         # each grounding record matches its own object's box exactly
         for ann, caption in zip(anns, ("the chair", "the chair", "")):
-            ann.captions = [caption]
-            ann.grounding = [{"boxes": [list(ann.box2d)]}]
+            ann["captions"] = [caption]
+            ann["grounding"] = [{"boxes": [list(ann["box2d"])]}]
         scene = build_scene(entry, dataset.manifest_path, PipelineConfig())
         assert scene.refs == plain.refs
         assert len(set(scene.refs.values())) == len(scene.refs)
@@ -84,7 +84,7 @@ class TestBuildScene:
         entries = read_manifest(dataset.manifest_path)
         entry = entries[0]
         ann = entry.objects[0]
-        ann.captions = ["an ambiguous thing", "a very specific thing"]
+        ann["captions"] = ["an ambiguous thing", "a very specific thing"]
         # first caption: two boxes (ambiguous); second: one box, high IoU
         record_fixture(tmp_path, "grounder",
                        {"image_id": entry.image_id,
@@ -93,13 +93,45 @@ class TestBuildScene:
         record_fixture(tmp_path, "grounder",
                        {"image_id": entry.image_id,
                         "caption": "a very specific thing"},
-                       {"boxes": [list(ann.box2d)]})
+                       {"boxes": [list(ann["box2d"])]})
         config = PipelineConfig(
             clients={"grounder": {"fixture_dir": str(tmp_path)}})
         from spatialqa.clients import build_clients
         scene = build_scene(entry, dataset.manifest_path, config,
                             build_clients(config.clients))
-        assert scene.refs[ann.object_id] == "a very specific thing"
+        assert scene.refs[ann["object_id"]] == "a very specific thing"
+
+
+    @pytest.mark.parametrize("mode", ["gt-boxes", "estimation"])
+    def test_unknown_object_keys_stay_unread(self, dataset, reference,
+                                             tmp_path, mode):
+        """An object record carries keys the schema does not name into the
+        pipeline; the scenes and corpus bytes are those of the records
+        without them."""
+        manifest = Path(dataset.manifest_path if mode == "gt-boxes"
+                        else reference.estimation_manifest)
+        data = tmp_path / "data"
+        shutil.copytree(manifest.parent, data)
+        records = read_jsonl(manifest, dict)
+        for record in records:
+            for obj in record["objects"]:
+                obj.update(pitch_deg=-5, note="x")
+        write_manifest(records, data / "manifest.jsonl")
+        assert read_manifest(data / "manifest.jsonl")[0].objects[0][
+            "note"] == "x"
+        corpora, scenes = [], []
+        for path, out in ((manifest, tmp_path / "plain"),
+                          (data / "manifest.jsonl", tmp_path / "extra")):
+            built = [build_scene(e, path, PipelineConfig())
+                     for e in read_manifest(path)]
+            scenes.append([(s.refs, [(o.object_id, o.category,
+                                      o.center.tolist(), o.size.tolist(),
+                                      o.yaw_deg) for o in s.objects])
+                           for s in built])
+            run_generate(path, PipelineConfig(), out)
+            corpora.append((out / "corpus.jsonl").read_bytes())
+        assert scenes[0] == scenes[1]
+        assert corpora[0] == corpora[1] and corpora[0]
 
 
 class TestRunGenerate:
@@ -214,21 +246,20 @@ class TestRunGenerate:
         # image: synthesis skips the direction they have none of
         broken = tmp_path / "coincident"
         shutil.copytree(Path(dataset.manifest_path).parent, broken)
-        entries = read_manifest(broken / "manifest.jsonl")[:5]
-        victim = entries[0]
-        victim.objects[1].box3d["center"] = list(
-            victim.objects[0].box3d["center"])
-        write_manifest(entries, broken / "manifest.jsonl")
+        records = read_jsonl(broken / "manifest.jsonl", dict)[:5]
+        victim = records[0]["objects"]
+        victim[1]["box3d"]["center"] = list(victim[0]["box3d"]["center"])
+        write_manifest(records, broken / "manifest.jsonl")
         out = tmp_path / "coincident-out"
         assert main(["generate", "--manifest",
                      str(broken / "manifest.jsonl"),
                      "--out", str(out)]) == 0
         assert (out / "corpus.jsonl").exists()
         statuses = json.loads((out / "ledger.json").read_text())["statuses"]
-        assert len(statuses) == len(entries)
-        assert statuses[victim.image_id]["status"] == "done"
+        assert len(statuses) == len(records)
+        assert statuses[records[0]["image_id"]]["status"] == "done"
         assert sum(s["status"] == "done" for s in statuses.values()) == \
-            len(entries)
+            len(records)
 
     def test_corrupt_pointmap_isolated(self, dataset, tmp_path):
         # copy the dataset, truncate one pmap file
@@ -425,21 +456,21 @@ class TestLedger:
         # image 1 fails, image 2 is filtered out, image 5 is beyond --limit
         data = tmp_path / "data"
         shutil.copytree(Path(dataset.manifest_path).parent, data)
-        entries = read_manifest(data / "manifest.jsonl")
-        pmap_path = data / entries[1].pointmap
+        records = read_jsonl(data / "manifest.jsonl", dict)
+        pmap_path = data / records[1]["pointmap"]
         pmap_path.write_bytes(pmap_path.read_bytes()[:40])
-        entries[2].pixel_stats = {"white": 0.5, "black": 0.0,
-                                  "invalid_depth": 0.0}
-        write_manifest(entries, data / "manifest.jsonl")
+        records[2]["pixel_stats"] = {"white": 0.5, "black": 0.0,
+                                     "invalid_depth": 0.0}
+        write_manifest(records, data / "manifest.jsonl")
         out = tmp_path / "out"
         ledger = run_generate(data / "manifest.jsonl", PipelineConfig(),
                               out, limit=5)
         assert ledger == json.loads((out / "ledger.json").read_text())
         assert ledger["summary"] == {"done": 3, "failed": 1, "skipped": 2}
         statuses = ledger["statuses"]
-        assert set(statuses) == {e.image_id for e in entries}
+        ids = [r["image_id"] for r in records]
+        assert set(statuses) == set(ids)
         for entry in statuses.values():
             assert ("reason" in entry) == (entry["status"] != "done")
-        assert statuses[entries[2].image_id]["reason"].startswith(
-            "pure-pixel rule")
-        assert statuses[entries[5].image_id]["reason"] == "beyond --limit"
+        assert statuses[ids[2]]["reason"].startswith("pure-pixel rule")
+        assert statuses[ids[5]]["reason"] == "beyond --limit"

@@ -52,6 +52,16 @@ class TestParse:
     def test_unit_without_space(self):
         assert parse_quantity("2.4m") == pytest.approx(2.4)
 
+    @pytest.mark.parametrize("text, meters", [
+        ("12 in", 0.3048), ("12 in.", 0.3048), ("12 inches", 0.3048),
+        ("It is 12 in, I think", 0.3048),
+        # the preposition, with a word after it, is no unit
+        ("It is 1.5 m. There are 2 in the scene.", 1.5),
+        ("roughly 3 in front", 3.0), ("3 In Front", 3.0),
+    ])
+    def test_in_is_inches_only_with_no_word_after_it(self, text, meters):
+        assert parse_quantity(text) == pytest.approx(meters)
+
 
 class TestRoundTrip:
     def test_1000_random_values_within_half_ulp(self):
