@@ -7,16 +7,15 @@
                         [--preset default|estimation] [--problem-fixtures]
   spatialqa oracle check --scenes S --corpus Q
   spatialqa validate    --manifest M
-  spatialqa encode-dump --pointmap P --out T [--channels N] [--seed S]
+  spatialqa encode-dump --pointmap P --out T
 
 All commands exit nonzero on any error; ``validate`` and ``oracle check``
 exit nonzero when violations or mismatches are found.  A corpus or
 responses line that breaks its schema is an error (see ``read_corpus``);
 an item whose provenance the oracle cannot read counts as a mismatch.  A
-number outside its flag's range (``--limit``, the ``oracle gen`` seeds
-and the ``encode-dump`` seed >= 0, ``--workers`` and ``--channels``
->= 1, ``--sigma`` finite and >= 0) or an empty seed range is a usage
-error.
+number outside its flag's range (``--limit`` and the ``oracle gen``
+seeds >= 0, ``--workers`` >= 1, ``--sigma`` finite and >= 0) or an empty
+seed range is a usage error.
 
 A run is set by its input files, its ``--config`` file (see ``config``)
 and these flags; no environment variable changes it.
@@ -34,9 +33,10 @@ import numpy as np
 from . import __version__
 from .clients import ClientError
 from .config import ConfigError, load_config
+from .encoding import sinusoidal_encode
 from .manifest import ManifestError, validate_manifest
 from .pipeline import read_corpus, run_evaluate, run_generate
-from .pmap import PmapError
+from .pmap import PmapError, read_pointmap
 
 
 def _seed_range(text: str) -> range:
@@ -140,20 +140,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_encode_dump(args) -> int:
-    from .encoding import (ENCODED_CHANNELS, PATCH, patchify,
-                           sinusoidal_encode, write_tensor)
-    from .pmap import read_pointmap
-
-    pm = read_pointmap(args.pointmap)
-    encoded = sinusoidal_encode(pm)
-    if args.patchify:
-        rng = np.random.default_rng(args.seed)
-        weights = rng.normal(
-            0.0, 0.02, size=(ENCODED_CHANNELS * PATCH * PATCH, args.channels))
-        out = patchify(encoded, weights)
-    else:
-        out = encoded
-    write_tensor(out, args.out)
+    out = sinusoidal_encode(read_pointmap(args.pointmap)).astype(np.float32)
+    # np.save(path) would append ".npy" to a name without it
+    with open(args.out, "wb") as f:
+        np.save(f, out)
     print(f"encode-dump: {out.shape} -> {args.out}")
     return 0
 
@@ -209,12 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("encode-dump", help="export point-map encodings")
+    p = sub.add_parser("encode-dump", help="write a point-map encoding .npy")
     p.add_argument("--pointmap", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--patchify", action="store_true")
-    p.add_argument("--channels", type=_at_least(int, 1), default=1152)
-    p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.set_defaults(func=cmd_encode_dump)
     return parser
 

@@ -15,9 +15,6 @@ documented choice, not an externally specified value.
 
 from __future__ import annotations
 
-import struct
-from pathlib import Path
-
 import numpy as np
 
 from .pmap import PointMap
@@ -109,26 +106,3 @@ def fuse(rgb_features: np.ndarray, pm_features: np.ndarray,
         )
     return rgb_features @ w_rgb + pm_features @ w_pm
 
-
-# ---------------------------------------------------------------------------
-# Tensor dump format: "TNSR" magic, u32 rank, u32 dims, f32 row-major
-# ---------------------------------------------------------------------------
-
-TENSOR_MAGIC = b"TNSR"
-
-
-def write_tensor(array: np.ndarray, path: str | Path) -> None:
-    arr = np.ascontiguousarray(array, dtype="<f4")
-    header = TENSOR_MAGIC + struct.pack("<I", arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    Path(path).write_bytes(header + arr.tobytes())
-
-
-def read_tensor(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if data[:4] != TENSOR_MAGIC:
-        raise ValueError(f"bad tensor magic {data[:4]!r}")
-    rank = struct.unpack_from("<I", data, 4)[0]
-    dims = struct.unpack_from(f"<{rank}I", data, 8)
-    payload = np.frombuffer(data, dtype="<f4", offset=8 + 4 * rank)
-    return payload.reshape(dims)

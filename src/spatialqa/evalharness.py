@@ -134,18 +134,27 @@ def score_mcq(response: str, gt_letter: str,
     return False
 
 
-_TF_WORD = re.compile(r"\b(not )?(true|yes|correct|false|no|incorrect)\b")
+_TF_READS = {"true": True, "yes": True, "correct": True,
+             "false": False, "no": False, "incorrect": False}
 
 
 def score_tf(response: str, gt: str) -> bool:
     """Correct when every True/False word of the response reads one way:
-    "not" turns the word after it ("not true" is False, "not incorrect"
-    True), and a response that reads both ways is incorrect."""
+    "not" or a contraction ("isn't") turns the first one after it, one
+    word may stand between ("not quite true" is False); a "no" before a
+    word ("no chairs") counts only as the response's one such word."""
     norm = normalize_text(response)
-    readings = {(word in ("true", "yes", "correct")) != bool(negated)
-                for negated, word in _TF_WORD.findall(norm)}
-    if norm in ("t", "f"):
-        readings.add(norm == "t")
+    words = ({"t": ["true"], "f": ["false"]}.get(norm)
+             or re.findall(r"[a-z0-9]+", re.sub(r"\Bn t\b", "n not", norm)))
+    hits = sum(w in _TF_READS for w in words)
+    readings, turn_until = set(), -1
+    for i, word in enumerate(words):
+        if word == "not":
+            turn_until = i + 2
+        elif word in _TF_READS and (word != "no" or hits == 1
+                                    or i + 1 == len(words)):
+            readings.add(_TF_READS[word] != (i <= turn_until))
+            turn_until = -1
     return readings == {gt == "True"}
 
 
@@ -153,8 +162,8 @@ def _holds(norm: str, phrase: str) -> bool:
     """Does normalized text ``norm`` hold ``phrase`` as whole tokens?
     Tokens end at a space, a sentence's closing period or the end of the
     text: "1" is in "it is 1." but not in "10", "1.5" or "1e999"."""
-    return bool(re.search(rf"(?:^|\s){re.escape(phrase)}\.?(?:$|\s)",
-                          norm))
+    padded = f" {norm} "
+    return f" {phrase} " in padded or f" {phrase}. " in padded
 
 
 def score_label(response: str, gt: str) -> bool:

@@ -5,12 +5,14 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spatialqa.cli import main
-from spatialqa.encoding import read_tensor
+from spatialqa.encoding import sinusoidal_encode
 from spatialqa.manifest import read_jsonl, read_manifest, write_manifest
 from spatialqa.pipeline import read_corpus
+from spatialqa.pmap import read_pointmap
 
 
 @pytest.fixture(scope="module")
@@ -247,22 +249,21 @@ class TestTagInclude:
 
 
 class TestEncodeDump:
-    def test_dump_and_patchify(self, oracle_dir, tmp_path):
+    def test_writes_npy_at_out(self, oracle_dir, tmp_path):
+        """The float32 encoding goes to exactly ``--out``: ``np.save``
+        given a path would write ``enc.bin.npy``."""
         entries = read_manifest(oracle_dir / "manifest.jsonl")
         pmap_path = oracle_dir / entries[0].pointmap
         out = tmp_path / "enc.bin"
         rc = main(["encode-dump", "--pointmap", str(pmap_path), "--out",
                    str(out)])
         assert rc == 0
-        tensor = read_tensor(out)
-        assert tensor.shape[2] == 193
-
-        out2 = tmp_path / "patch.bin"
-        rc = main(["encode-dump", "--pointmap", str(pmap_path), "--out",
-                   str(out2), "--patchify", "--channels", "64"])
-        assert rc == 0
-        tensor2 = read_tensor(out2)
-        assert tensor2.shape[2] == 64
+        assert [p.name for p in tmp_path.iterdir()] == ["enc.bin"]
+        tensor = np.load(out, allow_pickle=False)
+        assert tensor.dtype == np.float32
+        np.testing.assert_array_equal(
+            tensor,
+            sinusoidal_encode(read_pointmap(pmap_path)).astype(np.float32))
 
 
 class TestErrors:
@@ -382,12 +383,13 @@ class TestErrors:
     @pytest.mark.parametrize("argv, message", [
         (["generate", "--manifest", "m.jsonl", "--limit", "-1"],
          "--limit: '-1' is not an integer >= 0"),
-        (["encode-dump", "--pointmap", "p.pmap", "--patchify",
-          "--channels", "-3"], "--channels: '-3' is not an integer >= 1"),
-        (["encode-dump", "--pointmap", "p.pmap", "--channels", "0"],
-         "--channels: '0' is not an integer >= 1"),
-        (["encode-dump", "--pointmap", "p.pmap", "--seed", "-1"],
-         "--seed: '-1' is not an integer >= 0"),
+        # encode-dump writes the encoding as it is: no patch projection
+        (["encode-dump", "--pointmap", "p.pmap", "--patchify"],
+         "unrecognized arguments: --patchify"),
+        (["encode-dump", "--pointmap", "p.pmap", "--channels", "64"],
+         "unrecognized arguments: --channels 64"),
+        (["encode-dump", "--pointmap", "p.pmap", "--seed", "1"],
+         "unrecognized arguments: --seed 1"),
         (["oracle", "gen", "--seeds", "0:1", "--sigma", "-1"],
          "--sigma: '-1' is not a finite number >= 0"),
         (["oracle", "gen", "--seeds", "0:1", "--sigma", "nan"],

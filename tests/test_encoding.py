@@ -1,4 +1,4 @@
-"""Point-map encoding numerics: channels, patches, fusion, dumps."""
+"""Point-map encoding numerics: channels, patches, fusion."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,7 @@ from spatialqa.encoding import (
     fuse,
     pad_to_patch_multiple,
     patchify,
-    read_tensor,
     sinusoidal_encode,
-    write_tensor,
 )
 from spatialqa.pmap import make_pointmap
 
@@ -179,18 +177,3 @@ class TestFuse:
             fuse(np.ones((2, 2, 4)), np.ones((3, 3, 4)),
                  np.ones((4, 2)), np.ones((4, 2)))
 
-
-class TestTensorDump:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        arr = rng.normal(size=(3, 5, 7)).astype(np.float32)
-        path = tmp_path / "t.bin"
-        write_tensor(arr, path)
-        back = read_tensor(path)
-        np.testing.assert_array_equal(back, arr)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "t.bin"
-        path.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            read_tensor(path)

@@ -1,5 +1,6 @@
 """Scoring rules and report generation."""
 
+import itertools
 import json
 import math
 import re
@@ -9,6 +10,7 @@ import pytest
 
 from spatialqa.evalharness import (
     EvalRecord,
+    _holds,
     normalize_text,
     render_report,
     report,
@@ -149,6 +151,60 @@ class TestScoreMcqTf:
         for both in ("not true, it is true", "true, not false, not true"):
             assert not score_tf(both, "True")
             assert not score_tf(both, "False")
+        # a contraction negates too, and one word may stand between
+        assert score_tf("That isn't true.", "False")
+        assert score_tf("It's not quite true.", "False")
+        assert score_tf("That is not really correct.", "False")
+        # a "no" followed by a word is an answer only when it stands alone
+        assert score_tf("There are no chairs, so true.", "True")
+        assert score_tf("There are no chairs there, so that is false.",
+                        "False")
+        for no in ("No.", "No it isn't.", "I would say no.",
+                   "The answer is no."):
+            assert score_tf(no, "False")
+            assert not score_tf(no, "True")
+        assert score_tf("t", "True") and not score_tf("t", "False")
+        assert score_tf("f", "False") and not score_tf("f", "True")
+        for truth in ("True", "False"):
+            assert not score_tf("I cannot tell from the image.", truth)
+
+
+def _holds_regex(norm: str, phrase: str) -> bool:
+    """Whole-token match by regex: the reference ``_holds`` must equal on
+    normalized text."""
+    return bool(re.search(rf"(?:^|\s){re.escape(phrase)}\.?(?:$|\s)",
+                          norm))
+
+
+class TestHolds:
+    NAMED = [("it is 1.", "1"), ("10", "1"), ("1.5", "1"), ("1e999", "1"),
+             ("about 1e999 m", "1e999"), ("1", ""), ("", ""), (". 1", ""),
+             ("x .", ""), ("1..", "1."), ("1.", "1."), ("x .1 y", ".1"),
+             (".1", "1"), ("1 .", "1"), ("2 1. 3", "1"), ("1.-", "1")]
+
+    def test_named_cases(self):
+        for norm, phrase in self.NAMED:
+            assert norm == normalize_text(norm)
+            assert _holds(norm, phrase) == _holds_regex(norm, phrase), (
+                norm, phrase)
+
+    def test_equals_regex_on_every_short_normalized_text(self):
+        """Every normalized text of up to five characters from "10.e -"
+        against every such phrase of up to two."""
+        def texts(n):
+            seen = set()
+            for k in range(n + 1):
+                for chars in itertools.product("10.e -", repeat=k):
+                    text = "".join(chars)
+                    if text == normalize_text(text):
+                        seen.add(text)
+            return sorted(seen)
+
+        phrases = texts(2)
+        for norm in texts(5):
+            for phrase in phrases:
+                assert _holds(norm, phrase) == _holds_regex(norm, phrase), (
+                    norm, phrase)
 
 
 class TestScoreLabel:
