@@ -51,7 +51,7 @@ the cloud is:
      cores at the smallest x of their component;
   4. borders: over all offsets at once, each non-core point keeps a
      running best core neighbor, ordered by (squared distance,
-     coordinates).
+     coordinates), into which each batch of pairs is folded.
 
 Every deciding distance is the squared one above; cells and half-cells
 are shrunk so that the pairs they decide without a test are well inside
@@ -251,26 +251,6 @@ def _merge(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
             parent[:] = up
 
 
-def _keep_best(best: np.ndarray, best_d2: np.ndarray, axes: list,
-               found: list) -> None:
-    """Fold ``(point, core, d2)`` candidates into each point's best core.
-
-    Cores are ordered by (d2, coordinates), the coordinates read from
-    ``axes``; ``found`` is emptied.
-    """
-    p, q, d2 = (np.concatenate(x) for x in zip(*found))
-    found.clear()
-    held = np.unique(p)
-    held = held[best[held] >= 0]
-    p = np.concatenate([p, held])
-    q = np.concatenate([q, best[held]])
-    d2 = np.concatenate([d2, best_d2[held]])
-    rank = np.lexsort([*(x[q] for x in axes[::-1]), d2, p])
-    first = rank[np.diff(p[rank], prepend=-1) != 0]
-    best[p[first]] = q[first]
-    best_d2[p[first]] = d2[first]
-
-
 def _cores(grid: _CellGrid, min_pts: int, dist2, eps2: float) -> np.ndarray:
     """Pass 1: the core points, in cell order.
 
@@ -391,11 +371,11 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 
     # pass 3: border points join their nearest core neighbor, ordered by
     # (squared distance, coordinates); here points outside the cores are
-    # named by their index in `outside`
+    # named by their index in `outside`.  Each batch folds its cores
+    # within eps, with the best core each of its points holds, into `best`
     outside = np.nonzero(~core)[0]
     best = np.full(len(outside), -1)
     best_d2 = np.full(len(outside), np.inf)
-    found, n_found = [], 0
     for k, cells in _gather(grid, np.arange(len(grid.deltas)),
                             cell_of[outside]):
         has = core_counts[cells] > 0
@@ -403,15 +383,24 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         for i, at in _batches(core_start[cells], core_counts[cells]):
             q = core_pos[at]
             d2 = dist2(outside[k[i]], q)
-            near = d2 <= eps2
-            # fold before `found` would outgrow _BATCH_PAIRS candidates
-            if n_found + int(near.sum()) > _BATCH_PAIRS and found:
-                _keep_best(best, best_d2, axes, found)
-                n_found = 0
-            found.append((k[i[near]], q[near], d2[near]))
-            n_found += len(found[-1][0])
-    if found:
-        _keep_best(best, best_d2, axes, found)
+            near = np.flatnonzero(d2 <= eps2)
+            if not len(near):
+                continue
+            # the batch's own points, each named by its place in `own`
+            own, p = np.unique(k[i[near]], return_inverse=True)
+            p = np.concatenate([p, np.arange(len(own))])
+            q = np.concatenate([q[near], best[own]])
+            d2 = np.concatenate([d2[near], best_d2[own]])
+            low = np.full(len(own), np.inf)
+            np.minimum.at(low, p, d2)
+            # the smallest coordinates among each point's rows at its
+            # minimum: one row per point, in the order of `own`
+            tied = np.flatnonzero(d2 == low[p])
+            rank = tied[np.lexsort([*(x[q[tied]] for x in axes[::-1]),
+                                    p[tied]])]
+            first = rank[np.diff(p[rank], prepend=-1) != 0]
+            best[own] = q[first]
+            best_d2[own] = d2[first]
     border = best >= 0
     labels[outside[border]] = labels[best[border]]
     out = np.empty(n, dtype=int)

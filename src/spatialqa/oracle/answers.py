@@ -12,13 +12,16 @@ import math
 
 import numpy as np
 
-from ..quantity import parse_quantity
+from ..quantity import PRINT_RESOLUTION_M, parse_quantity, parse_triple
 from .render import analytic_point
 from .scene import OracleScene
 
 QUANTITY_TOL = 0.01      # one printed ulp (centimeter resolution)
 VECTOR_TOL = 0.01        # per component, meters
 ANGLE_TOL_DEG = 0.5
+# printed text states a value to half the print resolution, per component
+# (the 1e-9 m absorbs the float error of the printed decimal)
+TEXT_TOL = PRINT_RESOLUTION_M / 2 + 1e-9
 
 
 class OracleMismatch(Exception):
@@ -241,13 +244,33 @@ def _payloads_agree(kind: str, stored, oracle) -> bool:
     return math.degrees(math.acos(cos)) <= ANGLE_TOL_DEG
 
 
+def _text_states(kind: str, text: str, value) -> bool:
+    """Does ``text`` state the payload ``value`` of its kind?"""
+    if kind == "quantity":
+        parsed = parse_quantity(text)
+        return parsed is not None and abs(parsed - float(value)) <= TEXT_TOL
+    if kind in ("vector3", "unit-vector"):
+        parsed = parse_triple(text)
+        return parsed is not None and all(
+            abs(p - float(v)) <= TEXT_TOL for p, v in zip(parsed, value))
+    if kind == "count":
+        try:
+            return int(text) == int(value)
+        except ValueError:
+            return False
+    return text == str(value)
+
+
 def answers_match(scene: OracleScene, item: dict) -> tuple[bool, str]:
     """Does the stored answer of a corpus line (see ``check_item``) agree
     with the independent oracle?
 
-    Free-form items compare payloads directly; MCQ items must store the
-    letter of the option matching the oracle value; True/False items must
-    assert True exactly when the stated value matches the oracle.
+    Free-form items compare payloads directly, and the answer text must
+    state the payload; MCQ items must store the letter of the option
+    that equals the oracle label; True/False items must assert True
+    exactly when the stated value matches the oracle, and a stated
+    quantity or vector3 must be the one the prompt prints before
+    " True or False?".
     """
     oracle = oracle_answer(scene, item)
     payload = item["payload"]
@@ -256,47 +279,34 @@ def answers_match(scene: OracleScene, item: dict) -> tuple[bool, str]:
 
     fmt = item["format"]
     if fmt == "free-form":
-        ok = _payloads_agree(payload["kind"], payload["value"],
-                             oracle["value"])
+        if not _payloads_agree(payload["kind"], payload["value"],
+                               oracle["value"]):
+            return False, (f"stored {payload['value']!r} != oracle "
+                           f"{oracle['value']!r}")
+        ok = _text_states(payload["kind"], item["answer"], payload["value"])
         return ok, "" if ok else (
-            f"stored {payload['value']!r} != oracle {oracle['value']!r}")
+            f"answer {item['answer']!r} does not state {payload['value']!r}")
 
     if fmt == "mcq":
-        letter = _oracle_option_letter(item["options"], oracle)
-        if letter is None:
+        letters = [letter for letter, option in zip("ABCD", item["options"])
+                   if option == str(oracle["value"])]
+        if not letters:
             return False, "no option matches the oracle value"
-        ok = letter == item["answer"]
+        ok = letters[0] == item["answer"]
         return ok, "" if ok else (
-            f"stored letter {item['answer']} but oracle picks {letter}")
+            f"stored letter {item['answer']} but oracle picks {letters[0]}")
 
     # true-false
     stated = item["provenance"].get("stated")
     if stated is None:
         return False, "true-false item without stated value"
+    if payload["kind"] in ("quantity", "vector3"):
+        claim, asks, _ = item["prompt"].partition(" True or False?")
+        if not (asks and _text_states(payload["kind"], claim, stated)):
+            return False, f"prompt does not state {stated!r}"
     agrees = _payloads_agree(payload["kind"], stated, oracle["value"])
     expected = "True" if agrees else "False"
     ok = expected == item["answer"]
     return ok, "" if ok else (
         f"stated {stated!r} vs oracle {oracle['value']!r} implies "
         f"{expected}, stored {item['answer']}")
-
-
-def _oracle_option_letter(options: list[str], oracle: dict) -> str | None:
-    letters = "ABCD"
-    kind = oracle["kind"]
-    for i, option in enumerate(options):
-        if kind == "quantity":
-            parsed = parse_quantity(option)
-            if parsed is not None and \
-               abs(parsed - float(oracle["value"])) <= QUANTITY_TOL:
-                return letters[i]
-        elif kind == "count":
-            try:
-                if int(option) == int(oracle["value"]):
-                    return letters[i]
-            except ValueError:
-                continue
-        else:
-            if option == str(oracle["value"]):
-                return letters[i]
-    return None

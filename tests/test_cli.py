@@ -13,6 +13,7 @@ from spatialqa.encoding import sinusoidal_encode
 from spatialqa.manifest import read_jsonl, read_manifest, write_manifest
 from spatialqa.pipeline import read_corpus
 from spatialqa.pmap import read_pointmap
+from spatialqa.qa import synth
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +134,32 @@ class TestGenerateEvaluateCheck:
                    str(oracle_dir / "scenes.jsonl"), "--corpus",
                    str(corrupted)])
         assert rc == 1
+
+    def test_oracle_check_reads_the_text(self, tmp_path, monkeypatch,
+                                         capsys):
+        """Quantities printed at 0.9 times their value leave every payload
+        and stated value right; the oracle still finds the text wrong."""
+        data = tmp_path / "data"
+        assert main(["oracle", "gen", "--seeds", "0:20", "--out", str(data),
+                     "--problem-fixtures"]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"clients": {"problem-generator": {
+            "fixture_dir": str(data / "fixtures")}}}))
+        text = synth._text
+        monkeypatch.setattr(synth, "_text", lambda kind, value: text(
+            kind, 0.9 * float(value) if kind == "quantity" else value))
+        assert main(["generate", "--manifest", str(data / "manifest.jsonl"),
+                     "--config", str(config), "--out", str(tmp_path / "run"),
+                     "--workers", "1"]) == 0
+        capsys.readouterr()
+        assert main(["oracle", "check", "--scenes",
+                     str(data / "scenes.jsonl"), "--corpus",
+                     str(tmp_path / "run" / "corpus.jsonl")]) == 1
+        # both the free-form answers and the True/False prompts are caught
+        err = capsys.readouterr().err
+        assert "meters' does not state" in err
+        assert "prompt does not state" in err
+        assert "oracle picks" not in err and "implies" not in err
 
     def test_oracle_check_counts_unreadable_items(self, oracle_dir, tmp_path,
                                                   capsys):

@@ -228,7 +228,14 @@ class TestExactLabels:
             self.assert_exact(pts, float(rng.uniform(0.1, 0.6)),
                               int(rng.integers(2, 10)))
 
-    def test_border_point_equidistant_to_two_clusters(self):
+    @pytest.mark.parametrize("batch", [1, 7, None])
+    def test_border_point_equidistant_to_two_clusters(self, monkeypatch,
+                                                      batch):
+        # at 1 and 7 pairs the two equidistant cores reach the border
+        # point in different batches, and the best core held from an
+        # earlier batch decides the tie; None keeps the default batch
+        if batch is not None:
+            monkeypatch.setattr(spatialqa.dbscan, "_BATCH_PAIRS", batch)
         eps, min_pts = 1.0, 4
         square = np.array([[0, 0, 0], [0.25, 0, 0], [0, 0.25, 0],
                            [0.25, 0.25, 0]])

@@ -523,29 +523,34 @@ class TestOracleAnswers:
         base = {
             "family": "object_localization", "format": "free-form",
             "provenance": {"object": "a", "aspect": "camera-distance"},
-            "payload": {"kind": "quantity", "value": 2.0}, "answer": "x",
-            "item_id": "i",
+            "payload": {"kind": "quantity", "value": 2.0},
+            "answer": "2.00 meters", "item_id": "i",
         }
         ok, _ = answers_match(scene, base)
         assert ok
         wrong = dict(base, payload={"kind": "quantity", "value": 2.5})
         ok, why = answers_match(scene, wrong)
         assert not ok and "oracle" in why
+        # the payload agrees, but the text a model reads does not
+        for answer in ("2.50 meters", "194 centimeters", "two meters"):
+            ok, why = answers_match(scene, dict(base, answer=answer))
+            assert not ok and "does not state" in why
+        ok, _ = answers_match(scene, dict(base, answer="200 centimeters"))
+        assert ok
 
     def test_mcq_letter_check(self):
-        a = _box("a", (0.0, 0.0, 2.0))
+        a = _box("a", (0.0, 0.0, 2.0), yaw=180.0)
         scene = _manual_scene([a])
         item = {
-            "family": "object_localization", "format": "mcq",
-            "provenance": {"object": "a", "aspect": "camera-distance"},
-            "payload": {"kind": "quantity", "value": 2.0},
-            "options": ["1.00 meters", "2.00 meters", "3.00 meters",
-                        "5.00 meters"],
-            "answer": "B", "item_id": "i",
+            "family": "object_orientation", "format": "mcq",
+            "provenance": {"object": "a"},
+            "payload": {"kind": "label", "value": "back"},
+            "options": ["front", "left", "back", "right"],
+            "answer": "C", "item_id": "i",
         }
         ok, _ = answers_match(scene, item)
         assert ok
-        ok, why = answers_match(scene, dict(item, answer="C"))
+        ok, why = answers_match(scene, dict(item, answer="A"))
         assert not ok
 
     def test_tf_stated_check(self):
@@ -556,12 +561,21 @@ class TestOracleAnswers:
             "provenance": {"object": "a", "aspect": "camera-distance",
                            "stated": 3.0},
             "payload": {"kind": "quantity", "value": 2.0},
+            "prompt": "The chair is 3.00 meters away from the camera. "
+                      "True or False?",
             "answer": "False", "item_id": "i",
         }
         ok, _ = answers_match(scene, item)
         assert ok
         ok, _ = answers_match(scene, dict(item, answer="True"))
         assert not ok
+        # the prompt must state the stated value, before the question
+        for prompt in ("The chair is 2.70 meters away from the camera. "
+                       "True or False?",
+                       "The chair is 3.00 meters away from the camera.",
+                       "True or False? The chair is 3.00 meters away."):
+            ok, why = answers_match(scene, dict(item, prompt=prompt))
+            assert not ok and "does not state" in why
 
 
 class TestProblemFixtures:
