@@ -60,7 +60,6 @@ it.  Tests verify the labels against an O(n^2) brute-force reference.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -75,34 +74,26 @@ _BATCH_PAIRS = 1 << 15  # pairs or lookups at once; bounds peak memory
 MAX_CELLS = 1 << 21  # the grid's key index holds an int32 per cell: 8 MiB
 
 
-@functools.lru_cache(maxsize=None)
-def _offsets(dim: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Cell offsets that can link two points within eps, nearest first,
-    and the half-cell matrix of each leading unit offset.
+# The cell offsets that can link two points within eps, nearest first:
+# [-2, 2]^3 ordered by the squared gap between the nearest corners of the
+# two cells, in cell sides (at most 3, one cell diagonal squared, so none
+# is dropped), then by squared length; the 27 unit offsets lead.
+_OFFSETS = np.indices((5, 5, 5)).reshape(3, -1).T - 2
+_OFFSETS = _OFFSETS[np.lexsort(((_OFFSETS ** 2).sum(axis=1),
+                                (np.maximum(np.abs(_OFFSETS) - 1, 0) ** 2)
+                                .sum(axis=1)))]
 
-    The unit offsets (every component in {-1, 0, 1}) lead.  The matrix of
-    unit offset u has a 1 at (h, h') when every point of half-cell h' of
-    cell c + u is within eps of every point of half-cell h of cell c.
-    """
-    reach = 1 + math.isqrt(dim)
-    axes = [np.arange(-reach, reach + 1)] * dim
-    offsets = np.stack(np.meshgrid(*axes, indexing="ij"),
-                       axis=-1).reshape(-1, dim)
-    # the nearest corners of two cells at offset o are gap cell sides
-    # apart, squared; a cell side squared is eps^2 / dim shrunk, so the
-    # offsets that can hold a pair within eps are those with gap <= dim
-    gap = (np.maximum(np.abs(offsets) - 1, 0) ** 2).sum(axis=1)
-    offsets, gap = offsets[gap <= dim], gap[gap <= dim]
-    offsets = offsets[np.lexsort(((offsets ** 2).sum(axis=1), gap))]
-    # half-cells lie on a grid of half sides; on each axis half h' of the
-    # cell u over is |2u + h' - h| halves from half h, and the farthest
-    # points of the two are that plus one half apart; a half side squared
-    # is eps^2 / (4 dim) shrunk
-    bits = np.arange(2 ** dim)[:, None] >> np.arange(dim - 1, -1, -1) & 1
-    matrices = [(((np.abs(2 * o + bits - bits[:, None]) + 1) ** 2)
-                 .sum(axis=2) <= 4 * dim).astype(float)
-                for o in offsets[:3 ** dim]]
-    return offsets, matrices
+# The half-cell matrix of each unit offset u: a 1 at (h, h') when every
+# point of half-cell h' of cell c + u is within eps of every point of
+# half-cell h of cell c.  Half-cells lie on a grid of half sides; on each
+# axis half h' of the cell u over is |2u + h' - h| halves from half h, and
+# the farthest points of the two are that plus one half apart.  A half
+# side squared is eps^2 / 12 shrunk, so 12 half sides squared certify:
+# 33 half-cells per half, the 3^3 block and 6 two halves away on one axis.
+# Row h of _BITS is the place of half h in its cell, as _CellGrid numbers it.
+_BITS = np.indices((2, 2, 2)).reshape(3, -1).T
+_HALVES = [(((np.abs(2 * u + _BITS - _BITS[:, None]) + 1) ** 2)
+            .sum(axis=2) <= 12).astype(float) for u in _OFFSETS[:27]]
 
 
 class _CellGrid:
@@ -116,55 +107,47 @@ class _CellGrid:
     cell is empty, so the neighbor of cell c at offset k, nearest offset
     first, is ``index[keys[c] + deltas[k]]``.  ``axes`` holds the
     coordinates in that order, one contiguous array per axis.
-    ``halves[k]`` is the half-cell matrix of the leading unit offsets,
-    so offsets below ``len(halves)`` are the unit offsets.
 
     The index spans the whole padded grid, so more than ``MAX_CELLS``
     cells raise ValueError.  At ``default_eps`` an axis of extent e
     under a bounding diagonal d spans at most floor(20 sqrt(3) e / d) + 1
-    cells plus 2 reach of margin, and the product is largest at equal
-    extents: 26^3 = 17,576 cells in 3-D.
+    cells plus 2 on each side of margin, and the product is largest at
+    equal extents: 26^3 = 17,576 cells.
     """
 
     def __init__(self, pts: np.ndarray, eps: float):
-        dim = pts.shape[1]
         # Cells are shrunk by a relative 1e-9.  Two points of one cell, or
-        # of two half-cells whose farthest corners are at most 4 dim half
-        # sides squared apart (one cell diagonal, squared, as for the 3^dim
+        # of two half-cells whose farthest corners are at most 12 half
+        # sides squared apart (one cell diagonal, squared, as for the 3^3
         # block), are then less than eps (1 - 1e-9) apart: their squared
         # distance is at least ~2e-9 eps^2 below eps^2, ~1e-11 m^2 at the
         # pipeline's eps^2 ~ 6e-3 m^2.  The |p|^2 + |q|^2 - 2 p.q test errs
         # by a few ulps of |p|^2, ~1e-14 m^2 at |p|^2 ~ 20 m^2, so it would
         # accept every such pair, and none of them needs testing.
-        cell = eps / math.sqrt(dim) * (1.0 - 1e-9)
-        offsets, self.halves = _offsets(dim)
-        reach = int(offsets.max())  # the largest offset on any axis
+        cell = eps / math.sqrt(3) * (1.0 - 1e-9)
         # one contiguous column per axis: every step below runs on
         # unit-stride arrays
         cols = np.ascontiguousarray(pts.T)
         scaled = [x / cell for x in cols]
         floors = [np.floor(x) for x in scaled]
         low = [f.min() for f in floors]
-        # mixed-radix keys with a margin of `reach` cells on every axis, so
-        # that key + offset never carries into another axis
-        widths = [float(f.max() - lo) + 2 * reach + 1
-                  for f, lo in zip(floors, low)]
+        # mixed-radix keys with a margin of 2 cells, the largest offset,
+        # on every axis, so that key + offset never carries into another
+        widths = [float(f.max() - lo) + 5 for f, lo in zip(floors, low)]
         n_cells = math.prod(widths)  # inf or nan where x / cell overflows
         if not n_cells <= MAX_CELLS:
             raise ValueError("point spread too large for the cell grid")
-        strides = np.ones(dim, dtype=np.int64)
-        for axis in range(dim - 2, -1, -1):
-            strides[axis] = strides[axis + 1] * int(widths[axis + 1])
+        strides = (int(widths[1]) * int(widths[2]), int(widths[2]), 1)
         packed = np.zeros(len(pts), dtype=np.int64)
         half = np.zeros(len(pts), dtype=np.int64)
-        for axis in range(dim):
-            packed += (floors[axis] - low[axis] + reach).astype(np.int64) \
+        for axis in range(3):
+            packed += (floors[axis] - low[axis] + 2).astype(np.int64) \
                 * strides[axis]
             # x / (cell / 2) is exactly 2 (x / cell) in binary floating
             # point, so this is floor(x / (cell / 2)) - 2 floor(x / cell),
             # in {0, 1}
             half_index = np.floor(2.0 * scaled[axis]) - 2.0 * floors[axis]
-            half += half_index.astype(np.int64) << (dim - 1 - axis)
+            half += half_index.astype(np.int64) << (2 - axis)
         self.order = np.argsort(packed, kind="stable")
         packed = packed[self.order]
         first = np.concatenate(([True], packed[1:] != packed[:-1]))
@@ -174,7 +157,7 @@ class _CellGrid:
         self.cell_of = np.cumsum(first) - 1
         self.half = half[self.order]
         self.axes = [x[self.order] for x in cols]
-        self.deltas = offsets @ strides
+        self.deltas = _OFFSETS @ strides
         self.index = np.full(int(n_cells), -1, dtype=np.int32)
         self.index[self.keys] = np.arange(len(self.keys), dtype=np.int32)
 
@@ -184,13 +167,12 @@ def _certified(grid: _CellGrid, min_pts: int) -> np.ndarray:
     least ``min_pts`` points; each of those points is within eps of
     every point of the half-cell, so its points are cores.
     """
-    n_half = len(grid.halves[0])
     # one trailing row of zeros, which the -1 entries of the index pick
-    inside = np.bincount(grid.cell_of * n_half + grid.half,
-                         minlength=(len(grid.counts) + 1) * n_half)
-    inside = inside.reshape(-1, n_half).astype(float)
+    inside = np.bincount(grid.cell_of * 8 + grid.half,
+                         minlength=(len(grid.counts) + 1) * 8)
+    inside = inside.reshape(-1, 8).astype(float)
     near = np.zeros_like(inside[:-1])
-    for delta, matrix in zip(grid.deltas, grid.halves):
+    for delta, matrix in zip(grid.deltas, _HALVES):
         near += inside[grid.index[grid.keys + delta]] @ matrix.T
     return near[grid.cell_of, grid.half] >= min_pts
 
@@ -335,7 +317,7 @@ def dbscan_labels(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     parent = np.arange(len(grid.counts))
     core_cells = np.nonzero(core_counts)[0]
     forward = np.nonzero(grid.deltas > 0)[0]
-    unit = forward < len(grid.halves)
+    unit = forward < len(_HALVES)
     for k, b in itertools.chain(_gather(grid, forward[unit], core_cells),
                                 _gather(grid, forward[~unit], core_cells)):
         a = core_cells[k]

@@ -10,7 +10,7 @@ consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,13 +75,7 @@ def scene_to_files(scene: OracleScene, root: Path,
         "pixel_stats": {"white": 0.0, "black": 0.0, "invalid_depth": 0.0},
         "objects": annotations,
     }
-    filtered = OracleScene(
-        scene_id=scene.scene_id, width=scene.width, height=scene.height,
-        intrinsics=scene.intrinsics, gravity=scene.gravity,
-        objects=visible, noise_sigma=scene.noise_sigma,
-        background_depth=scene.background_depth,
-    )
-    return record, filtered
+    return record, replace(scene, objects=visible)
 
 
 @dataclass

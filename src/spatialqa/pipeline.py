@@ -325,6 +325,9 @@ def run_evaluate(corpus_path: str | Path, responses_path: str | Path,
               file=sys.stderr)
     clients = build_clients(config.clients, cache_dir=config.cache_dir)
     judge = clients.get("judge")
+    # before any judge call, so an unusable --out costs none
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     records = []
     for item in items:
@@ -339,8 +342,6 @@ def run_evaluate(corpus_path: str | Path, responses_path: str | Path,
                                   band=config.band))
 
     rep = report(records)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
         json.dumps(rep, sort_keys=True, indent=1), encoding="utf-8")
     (out / "report.txt").write_text(render_report(rep), encoding="utf-8")

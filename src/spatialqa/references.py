@@ -95,7 +95,7 @@ def linear_order_reference(objs: list[SceneObject], gf: GravityFrame
     """
     if len(objs) < 3:
         return None
-    centers = np.stack([gf.to_world(o.center.astype(float)) for o in objs])
+    centers = np.stack([gf.to_world(o.center) for o in objs])
     centered = centers - centers.mean(axis=0)
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     s0, s1 = float(svals[0]), float(svals[1])
@@ -173,8 +173,7 @@ def rank_reference(objs: list[SceneObject], metric: str, gf: GravityFrame
     """
     if metric in ("x", "y", "z"):
         axis = "xyz".index(metric)
-        values = [float(gf.to_world(o.center.astype(float))[axis])
-                  for o in objs]
+        values = [float(gf.to_world(o.center)[axis]) for o in objs]
         gaps_ok = _coordinate_gaps_ok
     else:
         values = [ATTRIBUTE_GETTERS[metric](o) for o in objs]

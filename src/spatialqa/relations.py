@@ -143,7 +143,7 @@ def relative_position(a: SceneObject, b: SceneObject, gf: GravityFrame
     emitted for axes where the component clears the guard band; the
     distances decompose b - a in the same world frame.
     """
-    delta = b.center.astype(float) - a.center.astype(float)
+    delta = b.center - a.center
     norm = float(np.linalg.norm(delta))
     if norm < 1e-9:
         raise RelationError(
@@ -235,7 +235,7 @@ def _anchor_frame(anchor: SceneObject, gf: GravityFrame
     down = np.array([0.0, 1.0, 0.0])
     right = np.cross(down, forward)
     rot = np.stack([right, down, forward])
-    return rot, gf.to_world(anchor.center.astype(float))
+    return rot, gf.to_world(anchor.center)
 
 
 def perspective_transform(anchor: SceneObject, target: SceneObject,
@@ -251,7 +251,7 @@ def perspective_transform(anchor: SceneObject, target: SceneObject,
     ``RelationError``.
     """
     rot, anchor_pos_w = _anchor_frame(anchor, gf)
-    target_w = gf.to_world(target.center.astype(float))
+    target_w = gf.to_world(target.center)
     delta = rot @ (target_w - anchor_pos_w)
     norm = float(np.linalg.norm(delta))
     if norm < 1e-9:

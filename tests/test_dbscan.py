@@ -1,6 +1,7 @@
 """Density clustering against an independent brute-force reference."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -481,6 +482,49 @@ class TestHalfCellCertificate:
             assert ((d <= eps).sum(axis=1) >= min_pts).all()
             certified_total += int(certified.sum())
         assert certified_total > 10_000  # the certificate is exercised
+
+
+class TestGridConstants:
+    """What the offset table and the half-cell matrices must hold.  The
+    labels would come out right in any visiting order, and a certificate
+    that missed half-cells would only cost time, so the label tests
+    cannot see either go wrong."""
+
+    @staticmethod
+    def _gap(offset) -> int:
+        return sum(max(abs(o) - 1, 0) ** 2 for o in offset)
+
+    def test_offsets_are_the_5_cubed_block_nearest_first(self):
+        offsets = [tuple(int(o) for o in row)
+                   for row in spatialqa.dbscan._OFFSETS]
+        assert sorted(offsets) == list(itertools.product(range(-2, 3),
+                                                         repeat=3))
+        keys = [(self._gap(o), sum(x * x for x in o)) for o in offsets]
+        assert keys == sorted(keys)
+        assert offsets[0] == (0, 0, 0)  # pass 1 counts it in full first
+        assert {max(map(abs, o)) for o in offsets[:27]} <= {0, 1}
+
+    def test_each_half_cell_certifies_33(self):
+        halves = spatialqa.dbscan._HALVES
+        assert len(halves) == 27
+        np.testing.assert_array_equal(sum(halves).sum(axis=1), [33] * 8)
+
+    def test_certified_half_cells_are_exactly_those_wholly_within_eps(self):
+        # by brute force over the corners of two half-cells, at the
+        # grid's shrunk cell side: half h of cell 0 spans [b, b + 1] half
+        # sides on each axis, where b is the axis's bit of h (axis 0 the
+        # highest), and half h' of cell u spans [2u + b', 2u + b' + 1]
+        eps = 1.0
+        half = eps / math.sqrt(3) * (1.0 - 1e-9) / 2
+        corners = np.array(list(itertools.product((0, 1), repeat=3)))
+        bits = corners  # row h holds the bits of half h
+        for u, matrix in zip(spatialqa.dbscan._OFFSETS,
+                             spatialqa.dbscan._HALVES):
+            for h, h2 in itertools.product(range(8), repeat=2):
+                a = (bits[h] + corners) * half
+                b = (2 * u + bits[h2] + corners) * half
+                farthest = ((a[:, None] - b[None]) ** 2).sum(axis=2).max()
+                assert matrix[h, h2] == (farthest <= eps * eps), (u, h, h2)
 
 
 def _estimation_object_cloud() -> np.ndarray:

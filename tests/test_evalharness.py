@@ -8,9 +8,11 @@ import warnings
 
 import pytest
 
+from spatialqa.clients import record_fixture
 from spatialqa.evalharness import (
     EvalRecord,
     _holds,
+    judged,
     normalize_text,
     render_report,
     report,
@@ -419,3 +421,37 @@ def test_hostile_responses_score_as_strict_json(reference, tmp_path):
     for rule in ("direction-30deg", "vector-relative"):
         assert (rule, "(1e999, 0, 0)") in unparsed
         assert (rule, "(1e200, 1e200, 1e200)") in unparsed
+
+
+def test_evaluate_refuses_an_out_file_before_judging(reference, tmp_path,
+                                                     capsys):
+    """``evaluate --out`` naming an existing file exits 2 before the judge
+    answers any item, so the judge cache stays empty; the same call with
+    a fresh ``--out`` judges every item and caches each answer."""
+    items = [item for item in read_corpus(reference.gt) if judged(item)][:3]
+    assert items
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(item) + "\n" for item in items))
+    responses = tmp_path / "responses.jsonl"
+    responses.write_text("".join(json.dumps(
+        {"item_id": item["item_id"], "response": item["answer"]}) + "\n"
+        for item in items))
+    fixtures, cache = tmp_path / "fixtures", tmp_path / "cache"
+    for item in items:
+        record_fixture(fixtures, "judge", {
+            "item_id": item["item_id"], "question": item["prompt"],
+            "answer": item["answer"], "response": item["answer"],
+        }, {"verdict": "match"})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "clients": {"judge": {"fixture_dir": str(fixtures)}},
+        "cache_dir": str(cache)}))
+    out = tmp_path / "out"
+    out.write_text("")
+    args = ["evaluate", "--config", str(config), "--corpus", str(corpus),
+            "--responses", str(responses), "--out"]
+    assert main(args + [str(out)]) == 2
+    assert "File exists" in capsys.readouterr().err
+    assert not [p for p in cache.rglob("*") if p.is_file()]
+    assert main(args + [str(tmp_path / "fresh")]) == 0
+    assert len([p for p in cache.rglob("*") if p.is_file()]) == len(items)
