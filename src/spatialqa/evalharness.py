@@ -39,10 +39,6 @@ _NON_ALNUM = re.compile(r"[^a-z0-9\s.-]")
 _WS = re.compile(r"\s+")
 
 
-class EvalError(Exception):
-    pass
-
-
 @dataclass
 class EvalRecord:
     item_id: str
@@ -83,7 +79,7 @@ def _light_normalize(text: str) -> str:
 def score_ratio(pred: float, gt: float, band: str = "tight") -> tuple[bool, float]:
     """(correct, pred/gt ratio); boundaries inclusive."""
     if gt <= 0:
-        raise EvalError(f"ratio scoring requires positive ground truth, got {gt}")
+        raise ValueError(f"ratio scoring requires positive ground truth, got {gt}")
     lo, hi = TIGHT_BAND if band == "tight" else WIDE_BAND
     ratio = pred / gt
     return lo <= ratio <= hi, ratio

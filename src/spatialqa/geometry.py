@@ -43,13 +43,6 @@ class CameraIntrinsics:
         if self.fx <= 0 or self.fy <= 0:
             raise GeometryError(f"focal lengths must be positive: {self.fx}, {self.fy}")
 
-    def to_dict(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraIntrinsics":
-        return cls(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"])
-
 
 @dataclass(frozen=True)
 class GravityFrame:

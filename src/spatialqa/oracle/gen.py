@@ -10,7 +10,7 @@ consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +71,7 @@ def scene_to_files(scene: OracleScene, root: Path,
         "image_id": scene.scene_id, "width": scene.width,
         "height": scene.height, "pointmap": pmap_rel,
         "gravity": [float(g) for g in scene.gravity],
-        "intrinsics": scene.intrinsics.to_dict(),
+        "intrinsics": asdict(scene.intrinsics),
         "pixel_stats": {"white": 0.0, "black": 0.0, "invalid_depth": 0.0},
         "objects": annotations,
     }

@@ -46,7 +46,7 @@ def _camera_rays(height: int, width: int,
     return d
 
 
-def _box_hit_depths(scene: OracleScene, gf, obj, rays: np.ndarray) -> np.ndarray:
+def _box_hit_depths(gf, obj, rays: np.ndarray) -> np.ndarray:
     """Per-pixel hit depth for one box; +inf where the ray misses.
 
     An IEEE slab test (Williams et al., JGT 2005): a zero direction
@@ -130,7 +130,7 @@ def render_scene(scene: OracleScene, rng: np.random.Generator | None = None,
     # a window's depths equal the full frame's bit for bit
     # (tests/test_oracle.py::TestRenderWindow)
     windows = [_window(scene, gf, obj) for obj in scene.objects]
-    hits = [_box_hit_depths(scene, gf, obj, rays[win])
+    hits = [_box_hit_depths(gf, obj, rays[win])
             for obj, win in zip(scene.objects, windows)]
     covers = [d < background for d in hits]
     alone = [np.count_nonzero(c) for c in covers]
@@ -173,7 +173,7 @@ def analytic_point(scene: OracleScene, u: int, v: int) -> np.ndarray | None:
     ray = np.array([[[(u - k.cx) / k.fx, (v - k.cy) / k.fy, 1.0]]])
     best = scene.background_depth
     for obj in scene.objects:
-        t = float(_box_hit_depths(scene, gf, obj, ray)[0, 0])
+        t = float(_box_hit_depths(gf, obj, ray)[0, 0])
         if t < best:
             best = t
     if not np.isfinite(best):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,21 +45,6 @@ class OracleObject:
     size: np.ndarray     # (width, height, depth), meters
     yaw_deg: float
 
-    def to_dict(self) -> dict:
-        return {
-            "object_id": self.object_id, "category": self.category,
-            "center": [float(c) for c in self.center],
-            "size": [float(s) for s in self.size],
-            "yaw_deg": float(self.yaw_deg),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OracleObject":
-        return cls(object_id=d["object_id"], category=d["category"],
-                   center=np.asarray(d["center"], dtype=float),
-                   size=np.asarray(d["size"], dtype=float),
-                   yaw_deg=float(d["yaw_deg"]))
-
 
 @dataclass
 class OracleScene:
@@ -71,28 +56,6 @@ class OracleScene:
     objects: list[OracleObject] = field(default_factory=list)
     noise_sigma: float = 0.0
     background_depth: float = 12.0
-
-    def to_dict(self) -> dict:
-        return {
-            "scene_id": self.scene_id, "width": self.width,
-            "height": self.height, "intrinsics": self.intrinsics.to_dict(),
-            "gravity": [float(g) for g in self.gravity],
-            "noise_sigma": self.noise_sigma,
-            "background_depth": self.background_depth,
-            "objects": [o.to_dict() for o in self.objects],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OracleScene":
-        return cls(
-            scene_id=d["scene_id"], width=int(d["width"]),
-            height=int(d["height"]),
-            intrinsics=CameraIntrinsics.from_dict(d["intrinsics"]),
-            gravity=np.asarray(d["gravity"], dtype=float),
-            objects=[OracleObject.from_dict(o) for o in d["objects"]],
-            noise_sigma=float(d.get("noise_sigma", 0.0)),
-            background_depth=float(d.get("background_depth", 12.0)),
-        )
 
 
 # Sampler values every preset shares.
@@ -283,11 +246,32 @@ def sample_scene(seed: int, config: SceneSamplerConfig | None = None,
     return scene
 
 
+def scene_json(scene: OracleScene) -> str:
+    """The ``scenes.jsonl`` line of a scene: its fields, keys sorted."""
+    return json.dumps(asdict(scene), sort_keys=True,
+                      default=np.ndarray.tolist)
+
+
 def write_scenes(scenes: list[OracleScene], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for scene in scenes:
-            f.write(json.dumps(scene.to_dict(), sort_keys=True) + "\n")
+            f.write(scene_json(scene) + "\n")
+
+
+def _parse_scene(record: dict) -> OracleScene:
+    """A ``scenes.jsonl`` record as its scene, values as written; a
+    missing or unknown key raises TypeError (a bad record)."""
+    def vector(v):
+        return np.asarray(v, dtype=np.float64)
+
+    objects = [OracleObject(**{**o, "center": vector(o["center"]),
+                               "size": vector(o["size"])})
+               for o in record["objects"]]
+    intrinsics = CameraIntrinsics(**record["intrinsics"])
+    return OracleScene(**{**record, "intrinsics": intrinsics,
+                          "gravity": vector(record["gravity"]),
+                          "objects": objects})
 
 
 def read_scenes(path: str | Path) -> list[OracleScene]:
-    return read_jsonl(path, OracleScene.from_dict)
+    return read_jsonl(path, _parse_scene)

@@ -10,7 +10,8 @@ files already record them as done under its corpus seed.
 A part file ``parts/<image_id>.jsonl`` is one header line
 ``{"families", "image_id", "reason", "seed", "status"}`` followed by the
 image's corpus lines, so resume reads only the header and assembly copies
-the rest of the file without parsing it.  Any exception other than
+the rest of the file without parsing it; a part whose header line is not
+a JSON object is not done.  Any exception other than
 ``SceneSkipped`` becomes a ``failed`` part carrying ``"<Type>: <message>"``.
 
 ``run_generate`` returns the dict it writes to ``ledger.json``: each
@@ -168,14 +169,24 @@ def _part_path(parts_dir: Path, image_id: str) -> Path:
     return parts_dir / f"{image_id}.jsonl"
 
 
+def _header(line: bytes) -> dict:
+    """A part file's header line as a dict; {} when it is not a JSON
+    object (an empty or cut part), which no run counts as done."""
+    try:
+        header = json.loads(line)
+    except (ValueError, RecursionError):
+        return {}
+    return header if isinstance(header, dict) else {}
+
+
 def _read_header(path: Path) -> dict:
     with open(path, "rb") as f:
-        return json.loads(f.readline())
+        return _header(f.readline())
 
 
 def _done(header: dict, seed: int) -> bool:
     """Whether a part header records its image as done under ``seed``."""
-    return header["status"] == "done" and header.get("seed") == seed
+    return header.get("status") == "done" and header.get("seed") == seed
 
 
 def _write_part(parts_dir: Path, image_id: str, seed: int, status: str,
@@ -267,9 +278,12 @@ def run_generate(manifest_path: str | Path, config: PipelineConfig,
             if not part_path.exists():
                 continue
             with open(part_path, "rb") as part:
-                header = json.loads(part.readline())
+                header = _header(part.readline())
+                # the scan set the status of each part this run did not
+                # write, which may not parse
                 statuses.setdefault(entry.image_id, {
-                    k: header[k] for k in ("status", "reason") if header[k]})
+                    k: header[k] for k in ("status", "reason")
+                    if header.get(k)})
                 if not _done(header, config.seed):
                     continue
                 shutil.copyfileobj(part, corpus)

@@ -89,27 +89,15 @@ class QAItem:
     family: str
     format: str
     prompt: str
-    answer_text: str
+    answer: str
     payload: dict      # machine-checkable truth: {"kind", "value", "unit"?}
     options: list[str] | None = None       # mcq only, exactly 4
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {
-            "schema_version": SCHEMA_VERSION,
-            "item_id": self.item_id,
-            "image_id": self.image_id,
-            "level": FAMILIES.get(self.family),
-            "family": self.family,
-            "format": self.format,
-            "prompt": self.prompt,
-            "answer": self.answer_text,
-            "payload": self.payload,
-            "provenance": self.provenance,
-        }
-        if self.options is not None:
-            d["options"] = self.options
-        return d
+        return {"schema_version": SCHEMA_VERSION,
+                "level": FAMILIES.get(self.family),
+                **{k: v for k, v in vars(self).items() if v is not None}}
 
     def to_json(self) -> str:
         """The corpus line of this item (see ``check_item``)."""

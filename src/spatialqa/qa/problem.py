@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import DIM_INDEX
+from ..schema import finite
 
 PROBLEM_SCHEMA_VERSION = 1
 NUMERIC_TOLERANCE = 0.25
@@ -69,7 +70,7 @@ def _index(digest: dict) -> dict[str, dict]:
 def evaluate_check(check, digest: dict):
     """Recompute a check expression; floats for numeric ops, "yes"/"no"
     for comparisons."""
-    if isinstance(check, (int, float)):
+    if finite(check):
         return float(check)
     if not isinstance(check, dict) or "op" not in check:
         raise ProblemValidationError(f"malformed check {check!r}")
@@ -150,8 +151,9 @@ def _validate(cand: dict, digest: dict) -> ValidatedProblem:
             raise ProblemValidationError(
                 "check yields a judgement, kind says numeric")
         stated = cand.get("value")
-        if stated is None:
-            raise ProblemValidationError("numeric candidate without value")
+        if not finite(stated):
+            raise ProblemValidationError(
+                f"numeric value {stated!r} is not a finite number")
         if not 0 < recomputed < math.inf:
             raise ProblemValidationError(
                 "recomputed value not a positive finite number")

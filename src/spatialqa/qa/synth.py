@@ -222,7 +222,7 @@ class _SceneSynthesizer:
         self.items.append(QAItem(
             item_id=f"{self.scene.image_id}:{family}:{self._seq:04d}",
             image_id=self.scene.image_id, family=family, format=fmt,
-            prompt=prompt, answer_text=answer, payload=payload,
+            prompt=prompt, answer=answer, payload=payload,
             options=options, provenance=provenance))
 
     def _emit_direction(self, family: str, labels: dict[str, str],
@@ -442,7 +442,7 @@ class _SceneSynthesizer:
                 item_id=item_id, image_id=self.scene.image_id,
                 family="problem_solving", format="free-form",
                 prompt=problem.question, payload=payload,
-                answer_text=_text(payload["kind"], payload["value"]),
+                answer=_text(payload["kind"], payload["value"]),
                 provenance={"check": problem.check, "kind": problem.kind},
             ))
 

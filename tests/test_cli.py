@@ -198,13 +198,15 @@ class TestGenerateEvaluateCheck:
     def test_oracle_check_bad_scenes_file_exits_2(self, oracle_dir, tmp_path,
                                                  capsys):
         scenes = tmp_path / "scenes.jsonl"
-        scenes.write_text(
-            (oracle_dir / "scenes.jsonl").read_text().splitlines()[0]
-            + "\n" + json.dumps({"scene_id": "x"}) + "\n")
-        rc = main(["oracle", "check", "--scenes", str(scenes), "--corpus",
-                   str(scenes)])
-        assert rc == 2
-        assert "scenes.jsonl line 2: bad record" in capsys.readouterr().err
+        first = (oracle_dir / "scenes.jsonl").read_text().splitlines()[0]
+        # a record missing keys, then one with a key no scene has
+        for bad in ({"scene_id": "x"}, {**json.loads(first), "colour": 1}):
+            scenes.write_text(first + "\n" + json.dumps(bad) + "\n")
+            rc = main(["oracle", "check", "--scenes", str(scenes),
+                       "--corpus", str(scenes)])
+            assert rc == 2
+            assert "scenes.jsonl line 2: bad record" in \
+                capsys.readouterr().err
 
     def test_evaluate_bad_responses_file_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"

@@ -67,7 +67,7 @@ class TestScoreRatio:
             assert ok1 == ok2
 
     def test_nonpositive_gt_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="positive ground truth"):
             score_ratio(1.0, 0.0)
 
 

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from spatialqa.oracle.scene import (
     box_corners_camera,
     read_scenes,
     sample_scene,
+    scene_json,
     write_scenes,
 )
 from spatialqa.geometry import CameraIntrinsics
@@ -54,10 +54,10 @@ class TestSampling:
     def test_deterministic_per_seed(self):
         a = sample_scene(42)
         b = sample_scene(42)
-        assert a.to_dict() == b.to_dict()
+        assert scene_json(a) == scene_json(b)
 
     def test_distinct_across_seeds(self):
-        assert sample_scene(1).to_dict() != sample_scene(2).to_dict()
+        assert scene_json(sample_scene(1)) != scene_json(sample_scene(2))
 
     def test_no_overlaps_across_10k_scenes(self):
         checked = 0
@@ -85,19 +85,22 @@ class TestSampling:
                 assert (v >= 0).all() and (v <= scene.height - 1).all()
 
     def test_roundtrip_file(self, tmp_path):
-        scenes = [sample_scene(s) for s in range(3)]
-        path = tmp_path / "scenes.jsonl"
+        scenes = [sample_scene(s, noise_sigma=0.01) for s in range(3)]
+        path, again = tmp_path / "scenes.jsonl", tmp_path / "again.jsonl"
         write_scenes(scenes, path)
         back = read_scenes(path)
-        assert [s.to_dict() for s in back] == [s.to_dict() for s in scenes]
+        write_scenes(back, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert all(v.dtype == np.float64 for s in back
+                   for v in [s.gravity] + [o.center for o in s.objects]
+                   + [o.size for o in s.objects])
 
     @staticmethod
     def _scenes_digest(seeds, config=None) -> str:
         digest = hashlib.sha256()
         for seed in seeds:
             scene = sample_scene(seed, config=config)
-            digest.update(json.dumps(scene.to_dict(), sort_keys=True)
-                          .encode() + b"\n")
+            digest.update(scene_json(scene).encode() + b"\n")
         return digest.hexdigest()
 
     def test_scene_bytes_default_seeds(self):
@@ -226,7 +229,7 @@ def _full_frame_render(scene):
     """Depth and masks from every box slab-tested on every pixel ray."""
     gf = gravity_frame(scene.gravity)
     rays = _ray_grid(scene)
-    depths = np.stack([_box_hit_depths(scene, gf, obj, rays)
+    depths = np.stack([_box_hit_depths(gf, obj, rays)
                        for obj in scene.objects])
     background = scene.background_depth
     best = depths.min(axis=0)
@@ -315,7 +318,7 @@ class TestRenderWindow:
             assert np.array_equal(mask, ref_masks[object_id]), object_id
 
 
-def _branching_box_hit_depths(scene, gf, obj, rays, parallel_below=1e-12):
+def _branching_box_hit_depths(gf, obj, rays, parallel_below=1e-12):
     """The slab test with an explicit branch for rays parallel to a slab
     (a component below ``parallel_below`` in size), as the renderer
     computed it, at 1e-12, before it relied on IEEE infinities."""
@@ -379,8 +382,8 @@ class TestParallelAndGrazingRays:
         scene, gf, rays, boxes = self._cases(yaw, tilted)
         in_face_plane = 0
         for obj in boxes:
-            ours = _box_hit_depths(scene, gf, obj, rays)
-            ref = _branching_box_hit_depths(scene, gf, obj, rays,
+            ours = _box_hit_depths(gf, obj, rays)
+            ref = _branching_box_hit_depths(gf, obj, rays,
                                             parallel_below=5e-324)
             assert np.array_equal(ours, ref)
             axes_cam = box_local_axes(yaw) @ gf.rotation
@@ -398,8 +401,8 @@ class TestParallelAndGrazingRays:
         scene, gf, rays, boxes = self._cases(yaw, tilted)
         differ = 0
         for obj in boxes:
-            ours = _box_hit_depths(scene, gf, obj, rays)
-            ref = _branching_box_hit_depths(scene, gf, obj, rays)
+            ours = _box_hit_depths(gf, obj, rays)
+            ref = _branching_box_hit_depths(gf, obj, rays)
             axes_cam = box_local_axes(yaw) @ gf.rotation
             gap = np.abs(np.abs(axes_cam @ obj.center) - obj.size / 2.0)
             d = (rays @ axes_cam.T)[:, 0]

@@ -179,6 +179,26 @@ class TestRunGenerate:
         assert (tmp_path / "mixed" / "corpus.jsonl").read_bytes() == \
             (tmp_path / "fresh" / "corpus.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("header", [b"", b"[]\n", b'{"status": "do'],
+                             ids=["empty", "list", "cut"])
+    def test_unreadable_part_is_not_done(self, dataset, tmp_path, header):
+        """A part whose header line is not a JSON object is not done: a
+        rerun writes it again, and one beyond --limit, left as it is,
+        stays out of the corpus."""
+        config = PipelineConfig(workers=1, seed=0)
+        out = tmp_path / "o"
+        first = run_generate(dataset.manifest_path, config, out)
+        corpus = (out / "corpus.jsonl").read_bytes()
+        ids = [e.image_id for e in read_manifest(dataset.manifest_path)]
+        for i in (1, 4):
+            (out / "parts" / f"{ids[i]}.jsonl").write_bytes(header)
+        ledger = run_generate(dataset.manifest_path, config, out, limit=3)
+        assert ledger["statuses"][ids[1]] == first["statuses"][ids[1]]
+        assert ledger["statuses"][ids[4]]["reason"] == "beyond --limit"
+        assert main(["generate", "--manifest", str(dataset.manifest_path),
+                     "--out", str(out), "--seed", "0", "--workers", "1"]) == 0
+        assert (out / "corpus.jsonl").read_bytes() == corpus
+
     def test_pool_starts_no_more_processes_than_images(self, dataset,
                                                        tmp_path, monkeypatch):
         data = tmp_path / "data"

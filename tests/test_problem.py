@@ -134,7 +134,7 @@ class TestValidateCandidates:
         ({"kind": "numeric", "question": 5, "value": 2.0,
           "check": CHECK}, "bad candidate: AttributeError"),
         ({"kind": "numeric", "question": "q", "value": "far",
-          "check": CHECK}, "bad candidate: ValueError"),
+          "check": CHECK}, "'far' is not a finite number"),
         ({"kind": "numeric", "question": "q", "value": 2.0,
           "check": {"op": "add", "args": 5}}, "bad candidate: TypeError"),
         ({"kind": "numeric", "question": "q", "value": 2.0,
@@ -144,9 +144,22 @@ class TestValidateCandidates:
           "check": {"op": "add", "args": [1e308, 1e308]}},
          "not a positive finite number"),
         ({"kind": "numeric", "question": "q", "value": 10 ** 400,
-          "check": CHECK}, "bad candidate: OverflowError"),
+          "check": CHECK}, "is not a finite number"),
+        # a stated value or a literal in ``check`` is a number, not one
+        # that float() makes of a bool, a string or nan
+        ({"kind": "numeric", "question": "q", "value": float("nan"),
+          "check": CHECK}, "nan is not a finite number"),
+        ({"kind": "numeric", "question": "q", "value": True,
+          "check": {"op": "add", "args": [1.0]}},
+         "True is not a finite number"),
+        ({"kind": "numeric", "question": "q", "value": "2.0",
+          "check": CHECK}, "'2.0' is not a finite number"),
+        ({"kind": "numeric", "question": "q", "value": 1.0,
+          "check": {"op": "add", "args": [True]}},
+         "bad check: malformed check True"),
     ], ids=["not-object", "question-5", "value-far", "args-5", "id-list",
-            "infinite", "value-huge-int"])
+            "infinite", "value-huge-int", "value-nan", "value-true",
+            "value-string", "literal-true"])
     def test_bad_candidate_costs_only_itself(self, bad, reason):
         good = {"kind": "numeric", "question": "How far apart?",
                 "value": 2.0, "check": self.CHECK}

@@ -71,9 +71,9 @@ class TestFormatInvariants:
             if item.format == "mcq":
                 assert len(item.options) == 4
                 assert len(set(item.options)) == 4
-                assert item.answer_text in "ABCD"
+                assert item.answer in "ABCD"
             elif item.format == "true-false":
-                assert item.answer_text in ("True", "False")
+                assert item.answer in ("True", "False")
                 assert "stated" in item.provenance
                 assert item.prompt.endswith("True or False?")
             assert item.family in FAMILIES
@@ -138,8 +138,8 @@ class TestPayloads:
         items = synthesize_scene_qa(rich_scene, seed=3)
         for item in items:
             if item.format == "free-form" and item.payload["kind"] == "quantity":
-                assert "meters" in item.answer_text or \
-                    "centimeters" in item.answer_text
+                assert "meters" in item.answer or \
+                    "centimeters" in item.answer
 
     def test_counts_are_ints(self, rich_scene):
         items = synthesize_scene_qa(rich_scene, seed=3)
@@ -150,7 +150,7 @@ class TestPayloads:
     def test_bad_payload_kind_rejected(self):
         item = QAItem(item_id="img:object_size:0001", image_id="img",
                       family="object_size", format="free-form", prompt="?",
-                      answer_text="1",
+                      answer="1",
                       payload={"kind": "tensor", "value": 1.0})
         with pytest.raises(ManifestError, match="payload.kind 'tensor'"):
             item.to_json()
@@ -214,7 +214,7 @@ class TestTrueFalseBalance:
             for item in synthesize_scene_qa(scene, seed=seed):
                 if item.format == "true-false":
                     total += 1
-                    true_n += item.answer_text == "True"
+                    true_n += item.answer == "True"
         assert total > 6000
         assert abs(true_n / total - 0.5) < 0.02
 
