@@ -47,8 +47,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .schema import (MUST_BE, boxes, check, finite, integer, is_object,
-                     only, or_null, text)
+from .schema import (MUST_BE, boxes, canonical_json, check, finite, integer,
+                     is_object, only, or_null, text)
 
 
 class ClientError(Exception):
@@ -57,8 +57,7 @@ class ClientError(Exception):
 
 
 def request_key(role: str, request: dict) -> str:
-    blob = role + "\n" + json.dumps(request, sort_keys=True,
-                                    separators=(",", ":"))
+    blob = role + "\n" + canonical_json(request)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -28,15 +28,12 @@ PATCH = 14
 LONGEST_PERIOD_M = 1000.0
 SHORTEST_PERIOD_M = 0.03
 
-_FREQS = (2.0 * np.pi / LONGEST_PERIOD_M) * np.power(
+# Angular frequencies (rad/m) of the 32 sin/cos pairs; read-only.
+FREQUENCIES = (2.0 * np.pi / LONGEST_PERIOD_M) * np.power(
     LONGEST_PERIOD_M / SHORTEST_PERIOD_M,
     np.arange(PAIRS_PER_COORD) / (PAIRS_PER_COORD - 1),
 )
-
-
-def frequencies() -> np.ndarray:
-    """Angular frequencies (rad/m) of the 32 sin/cos pairs."""
-    return _FREQS.copy()
+FREQUENCIES.flags.writeable = False
 
 
 def sinusoidal_encode(pm: PointMap) -> np.ndarray:
@@ -49,7 +46,7 @@ def sinusoidal_encode(pm: PointMap) -> np.ndarray:
     h, w, _ = pts.shape
     out = np.empty((h, w, ENCODED_CHANNELS), dtype=np.float64)
     for c in range(COORD_CHANNELS):
-        phase = pts[:, :, c, None] * _FREQS[None, None, :]
+        phase = pts[:, :, c, None] * FREQUENCIES[None, None, :]
         block = out[:, :, c * ENCODING_PER_COORD:(c + 1) * ENCODING_PER_COORD]
         block[:, :, 0::2] = np.sin(phase)
         block[:, :, 1::2] = np.cos(phase)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qa.items import LETTERS
 from .quantity import _BARE_NUMBER_RE, parse_quantity, parse_triple
 
 TIGHT_BAND = (0.75, 1.25)
@@ -57,19 +58,17 @@ class EvalRecord:
                 or k in ("raw_response", "correct")}
 
 
-def normalize_text(text: str) -> str:
-    t = text.strip().lower()
-    t = _NON_ALNUM.sub(" ", t)
-    t = _ARTICLES.sub(" ", t)
-    return _WS.sub(" ", t).strip()
-
-
 def _light_normalize(text: str) -> str:
     """Lowercase and strip punctuation but keep articles (an MCQ letter
     "a" would otherwise vanish)."""
     t = text.strip().lower()
     t = _NON_ALNUM.sub(" ", t)
     return _WS.sub(" ", t).strip()
+
+
+def normalize_text(text: str) -> str:
+    """``_light_normalize`` without the articles a, an and the."""
+    return " ".join(_ARTICLES.sub(" ", _light_normalize(text)).split())
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +120,10 @@ def score_mcq(response: str, gt_letter: str,
         return standalone.pop() == gt
     if options:
         norm = normalize_text(response)
-        correct_text = normalize_text(options["ABCD".index(gt_letter)])
+        correct_text = normalize_text(options[LETTERS.index(gt_letter)])
         if correct_text and _holds(norm, correct_text):
-            others = [normalize_text(o) for i, o in enumerate(options)
-                      if "ABCD"[i] != gt_letter]
+            others = [normalize_text(o) for letter, o in zip(LETTERS, options)
+                      if letter != gt_letter]
             if not any(_holds(norm, o) for o in others if o):
                 return True
     return False

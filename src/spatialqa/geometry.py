@@ -24,7 +24,7 @@ import numpy as np
 from .pmap import PointMap, make_pointmap
 
 
-class GeometryError(Exception):
+class GeometryError(ValueError):
     pass
 
 

@@ -39,10 +39,6 @@ def _world_rows(gravity: np.ndarray) -> np.ndarray:
     return np.stack([x, g, z])
 
 
-def _objects_by_id(scene: OracleScene) -> dict:
-    return {o.object_id: o for o in scene.objects}
-
-
 _DIM = {"width": 0, "height": 1, "depth": 2}
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 _NEG_POS = {"x": ("left", "right"), "y": ("above", "below"),
@@ -55,12 +51,18 @@ _ATTR_VALUE = {
 }
 
 
+def _side(axis: str, component: float) -> str:
+    """The label of a world-axis component: positive, else negative."""
+    neg, pos = _NEG_POS[axis]
+    return pos if component > 0 else neg
+
+
 def oracle_answer(scene: OracleScene, item: dict) -> dict:
     """Ground-truth payload {kind, value} recomputed for a corpus item."""
     family = item["family"]
     prov = item["provenance"]
     rows = _world_rows(scene.gravity)
-    objs = _objects_by_id(scene)
+    objs = {o.object_id: o for o in scene.objects}
 
     if family == "point_querying":
         point = analytic_point(scene, prov["u"], prov["v"])
@@ -104,9 +106,8 @@ def oracle_answer(scene: OracleScene, item: dict) -> dict:
             unit = delta / np.linalg.norm(delta)
             return {"kind": "unit-vector", "value": [float(c) for c in unit]}
         axis = prov["axis"]
-        comp = float(rows[_AXIS_INDEX[axis]] @ delta)
-        neg, pos = _NEG_POS[axis]
-        return {"kind": "label", "value": pos if comp > 0 else neg}
+        return {"kind": "label",
+                "value": _side(axis, float(rows[_AXIS_INDEX[axis]] @ delta))}
 
     if family == "relative_distance":
         a, b = objs[prov["a"]], objs[prov["b"]]
@@ -134,23 +135,20 @@ def oracle_answer(scene: OracleScene, item: dict) -> dict:
             return {"kind": "quantity",
                     "value": math.sqrt(float(local @ local))}
         axis = prov["axis"]
-        comp = float(local[_AXIS_INDEX[axis]])
-        neg, pos = _NEG_POS[axis]
-        return {"kind": "label", "value": pos if comp > 0 else neg}
+        return {"kind": "label",
+                "value": _side(axis, float(local[_AXIS_INDEX[axis]]))}
 
     if family == "spatial_counting":
         anchor = objs[prov["anchor"]]
         label = prov["label"]
-        axis_i = _AXIS_INDEX[{"left": "x", "right": "x", "above": "y",
-                              "below": "y", "front": "z", "behind": "z"}[label]]
-        positive = label in ("right", "below", "front")
+        axis = {s: a for a, pair in _NEG_POS.items() for s in pair}[label]
+        row = rows[_AXIS_INDEX[axis]]
         count = 0
         for obj in scene.objects:
             if obj.category != prov["category"] or \
                obj.object_id == anchor.object_id:
                 continue
-            comp = float(rows[axis_i] @ (obj.center - anchor.center))
-            if (comp > 0) == positive:
+            if _side(axis, float(row @ (obj.center - anchor.center))) == label:
                 count += 1
         return {"kind": "count", "value": count}
 

@@ -28,15 +28,11 @@ from .scene import OracleScene, box_corners_camera
 Z_NEAR = 0.2
 
 
-def _ray_grid(scene: OracleScene) -> np.ndarray:
-    """(H, W, 3) pixel ray directions; z is 1, so the ray parameter
-    equals depth.  Read-only: scenes with the same camera share it."""
-    return _camera_rays(scene.height, scene.width, scene.intrinsics)
-
-
 @functools.lru_cache(maxsize=4)   # a run renders one or two cameras
 def _camera_rays(height: int, width: int,
                  k: CameraIntrinsics) -> np.ndarray:
+    """(H, W, 3) pixel ray directions; z is 1, so the ray parameter
+    equals depth.  Read-only: scenes with the same camera share it."""
     d = np.empty((height, width, 3))
     d[:, :, 0] = (np.arange(width, dtype=np.float64) - k.cx) / k.fx
     d[:, :, 1] = ((np.arange(height, dtype=np.float64) - k.cy)
@@ -123,7 +119,7 @@ def render_scene(scene: OracleScene, rng: np.random.Generator | None = None,
     with 0 when none is given).
     """
     gf = gravity_frame(scene.gravity)
-    rays = _ray_grid(scene)
+    rays = _camera_rays(scene.height, scene.width, scene.intrinsics)
     h, w = scene.height, scene.width
     background = scene.background_depth
 

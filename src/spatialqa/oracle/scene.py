@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..geometry import CameraIntrinsics, box_local_axes, gravity_frame
-from ..schema import read_jsonl
+from ..schema import numbers, read_jsonl, unique
 
 CATEGORY_POOL = (
     "chair", "table", "sofa", "lamp", "bed", "desk", "shelf", "cabinet",
@@ -260,18 +260,25 @@ def write_scenes(scenes: list[OracleScene], path: str | Path) -> None:
 
 def _parse_scene(record: dict) -> OracleScene:
     """A ``scenes.jsonl`` record as its scene, values as written; a
-    missing or unknown key raises TypeError (a bad record)."""
+    missing or unknown key raises TypeError, a vector that is not 3
+    finite numbers or a camera the geometry rejects ValueError (a bad
+    record)."""
     def vector(v):
+        if not numbers(3)(v):
+            raise ValueError(f"{v!r} is not 3 finite numbers")
         return np.asarray(v, dtype=np.float64)
 
     objects = [OracleObject(**{**o, "center": vector(o["center"]),
                                "size": vector(o["size"])})
                for o in record["objects"]]
     intrinsics = CameraIntrinsics(**record["intrinsics"])
+    gravity = vector(record["gravity"])
+    gravity_frame(gravity)   # rejects a gravity no frame is built on
     return OracleScene(**{**record, "intrinsics": intrinsics,
-                          "gravity": vector(record["gravity"]),
-                          "objects": objects})
+                          "gravity": gravity, "objects": objects})
 
 
 def read_scenes(path: str | Path) -> list[OracleScene]:
-    return read_jsonl(path, _parse_scene)
+    """The scenes of a ``scenes.jsonl`` file; a repeated ``scene_id`` is
+    a bad line."""
+    return read_jsonl(path, unique("scene_id", _parse_scene))

@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import box_iou
 from .clients import Client, build_clients
 from .config import PipelineConfig
 from .dbscan import dbscan_largest_cluster, default_eps, default_min_pts
@@ -41,12 +40,13 @@ from .filters import heuristic_image_filter, tag_vote_filter
 from .geometry import EmptyObjectError, extract_object_points, fit_box3d
 from .manifest import ImageManifest, read_manifest, resolve_path
 from .pmap import read_pointmap
-from .qa.items import QAItem, canonical_json, check_item, derive_seed
+from .qa.items import QAItem, check_item, derive_seed
 from .qa.problem import scene_digest, validate_candidates
 from .qa.synth import Scene, synthesize_scene_qa
 from .references import assign_references, verify_textual_reference
 from .relations import SceneObject
-from .schema import TEXT, check, or_null, read_jsonl, text, unique
+from .schema import (TEXT, canonical_json, check, or_null, read_jsonl, text,
+                     unique)
 
 
 class SceneSkipped(Exception):
@@ -119,8 +119,7 @@ def _verified_captions(entry: ImageManifest, objects: list[SceneObject],
                     {"image_id": entry.image_id, "caption": caption})["boxes"]
             else:
                 break
-            iou = box_iou(boxes[0], ann["box2d"]) if len(boxes) == 1 else 0.0
-            if verify_textual_reference(boxes, iou):
+            if verify_textual_reference(boxes, ann["box2d"]):
                 verified[obj.object_id] = caption
                 break
     return verified

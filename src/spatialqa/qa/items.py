@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
-from ..schema import (OBJECT, POSITIVE, TEXT, ManifestError, check, integer,
-                      numbers, only, strings)
+from ..schema import (OBJECT, POSITIVE, TEXT, ManifestError, canonical_json,
+                      check, integer, numbers, only, strings)
 
 SCHEMA_VERSION = 1
 
@@ -27,6 +26,8 @@ FAMILIES: dict[str, int] = {
 }
 
 FORMATS = ("free-form", "mcq", "true-false")
+# the letters of an MCQ's four options, in order
+LETTERS = ("A", "B", "C", "D")
 
 PAYLOAD_KINDS = ("quantity", "vector3", "unit-vector", "label", "count")
 
@@ -51,8 +52,7 @@ _FORMAT_RULES = {
     "free-form": (only(_KEYS),),
     "mcq": (("options", lambda v: strings(v) and len(v) == len(set(v)) == 4,
              "is not 4 distinct strings"),
-            ("answer", lambda v: v in ("A", "B", "C", "D"),
-             "is not a letter A-D"),
+            ("answer", lambda v: v in LETTERS, "is not a letter A-D"),
             only(_KEYS + ("options",))),
     "true-false": (("answer", lambda v: v in ("True", "False"),
                     "is not 'True' or 'False'"),
@@ -102,11 +102,6 @@ class QAItem:
     def to_json(self) -> str:
         """The corpus line of this item (see ``check_item``)."""
         return canonical_json(check_item(self.to_dict()))
-
-
-def canonical_json(obj) -> str:
-    """Stable serialization: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def derive_seed(base_seed: int, image_id: str) -> int:

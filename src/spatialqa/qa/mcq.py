@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-LETTERS = ("A", "B", "C", "D")
+from .items import LETTERS
 
 
 def make_mcq(value: str, pool: list[str], rng: np.random.Generator

@@ -63,10 +63,6 @@ def scene_digest(scene) -> dict:
     }
 
 
-def _index(digest: dict) -> dict[str, dict]:
-    return {o["id"]: o for o in digest["objects"]}
-
-
 def evaluate_check(check, digest: dict):
     """Recompute a check expression; floats for numeric ops, "yes"/"no"
     for comparisons."""
@@ -74,7 +70,7 @@ def evaluate_check(check, digest: dict):
         return float(check)
     if not isinstance(check, dict) or "op" not in check:
         raise ProblemValidationError(f"malformed check {check!r}")
-    objects = _index(digest)
+    objects = {o["id"]: o for o in digest["objects"]}
     op = check["op"]
 
     def obj(key):

@@ -62,7 +62,6 @@ MAX_COMPARISONS = 4
 MAX_CONSISTENCY = 2
 MAX_PERSPECTIVE = 4
 MAX_COUNTING = 3
-SIZE_DIMENSIONS = ("width", "height", "depth")
 
 # A False numeric statement states the truth times one of these, one below
 # and one above it.  Both lie outside [0.6, 1.67] (0.75/1.25, 1.25/0.75), so
@@ -191,7 +190,6 @@ class _SceneSynthesizer:
             if mcq is not None:
                 available.append("mcq")
         fmt = available[int(self.rng.integers(0, len(available)))]
-        self._seq += 1
 
         options = None
         provenance = dict(params)
@@ -218,7 +216,14 @@ class _SceneSynthesizer:
                 prompt += f"\n{render_options(options)}\n{MCQ_INSTRUCTION}"
             else:
                 answer = _text(kind, value)
-        prompt = prompt[0].upper() + prompt[1:]
+        self._add(family, fmt, prompt[0].upper() + prompt[1:], answer,
+                  payload, provenance, options)
+
+    def _add(self, family: str, fmt: str, prompt: str, answer: str,
+             payload: dict, provenance: dict,
+             options: list[str] | None = None) -> None:
+        """Append the scene's next item, numbered in emission order."""
+        self._seq += 1
         self.items.append(QAItem(
             item_id=f"{self.scene.image_id}:{family}:{self._seq:04d}",
             image_id=self.scene.image_id, family=family, format=fmt,
@@ -308,7 +313,7 @@ class _SceneSynthesizer:
                 {"kind": "quantity", "value": obj.camera_distance, "unit": "m"},
                 {"object": obj.object_id, "aspect": "camera-distance"},
             )
-            for dim in SIZE_DIMENSIONS:
+            for dim in DIM_INDEX:
                 self._emit(
                     "object_size", "object_size", {"ref": ref, "dimension": dim},
                     {"kind": "quantity",
@@ -430,21 +435,15 @@ class _SceneSynthesizer:
         self._perspective()
         self._counting()
         for problem in problems:
-            self._seq += 1
-            item_id = f"{self.scene.image_id}:problem_solving:{self._seq:04d}"
             if problem.kind == "numeric":
                 payload = {"kind": "quantity",
                            "value": float(problem.answer_value), "unit": "m"}
             else:
                 payload = {"kind": "label",
                            "value": str(problem.answer_value)}
-            self.items.append(QAItem(
-                item_id=item_id, image_id=self.scene.image_id,
-                family="problem_solving", format="free-form",
-                prompt=problem.question, payload=payload,
-                answer=_text(payload["kind"], payload["value"]),
-                provenance={"check": problem.check, "kind": problem.kind},
-            ))
+            self._add("problem_solving", "free-form", problem.question,
+                      _text(payload["kind"], payload["value"]), payload,
+                      {"check": problem.check, "kind": problem.kind})
 
     def _perspective(self) -> None:
         anchors = [o for o in self.objects if o.yaw_deg is not None]

@@ -23,6 +23,7 @@ from collections import Counter
 
 import numpy as np
 
+from .assignment import box_iou
 from .geometry import GravityFrame
 from .relations import (
     ATTRIBUTE_GETTERS,
@@ -55,12 +56,11 @@ def ordinal_word(n: int) -> str:
 # Textual verification and fallback
 # ---------------------------------------------------------------------------
 
-def verify_textual_reference(grounded_boxes: list, gt_iou: float) -> bool:
-    """A caption is valid iff the grounder returned exactly one box with
-    IoU strictly above the threshold."""
-    if len(grounded_boxes) != 1:
-        return False
-    return gt_iou > TEXTUAL_IOU_THRESHOLD
+def verify_textual_reference(grounded_boxes: list, box2d) -> bool:
+    """A caption is valid iff the grounder returned exactly one box whose
+    IoU with the annotation box ``box2d`` is strictly above the threshold."""
+    return (len(grounded_boxes) == 1
+            and box_iou(grounded_boxes[0], box2d) > TEXTUAL_IOU_THRESHOLD)
 
 
 def fallback_color(palette_index: int) -> str:
@@ -129,7 +129,6 @@ def linear_order_reference(objs: list[SceneObject], gf: GravityFrame
 # The rankings a group tries after linear order, in order: world x, y and
 # z, camera distance, then size.
 RANKINGS = ("x", "y", "z", "camera-distance", "width", "height", "volume")
-_SIZE_DIMENSIONS = ("width", "height", "volume")
 
 # metric -> (lowest text, highest text, middle pattern), ranked by
 # ascending value; size ranks count middle ranks from the top ("the second
@@ -185,7 +184,7 @@ def rank_reference(objs: list[SceneObject], metric: str, gf: GravityFrame
     low, high, mid = _RANK_SURFACE[metric]
     if n == 2:
         low, high = _PAIR_SURFACE.get(metric, (low, high))
-    from_top = metric in _SIZE_DIMENSIONS
+    from_top = metric in ("width", "height", "volume")
     texts = {}
     for rank, i in enumerate(order):
         pattern = low if rank == 0 else high if rank == n - 1 else mid

@@ -9,7 +9,8 @@ field is checked only when its parent, checked before it, is not null.
 ``only(keys)`` is the rule that an object holds no other key.
 
 ``read_jsonl`` applies a parser to each line of a JSON-lines file and
-names the file and line of the first bad one.
+names the file and line of the first bad one.  ``canonical_json`` is the
+form in which the program writes a record and keys a client request.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ class ManifestError(Exception):
 # How a broken rule of the config file or a client spec reads; a line of a
 # JSON-lines file reads "{key} {value!r} {wanted}".
 MUST_BE = "{key} must be {wanted}, got {value!r}"
+
+
+def canonical_json(obj) -> str:
+    """Stable serialization: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def integer(v) -> bool:

@@ -199,13 +199,32 @@ class TestGenerateEvaluateCheck:
                                                  capsys):
         scenes = tmp_path / "scenes.jsonl"
         first = (oracle_dir / "scenes.jsonl").read_text().splitlines()[0]
-        # a record missing keys, then one with a key no scene has
-        for bad in ({"scene_id": "x"}, {**json.loads(first), "colour": 1}):
+        record = json.loads(first)
+
+        def with_object(**values):
+            return {**record, "objects": [{**record["objects"][0], **values},
+                                          *record["objects"][1:]]}
+
+        moved = [record["objects"][0]["center"][0] + 1.0,
+                 *record["objects"][0]["center"][1:]]
+        # a record missing keys, one with a key no scene has, a camera or
+        # a vector the geometry rejects, then a repeated scene_id
+        for bad, message in (
+                ({"scene_id": "x"}, "bad record"),
+                ({**record, "colour": 1}, "bad record"),
+                ({**record, "intrinsics": {**record["intrinsics"], "fx": 0}},
+                 "bad record"),
+                ({**record, "gravity": [0, 2, 0]}, "bad record"),
+                ({**record, "gravity": [0, 0, 1]}, "bad record"),
+                (with_object(size=[0.5, 0.5]), "bad record"),
+                (with_object(center=[float("nan"), 0.0, 3.0]), "bad record"),
+                (with_object(center=moved),
+                 f"duplicate scene_id {record['scene_id']!r}")):
             scenes.write_text(first + "\n" + json.dumps(bad) + "\n")
             rc = main(["oracle", "check", "--scenes", str(scenes),
                        "--corpus", str(scenes)])
-            assert rc == 2
-            assert "scenes.jsonl line 2: bad record" in \
+            assert rc == 2, bad
+            assert f"scenes.jsonl line 2: {message}" in \
                 capsys.readouterr().err
 
     def test_evaluate_bad_responses_file_exits_2(self, tmp_path, capsys):

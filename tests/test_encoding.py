@@ -6,8 +6,8 @@ import pytest
 from spatialqa.encoding import (
     ENCODED_CHANNELS,
     ENCODING_PER_COORD,
+    FREQUENCIES,
     PATCH,
-    frequencies,
     fuse,
     pad_to_patch_multiple,
     patchify,
@@ -70,15 +70,19 @@ class TestSinusoidalEncode:
                                       pm.valid.astype(float))
 
     def test_lowest_frequency_spans_range_without_wrap(self):
-        w0 = frequencies()[0]
+        w0 = FREQUENCIES[0]
         # half period covers the full [-250, 250] working range
         assert 2 * np.pi / w0 == pytest.approx(1000.0)
+
+    def test_frequencies_read_only(self):
+        with pytest.raises(ValueError):
+            FREQUENCIES[0] = 0.0
 
     def test_injective_on_millimeter_grid(self):
         # phase of the lowest frequency is monotone over the range, so the
         # first sin channel alone separates any two distinct coordinates
         values = np.arange(-250.0, 250.0, 0.001)
-        w0 = frequencies()[0]
+        w0 = FREQUENCIES[0]
         phase = values * w0
         # sin is strictly monotone on the closed interval [-pi/2, pi/2]
         assert phase.min() >= -np.pi / 2 - 1e-12

@@ -360,9 +360,32 @@ class TestReport:
         assert "n/a" in render_report(rep)
 
 
+_NOT_KEPT = re.compile(r"[^a-z0-9\s.-]")
+_ARTICLE = re.compile(r"\b(a|an|the)\b")
+_SPACES = re.compile(r"\s+")
+
+
+def _normalize_steps(text: str) -> str:
+    """Every step of ``normalize_text`` written out on its own: the
+    reference it must equal."""
+    t = _NOT_KEPT.sub(" ", text.strip().lower())
+    return _SPACES.sub(" ", _ARTICLE.sub(" ", t)).strip()
+
+
 class TestNormalize:
+    TOKENS = ("a", "an", "the", "A", "The", "x", "1", " ", "  ", "\t", "\n",
+              ".", ",", "-", "!")
+
     def test_articles_and_case(self):
         assert normalize_text("The  Chair!") == "chair"
+
+    def test_equals_steps_on_every_text_of_five_tokens(self):
+        """All 813,615 texts of one to five tokens."""
+        texts = ["".join(tokens) for k in range(1, 6)
+                 for tokens in itertools.product(self.TOKENS, repeat=k)]
+        assert len(texts) == 813_615
+        assert [t for t in texts
+                if normalize_text(t) != _normalize_steps(t)] == []
 
 
 # Responses that come from outside the program and break naive parsing:

@@ -14,7 +14,7 @@ from spatialqa.oracle.gen import generate_dataset
 from spatialqa.oracle.render import (
     Z_NEAR,
     _box_hit_depths,
-    _ray_grid,
+    _camera_rays,
     analytic_point,
     render_scene,
 )
@@ -228,7 +228,7 @@ class TestRender:
 def _full_frame_render(scene):
     """Depth and masks from every box slab-tested on every pixel ray."""
     gf = gravity_frame(scene.gravity)
-    rays = _ray_grid(scene)
+    rays = _camera_rays(scene.height, scene.width, scene.intrinsics)
     depths = np.stack([_box_hit_depths(gf, obj, rays)
                        for obj in scene.objects])
     background = scene.background_depth
@@ -301,8 +301,10 @@ class TestRenderWindow:
             assert np.array_equal(mask, ref_masks[object_id]), object_id
 
     def test_ray_grid_shared_and_read_only(self):
-        rays = _ray_grid(_manual_scene([]))
-        assert _ray_grid(self._border_scene(self.TILTED)) is rays
+        scene, tilted = _manual_scene([]), self._border_scene(self.TILTED)
+        rays = _camera_rays(scene.height, scene.width, scene.intrinsics)
+        assert _camera_rays(tilted.height, tilted.width,
+                            tilted.intrinsics) is rays
         with pytest.raises(ValueError):
             rays[0, 0, 0] = 0.0
 

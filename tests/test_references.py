@@ -32,17 +32,21 @@ def _obj(oid, center, size=(1.0, 1.0, 1.0), category="chair"):
 
 
 class TestVerifyTextual:
+    BOX = [0, 0, 10, 1]
+
     def test_two_boxes_invalid(self):
-        assert not verify_textual_reference([[0, 0, 1, 1], [2, 2, 3, 3]], 0.95)
+        assert not verify_textual_reference([self.BOX, self.BOX], self.BOX)
 
     def test_single_box_high_iou_valid(self):
-        assert verify_textual_reference([[0, 0, 1, 1]], 0.85)
+        assert verify_textual_reference([self.BOX], self.BOX)
 
     def test_exactly_07_invalid(self):
-        assert not verify_textual_reference([[0, 0, 1, 1]], 0.70)
+        # IoU 7 / 10, exactly the threshold
+        assert not verify_textual_reference([[0, 0, 7, 1]], self.BOX)
+        assert verify_textual_reference([[0, 0, 7.01, 1]], self.BOX)
 
     def test_zero_boxes_invalid(self):
-        assert not verify_textual_reference([], 1.0)
+        assert not verify_textual_reference([], self.BOX)
 
 
 class TestFallback:
